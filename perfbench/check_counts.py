@@ -5,9 +5,8 @@
 
 Runs each workload's traced run twice with the same seed and fails unless
 every metric with unit ``count`` is identical across the two runs and both
-runs pass their correctness checks.  It also fails when ``BENCHMARK.json``
-and ``run.py`` disagree on the metric catalogue.  Takes about two minutes,
-almost all of it the `small` cold starts.
+runs pass their correctness checks.  Takes about two minutes, almost all
+of it the `small` cold starts.
 """
 
 from __future__ import annotations
@@ -41,30 +40,13 @@ def traced_result(workload: str, seed: int, seconds: float) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
-def catalogue_problems() -> list[str]:
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(HERE))
-    import run
-    import workloads
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    problems = []
-    for key, catalogue in (("end_to_end", run.END_TO_END), ("per_layer", run.PER_LAYER)):
-        declared = {entry["name"]: entry["unit"] for entry in spec[key]}
-        if declared != catalogue:
-            problems.append(f"BENCHMARK.json {key} differs from run.py")
-    if sorted(entry["name"] for entry in spec["workloads"]) != sorted(workloads.WORKLOADS):
-        problems.append("BENCHMARK.json workloads differ from workloads.py")
-    return problems
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seconds", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append")
     args = parser.parse_args()
-    problems = catalogue_problems()
+    problems = []
     for workload in args.workload or ("expand-uncached", "serve-zipf"):
         first, second = (traced_result(workload, args.seed, args.seconds) for _ in range(2))
         for result in (first, second):

@@ -17,6 +17,7 @@ import time
 PROCESS_START = time.perf_counter()
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -25,6 +26,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -51,57 +53,11 @@ from workloads import (  # noqa: E402
 
 SUBSTRATE_KINDS = ("ann_index", "causal_lm", "cooccurrence_embeddings", "entity_representations")
 
-#: end-to-end metrics (``--trace 0``): name -> unit.
-END_TO_END = {
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "throughput_rps": "1/s",
-    "latency_p50_ms": "ms",
-    "latency_p90_ms": "ms",
-}
-
-#: per-layer metrics (``--trace 1``): name -> unit.
-PER_LAYER = {
-    "client.hop_ms.p50": "ms",
-    **{f"expand_p50_ms.{m}": "ms" for m in ALL_METHODS},
-    "gateway.proxy_ms.p50": "ms",
-    "gateway.proxied": "count",
-    "gateway.failovers": "count",
-    "gate.check_us.p50": "us",
-    "gate.throttled": "count",
-    "admission.wait_ms.p99": "ms",
-    "admission.shed": "count",
-    "cache.hit_ratio": "ratio",
-    "cache.hits": "count",
-    "cache.misses": "count",
-    "cache.evictions": "count",
-    "batcher.batches": "count",
-    "batcher.avg_batch_size": "requests",
-    "batcher.queue_wait_ms.p50": "ms",
-    "service.execute_ms.p50": "ms",
-    **{f"expand_ms.{m}.p50": "ms" for m in ALL_METHODS},
-    "retexpan.candidates_ms.p50": "ms",
-    "retexpan.score_ms.p50": "ms",
-    "lm.generate_constrained_ms.p50": "ms",
-    "lm.generate_constrained_calls": "count",
-    "lm.entity_affinity_calls": "count",
-    "text.bm25_search_s": "s",
-    "text.bm25_search_calls": "count",
-    "text.bm25_score_calls": "count",
-    "rng.child_calls": "count",
-    "retrieval.ann_queries": "count",
-    "dataset.build_s": "s",
-    **{f"substrate.fit_s.{kind}": "s" for kind in SUBSTRATE_KINDS},
-    "substrate.fits": "count",
-    "substrate.restores": "count",
-    "substrate.resident": "count",
-    "store.save_s": "s",
-    "store.restore_s": "s",
-    **{f"registry.train_s.{m}": "s" for m in ALL_METHODS},
-    "registry.fits": "count",
-    "registry.restores": "count",
-    "trace_overhead_pct": "%",
-}
+#: the metric catalogue, name -> unit: ``end_to_end`` for ``--trace 0``,
+#: ``per_layer`` for ``--trace 1``.
+_SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {entry["name"]: entry["unit"] for entry in _SPEC["end_to_end"]}
+PER_LAYER = {entry["name"]: entry["unit"] for entry in _SPEC["per_layer"]}
 
 
 def quantile(values, q: float) -> float:
@@ -115,45 +71,52 @@ def percentile_note(count: int, q: float) -> str:
 
 
 class Phase:
-    """One measured pass: its records and duration."""
+    """One measured stretch of requests.  With a ``cycle`` (the round
+    robin's length), latencies and throughput come from whole cycles only,
+    so every seed times the same requests in another order; with none, or
+    before the first cycle completes, from every record."""
 
-    def __init__(self, records, elapsed: float):
+    def __init__(self, records, cycle: int | None = None):
         self.records = records
-        self.elapsed = elapsed
         self.failures = [record for record in records if record.failure is not None]
+        whole = len(records) - len(records) % cycle if cycle else 0
+        self.timed = records[:whole] or records
 
     def latencies_ms(self, method: str | None = None) -> list[float]:
         return [
             (record.done - record.sent) * 1000.0
-            for record in self.records
+            for record in self.timed
             if method is None or record.item.method == method
         ]
 
     def completed(self) -> list:
         return [record for record in self.records if record.latency_ms is not None]
 
+    def throughput_rps(self) -> float:
+        completed = [record for record in self.timed if record.latency_ms is not None]
+        return len(completed) / (self.timed[-1].done - self.timed[0].sent)
+
 
 # -- provenance --------------------------------------------------------------------------
 
 
 def git_sha() -> str:
-    """HEAD's commit read from ``.git`` directly (no subprocess); the
-    benchmark also runs from plain source trees, which have no ``.git``."""
-    git = ROOT / ".git"
+    """HEAD's commit, or ``unknown`` for a plain source tree.  Without a
+    ``.git`` of its own the tree is not asked, so an enclosing repository's
+    commit is never reported."""
+    if not (ROOT / ".git").exists():
+        return "unknown"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        loose = git / ref
-        if loose.exists():
-            return loose.read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 def source_digest() -> str:
@@ -204,7 +167,7 @@ def end_to_end(phase: Phase, setup_s: float) -> dict:
     return {
         "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "throughput_rps": len(phase.completed()) / phase.elapsed,
+        "throughput_rps": phase.throughput_rps(),
         "latency_p50_ms": quantile(latencies, 0.5),
         "latency_p90_ms": quantile(latencies, 0.9),
     }
@@ -384,17 +347,33 @@ def run(workload, args, nproc: int, workdir: Path, probes: Probes | None):
             # one request at a time, so every count depends on the seed alone
             items = islice(workload.items(dataset, args.seed), workload.count_items)
             load = Load(checker, workload.use_cache, traced=False)
-            (counted, elapsed), counting = observe(
+            (counted, _), counting = observe(
                 probes, cluster, lambda: run_closed_loop(cluster, items, math.inf, load)
             )
-            phases.append(Phase(counted, elapsed))
+            phases.append(Phase(counted))
+
+        def warm_up() -> float:
+            """Empty the worker caches and refill them (checked, not timed),
+            then collect garbage; returns the refill's seconds."""
             cluster.clear_caches()
+            items, elapsed = workload.warm_items(dataset), 0.0
+            if items:
+                load = Load(checker, workload.use_cache, traced=False)
+                records, elapsed = run_closed_loop(cluster, items, math.inf, load)
+                phases.append(Phase(records))
+            gc.collect()
+            return elapsed
 
         def measure(traced: bool) -> Phase:
             load = Load(checker, workload.use_cache, traced)
             items = workload.items(dataset, args.seed)
-            return Phase(*run_closed_loop(cluster, items, args.seconds, load))
+            records, _ = run_closed_loop(cluster, items, args.seconds, load)
+            return Phase(records, workload.cycle(dataset))
 
+        # the first warm-up comes before the first timed request, so it is set-up
+        warm_s = warm_up()
+        setup_s += warm_s
+        notes["setup_s"] += f", plus {warm_s:.2f} s cache warm-up"
         untraced = measure(traced=False)
         phases.append(untraced)
         metrics = end_to_end(untraced, setup_s)
@@ -411,7 +390,7 @@ def run(workload, args, nproc: int, workdir: Path, probes: Probes | None):
                 )
             return metrics, None, notes, phases
 
-        cluster.clear_caches()
+        warm_up()
         traced_phase, traced = observe(probes, cluster, lambda: measure(traced=True))
         phases.append(traced_phase)
         layer = per_layer(cluster, setup, counting, untraced, traced_phase, traced)

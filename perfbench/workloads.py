@@ -59,10 +59,25 @@ class Workload:
         queries = [query.query_id for query in dataset.queries]
         if self.profile != "small":
             return queries
-        # ~20 queries spread evenly over every fine-grained class: few enough
-        # that one run reaches each of them with every method, so runs with
-        # different seeds time the same per-query costs in another order.
-        return queries[:: len(queries) // 20]
+        # 5 queries spread evenly over the 762 (every fifth of the 21 in
+        # reference.json, which took every 38th): a round-robin cycle is 35
+        # requests, so even a slow 25 s run completes three whole cycles,
+        # enough for 10 samples beyond p90.
+        return queries[::190]
+
+    def cycle(self, dataset) -> int | None:
+        """Requests after which the round robin has sent every pool query to
+        every method once; ``None`` for the Zipf mix, which has no cycle."""
+        return None if self.zipf else len(self.methods) * len(self.query_pool(dataset))
+
+    def warm_items(self, dataset) -> list["Item"]:
+        """Requests that fill the worker caches before timing: every
+        (method, query id) pair the Zipf draws can ask for, so the timed
+        misses are the ad-hoc requests alone rather than a share of first
+        reads that shrinks as the machine speeds up.  None without a cache."""
+        if not self.use_cache:
+            return []
+        return [Item(method=m, query_id=q) for m in self.methods for q in self.query_pool(dataset)]
 
     def items(self, dataset, seed: int):
         """The run's endless request stream; the same seed, the same stream."""
@@ -97,7 +112,7 @@ WORKLOADS = {
         use_cache=True,
         gated=True,
         zipf=True,
-        setup_repeats=3,
+        setup_repeats=5,
         count_items=1000,
     ),
 }
@@ -138,7 +153,7 @@ def zipf_items(workload: Workload, dataset, seed: int):
     """Endless mix: Zipf-skewed (method, query id) pairs, which repeat and
     so are mostly cache reads, and fresh ad-hoc seed sets, which miss."""
     rng = random.Random(seed)
-    keys = [(m, q) for m in workload.methods for q in workload.query_pool(dataset)]
+    keys = [(item.method, item.query_id) for item in workload.warm_items(dataset)]
     # which keys are hot is fixed, so every seed offers the same hit/miss mix
     random.Random(DATASET_SEED).shuffle(keys)
     weights = [1.0 / (rank ** ZIPF_EXPONENT) for rank in range(1, len(keys) + 1)]

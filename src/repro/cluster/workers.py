@@ -11,7 +11,10 @@ listen on, and the argv to spawn it — and managed through its lifecycle:
 * **monitor**: a background thread probes each worker every
   ``health_interval``; a worker whose process exited, or that failed
   ``unhealthy_threshold`` consecutive probes, is declared down, terminated
-  if still running, and scheduled for restart;
+  if still running, and scheduled for restart.  Probes of a worker still
+  starting count only once it has outlasted the start-up timeout given to
+  ``start``: on a busy machine imports and the dataset load can outlast a
+  few probe intervals;
 * **restart**: respawns are delayed by exponential backoff (bounded by
   ``restart_backoff_max``) plus a per-worker stagger so a crash loop cannot
   hot-spin and simultaneous crashes don't restart in lockstep;
@@ -92,6 +95,8 @@ class _Managed:
     consecutive_failures: int = 0
     #: monotonic time before which the worker must not be respawned.
     next_restart_at: float = 0.0
+    #: monotonic time of the latest spawn.
+    spawned_at: float = 0.0
     exit_codes: list[int] = field(default_factory=list)
 
 
@@ -131,6 +136,8 @@ class WorkerPool:
         self._monitor: threading.Thread | None = None
         self._started = False
         self._restarts_total = 0
+        #: how long a (re)spawned worker may stay STARTING; set by ``start``.
+        self._startup_timeout = 60.0
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self, wait_healthy: bool = True, timeout: float = 60.0) -> "WorkerPool":
@@ -139,6 +146,7 @@ class WorkerPool:
             if self._started:
                 raise ServiceError("worker pool is already started")
             self._started = True
+            self._startup_timeout = timeout
         for worker in self._workers:
             self._spawn(worker)
             if self.spawn_stagger > 0 and worker.index < len(self._workers) - 1:
@@ -248,6 +256,7 @@ class WorkerPool:
         with self._lock:
             worker.state = STARTING
             worker.consecutive_failures = 0
+            worker.spawned_at = time.monotonic()
 
     def _monitor_loop(self) -> None:
         while not self._stop_event.wait(self.health_interval):
@@ -277,6 +286,10 @@ class WorkerPool:
             with self._lock:
                 worker.state = HEALTHY
                 worker.consecutive_failures = 0
+            return
+        if worker.state == STARTING and now - worker.spawned_at < self._startup_timeout:
+            # Still importing and loading: a slow start is not a hang until
+            # it outlasts the start-up timeout, after which probes count.
             return
         with self._lock:
             worker.consecutive_failures += 1

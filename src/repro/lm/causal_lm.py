@@ -26,6 +26,7 @@ from repro.config import CausalLMConfig
 from repro.exceptions import ModelError
 from repro.kb.corpus import Corpus
 from repro.lm.embeddings import CooccurrenceEmbeddings
+from repro.retrieval import CandidateMatrix
 from repro.text.prefix_tree import PrefixTree
 from repro.text.tokenizer import WordTokenizer
 from repro.types import Entity
@@ -52,6 +53,9 @@ class NGramLanguageModel:
         self._counts: list[dict[tuple, Counter]] = [
             defaultdict(Counter) for _ in range(order)
         ]
+        #: totals[n][context] == sum(counts[n][context].values()), kept by
+        #: ``fit`` and rebuilt by ``from_state``.
+        self._totals: list[Counter] = [Counter() for _ in range(order)]
         self._vocab: set[str] = set()
         self._total_tokens = 0
 
@@ -66,6 +70,7 @@ class NGramLanguageModel:
                 for n in range(self.order):
                     context = tuple(tokens[i - n : i])
                     self._counts[n][context][token] += 1
+                    self._totals[n][context] += 1
         return self
 
     @property
@@ -77,9 +82,8 @@ class NGramLanguageModel:
         vocab_size = max(len(self._vocab), 1)
         if counter is None:
             return 1.0 / vocab_size
-        total = sum(counter.values())
         return (counter.get(token, 0) + self.smoothing) / (
-            total + self.smoothing * vocab_size
+            self._totals[n][context] + self.smoothing * vocab_size
         )
 
     def probability(self, context: Sequence[str], token: str) -> float:
@@ -144,6 +148,7 @@ class NGramLanguageModel:
                 model._counts[n][context] = Counter(
                     {token: int(count) for token, count in counter.items()}
                 )
+                model._totals[n][context] = sum(model._counts[n][context].values())
         return model
 
     def next_token_candidates(self, context: Sequence[str], top_k: int = 50) -> list[tuple[str, float]]:
@@ -178,6 +183,9 @@ class CausalEntityLM:
         self._embeddings: CooccurrenceEmbeddings | None = None
         self._entities_by_id: dict[int, Entity] = {}
         self._name_tokens: dict[int, frozenset[str]] = {}
+        self._name_to_id: dict[str, int] = {}
+        #: the LM's embedded entities stacked once, for prompt affinities.
+        self._affinity_matrix = CandidateMatrix.from_vectors({})
         self._fitted = False
 
     # -- fitting --------------------------------------------------------------
@@ -193,11 +201,6 @@ class CausalEntityLM:
         :class:`repro.obs.progress.ProgressReporter`, optional) receives
         step fractions as the pre-training stages complete.
         """
-        self._entities_by_id = {entity.entity_id: entity for entity in entities}
-        self._name_tokens = {
-            entity.entity_id: frozenset(self._tokenizer.tokenize_entity_name(entity.name))
-            for entity in entities
-        }
         name_sequences = [
             self._tokenizer.tokenize_entity_name(entity.name) for entity in entities
         ]
@@ -223,8 +226,24 @@ class CausalEntityLM:
             self._embeddings = None
         if progress is not None:
             progress.step(1.0)
+        self._bind(entities)
         self._fitted = True
         return self
+
+    def _bind(self, entities: list[Entity]) -> None:
+        """Build the per-entity lookups decoding reads on every call, once."""
+        self._entities_by_id = {entity.entity_id: entity for entity in entities}
+        self._name_tokens = {
+            entity.entity_id: frozenset(self._tokenizer.tokenize_entity_name(entity.name))
+            for entity in entities
+        }
+        self._name_to_id = {
+            entity.name: entity_id for entity_id, entity in self._entities_by_id.items()
+        }
+        vectors = self._embeddings.entity_vectors() if self._embeddings is not None else {}
+        self._affinity_matrix = CandidateMatrix.from_vectors(
+            {eid: vectors[eid] for eid in self._entities_by_id if eid in vectors}
+        )
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -276,11 +295,7 @@ class CausalEntityLM:
         lm._ngram = NGramLanguageModel.from_state(read_json_state(directory / "ngram.json"))
         if meta.get("has_embeddings"):
             lm._embeddings = CooccurrenceEmbeddings.load(directory / "embeddings", mmap=mmap)
-        lm._entities_by_id = {entity.entity_id: entity for entity in entities}
-        lm._name_tokens = {
-            entity.entity_id: frozenset(lm._tokenizer.tokenize_entity_name(entity.name))
-            for entity in entities
-        }
+        lm._bind(entities)
         lm._fitted = True
         return lm
 
@@ -308,6 +323,35 @@ class CausalEntityLM:
         return float(
             np.mean([self.entity_affinity(entity_id, pid) for pid in prompt_entity_ids])
         )
+
+    def prompt_affinities(self, prompt_entity_ids: Sequence[int]) -> dict[int, float]:
+        """:meth:`prompt_affinity` of every entity, computed as one product.
+
+        When every prompt entity has an embedding, the embedded entities
+        take ``0.5 * (1 + M @ P.T)`` over the entity matrix stacked at
+        fit/load time, averaged over the prompt columns in prompt order.
+        The product's dot products may differ from per-pair ``np.dot`` in
+        the last ulps (3.3e-16 at most, measured on the ``small`` profile).
+        Every other entity, or every entity when a prompt entity has no
+        embedding, goes through :meth:`prompt_affinity`.
+        """
+        self._require_fitted()
+        if not prompt_entity_ids:
+            return dict.fromkeys(self._entities_by_id, 0.0)
+        matrix, embeddings = self._affinity_matrix, self._embeddings
+        # an empty matrix also means no embeddings (see ``_bind``)
+        if not len(matrix) or not all(map(embeddings.has_entity, prompt_entity_ids)):
+            return {
+                entity_id: self.prompt_affinity(entity_id, prompt_entity_ids)
+                for entity_id in self._entities_by_id
+            }
+        prompt = np.stack([embeddings.entity_vector(pid) for pid in prompt_entity_ids])
+        pairs = 0.5 * (1.0 + matrix.matrix @ prompt.T)
+        affinities = dict(zip(matrix.ids, pairs.mean(axis=1).tolist()))
+        for entity_id in self._entities_by_id:
+            if entity_id not in affinities:
+                affinities[entity_id] = self.prompt_affinity(entity_id, prompt_entity_ids)
+        return affinities
 
     # -- scoring ---------------------------------------------------------------------
     def _prompt_tokens(self, prompt_entity_ids: Sequence[int]) -> list[str]:
@@ -437,19 +481,16 @@ class CausalEntityLM:
         self._require_fitted()
         exclude_names = exclude_names or set()
         context = self._prompt_tokens(prompt_entity_ids)
-        name_to_id = {
-            entity.name: entity_id for entity_id, entity in self._entities_by_id.items()
-        }
+        name_to_id = self._name_to_id
+        affinity = self.prompt_affinities(prompt_entity_ids)
 
         def token_score(prefix: list[str], token: str) -> float:
             lm = self._ngram.logprob(context + prefix, token)
             reachable = prefix_tree.entities_with_prefix(prefix + [token])
-            affinities = [
-                self.prompt_affinity(name_to_id[name], prompt_entity_ids)
-                for name in reachable[:20]
-                if name in name_to_id
-            ]
-            best_affinity = max(affinities) if affinities else 0.0
+            best_affinity = max(
+                (affinity[name_to_id[name]] for name in reachable[:20] if name in name_to_id),
+                default=0.0,
+            )
             w = self.config.affinity_weight
             return w * float(np.log(max(best_affinity, 1e-6))) + (1.0 - w) * lm
 

@@ -356,10 +356,13 @@ class SubstrateProvider:
         with self._lock:
             self._cache.setdefault(key, instance)
 
-    def resident_count(self) -> int:
-        """How many distinct substrate instances this provider holds."""
+    def resident_count(self, kind: str | None = None) -> int:
+        """How many distinct substrate instances this provider holds (of
+        ``kind`` only, when given)."""
         with self._lock:
-            return len(self._cache)
+            if kind is None:
+                return len(self._cache)
+            return sum(1 for key in self._cache if key.kind == kind)
 
     # -- the one entry point -----------------------------------------------------
     def get(self, kind: str, params: dict, resolver=None, progress=None) -> object:

@@ -2,12 +2,20 @@
 
 Used by the statistical baselines (SetExpan, CaSE) to retrieve context
 features and by BM25 as its posting-list store.
+
+The total document length BM25 reads on every scored document is maintained
+incrementally by :meth:`InvertedIndex.add_document` and
+:meth:`InvertedIndex.remove_document`, the only two mutators, so the average
+document length is O(1).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+_NO_POSTINGS: Mapping[int, int] = MappingProxyType({})
 
 
 class InvertedIndex:
@@ -16,6 +24,8 @@ class InvertedIndex:
     def __init__(self):
         self._postings: dict[str, dict[int, int]] = defaultdict(dict)
         self._doc_lengths: dict[int, int] = {}
+        #: sum of ``_doc_lengths`` (an int, so the average is exact).
+        self._total_length = 0
 
     def add_document(self, doc_id: int, tokens: Sequence[str]) -> None:
         """Index ``tokens`` under ``doc_id`` (re-adding a doc id overwrites it)."""
@@ -25,6 +35,7 @@ class InvertedIndex:
         for token, count in counts.items():
             self._postings[token][doc_id] = count
         self._doc_lengths[doc_id] = len(tokens)
+        self._total_length += len(tokens)
 
     def remove_document(self, doc_id: int) -> None:
         """Remove ``doc_id`` from all postings."""
@@ -34,11 +45,12 @@ class InvertedIndex:
             self._postings[token].pop(doc_id, None)
             if not self._postings[token]:
                 del self._postings[token]
-        del self._doc_lengths[doc_id]
+        self._total_length -= self._doc_lengths.pop(doc_id)
 
     def postings(self, token: str) -> Mapping[int, int]:
-        """Mapping of doc id → term frequency for ``token``."""
-        return dict(self._postings.get(token, {}))
+        """Read-only view of doc id → term frequency for ``token``."""
+        postings = self._postings.get(token)
+        return _NO_POSTINGS if postings is None else MappingProxyType(postings)
 
     def document_frequency(self, token: str) -> int:
         return len(self._postings.get(token, {}))
@@ -67,7 +79,7 @@ class InvertedIndex:
     def average_document_length(self) -> float:
         if not self._doc_lengths:
             return 0.0
-        return sum(self._doc_lengths.values()) / len(self._doc_lengths)
+        return self._total_length / len(self._doc_lengths)
 
     def vocabulary(self) -> set[str]:
         return set(self._postings.keys())

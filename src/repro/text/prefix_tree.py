@@ -4,10 +4,16 @@ GenExpan constrains beam-search decoding so that only candidate entities can
 be generated (Section V-B.1, Figure 6).  The tree maps token prefixes to the
 set of tokens allowed next; a complete root-to-leaf path spells exactly one
 candidate entity.
+
+Every node keeps the sorted names reachable below it, updated along the
+inserted path, so the decoder's per-token "which entities can this prefix
+still become" lookup is a walk plus a list copy instead of a subtree search
+and sort.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -17,6 +23,8 @@ class _Node:
     children: dict[str, "_Node"] = field(default_factory=dict)
     #: entity name terminating at this node (None for internal-only nodes).
     terminal: str | None = None
+    #: sorted names terminating at this node or below it.
+    reachable: list[str] = field(default_factory=list)
 
 
 class PrefixTree:
@@ -31,12 +39,19 @@ class PrefixTree:
         """Insert the token path ``tokens`` terminating in entity ``name``."""
         if not tokens:
             raise ValueError("cannot insert an empty token sequence")
-        node = self._root
+        path = [self._root]
         for token in tokens:
-            node = node.children.setdefault(token, _Node())
-        if node.terminal is None:
+            path.append(path[-1].children.setdefault(token, _Node()))
+        node = path[-1]
+        replaced = node.terminal
+        if replaced is None:
             self._size += 1
         node.terminal = name
+        for ancestor in path:
+            if replaced is not None:
+                names = ancestor.reachable
+                del names[bisect_left(names, replaced)]
+            insort(ancestor.reachable, name)
 
     @classmethod
     def from_entities(
@@ -85,14 +100,7 @@ class PrefixTree:
         node = self._walk(prefix)
         if node is None:
             return []
-        found: list[str] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.terminal is not None:
-                found.append(current.terminal)
-            stack.extend(current.children.values())
-        return sorted(found)
+        return list(node.reachable)
 
     def __len__(self) -> int:
         return self._size

@@ -777,6 +777,45 @@ class TestWorkerPool:
             # the other worker was never touched
             assert stats["workers"]["toy-1"]["restarts"] == 0
 
+    def test_slow_starting_worker_is_not_recycled(self):
+        """A start slower than ``unhealthy_threshold`` failed probes is left
+        to finish instead of being killed and respawned in a loop."""
+        port = free_port()
+        spec = WorkerSpec(
+            worker_id="slow",
+            url=f"http://127.0.0.1:{port}",
+            command=(
+                sys.executable,
+                "-c",
+                "import time; time.sleep(1.0)\n" + TOY_WORKER_SCRIPT,
+                str(port),
+            ),
+        )
+        pool = WorkerPool([spec], health_interval=0.05, unhealthy_threshold=2)
+        with pool:
+            pool.start(wait_healthy=True, timeout=10.0)
+            assert pool.stats()["workers"]["slow"]["restarts"] == 0
+
+    def test_starting_worker_that_never_answers_is_recycled(self):
+        """The start-up timeout bounds STARTING: a worker that never answers
+        its first probe is recycled once it has outlasted it."""
+        spec = WorkerSpec(
+            worker_id="hung",
+            url=f"http://127.0.0.1:{free_port()}",
+            command=(sys.executable, "-c", "import time; time.sleep(60)"),
+        )
+        pool = WorkerPool(
+            [spec], health_interval=0.05, unhealthy_threshold=2, restart_backoff=0.05
+        )
+        with pool:
+            started = time.monotonic()
+            pool.start(wait_healthy=False, timeout=0.5)
+            deadline = started + 20.0
+            while pool.stats()["workers"]["hung"]["restarts"] == 0:
+                assert time.monotonic() < deadline, "a hung start was never recycled"
+                time.sleep(0.05)
+            assert time.monotonic() - started >= 0.5
+
     def test_duplicate_worker_ids_are_rejected(self):
         spec = toy_specs(1)[0]
         with pytest.raises(ServiceError):

@@ -50,7 +50,7 @@ class _Stub(Expander):
 def _worker(dataset) -> ExpansionHTTPServer:
     service = ExpansionService(
         dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, cache_capacity=0),
+        config=ServiceConfig(port=0, cache_capacity=0),
         factories={m: (lambda _res, m=m: _Stub(m)) for m in METHODS},
     )
     return ExpansionHTTPServer(service, port=0).start()

@@ -248,7 +248,7 @@ def run_gateway_cache_benchmark() -> dict:
     methods = tuple(f"stub{letter}" for letter in "abcdef")
     service = ExpansionService(
         dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, cache_capacity=0),
+        config=ServiceConfig(port=0, cache_capacity=0),
         factories={m: (lambda _res, m=m: _Stub(m)) for m in methods},
     )
     server = ExpansionHTTPServer(service, port=0).start()

@@ -25,7 +25,7 @@ SERVING_QUERY_BUDGET = 20
 def run_serving_benchmark(context, num_queries: int = SERVING_QUERY_BUDGET) -> dict:
     service = ExpansionService(
         context.dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, cache_ttl_seconds=None),
+        config=ServiceConfig(cache_ttl_seconds=None),
         resources=context.resources,
     )
     with service:
@@ -176,7 +176,6 @@ def test_metrics_overhead_guard(context):
         service = ExpansionService(
             context.dataset,
             config=ServiceConfig(
-                batch_wait_ms=0.0,
                 cache_ttl_seconds=None,
                 metrics_enabled=metrics_enabled,
                 # sampling-off tracing rides on the instrumented side: the
@@ -287,7 +286,6 @@ def test_gate_overhead_guard(context, tmp_path):
         service = ExpansionService(
             context.dataset,
             config=ServiceConfig(
-                batch_wait_ms=0.0,
                 cache_ttl_seconds=None,
                 port=0,
                 keyfile=str(keyfile) if gated else None,
@@ -357,7 +355,7 @@ def test_v1_http_expand_smoke(context):
     """
     service = ExpansionService(
         context.dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         resources=context.resources,
     )
     query = context.dataset.queries[0]

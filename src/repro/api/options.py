@@ -70,7 +70,7 @@ class ExpandOptions:
     #: resolve entity ids to surface forms; ``False`` halves the wire size.
     return_names: bool = True
     #: return per-stage trace timings in a ``debug.timings`` block of the
-    #: response (cache lookup, batch queue wait, execution, ...).
+    #: response (cache lookup, execution, expander stages, ...).
     include_timings: bool = False
     #: candidate retrieval strategy: ``"auto"`` (probed ANN once the
     #: vocabulary is large enough), ``"on"`` (force probed retrieval), or

@@ -16,7 +16,7 @@ Routes::
 
     GET  /v1/healthz         liveness probe
     GET  /v1/methods         servable methods + persistence/artifact state
-    GET  /v1/stats           merged service/cache/registry/batcher/jobs counters
+    GET  /v1/stats           merged service/cache/registry/jobs counters
     POST /v1/expand          one ExpandRequest (v1 wire shape, paginated)
     POST /v1/expand/batch    {"requests": [...]} -> per-item response or error
     POST   /v1/fits            start an async fit job -> 202 + job id
@@ -48,8 +48,8 @@ from repro.utils.iox import to_jsonable
 #: hard cap on ``/v1/expand/batch`` fan-out per HTTP request.
 MAX_BATCH_REQUESTS = 64
 
-#: threads used to push a batch through the service concurrently, so the
-#: micro-batcher can coalesce the items into real ``expand_batch`` calls.
+#: threads used to push a batch's items through the service concurrently,
+#: so one slow item (a cold fit, a long decode) does not hold up the rest.
 _BATCH_CONCURRENCY = 8
 
 
@@ -180,10 +180,11 @@ class ApiV1:
                 return {"error": error}
             return {"response": response.to_v1_dict()}
 
-        # Concurrent submission lets the micro-batcher coalesce the items.
-        # The span lives on the handler thread: per-item traces cannot share
-        # the caller's Trace across the pool, but the fan-out's wall time
-        # still shows up in a gateway-joined tree.
+        # Items run concurrently so a cache hit never waits behind a miss;
+        # admission (batch lane) still bounds how many expand at once.  The
+        # span lives on the handler thread: per-item traces cannot share the
+        # caller's Trace across the pool, but the fan-out's wall time still
+        # shows up in a gateway-joined tree.
         with span("expand_batch", items=len(items)):
             results = list(self._pool().map(run_one, items))
         return ApiResult(

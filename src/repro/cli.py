@@ -21,8 +21,8 @@ writing Python:
 * ``serve`` — start the online expansion service (:mod:`repro.serve`): the
   versioned v1 JSON/HTTP API (``/v1/expand``, ``/v1/expand/batch``,
   ``/v1/methods``, ``/v1/stats``, ``/v1/healthz``, async ``/v1/fits`` jobs)
-  with a lazily-fitted expander registry, result caching, and request
-  micro-batching; with ``--store`` fits restore from / persist to disk and
+  with a lazily-fitted expander registry, result caching, and optional
+  admission control; with ``--store`` fits restore from / persist to disk and
   ``--access-log`` emits one structured JSON line per request;
 * ``cluster serve`` — the horizontally scaled deployment
   (:mod:`repro.cluster`): N ``serve`` worker subprocesses (health-checked,
@@ -173,8 +173,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         # only the literal 0 means "disable expiry"; negatives reach
         # validate() and are rejected there.
         cache_ttl_seconds=None if args.cache_ttl == 0 else args.cache_ttl,
-        max_batch_size=args.max_batch_size,
-        batch_wait_ms=args.batch_wait_ms,
         host=getattr(args, "host", ServiceConfig.host),
         port=getattr(args, "port", ServiceConfig.port),
         store_dir=getattr(args, "store", None),
@@ -457,10 +455,6 @@ def worker_command(
         str(args.cache_capacity),
         "--cache-ttl",
         str(args.cache_ttl),
-        "--max-batch-size",
-        str(args.max_batch_size),
-        "--batch-wait-ms",
-        str(args.batch_wait_ms),
     ]
     if args.store:
         command += ["--store", args.store]
@@ -733,9 +727,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             _print_expand_response(response, args)
         return 0
     dataset = _load_or_build_dataset(args)
-    config = _service_config(args)
-    config.batch_wait_ms = 0.0  # one-shot CLI query: no batching window
-    with ExpansionService(dataset, config=config) as service:
+    with ExpansionService(dataset, config=_service_config(args)) as service:
         client = ExpansionClient.in_process(service)
         response = client.expand(
             args.method,
@@ -760,8 +752,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         default=ServiceConfig.cache_ttl_seconds,
         help="result TTL in seconds; 0 disables expiry",
     )
-    parser.add_argument("--max-batch-size", type=int, default=ServiceConfig.max_batch_size)
-    parser.add_argument("--batch-wait-ms", type=float, default=ServiceConfig.batch_wait_ms)
     parser.add_argument(
         "--store",
         default=None,

@@ -6,11 +6,10 @@ caller) points at it unchanged.  Behind that surface it does four jobs:
 
 * **shard routing** — method-affine calls (``POST /v1/expand``, ``POST
   /v1/fits``) are consistent-hashed by ``(method, dataset fingerprint)`` to
-  one worker, so each worker's expander registry, result cache, and
-  micro-batcher stay hot for its shard instead of every worker paying every
-  fit; responses are proxied byte-for-byte (the worker's envelope,
-  ``request_id`` and all), which is what makes gateway answers identical to
-  single-process answers;
+  one worker, so each worker's expander registry and result cache stay hot
+  for its shard instead of every worker paying every fit; responses are
+  proxied byte-for-byte (the worker's envelope, ``request_id`` and all),
+  which is what makes gateway answers identical to single-process answers;
 * **scatter-gather** — ``POST /v1/expand/batch`` splits the items by shard,
   fans the sub-batches out to their owners concurrently, and reassembles the
   per-item responses in request order with per-item error isolation (a dead
@@ -94,6 +93,7 @@ from repro.obs import (
 )
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import ExpandRequest
+from repro.serve.server import stop_serve_loop
 
 #: header naming the worker that actually served a proxied response.
 WORKER_HEADER = "X-Repro-Worker"
@@ -308,6 +308,7 @@ class ClusterGateway:
         self._httpd.daemon_threads = True
         self._httpd.gateway = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._serving = False
 
     # -- lifecycle ---------------------------------------------------------------
     @property
@@ -324,6 +325,7 @@ class ClusterGateway:
         """Serve on a daemon thread (tests / embedded use)."""
         if not self.fingerprint:
             self._resolve_fingerprint()
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-gateway", daemon=True
         )
@@ -334,10 +336,15 @@ class ClusterGateway:
         """Serve on the calling thread until interrupted (CLI use)."""
         if not self.fingerprint:
             self._resolve_fingerprint()
+        self._serving = True
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
+        if self._serving:
+            # socketserver's shutdown() waits for a running serve loop to
+            # exit, so on a never-started gateway it would block forever.
+            self._serving = False
+            stop_serve_loop(self._httpd)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

@@ -317,13 +317,6 @@ class ServiceConfig:
     cache_capacity: int = 1024
     #: result time-to-live in seconds; ``None`` disables expiry.
     cache_ttl_seconds: float | None = 300.0
-    #: largest number of requests coalesced into one ``expand_batch`` call.
-    max_batch_size: int = 16
-    #: how long the batcher holds the first request of a batch open for
-    #: followers, in milliseconds; 0 executes every request unbatched.
-    batch_wait_ms: float = 2.0
-    #: worker threads executing batches.
-    batch_workers: int = 2
     #: ranked-list size used when a request does not specify ``top_k``.
     default_top_k: int = 100
     #: bind address of the HTTP server.
@@ -387,9 +380,10 @@ class ServiceConfig:
     #: to the shared anonymous tenant; ``None`` disables quota enforcement
     #: for those callers.
     default_quota: str | None = None
-    #: execution slots of the admission controller; requests past this run
-    #: concurrency wait in a bounded, two-lane queue (interactive traffic
-    #: preempts batch/fit).  ``None`` disables admission control.
+    #: execution slots of the admission controller, the one bound on how
+    #: many uncached expands run at once; requests past this concurrency
+    #: wait in a bounded, two-lane queue (interactive traffic preempts
+    #: batch/fit).  ``None`` disables admission control.
     admission_max_concurrent: int | None = None
     #: waiting requests past which new sheddable arrivals get an immediate
     #: retryable 503 instead of queueing.
@@ -411,8 +405,8 @@ class ServiceConfig:
     #: also ship kept traces' spans through the push exporter (requires
     #: ``exporter="json"``; spans go out as OTLP-flavored ``resourceSpans``).
     trace_export: bool = False
-    #: meter per-tenant compute-seconds (batch-amortized execute shares,
-    #: cache-hit costs, fit wall-time) in memory; surfaced in ``/v1/stats``
+    #: meter per-tenant compute-seconds (execute wall-time, cache-hit
+    #: costs, fit wall-time) in memory; surfaced in ``/v1/stats``
     #: and the dashboard tenants table.
     usage_metering: bool = False
     #: JSONL usage-ledger path; setting it implies metering and persists
@@ -456,12 +450,6 @@ class ServiceConfig:
             raise ConfigurationError("cache_capacity must be non-negative")
         if self.cache_ttl_seconds is not None and self.cache_ttl_seconds <= 0:
             raise ConfigurationError("cache_ttl_seconds must be positive or None")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.batch_wait_ms < 0:
-            raise ConfigurationError("batch_wait_ms must be non-negative")
-        if self.batch_workers < 1:
-            raise ConfigurationError("batch_workers must be >= 1")
         if self.default_top_k < 1:
             raise ConfigurationError("default_top_k must be >= 1")
         if not 0 <= self.port <= 65535:

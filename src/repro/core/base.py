@@ -23,7 +23,6 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Sequence
 
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError, PersistenceError
@@ -221,20 +220,6 @@ class Expander(ABC):
         seeds = query.seed_ids()
         filtered = [item for item in result.ranking if item.entity_id not in seeds]
         return ExpansionResult(query_id=result.query_id, ranking=tuple(filtered[:top_k]))
-
-    def expand_batch(
-        self,
-        queries: Sequence[Query],
-        top_k: int = 100,
-        retrieval: RetrievalProfile | None = None,
-    ) -> list[ExpansionResult]:
-        """Expand several queries at once.
-
-        The default runs :meth:`expand` per query; methods whose scoring
-        vectorises across queries can override this to amortise work when the
-        serving layer batches concurrent requests.
-        """
-        return [self.expand(query, top_k, retrieval=retrieval) for query in queries]
 
     def retrieval_profile(self) -> RetrievalProfile:
         """The retrieval knobs of the request currently being expanded."""

@@ -1,8 +1,9 @@
 """Bounded admission with two priority lanes and early load-shedding.
 
-The controller guards the expensive part of a request (the batcher /
-registry call) with ``max_concurrent`` execution slots.  Callers that
-cannot run immediately wait in one of two lanes:
+The controller guards the expensive part of a request (the uncached
+expand, which runs on the request's own thread) with ``max_concurrent``
+execution slots, so it is the one bound on how many expands run at once.
+Callers that cannot run immediately wait in one of two lanes:
 
 * ``interactive`` — online ``/v1/expand`` traffic; always served first;
 * ``batch`` — ``/v1/expand/batch`` fan-out items and fit jobs.

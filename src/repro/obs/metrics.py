@@ -1,10 +1,10 @@
 """The metrics registry: one telemetry substrate for every serving layer.
 
-Before this module, each serving component (service, cache, batcher,
-registry, substrate provider, gateway) kept its own ad-hoc counter ints
-behind its own lock and exposed them through a hand-rolled ``stats()``
-dict.  :class:`MetricsRegistry` replaces the five hand-rolled counter sets
-with named, thread-safe instruments:
+Before this module, each serving component (service, cache, registry,
+substrate provider, gateway) kept its own ad-hoc counter ints behind its
+own lock and exposed them through a hand-rolled ``stats()`` dict.
+:class:`MetricsRegistry` replaces the five hand-rolled counter sets with
+named, thread-safe instruments:
 
 * :class:`Counter` — monotonically increasing totals (requests, hits, ...);
 * :class:`Gauge` — point-in-time values (resident substrates, cache size);
@@ -544,7 +544,7 @@ class MetricsRegistry:
     """Owns named metric families and renders them for exposition.
 
     One registry per serving process-facade (service or gateway); components
-    that can also live standalone (cache, batcher, registry, provider)
+    that can also live standalone (cache, registry, provider)
     accept a registry and default to a private one so unit tests stay
     isolated.  ``enabled=False`` turns every instrument into a shared no-op
     (the benchmark baseline mode).

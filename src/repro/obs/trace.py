@@ -19,15 +19,15 @@ and :class:`propagation_scope` carries a captured :class:`TraceContext`
 across thread-pool boundaries where activating the trace itself would be
 unsafe (``_stack`` is single-threaded; see below).
 
-Threading rules (load-bearing — the micro-batcher depends on them):
+Threading rules (load-bearing — gateway fan-out depends on them):
 
 * ``Trace._stack`` (the open-span chain used for parent/child nesting) is
   only touched by the thread that activated the trace; it is *not*
   shared across threads.
-* ``add_span`` and ``graft`` take the trace's lock, so a batch-executor
-  thread may stamp spans onto a caller's trace — but only **before** it
-  resolves the caller's future, because the caller reads its trace
-  immediately after ``future.result()`` returns.
+* ``add_span`` and ``graft_remote`` take the trace's lock, so a fan-out
+  thread holding a captured :class:`TraceContext` may stamp spans onto the
+  caller's trace — but only before the caller reads it back, which it
+  does as soon as the fan-out it waits on completes.
 
 The same module carries the request-id ContextVar: the HTTP handler (or
 in-process transport) enters :func:`request_scope` around dispatch so any
@@ -83,7 +83,8 @@ class TraceContext(NamedTuple):
 
     ``trace`` is a local-only carrier (never serialized): fan-out code that
     captured the context can keep stamping spans onto the originating trace
-    from worker threads via the thread-safe ``add_span``/``graft`` surface.
+    from worker threads via the thread-safe ``add_span``/``graft_remote``
+    surface.
     """
 
     trace_id: str
@@ -242,37 +243,6 @@ class Trace:
         )
         with self._lock:
             self._spans.append(entry)
-
-    def graft(
-        self,
-        other: "Trace",
-        parent: str | None = None,
-        parent_id: str | None = None,
-    ) -> None:
-        """Copy another trace's spans onto this one, re-based onto this
-        trace's clock; orphans (no parent of their own) are re-parented
-        under ``parent``/``parent_id`` (used to surface a shared
-        batch-execution trace inside each caller's trace)."""
-        offset_ms = (other.t0 - self.t0) * 1000.0
-        with other._lock:
-            copied = list(other._spans)
-        with self._lock:
-            for entry in copied:
-                self._spans.append(
-                    Span(
-                        entry.name,
-                        entry.start_ms + offset_ms,
-                        entry.duration_ms,
-                        parent=entry.parent if entry.parent is not None else parent,
-                        meta=dict(entry.meta),
-                        span_id=entry.span_id or new_span_id(),
-                        parent_id=(
-                            entry.parent_id
-                            if entry.parent_id is not None
-                            else parent_id
-                        ),
-                    )
-                )
 
     def graft_remote(
         self,

@@ -5,9 +5,8 @@ takes into per-tenant **compute-seconds** — the raw material for billing,
 where request counts (the gate's view) are not enough because one tenant's
 requests may be 100x more expensive than another's:
 
-* a coalesced batch's execute wall-time is split evenly across the batch
-  (*batch-amortized share*), so riders in one forward pass don't each get
-  billed the whole pass;
+* an uncached expand is billed its execute wall-time (also when the
+  expander raises: the compute was spent);
 * cache hits are billed at cache cost — the time the lookup itself took —
   not at the cost of the execute they avoided;
 * fit jobs are billed to the tenant that requested them, for the fit's
@@ -76,7 +75,7 @@ class UsageMeter:
         method: str | None = None,
         cached: bool = False,
     ) -> None:
-        """Bill one expand request: a batch-amortized execute share, or the
+        """Bill one expand request: its execute wall-time, or the
         cache-lookup cost for a hit."""
         del method  # attributed per tenant, not per method (keeps cardinality flat)
         with self._lock:

@@ -2,10 +2,10 @@
 
 Turns the offline ``Expander`` stack into a long-lived query-at-a-time
 service: :class:`ExpanderRegistry` amortises one-time fits,
-:class:`ResultCache` absorbs repeated queries, :class:`MicroBatcher`
-coalesces concurrent requests, and :class:`ExpansionService` ties them
-together behind ``submit``; :class:`ExpansionHTTPServer` exposes the whole
-thing over JSON/HTTP.
+:class:`ResultCache` absorbs repeated queries, and
+:class:`ExpansionService` ties them together behind ``submit``, running each
+uncached expand on the request's own thread; :class:`ExpansionHTTPServer`
+exposes the whole thing over JSON/HTTP.
 
 Quickstart::
 
@@ -24,7 +24,6 @@ Quickstart::
 from repro.api.jobs import FitJob, JobManager
 from repro.api.options import ExpandOptions
 from repro.config import ServiceConfig
-from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import (
     ExpandRequest,
@@ -38,7 +37,6 @@ from repro.serve.service import ExpansionService
 
 __all__ = [
     "ServiceConfig",
-    "MicroBatcher",
     "ResultCache",
     "ExpandOptions",
     "ExpandRequest",

@@ -343,6 +343,21 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
 
+def stop_serve_loop(httpd: ThreadingHTTPServer) -> None:
+    """Stop ``httpd``'s running ``serve_forever`` loop and wait for it.
+
+    socketserver's ``shutdown()`` alone waits for the loop's next 0.5 s
+    poll.  Shutting the listening socket down first wakes the loop at once;
+    a shorter poll would too, but would wake every serving process many
+    times a second for nothing.
+    """
+    try:
+        httpd.socket.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # refused on some platforms: the loop then stops at its next poll
+    httpd.shutdown()
+
+
 class _TrackingHTTPServer(ThreadingHTTPServer):
     """A ``ThreadingHTTPServer`` that can sever live keep-alive connections.
 
@@ -397,6 +412,7 @@ class ExpansionHTTPServer:
         self._httpd.api = apiv1.ApiV1(service)  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._serving = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -411,6 +427,7 @@ class ExpansionHTTPServer:
 
     def start(self) -> "ExpansionHTTPServer":
         """Serve on a daemon thread and return immediately (test/embedded use)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve", daemon=True
         )
@@ -419,10 +436,15 @@ class ExpansionHTTPServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI use)."""
+        self._serving = True
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
+        if self._serving:
+            # socketserver's shutdown() waits for a running serve loop to
+            # exit, so on a never-started server it would block forever.
+            self._serving = False
+            stop_serve_loop(self._httpd)
         self._httpd.close_all_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

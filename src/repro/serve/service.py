@@ -1,12 +1,16 @@
-"""The expansion service: registry + cache + micro-batcher behind one API.
+"""The expansion service: registry + cache + admission behind one API.
 
 :class:`ExpansionService` is the in-process facade the v1 API, the client
 SDK's in-process transport, and tests all talk to.  One ``submit`` call is
-one request; the hot path is::
+one request, served start to finish on the calling thread; the hot path is::
 
-    request -> validate -> resolve query -> result cache? -> micro-batcher
-            -> ExpanderRegistry (lazy one-time fit) -> expand_batch -> cache
+    request -> validate -> resolve query -> result cache? -> admission slot?
+            -> ExpanderRegistry (lazy one-time fit) -> expand -> cache
             -> paginate / resolve names (ExpandOptions)
+
+Every expander ranks one query at a time, so an uncached expand simply runs
+inline; the optional :class:`~repro.gate.AdmissionController` is the one
+bound on how many run at once.
 
 Cold fits can also be warmed explicitly instead of stalling a first request:
 :meth:`start_fit` hands the method to a background :class:`JobManager`
@@ -14,7 +18,7 @@ Cold fits can also be warmed explicitly instead of stalling a first request:
 
 Telemetry is unified on one :class:`~repro.obs.MetricsRegistry` owned by the
 service (labelled with the dataset fingerprint) and shared with the cache,
-batcher, registry, and substrate provider; :meth:`stats` is a wire-compatible
+registry, and substrate provider; :meth:`stats` is a wire-compatible
 view over it, and the same registry renders ``GET /v1/metrics``.  Requests
 that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
 carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
@@ -49,7 +53,6 @@ from repro.obs import (
     log_slow_query,
     span,
 )
-from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.serve.registry import ExpanderFactory, ExpanderRegistry
@@ -103,8 +106,8 @@ class ExpansionService:
             clock=clock,
             metrics=self.metrics,
         )
-        # Billing-grade per-tenant metering; built before the batcher so
-        # batch execute wall-time can be amortized across riders at source.
+        # Billing-grade per-tenant metering: each uncached expand bills its
+        # execute wall time to the caller's tenant.
         self.usage: UsageMeter | None = None
         if self.config.usage_metering or self.config.usage_ledger is not None:
             self.usage = UsageMeter(
@@ -127,14 +130,6 @@ class ExpansionService:
                 ),
                 export=self.config.trace_export,
             )
-        self.batcher = MicroBatcher(
-            self._execute_batch,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.batch_wait_ms,
-            num_workers=self.config.batch_workers,
-            metrics=self.metrics,
-            usage=self.usage,
-        )
         # The front door (repro.gate): built only when configured, so a
         # plain service carries zero gate state and stays fully open.
         self.gate: Gate | None = None
@@ -371,15 +366,11 @@ class ExpansionService:
         with span("batch", method=method):
             if self.admission is not None:
                 # cache hits returned above never touch admission — only the
-                # expensive batcher/registry section competes for slots.
+                # expensive registry/expand section competes for slots.
                 with self.admission.admit(lane):
-                    result = self.batcher.submit(
-                        method, query, top_k, retrieval=retrieval
-                    ).result()
+                    result = self._execute(method, query, top_k, retrieval)
             else:
-                result = self.batcher.submit(
-                    method, query, top_k, retrieval=retrieval
-                ).result()
+                result = self._execute(method, query, top_k, retrieval)
         if options.use_cache:
             with span("cache_store"):
                 self.cache.put(key, result)
@@ -470,16 +461,21 @@ class ExpansionService:
             negative_seed_ids=request.negative_seed_ids,
         )
 
-    def _execute_batch(
-        self,
-        method: str,
-        top_k: int,
-        queries: Sequence[Query],
-        retrieval=None,
-    ) -> Sequence[ExpansionResult]:
-        """Batch executor handed to the micro-batcher."""
-        expander = self.registry.get(method)
-        return expander.expand_batch(list(queries), top_k=top_k, retrieval=retrieval)
+    def _execute(self, method: str, query: Query, top_k: int, retrieval) -> ExpansionResult:
+        """Run one uncached expand on the calling thread.  With metering on,
+        its wall time is billed to the caller's tenant, also when the
+        expander raises: the compute was spent."""
+        started = time.perf_counter()
+        try:
+            with span("execute", method=method):
+                return self.registry.get(method).expand(
+                    query, top_k, retrieval=retrieval
+                )
+        finally:
+            if self.usage is not None:
+                self.usage.charge_expand(
+                    current_tenant(), time.perf_counter() - started, method=method
+                )
 
     # -- warm-up / fit jobs ------------------------------------------------------------
     def warm_up(self, methods: Sequence[str] = ("retexpan",)) -> None:
@@ -545,7 +541,6 @@ class ExpansionService:
             "service": service,
             "cache": self.cache.stats(),
             "registry": self.registry.stats(),
-            "batcher": self.batcher.stats(),
             "jobs": self.jobs.stats(),
         }
         # gate/admission keys appear only when configured, so the default
@@ -577,7 +572,6 @@ class ExpansionService:
         if self._janitor is not None:
             self._janitor.stop()
         self.jobs.shutdown()
-        self.batcher.shutdown()
         if self.usage is not None:
             # force the final rollup so short-lived services still ledger.
             self.usage.close()

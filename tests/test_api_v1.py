@@ -16,7 +16,6 @@ from repro.api import (
     new_request_id,
 )
 from repro.api.jobs import JobManager
-from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.exceptions import (
     DatasetError,
@@ -58,7 +57,6 @@ def make_service(dataset, fit_delay: float = 0.0):
 
     service = ExpansionService(
         dataset,
-        config=ServiceConfig(batch_wait_ms=0.0),
         factories={"stub": factory},
     )
     return service, created
@@ -306,7 +304,6 @@ class TestFitJobs:
 
         service = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0),
             factories={"boom": exploding},
         )
         with service:

@@ -183,7 +183,7 @@ class TestCommands:
 
         service = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0, port=0),
+            config=ServiceConfig(port=0),
             factories={"stub": lambda _resources: StubExpander()},
         )
         query_id = tiny_dataset.queries[0].query_id

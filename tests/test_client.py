@@ -56,7 +56,7 @@ class SlowFitExpander(StubExpander):
 def service(tiny_dataset):
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories={
             "stub": lambda _resources: StubExpander(),
             "slowstub": lambda _resources: SlowFitExpander(),
@@ -429,7 +429,7 @@ class TestFitCancellation:
     def cancel_client(self, tiny_dataset):
         service = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0, port=0),
+            config=ServiceConfig(port=0),
             factories={
                 "slowx": lambda _resources: SlowFitExpander(),
                 "slowy": lambda _resources: SlowFitExpander(),

@@ -93,7 +93,7 @@ def stub_factories():
 def make_worker(dataset, **config_kwargs) -> ExpansionHTTPServer:
     service = ExpansionService(
         dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, **config_kwargs),
+        config=ServiceConfig(port=0, **config_kwargs),
         factories=stub_factories(),
     )
     return ExpansionHTTPServer(service, port=0).start()
@@ -388,7 +388,6 @@ class TestStoreBudgetGc:
         service = ExpansionService(
             tiny_dataset,
             config=ServiceConfig(
-                batch_wait_ms=0.0,
                 port=0,
                 store_dir=str(tmp_path),
                 store_gc_interval_seconds=3600.0,  # tick manually below
@@ -517,7 +516,7 @@ class TestGatewayRouting:
         # per-item parity with a single-process service
         single = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0, port=0),
+            config=ServiceConfig(port=0),
             factories=stub_factories(),
         )
         try:
@@ -693,6 +692,31 @@ class TestGatewayFailover:
             gateway.shutdown()
 
 
+def returns_within(call, timeout: float = 30.0) -> bool:
+    """Whether ``call`` returns within ``timeout`` on a daemon thread (a
+    liveness check: a hang fails the test instead of blocking the suite)."""
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+class TestShutdownWithoutServing:
+    def test_unstarted_server_shuts_down(self, tiny_dataset):
+        service = ExpansionService(
+            tiny_dataset, config=ServiceConfig(port=0), factories=stub_factories()
+        )
+        assert returns_within(ExpansionHTTPServer(service, port=0).shutdown)
+
+    def test_unstarted_gateway_shuts_down(self, tiny_dataset):
+        gateway = ClusterGateway(
+            [("worker-0", "http://127.0.0.1:9")],
+            fingerprint=tiny_dataset.fingerprint(),
+            port=0,
+        )
+        assert returns_within(gateway.shutdown)
+
+
 # ---------------------------------------------------------------------------
 # worker pool (cheap subprocess workers)
 # ---------------------------------------------------------------------------
@@ -834,7 +858,7 @@ def test_concurrent_gateway_load_matches_single_process(tiny_dataset):
     gateway = make_gateway(tiny_dataset, servers)
     single = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories=stub_factories(),
     )
     try:

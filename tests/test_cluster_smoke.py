@@ -79,7 +79,7 @@ def test_expand_and_batch_through_the_gateway(cluster, tiny_dataset):
 
     # single-process reference for the same requests
     with ExpansionService(
-        tiny_dataset, config=ServiceConfig(batch_wait_ms=0.0, port=0)
+        tiny_dataset, config=ServiceConfig(port=0)
     ) as single:
         reference_client = ExpansionClient.in_process(single)
         references = {

@@ -395,7 +395,7 @@ def gated_server(tiny_dataset, tmp_path_factory):
     )
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, keyfile=str(keyfile)),
+        config=ServiceConfig(port=0, keyfile=str(keyfile)),
         factories={"stub": lambda _resources: StubExpander()},
     )
     server = ExpansionHTTPServer(service, port=0).start()
@@ -501,7 +501,7 @@ def open_server(tiny_dataset):
     """No keyfile, no quota: a worker running open behind a cluster gateway."""
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories={"stub": lambda _resources: StubExpander()},
     )
     server = ExpansionHTTPServer(service, port=0).start()

@@ -66,7 +66,7 @@ def gated_cluster(tiny_dataset, tmp_path_factory):
         ExpansionHTTPServer(
             ExpansionService(
                 tiny_dataset,
-                config=ServiceConfig(batch_wait_ms=0.0, port=0),
+                config=ServiceConfig(port=0),
                 factories=factories,
             ),
             port=0,

@@ -2,10 +2,10 @@
 
 Covers the metrics registry semantics (bucketing, label cardinality,
 concurrent increments, Prometheus rendering), hot-path tracing (nesting,
-contextvar isolation across the micro-batcher's worker threads), the
-slow-query log, the ``include_timings`` debug envelope, the worker's
-``/v1/metrics`` endpoint, request-id honoring, and the lint rule that
-keeps new ad-hoc counter dicts out of the serving layers.
+contextvar isolation across threads), the slow-query log, the
+``include_timings`` debug envelope, the worker's ``/v1/metrics`` endpoint,
+request-id honoring, and the lint rule that keeps new ad-hoc counter dicts
+out of the serving layers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,6 @@ from repro.serve import (
     ExpansionHTTPServer,
     ExpansionService,
 )
-from repro.serve.batcher import MicroBatcher
 from repro.types import ExpansionResult
 
 # ---------------------------------------------------------------------------
@@ -60,7 +58,7 @@ class ObsStubExpander(Expander):
 
 
 def make_service(dataset, **config_kwargs) -> ExpansionService:
-    config = ServiceConfig(batch_wait_ms=0.0, **config_kwargs)
+    config = ServiceConfig(**config_kwargs)
     return ExpansionService(
         dataset, config=config, factories={"stub": lambda _res: ObsStubExpander()}
     )
@@ -302,52 +300,6 @@ class TestTracing:
         assert seen_in_thread == [None]  # fresh thread: no inherited trace
         assert trace.spans() == []  # and its span() was a no-op
 
-    def test_graft_rebases_and_reparents(self):
-        caller, batch = Trace(), Trace()
-        batch.add_span("execute", 1.0, 2.0)
-        batch.add_span("expand", 1.5, 1.0, parent="execute")
-        caller.graft(batch, parent="batch")
-        spans = {entry.name: entry for entry in caller.spans()}
-        assert spans["execute"].parent == "batch"  # orphan adopted
-        assert spans["expand"].parent == "execute"  # existing parent kept
-
-    def test_micro_batcher_stamps_caller_traces_across_threads(self, tiny_dataset):
-        """Each concurrent caller gets queue_wait + the shared execute span
-        on *its own* trace, even though execution runs on a pool thread."""
-        release = threading.Event()
-
-        def execute(method, top_k, queries, retrieval=None):
-            release.wait(timeout=5.0)
-            return [
-                ExpansionResult.from_scores(query.query_id, [(1, 1.0)])
-                for query in queries
-            ]
-
-        batcher = MicroBatcher(execute, max_batch_size=2, max_wait_ms=50.0)
-        queries = tiny_dataset.queries[:2]
-        traces = [Trace(request_id=f"req-{i}") for i in range(2)]
-
-        def call(index):
-            with activate(traces[index]):
-                future = batcher.submit("stub", queries[index], 10)
-                if index == 1:
-                    release.set()  # both joined (or the window flushed)
-                return future.result(timeout=10)
-
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                results = list(pool.map(call, range(2)))
-        finally:
-            release.set()
-            batcher.shutdown()
-        assert all(results)
-        for trace in traces:
-            names = [entry.name for entry in trace.spans()]
-            assert names.count("queue_wait") == 1
-            assert "execute" in names
-            parents = {e.name: e.parent for e in trace.spans()}
-            assert parents["queue_wait"] == "batch"
-
 
 # ---------------------------------------------------------------------------
 # service integration: include_timings + slow-query log
@@ -371,6 +323,9 @@ class TestServiceTimings:
         assert "cache_lookup" in names
         assert "batch" in names
         assert "expand" in names
+        parents = {entry["name"]: entry.get("parent") for entry in response.timings}
+        assert parents["execute"] == "batch"
+        assert parents["expand"] == "execute"
         # top-level stage spans must fit inside the end-to-end latency
         # (tolerance: timings round to µs and the clock reads differ).
         top_level = sum(

@@ -719,7 +719,7 @@ class TestServiceExportWiring:
                 ]
                 return ExpansionResult.from_scores(query.query_id, scored)
 
-        config = ServiceConfig(batch_wait_ms=0.0, **config_kwargs)
+        config = ServiceConfig(**config_kwargs)
         return ExpansionService(
             dataset, config=config, factories={"stub": lambda _res: StubExpander()}
         )

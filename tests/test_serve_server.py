@@ -27,7 +27,7 @@ class StubExpander(Expander):
 def server(tiny_dataset):
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories={"stub": lambda _resources: StubExpander()},
     )
     server = ExpansionHTTPServer(service, port=0).start()
@@ -87,7 +87,7 @@ class TestEndpoints:
     def test_stats_shape(self, server):
         status, payload = get(server, "/stats")
         assert status == 200
-        assert set(payload) == {"service", "cache", "registry", "batcher", "jobs"}
+        assert set(payload) == {"service", "cache", "registry", "jobs"}
         assert payload["service"]["requests"] >= 1
 
     def test_concurrent_http_clients(self, server, tiny_dataset):
@@ -242,7 +242,7 @@ class TestV1Endpoints:
     def test_v1_stats_include_job_counters(self, server):
         status, payload = get(server, "/v1/stats")
         assert status == 200
-        assert {"service", "cache", "registry", "batcher", "jobs"} <= set(payload["data"])
+        assert {"service", "cache", "registry", "jobs"} <= set(payload["data"])
         assert payload["data"]["jobs"]["submitted"] >= 0
 
     def test_post_to_unknown_or_get_only_v1_route_is_404_even_without_a_body(
@@ -294,7 +294,7 @@ def test_access_log_emits_structured_lines(tiny_dataset, caplog):
     """Satellite: per-request JSON access logging behind ServiceConfig.access_log."""
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, access_log=True),
+        config=ServiceConfig(port=0, access_log=True),
         factories={"stub": lambda _resources: StubExpander()},
     )
     query = tiny_dataset.queries[0]
@@ -328,7 +328,7 @@ def test_access_log_emits_structured_lines(tiny_dataset, caplog):
 def test_access_log_is_off_by_default(tiny_dataset, caplog):
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories={"stub": lambda _resources: StubExpander()},
     )
     with caplog.at_level(logging.INFO, logger="repro.serve.access"):
@@ -340,7 +340,7 @@ def test_access_log_is_off_by_default(tiny_dataset, caplog):
 def test_server_shutdown_closes_the_service(tiny_dataset):
     service = ExpansionService(
         tiny_dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0),
+        config=ServiceConfig(port=0),
         factories={"stub": lambda _resources: StubExpander()},
     )
     server = ExpansionHTTPServer(service, port=0).start()

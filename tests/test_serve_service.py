@@ -1,8 +1,9 @@
-"""Tests for the online expansion service (registry + cache + batcher)."""
+"""Tests for the online expansion service (registry + cache + inline expand)."""
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,27 +11,42 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.base import Expander
-from repro.exceptions import DatasetError, ServiceError, UnknownMethodError
+from repro.exceptions import (
+    DatasetError,
+    ExpansionError,
+    ServiceError,
+    UnknownMethodError,
+)
+from repro.obs import tenant_scope
 from repro.serve import ExpandOptions, ExpandRequest, ExpansionService, ResultCache
 from repro.types import ExpansionResult
 from repro.utils.iox import to_jsonable
 
 
 class CountingExpander(Expander):
-    """A cheap expander that records fits and batch shapes.
+    """A cheap expander that records fits and ``_expand`` calls.
 
     ``_expand`` deliberately scores *every* entity — including the query's
     seeds — so the tests can verify that seed filtering survives the whole
-    service path.
+    service path.  It also records the thread each call ran on and the most
+    calls ever in flight at once (``expand_delay`` holds each call open).
     """
 
     name = "stub"
 
-    def __init__(self, fit_delay: float = 0.0):
+    def __init__(self, fit_delay: float = 0.0, expand_delay: float = 0.0):
         super().__init__()
         self.fit_calls = 0
-        self.batch_sizes: list[int] = []
         self.fit_delay = fit_delay
+        self.expand_delay = expand_delay
+        self.expand_threads: list[threading.Thread] = []
+        self.max_in_flight = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    @property
+    def expand_calls(self) -> int:
+        return len(self.expand_threads)
 
     def _fit(self, dataset) -> None:
         self.fit_calls += 1
@@ -38,21 +54,40 @@ class CountingExpander(Expander):
             time.sleep(self.fit_delay)
 
     def _expand(self, query, top_k) -> ExpansionResult:
-        scored = [(eid, 1.0 / (1.0 + eid)) for eid in self.dataset.entity_ids()]
-        return ExpansionResult.from_scores(query.query_id, scored)
+        with self._lock:
+            self.expand_threads.append(threading.current_thread())
+            self._in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self._in_flight)
+        try:
+            if self.expand_delay:
+                time.sleep(self.expand_delay)
+            scored = [(eid, 1.0 / (1.0 + eid)) for eid in self.dataset.entity_ids()]
+            return ExpansionResult.from_scores(query.query_id, scored)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
-    def expand_batch(self, queries, top_k=100, retrieval=None):
-        self.batch_sizes.append(len(queries))
-        return [self.expand(query, top_k) for query in queries]
+
+class FailingExpander(CountingExpander):
+    def _expand(self, query, top_k) -> ExpansionResult:
+        super()._expand(query, top_k)
+        raise ExpansionError("stub expander failed")
 
 
-def make_service(dataset, config=None, clock=time.monotonic, fit_delay=0.0):
+def make_service(
+    dataset,
+    config=None,
+    clock=time.monotonic,
+    fit_delay=0.0,
+    expand_delay=0.0,
+    expander_class=CountingExpander,
+):
     """A service whose only methods are two independent stub expanders."""
     created: dict[str, list[CountingExpander]] = {"stub": [], "stub2": []}
 
     def factory_for(name):
         def factory(_resources):
-            expander = CountingExpander(fit_delay=fit_delay)
+            expander = expander_class(fit_delay=fit_delay, expand_delay=expand_delay)
             created[name].append(expander)
             return expander
 
@@ -60,11 +95,17 @@ def make_service(dataset, config=None, clock=time.monotonic, fit_delay=0.0):
 
     service = ExpansionService(
         dataset,
-        config=config or ServiceConfig(batch_wait_ms=0.0),
+        config=config,
         factories={"stub": factory_for("stub"), "stub2": factory_for("stub2")},
         clock=clock,
     )
     return service, created
+
+
+def uncached(query_id: str) -> ExpandRequest:
+    return ExpandRequest(
+        method="stub", query_id=query_id, options=ExpandOptions(use_cache=False)
+    )
 
 
 class TestRegistryReuse:
@@ -94,7 +135,7 @@ class TestRegistryReuse:
         assert len(created["stub"]) == 1
 
     def test_registry_evicts_lru_and_refits_on_return(self, tiny_dataset):
-        config = ServiceConfig(batch_wait_ms=0.0, registry_capacity=1)
+        config = ServiceConfig(registry_capacity=1)
         service, created = make_service(tiny_dataset, config=config)
         query_id = tiny_dataset.queries[0].query_id
         with service:
@@ -106,7 +147,7 @@ class TestRegistryReuse:
         assert len(created["stub"]) == 2  # evicted, then lazily refitted
 
     def test_pinned_expander_survives_eviction_pressure(self, tiny_dataset):
-        config = ServiceConfig(batch_wait_ms=0.0, registry_capacity=1)
+        config = ServiceConfig(registry_capacity=1)
         service, created = make_service(tiny_dataset, config=config)
         query_id = tiny_dataset.queries[0].query_id
         with service:
@@ -135,7 +176,7 @@ class TestResultCache:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         # only the first request reached the expander.
-        assert sum(created["stub"][0].batch_sizes) == 1
+        assert created["stub"][0].expand_calls == 1
 
     def test_different_top_k_is_a_different_cache_entry(self, tiny_dataset):
         service, _ = make_service(tiny_dataset)
@@ -158,11 +199,11 @@ class TestResultCache:
         with service:
             assert service.submit(request).cached is False
             assert service.submit(request).cached is False
-        assert sum(created["stub"][0].batch_sizes) == 2
+        assert created["stub"][0].expand_calls == 2
 
     def test_ttl_expiry_recomputes(self, tiny_dataset):
         now = [0.0]
-        config = ServiceConfig(batch_wait_ms=0.0, cache_ttl_seconds=10.0)
+        config = ServiceConfig(cache_ttl_seconds=10.0)
         service, _ = make_service(tiny_dataset, config=config, clock=lambda: now[0])
         request = ExpandRequest(method="stub", query_id=tiny_dataset.queries[0].query_id)
         with service:
@@ -186,69 +227,41 @@ class TestResultCache:
         assert stats["size"] == 2
 
 
-class TestBatching:
-    def test_concurrent_requests_coalesce_into_batches(self, tiny_dataset):
-        config = ServiceConfig(batch_wait_ms=75.0, max_batch_size=8, batch_workers=2)
-        service, created = make_service(tiny_dataset, config=config)
+class TestInlineExecution:
+    def test_uncached_submit_expands_on_the_submitting_thread(self, tiny_dataset):
+        service, created = make_service(tiny_dataset, config=ServiceConfig())
+        with service:
+            service.submit(uncached(tiny_dataset.queries[0].query_id))
+        assert created["stub"][0].expand_threads == [threading.current_thread()]
+
+    def test_admission_bounds_concurrent_expands(self, tiny_dataset):
+        config = ServiceConfig(admission_max_concurrent=1)
+        service, created = make_service(tiny_dataset, config=config, expand_delay=0.02)
         queries = tiny_dataset.queries[:8]
         with service:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 responses = list(
-                    pool.map(
-                        lambda q: service.submit(
-                            ExpandRequest(
-                                method="stub", query_id=q.query_id, options=ExpandOptions(use_cache=False)
-                            )
-                        ),
-                        queries,
-                    )
+                    pool.map(lambda q: service.submit(uncached(q.query_id)), queries)
                 )
-        assert {r.query_id for r in responses} == {q.query_id for q in queries}
-        sizes = created["stub"][0].batch_sizes
-        assert sum(sizes) == len(queries)
-        assert len(sizes) < len(queries)  # at least one real batch formed
-        assert max(sizes) >= 2
-        assert service.stats()["batcher"]["max_batch_size_observed"] == max(sizes)
-
-    def test_full_bucket_flushes_before_the_window_closes(self, tiny_dataset):
-        config = ServiceConfig(batch_wait_ms=10_000.0, max_batch_size=2)
-        service, created = make_service(tiny_dataset, config=config)
-        queries = tiny_dataset.queries[:2]
-        started = time.perf_counter()
-        with service:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                list(
-                    pool.map(
-                        lambda q: service.submit(
-                            ExpandRequest(
-                                method="stub", query_id=q.query_id, options=ExpandOptions(use_cache=False)
-                            )
-                        ),
-                        queries,
-                    )
-                )
-        elapsed = time.perf_counter() - started
-        assert elapsed < 5.0  # did not wait for the 10 s window
-        assert max(created["stub"][0].batch_sizes) == 2
-
-    def test_batch_results_map_back_to_their_requests(self, tiny_dataset):
-        config = ServiceConfig(batch_wait_ms=50.0, max_batch_size=8)
-        service, _ = make_service(tiny_dataset, config=config)
-        queries = tiny_dataset.queries[:6]
-        with service:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                responses = list(
-                    pool.map(
-                        lambda q: service.submit(
-                            ExpandRequest(
-                                method="stub", query_id=q.query_id, options=ExpandOptions(use_cache=False)
-                            )
-                        ),
-                        queries,
-                    )
-                )
+        expander = created["stub"][0]
+        assert expander.expand_calls == len(queries)
+        assert expander.max_in_flight == 1
         for query, response in zip(queries, responses):
             assert response.query_id == query.query_id
+
+    def test_failed_expand_is_billed_to_the_caller(self, tiny_dataset):
+        service, _ = make_service(
+            tiny_dataset,
+            config=ServiceConfig(usage_metering=True),
+            expander_class=FailingExpander,
+        )
+        with service:
+            with tenant_scope("acme"):
+                with pytest.raises(ExpansionError, match="stub expander failed"):
+                    service.submit(uncached(tiny_dataset.queries[0].query_id))
+            bill = service.usage.summary()["tenants"]["acme"]
+        assert bill["requests"] == 1
+        assert bill["compute_seconds"] > 0.0
 
 
 class TestServicePath:
@@ -363,7 +376,6 @@ class TestDefaultRegistry:
     def test_default_methods_are_listed(self, tiny_dataset, resources):
         service = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0),
             resources=resources,
         )
         with service:
@@ -373,7 +385,6 @@ class TestDefaultRegistry:
     def test_setexpan_round_trip_with_real_expander(self, tiny_dataset, resources):
         service = ExpansionService(
             tiny_dataset,
-            config=ServiceConfig(batch_wait_ms=0.0),
             resources=resources,
         )
         query = tiny_dataset.queries[0]

@@ -439,7 +439,7 @@ class TestWarmServeAcceptance:
         monkeypatch.setattr(
             RetExpan, "_fit", lambda *a, **k: pytest.fail("warm serve invoked _fit")
         )
-        config = ServiceConfig(batch_wait_ms=0.0, store_dir=str(store_dir))
+        config = ServiceConfig(store_dir=str(store_dir))
         with ExpansionService(tiny_dataset, config=config) as service:
             request = ExpandRequest(
                 method="retexpan",
@@ -455,7 +455,7 @@ class TestWarmServeAcceptance:
 
     def test_stats_expose_fit_wall_time_and_store_counters(self, tiny_dataset, tmp_path):
         """Satellite: /stats carries per-method fit timings + store traffic."""
-        config = ServiceConfig(batch_wait_ms=0.0, store_dir=str(tmp_path / "store"))
+        config = ServiceConfig(store_dir=str(tmp_path / "store"))
         factories = {"toy": lambda _res: ToyExpander()}
         with ExpansionService(tiny_dataset, config=config, factories=factories) as service:
             service.submit(

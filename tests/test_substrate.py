@@ -409,11 +409,9 @@ class TestFitJobPhases:
         assert phases == ["restoring"]
 
     def test_fit_job_surfaces_phase(self, tiny_dataset):
-        from repro.config import ServiceConfig
         from repro.serve import ExpansionService
 
-        config = ServiceConfig(batch_wait_ms=0.0)
-        with ExpansionService(tiny_dataset, config=config) as service:
+        with ExpansionService(tiny_dataset) as service:
             job = service.start_fit("setexpan")
             # The background worker may already be running: the phase is
             # either still unset (queued) or one of the known phases.

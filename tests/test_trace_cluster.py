@@ -49,7 +49,7 @@ def make_worker(dataset, **config_kwargs) -> ExpansionHTTPServer:
     }
     service = ExpansionService(
         dataset,
-        config=ServiceConfig(batch_wait_ms=0.0, port=0, **config_kwargs),
+        config=ServiceConfig(port=0, **config_kwargs),
         factories=factories,
     )
     return ExpansionHTTPServer(service, port=0).start()

@@ -6,9 +6,8 @@ duplicate sibling names (while the pinned ``debug.timings`` wire shape stays
 id-free), :class:`TraceCollector` semantics (head sampling determinism under
 a seeded RNG, always-keep for slow/errored requests, eviction, the query
 surface, and concurrent offer/query under fan-out), :class:`UsageMeter`
-semantics (batch-amortized execute shares that sum to the execute wall-time,
-cache-cost billing, fit attribution, the tenant cardinality cap, the JSONL
-ledger + :func:`read_ledger`), the worker HTTP surface (``/v1/traces``,
+semantics (cache-cost billing, fit attribution, the tenant cardinality cap,
+the JSONL ledger + :func:`read_ledger`), the worker HTTP surface (``/v1/traces``,
 trace-id response headers, access-log correlation), and the
 ``repro usage report`` CLI.
 """
@@ -22,7 +21,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -50,7 +48,6 @@ from repro.serve import (
     ExpansionHTTPServer,
     ExpansionService,
 )
-from repro.serve.batcher import MicroBatcher
 from repro.types import ExpansionResult
 
 # ---------------------------------------------------------------------------
@@ -70,7 +67,7 @@ class TraceStubExpander(Expander):
 
 
 def make_service(dataset, **config_kwargs) -> ExpansionService:
-    config = ServiceConfig(batch_wait_ms=0.0, **config_kwargs)
+    config = ServiceConfig(**config_kwargs)
     return ExpansionService(
         dataset, config=config, factories={"stub": lambda _res: TraceStubExpander()}
     )
@@ -317,46 +314,6 @@ class TestTraceCollector:
 
 
 class TestUsageMeter:
-    def test_batch_amortized_shares_sum_to_execute_wall_time(self, tiny_dataset):
-        """The billing invariant: however a batch coalesces, the sum of the
-        riders' compute-seconds equals the execute wall-time."""
-        meter = UsageMeter()
-        release = threading.Event()
-
-        def execute(method, top_k, queries, retrieval=None):
-            release.wait(timeout=5.0)
-            time.sleep(0.03)
-            return [
-                ExpansionResult.from_scores(query.query_id, [(1, 1.0)])
-                for query in queries
-            ]
-
-        batcher = MicroBatcher(execute, max_batch_size=2, max_wait_ms=50.0, usage=meter)
-        queries = tiny_dataset.queries[:2]
-
-        def call(index):
-            with tenant_scope(f"tenant-{index}"):
-                future = batcher.submit("stub", queries[index], 10)
-                if index == 1:
-                    release.set()
-                return future.result(timeout=10)
-
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                results = list(pool.map(call, range(2)))
-        finally:
-            release.set()
-            batcher.shutdown()
-        assert all(results)
-        tenants = meter.summary()["tenants"]
-        billed = sum(bucket["compute_seconds"] for bucket in tenants.values())
-        assert billed >= 0.03
-        # riders in one pass split it evenly; solo riders pay full fare —
-        # either way each tenant was billed something.
-        for index in range(2):
-            assert tenants[f"tenant-{index}"]["compute_seconds"] > 0.0
-            assert tenants[f"tenant-{index}"]["requests"] == 1
-
     def test_unkeyed_traffic_bills_to_the_anonymous_tenant(self):
         meter = UsageMeter()
         meter.charge_expand(None, 0.5)

@@ -2,12 +2,10 @@
 
 :class:`ApiV1` maps ``(verb, path, payload)`` onto an
 :class:`ExpansionService` and returns an :class:`ApiResult` — status, domain
-data, and (on failure) a taxonomy error payload.  Two renderers turn a result
-into a wire body: :func:`render_v1_body` wraps it in the versioned envelope,
-:func:`render_legacy_body` produces the exact pre-v1 shapes so the deprecated
-unversioned routes can delegate here instead of keeping a second code path.
+data, and (on failure) a taxonomy error payload — which
+:func:`render_v1_body` wraps in the versioned envelope.
 
-Both the HTTP front-end (:mod:`repro.serve.server`) and the client SDK's
+Both the worker's HTTP front (:mod:`repro.serve.server`) and the client SDK's
 in-process transport (:mod:`repro.client.transport`) drive this same
 dispatcher, which is what guarantees transport parity: same routes, same
 statuses, same envelopes, same errors.
@@ -306,12 +304,3 @@ def render_v1_body(result: ApiResult, request_id: str) -> dict:
     if result.error is not None:
         return error_envelope(request_id, result.error)
     return success_envelope(request_id, _render_data(result.data))
-
-
-def render_legacy_body(result: ApiResult) -> dict:
-    """An :class:`ApiResult` as the pre-v1 wire shape (deprecated routes)."""
-    if result.error is not None:
-        return {"error": result.error["error"], "message": result.error["message"]}
-    if hasattr(result.data, "to_legacy_dict"):
-        return result.data.to_legacy_dict()
-    return to_jsonable(result.data)

@@ -409,7 +409,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "             GET /v1/methods · GET /v1/stats · GET /v1/metrics · "
         "GET /v1/healthz"
     )
-    print("  deprecated aliases: /expand /methods /stats /healthz (pre-v1 wire shape)")
     if service.gate is not None:
         anonymous = "allowed" if (
             config.keyfile is None or service.gate.directory.allows_anonymous

@@ -2,7 +2,11 @@
 
 The gateway speaks the exact same v1 wire protocol as a single ``repro
 serve`` process, so :class:`~repro.client.ExpansionClient` (and any raw HTTP
-caller) points at it unchanged.  Behind that surface it does four jobs:
+caller) points at it unchanged.  Its HTTP side is the worker's own
+:class:`~repro.serve.server.HttpFront` (binding, request ids, body limits,
+reply writing, the access log with its ``worker`` field, shutdown); the
+gateway adds only :meth:`ClusterGateway.handle`.  Behind that it does four
+jobs:
 
 * **shard routing** — method-affine calls (``POST /v1/expand``, ``POST
   /v1/fits``) are consistent-hashed by ``(method, dataset fingerprint)`` to
@@ -34,8 +38,6 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from html import escape
 from typing import Mapping, Sequence
 from urllib.parse import parse_qs, urlsplit
@@ -43,7 +45,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api.envelope import (
     REQUEST_ID_HEADER,
     error_envelope,
-    is_valid_request_id,
     new_request_id,
     success_envelope,
 )
@@ -93,7 +94,7 @@ from repro.obs import (
 )
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import ExpandRequest
-from repro.serve.server import stop_serve_loop
+from repro.serve.server import HttpFront, Reply, Request
 
 #: header naming the worker that actually served a proxied response.
 WORKER_HEADER = "X-Repro-Worker"
@@ -102,9 +103,6 @@ WORKER_HEADER = "X-Repro-Worker"
 #: cache (no worker round trip; the value names the cache tier).
 CACHE_HEADER = "X-Repro-Cache"
 
-#: request body size guard, mirroring the worker front-end.
-MAX_BODY_BYTES = 1 << 20
-
 #: structured gateway access-log destination (one JSON document per line),
 #: enabled with ``ClusterConfig.gateway_access_log``.
 gateway_access_logger = logging.getLogger("repro.cluster.access")
@@ -112,24 +110,6 @@ gateway_access_logger = logging.getLogger("repro.cluster.access")
 #: routes the front-door gate never charges: liveness probes (a throttled
 #: fleet must not look dead) and metrics scrapes (observability is free).
 _GATE_EXEMPT = {("GET", "/v1/healthz"), ("GET", "/v1/metrics")}
-
-
-@dataclass
-class _Reply:
-    """One gateway response: status, encoded body, extra headers."""
-
-    status: int
-    body: bytes
-    headers: dict[str, str]
-    content_type: str = "application/json"
-
-    @classmethod
-    def envelope(cls, status: int, envelope: dict, **headers: str) -> "_Reply":
-        return cls(
-            status=status,
-            body=json.dumps(envelope).encode("utf-8"),
-            headers=dict(headers),
-        )
 
 
 def _unavailable_payload(message: str) -> dict:
@@ -164,8 +144,11 @@ class _BackendUnsafe(_BackendError):
     idempotent, cheap GETs are retried on another node."""
 
 
-class ClusterGateway:
+class ClusterGateway(HttpFront):
     """Routes the v1 protocol across a fleet of serving workers."""
+
+    server_version = "repro-gateway/1.0"
+    thread_name = "repro-gateway"
 
     def __init__(
         self,
@@ -290,6 +273,15 @@ class ClusterGateway:
             max_workers=max(4, 2 * len(self._urls)),
             thread_name_prefix="repro-gateway",
         )
+        super().__init__(
+            host if host is not None else self.config.gateway_host,
+            port if port is not None else self.config.gateway_port,
+            access_log=(
+                gateway_access_logger if self.config.gateway_access_log else None
+            ),
+        )
+        # Background work starts only once the port is bound, so a port
+        # clash leaves nothing running.
         self.exporter = build_exporter(
             self.metrics,
             self.config.gateway_exporter,
@@ -298,69 +290,25 @@ class ClusterGateway:
         )
         if self.exporter is not None:
             self.exporter.start()
-        self._httpd = ThreadingHTTPServer(
-            (
-                host if host is not None else self.config.gateway_host,
-                port if port is not None else self.config.gateway_port,
-            ),
-            _GatewayHandler,
-        )
-        self._httpd.daemon_threads = True
-        self._httpd.gateway = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._serving = False
 
     # -- lifecycle ---------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return (str(host), int(port))
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def start(self) -> "ClusterGateway":
-        """Serve on a daemon thread (tests / embedded use)."""
         if not self.fingerprint:
             self._resolve_fingerprint()
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-gateway", daemon=True
-        )
-        self._thread.start()
-        return self
+        return super().start()
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (CLI use)."""
         if not self.fingerprint:
             self._resolve_fingerprint()
-        self._serving = True
-        self._httpd.serve_forever()
+        super().serve_forever()
 
-    def shutdown(self) -> None:
-        if self._serving:
-            # socketserver's shutdown() waits for a running serve loop to
-            # exit, so on a never-started gateway it would block forever.
-            self._serving = False
-            stop_serve_loop(self._httpd)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
+    def _release(self) -> None:
         self._scatter_pool.shutdown(wait=False)
         for worker_id in list(self._conn_pool):
             self._flush_connections(worker_id)
         if self.exporter is not None:
             # Last: the drain flush ships the shutdown's own counter bumps.
             self.exporter.shutdown()
-
-    def __enter__(self) -> "ClusterGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def _resolve_fingerprint(self) -> None:
         """Learn the dataset fingerprint from the first reachable worker so
@@ -385,6 +333,22 @@ class ClusterGateway:
                 return
 
     # -- dispatch ----------------------------------------------------------------
+    def respond(self, request: Request) -> Reply:
+        try:
+            body = (request.read_body() if request.verb == "POST" else b"") or None
+        except ReproError as exc:
+            reply = self._error_reply(*error_payload(exc))
+        else:
+            reply = self.handle(
+                request.verb,
+                request.path,
+                body,
+                request.query,
+                api_key=request.header(API_KEY_HEADER),
+            )
+        reply.log_fields["worker"] = reply.headers.get(WORKER_HEADER)
+        return reply
+
     def handle(
         self,
         verb: str,
@@ -392,7 +356,7 @@ class ClusterGateway:
         body: bytes | None,
         query: str = "",
         api_key: str | None = None,
-    ) -> _Reply:
+    ) -> Reply:
         """Serve one gateway request; never raises."""
         self._requests.inc()
         tenant: str | None = None
@@ -471,16 +435,15 @@ class ClusterGateway:
 
     def _route(
         self, verb: str, path: str, body: bytes | None, query: str = ""
-    ) -> _Reply:
+    ) -> Reply:
         if (verb, path) == ("GET", "/v1/healthz"):
             return self._aggregate_health()
         if (verb, path) == ("GET", "/v1/stats"):
             return self._aggregate_stats()
         if (verb, path) == ("GET", "/v1/metrics"):
-            return _Reply(
-                status=200,
-                body=self.metrics.render_prometheus().encode("utf-8"),
-                headers={},
+            return Reply(
+                200,
+                self.metrics.render_prometheus().encode("utf-8"),
                 content_type=PROMETHEUS_CONTENT_TYPE,
             )
         if (verb, path) == ("GET", "/v1/dashboard"):
@@ -724,7 +687,7 @@ class ClusterGateway:
 
     def _proxy_with_failover(
         self, key: str, verb: str, path: str, body: bytes | None
-    ) -> _Reply:
+    ) -> Reply:
         last_error: _BackendError | None = None
         for worker_id in self._attempt_order(key):
             try:
@@ -747,7 +710,7 @@ class ClusterGateway:
             self._proxied.inc()
             self._routed.inc(worker=worker_id)
             headers[WORKER_HEADER] = worker_id
-            return _Reply(status=status, body=raw, headers=headers)
+            return Reply(status, raw, headers)
         self._no_backend.inc()
         return self._error_reply(
             503,
@@ -756,7 +719,7 @@ class ClusterGateway:
             ),
         )
 
-    def _route_by_method(self, verb: str, path: str, body: bytes | None) -> _Reply:
+    def _route_by_method(self, verb: str, path: str, body: bytes | None) -> Reply:
         payload = self._parse_json(body)
         if not isinstance(payload, Mapping):
             return self._error_reply(
@@ -790,11 +753,7 @@ class ClusterGateway:
                     )
                 data = dict(hit)
                 data["cached"] = True
-                return _Reply.envelope(
-                    200,
-                    success_envelope(current_request_id() or new_request_id(), data),
-                    **{CACHE_HEADER: "gateway"},
-                )
+                return self._data_reply(data, **{CACHE_HEADER: "gateway"})
         key = shard_key(method, self.fingerprint)
         reply = self._proxy_with_failover(key, verb, path, body)
         if cache_key is not None and reply.status == 200:
@@ -834,13 +793,13 @@ class ClusterGateway:
             options.return_names,
         )
 
-    def _forward_any(self, verb: str, path: str) -> _Reply:
+    def _forward_any(self, verb: str, path: str) -> Reply:
         """Forward to any worker (healthy first) — used for fleet-uniform
         answers like ``/v1/methods``."""
         return self._proxy_with_failover(shard_key("__any__", self.fingerprint), verb, path, None)
 
     # -- scatter-gather ----------------------------------------------------------
-    def _scatter_batch(self, body: bytes | None) -> _Reply:
+    def _scatter_batch(self, body: bytes | None) -> Reply:
         payload = self._parse_json(body)
         if not isinstance(payload, Mapping):
             return self._error_reply(
@@ -903,13 +862,10 @@ class ClusterGateway:
         ]
         for future in futures:
             future.result()
-        data = {"responses": slots, "count": len(slots)}
-        return _Reply.envelope(
-            200, success_envelope(request_id or new_request_id(), data)
-        )
+        return self._data_reply({"responses": slots, "count": len(slots)})
 
     @staticmethod
-    def _batch_slots(reply: _Reply, expected: int) -> list[dict]:
+    def _batch_slots(reply: Reply, expected: int) -> list[dict]:
         """Unwrap one worker's batch envelope into per-item slots, degrading
         a shard-level failure into per-item errors (isolation)."""
         try:
@@ -949,7 +905,7 @@ class ClusterGateway:
         }
         return {worker_id: future.result() for worker_id, future in futures.items()}
 
-    def _aggregate_health(self) -> _Reply:
+    def _aggregate_health(self) -> Reply:
         results = self._worker_scatter("GET", "/v1/healthz")
         workers = []
         healthy = 0
@@ -976,14 +932,13 @@ class ClusterGateway:
             "healthy_workers": healthy,
             "total_workers": len(workers),
         }
-        request_id = current_request_id() or new_request_id()
         if status >= 400:
             payload = _unavailable_payload("no healthy workers")
             payload["details"] = data
-            return _Reply.envelope(status, error_envelope(request_id, payload))
-        return _Reply.envelope(status, success_envelope(request_id, data))
+            return self._error_reply(status, payload)
+        return self._data_reply(data)
 
-    def _aggregate_stats(self) -> _Reply:
+    def _aggregate_stats(self) -> Reply:
         results = self._worker_scatter("GET", "/v1/stats")
         workers: dict[str, dict] = {}
         totals = {"requests": 0, "errors": 0, "cache_hits": 0, "cache_misses": 0}
@@ -1012,11 +967,9 @@ class ClusterGateway:
             # additive: only gated clusters grow this key, so the pinned
             # {"gateway", "cluster", "workers"} default shape is unchanged.
             data["gate"] = self.gate.stats()
-        return _Reply.envelope(
-            200, success_envelope(current_request_id() or new_request_id(), data)
-        )
+        return self._data_reply(data)
 
-    def _dashboard(self, html: bool = False) -> _Reply:
+    def _dashboard(self, html: bool = False) -> Reply:
         """One joined fleet view for ``repro cluster top`` and dashboards:
         per-worker health, request/error/latency rollups, cache hit rates,
         substrate residency, and live fit-job phases — two concurrent
@@ -1180,15 +1133,12 @@ class ClusterGateway:
                 for tenant_id in sorted(usage_totals)
             ]
         if html:
-            return _Reply(
-                status=200,
-                body=_render_dashboard_html(data).encode("utf-8"),
-                headers={},
+            return Reply(
+                200,
+                _render_dashboard_html(data).encode("utf-8"),
                 content_type="text/html; charset=utf-8",
             )
-        return _Reply.envelope(
-            200, success_envelope(current_request_id() or new_request_id(), data)
-        )
+        return self._data_reply(data)
 
     @staticmethod
     def _parse_envelope_data(result: "tuple[int, bytes] | None") -> dict | None:
@@ -1202,7 +1152,7 @@ class ClusterGateway:
             return None
         return data if isinstance(data, dict) else None
 
-    def _merged_fit_jobs(self) -> _Reply:
+    def _merged_fit_jobs(self) -> Reply:
         results = self._worker_scatter("GET", "/v1/fits")
         jobs: list[dict] = []
         for worker_id, result in results.items():
@@ -1216,12 +1166,9 @@ class ClusterGateway:
                 if isinstance(job, dict):
                     jobs.append({**job, "worker_id": worker_id})
         jobs.sort(key=lambda job: -float(job.get("created_at") or 0.0))
-        data = {"jobs": jobs, "count": len(jobs)}
-        return _Reply.envelope(
-            200, success_envelope(current_request_id() or new_request_id(), data)
-        )
+        return self._data_reply({"jobs": jobs, "count": len(jobs)})
 
-    def _find_fit_job(self, verb: str, path: str) -> _Reply:
+    def _find_fit_job(self, verb: str, path: str) -> Reply:
         """Ask the fleet for one job id, owner-agnostic: jobs were routed by
         method, but the ring may have moved since, so every worker is a
         candidate; the first non-404 answer wins."""
@@ -1243,7 +1190,7 @@ class ClusterGateway:
                 self._proxied.inc()
                 self._routed.inc(worker=worker_id)
                 headers[WORKER_HEADER] = worker_id
-                return _Reply(status=status, body=raw, headers=headers)
+                return Reply(status, raw, headers)
         if not reachable:
             return self._error_reply(
                 503, _unavailable_payload("no worker available to resolve the job")
@@ -1261,7 +1208,7 @@ class ClusterGateway:
         )
 
     # -- trace search ------------------------------------------------------------
-    def _list_traces(self, query: str = "") -> _Reply:
+    def _list_traces(self, query: str = "") -> Reply:
         """Search the gateway's own joined-trace ring (worker rings stay
         reachable directly on each worker's ``/v1/traces``)."""
         if self.traces is None:
@@ -1276,28 +1223,16 @@ class ClusterGateway:
         except ServiceError as exc:
             return self._error_reply(400, _invalid_payload(str(exc)))
         rows = self.traces.query(**filters)
-        return _Reply.envelope(
-            200,
-            success_envelope(
-                current_request_id() or new_request_id(),
-                {"traces": rows, "count": len(rows)},
-            ),
-        )
+        return self._data_reply({"traces": rows, "count": len(rows)})
 
-    def _find_trace(self, trace_id: str) -> _Reply:
+    def _find_trace(self, trace_id: str) -> Reply:
         """The gateway's joined trace when it kept one; otherwise ask every
         worker (front-line traffic may be traced worker-side only).  The
         first non-miss answer wins."""
         if self.traces is not None:
             record = self.traces.get(trace_id)
             if record is not None:
-                return _Reply.envelope(
-                    200,
-                    success_envelope(
-                        current_request_id() or new_request_id(),
-                        {"trace": record},
-                    ),
-                )
+                return self._data_reply({"trace": record})
         path = f"/v1/traces/{trace_id}"
         for worker_id in self._attempt_order(
             shard_key("__traces__", self.fingerprint)
@@ -1312,7 +1247,7 @@ class ClusterGateway:
                 self._proxied.inc()
                 self._routed.inc(worker=worker_id)
                 headers[WORKER_HEADER] = worker_id
-                return _Reply(status=status, body=raw, headers=headers)
+                return Reply(status, raw, headers)
         return self._error_reply(
             404,
             {
@@ -1366,9 +1301,15 @@ class ClusterGateway:
             return None
 
     @staticmethod
-    def _error_reply(status: int, payload: dict) -> _Reply:
+    def _data_reply(data: dict, **headers: str) -> Reply:
+        """A 200 success envelope under the current request id."""
         request_id = current_request_id() or new_request_id()
-        reply = _Reply.envelope(status, error_envelope(request_id, payload))
+        return Reply.envelope(200, success_envelope(request_id, data), **headers)
+
+    @staticmethod
+    def _error_reply(status: int, payload: dict) -> Reply:
+        request_id = current_request_id() or new_request_id()
+        reply = Reply.envelope(status, error_envelope(request_id, payload))
         # 429/503 refusals carry their backoff hint on the wire too.
         retry_after = (payload.get("details") or {}).get("retry_after")
         if retry_after is not None:
@@ -1501,108 +1442,3 @@ def _render_dashboard_html(data: dict) -> str:
         f"{tenants_table}"
         "</body></html>"
     )
-
-
-class _GatewayHandler(BaseHTTPRequestHandler):
-    """Thin HTTP shim over :meth:`ClusterGateway.handle`."""
-
-    server_version = "repro-gateway/1.0"
-    protocol_version = "HTTP/1.1"
-    # See repro.serve.server._Handler: without TCP_NODELAY the two-send
-    # response (headers, then body) stalls ~40ms behind Nagle + delayed ACK
-    # on keep-alive connections.
-    disable_nagle_algorithm = True
-
-    @property
-    def gateway(self) -> ClusterGateway:
-        return self.server.gateway  # type: ignore[attr-defined]
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._handle("DELETE")
-
-    def _handle(self, verb: str) -> None:
-        started = time.perf_counter()
-        path, _, query = self.path.partition("?")
-        path = path.rstrip("/") or "/"
-        # Honor a syntactically valid client-supplied X-Request-Id so one id
-        # correlates gateway log, worker log, and envelope; replace anything
-        # malformed rather than echoing hostile bytes into logs and headers.
-        inbound = (self.headers.get(REQUEST_ID_HEADER) or "").strip()
-        request_id = inbound if is_valid_request_id(inbound) else new_request_id()
-        with request_scope(request_id):
-            reply = self._serve(verb, path, query)
-        # proxied replies already carry the worker's echoed id (equal to
-        # ours, since we forward it); gateway-local envelopes get it here.
-        reply.headers.setdefault(REQUEST_ID_HEADER, request_id)
-        self._send(reply)
-        self._access_log(
-            request_id=reply.headers[REQUEST_ID_HEADER],
-            verb=verb,
-            route=path,
-            status=reply.status,
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            worker=reply.headers.get(WORKER_HEADER),
-            trace_id=reply.headers.get(TRACE_ID_HEADER),
-        )
-
-    def _serve(self, verb: str, path: str, query: str = "") -> _Reply:
-        body: bytes | None = None
-        if verb == "POST":
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = -1
-            if length < 0 or length > MAX_BODY_BYTES:
-                return ClusterGateway._error_reply(
-                    400, _invalid_payload("invalid or oversized request body")
-                )
-            body = self.rfile.read(length) if length else None
-        api_key = (self.headers.get(API_KEY_HEADER) or "").strip() or None
-        return self.gateway.handle(verb, path, body, query, api_key=api_key)
-
-    def _send(self, reply: _Reply) -> None:
-        self.send_response(reply.status)
-        self.send_header("Content-Type", reply.content_type)
-        self.send_header("Content-Length", str(len(reply.body)))
-        for name, value in reply.headers.items():
-            self.send_header(name, value)
-        if reply.status >= 400:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(reply.body)
-
-    def _access_log(
-        self,
-        request_id: str,
-        verb: str,
-        route: str,
-        status: int,
-        latency_ms: float,
-        worker: str | None,
-        trace_id: str | None = None,
-    ) -> None:
-        if not self.gateway.config.gateway_access_log:
-            return
-        line = {
-            "request_id": request_id,
-            "method": verb,
-            "route": route,
-            "status": status,
-            "latency_ms": round(latency_ms, 3),
-            "worker": worker,
-        }
-        # stamped only on traced requests; untraced lines keep the exact
-        # pre-tracing key set.
-        if trace_id is not None:
-            line["trace_id"] = trace_id
-        gateway_access_logger.info("%s", json.dumps(line, sort_keys=True))
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass

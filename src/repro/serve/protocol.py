@@ -3,7 +3,7 @@
 The protocol is deliberately transport-agnostic: :class:`ExpandRequest` and
 :class:`ExpandResponse` are plain dataclasses used directly by in-process
 callers (:meth:`ExpansionService.submit`) and serialised to JSON by the v1
-API (:mod:`repro.api`) and the legacy unversioned routes.
+API (:mod:`repro.api`).
 
 A request addresses a query in one of two ways:
 
@@ -15,8 +15,7 @@ A request addresses a query in one of two ways:
 *How* the request is served lives on one typed
 :class:`~repro.api.options.ExpandOptions` object (``top_k``, ``use_cache``,
 ``offset``/``limit`` pagination, ``return_names``) instead of loose kwargs;
-the v1 wire shape nests it under ``"options"`` while the legacy shape's
-top-level ``top_k``/``use_cache`` keep parsing for existing callers.
+the v1 wire shape nests it under ``"options"``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.api.options import ExpandOptions, coerce_int, coerce_optional_int
+from repro.api.options import ExpandOptions, coerce_int
 from repro.exceptions import ServiceError
 from repro.types import ExpansionResult
 
@@ -100,13 +99,8 @@ class ExpandRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExpandRequest":
-        """Parse a JSON payload, rejecting unknown fields.
-
-        Accepts both wire shapes: the v1 nested ``"options"`` object and the
-        legacy top-level ``top_k``/``use_cache`` (so the deprecated
-        unversioned routes delegate here unchanged).  Mixing the two spellings
-        of the same option is rejected rather than silently resolved.
-        """
+        """Parse a v1 JSON payload (serving options nested under
+        ``"options"``), rejecting unknown fields."""
         if not isinstance(payload, Mapping):
             raise ServiceError("request payload must be a JSON object")
         known = {
@@ -115,29 +109,16 @@ class ExpandRequest:
             "class_id",
             "positive_seed_ids",
             "negative_seed_ids",
-            "top_k",
-            "use_cache",
             "options",
         }
         unknown = set(payload) - known
         if unknown:
             raise ServiceError(f"unknown request fields: {sorted(unknown)}")
         options_payload = payload.get("options")
-        if options_payload is not None:
-            for legacy_key in ("top_k", "use_cache"):
-                if legacy_key in payload:
-                    raise ServiceError(
-                        f"{legacy_key} cannot appear both top-level and under options"
-                    )
-            options = ExpandOptions.from_dict(options_payload)
-        else:
-            options = ExpandOptions(
-                top_k=coerce_optional_int(payload.get("top_k"), "top_k", minimum=1),
-                # legacy parsing accepted any truthy value here; keep that
-                # exact behaviour for the deprecated wire shape (strict
-                # boolean typing applies to the v1 "options" object only).
-                use_cache=bool(payload.get("use_cache", True)),
-            )
+        options = (
+            ExpandOptions() if options_payload is None
+            else ExpandOptions.from_dict(options_payload)
+        )
         try:
             return cls(
                 method=str(payload.get("method", "")),
@@ -202,7 +183,7 @@ class ExpandResponse:
     names_resolved: bool = True
     #: per-stage trace timings (span dicts), only when the request asked for
     #: them via ``ExpandOptions.include_timings``; serialised under
-    #: ``debug.timings`` on the v1 wire and never on the legacy shape.
+    #: ``debug.timings`` on the v1 wire.
     timings: tuple | None = None
 
     def entity_ids(self) -> list[int]:
@@ -276,34 +257,9 @@ class ExpandResponse:
             payload["debug"] = {"timings": [dict(entry) for entry in self.timings]}
         return payload
 
-    def to_legacy_dict(self) -> dict:
-        """The exact pre-v1 ``POST /expand`` wire shape (pinned by tests)."""
-        return {
-            "method": self.method,
-            "query_id": self.query_id,
-            "top_k": self.top_k,
-            "ranking": [
-                {
-                    "entity_id": item.entity_id,
-                    "name": item.name if item.name is not None else "",
-                    "score": item.score,
-                }
-                for item in self.ranking
-            ],
-            "cached": self.cached,
-            "latency_ms": self.latency_ms,
-        }
-
     @classmethod
     def from_v1_dict(cls, data: Mapping) -> "ExpandResponse":
         """Rebuild a response from its v1 wire form (client SDK side)."""
-        names_resolved = bool(
-            data.get(
-                "names_resolved",
-                # fallback for older servers: sniff the ranking items
-                any("name" in item for item in data.get("ranking", ())),
-            )
-        )
         ranking = tuple(
             RankedEntityView(
                 entity_id=int(item["entity_id"]),
@@ -325,7 +281,7 @@ class ExpandResponse:
             latency_ms=float(data.get("latency_ms", 0.0)),
             offset=int(data.get("offset", 0)),
             total=int(data.get("total", len(ranking))),
-            names_resolved=names_resolved,
+            names_resolved=bool(data.get("names_resolved", True)),
             timings=timings,
         )
 

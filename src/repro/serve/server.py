@@ -1,23 +1,18 @@
-"""A dependency-free JSON/HTTP front-end for the expansion service.
+"""The one HTTP front of the serving stack, and the worker built on it.
 
-Built on the stdlib :mod:`http.server` (``ThreadingHTTPServer``) so the repo
-stays installable without a web framework.  All routes are served by the
-shared v1 dispatcher (:class:`repro.api.v1.ApiV1`):
+:class:`HttpFront` holds everything HTTP that a serving tier needs, on the
+stdlib :mod:`http.server` so the repo needs no web framework: binding, the
+serve thread, a prompt :meth:`~HttpFront.shutdown` that also severs live
+keep-alive connections, ``X-Request-Id`` handling (a valid inbound id is
+honored, anything else replaced), body reads under :data:`MAX_BODY_BYTES`,
+reply writing, and the JSON access log (one line per request, written just
+before the reply goes out).  A tier implements only
+:meth:`~HttpFront.respond`, turning a :class:`Request` into a :class:`Reply`.
 
-* ``/v1/healthz`` ``/v1/methods`` ``/v1/stats`` ``/v1/expand``
-  ``/v1/expand/batch`` ``/v1/fits[...]`` (``POST``/``GET``/``DELETE``) —
-  versioned envelope responses
-  (``api_version`` + server-assigned ``request_id``, also echoed in the
-  ``X-Request-Id`` header) with the structured error taxonomy;
-* ``/healthz`` ``/methods`` ``/stats`` ``/expand`` — **deprecated** aliases
-  that delegate to the same v1 handlers but keep the exact pre-v1 wire
-  shapes (no envelope, ``{"error", "message"}`` failures) and answer with a
-  ``Deprecation: true`` header.
-
-With ``ServiceConfig.access_log`` enabled, every request emits one
-structured JSON line (request_id, verb, route, status, latency_ms, cache
-hit) on the ``repro.serve.access`` logger instead of
-``BaseHTTPRequestHandler``'s default stderr chatter.
+:class:`ExpansionHTTPServer` is the worker tier: every ``/v1`` route of the
+shared dispatcher (:class:`repro.api.v1.ApiV1`) in the versioned envelope,
+plus Prometheus text at ``/v1/metrics``; any other path is an enveloped 404.
+:class:`repro.cluster.ClusterGateway` is the other tier.
 """
 
 from __future__ import annotations
@@ -25,9 +20,13 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import sys
 import threading
 import time
+from dataclasses import dataclass, field
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import BinaryIO
 
 import repro.api.v1 as apiv1
 from repro.api.envelope import (
@@ -60,37 +59,66 @@ from repro.serve.service import ExpansionService
 #: request body size guard (1 MiB) against accidental or hostile payloads.
 MAX_BODY_BYTES = 1 << 20
 
-#: structured access-log destination (one JSON document per line).
+#: the worker's structured access-log destination (one JSON document per line).
 access_logger = logging.getLogger("repro.serve.access")
 
-#: deprecated unversioned route -> the v1 route it delegates to.
-LEGACY_ROUTES = {
-    ("GET", "/healthz"): "/v1/healthz",
-    ("GET", "/methods"): "/v1/methods",
-    ("GET", "/stats"): "/v1/stats",
-    ("POST", "/expand"): "/v1/expand",
-}
+
+@dataclass
+class Request:
+    """One inbound request, as :meth:`HttpFront.respond` sees it."""
+
+    verb: str
+    #: the path without its query string or trailing slash.
+    path: str
+    query: str
+    #: the client's ``X-Request-Id`` when valid, else a fresh id.
+    request_id: str
+    headers: Message
+    rfile: BinaryIO
+
+    def header(self, name: str) -> str | None:
+        """One header's stripped value; ``None`` when absent or blank."""
+        return (self.headers.get(name) or "").strip() or None
+
+    def read_body(self) -> bytes:
+        """The body (``b""`` when there is none), read under
+        :data:`MAX_BODY_BYTES`.  A malformed or oversized ``Content-Length``
+        raises :class:`ReproError`, which maps to 400 ``invalid_request``."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError as exc:
+            raise ReproError("Content-Length header is not a number") from exc
+        if length > MAX_BODY_BYTES:
+            raise ReproError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(length) if length > 0 else b""
+
+
+@dataclass
+class Reply:
+    """One reply: status, encoded body, extra headers, and the tier's own
+    access-log fields."""
+
+    status: int
+    body: bytes
+    headers: dict[str, str] = field(default_factory=dict)
+    content_type: str = "application/json"
+    log_fields: dict = field(default_factory=dict)
+
+    @classmethod
+    def envelope(cls, status: int, envelope: dict, **headers: str) -> "Reply":
+        return cls(status, json.dumps(envelope).encode("utf-8"), dict(headers))
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the :class:`ApiV1` dispatcher set on the server."""
+    """Hands each request to the :class:`HttpFront` that owns the server and
+    writes the :class:`Reply` it returns."""
 
-    server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
-    # The handler writes each response as two sends (buffered headers, then
-    # body); with Nagle on, the body segment can sit in the server's TCP
-    # stack ~40ms waiting for a delayed ACK from a keep-alive client.
+    # Each reply goes out as two sends (buffered headers, then body); with
+    # Nagle on, the body segment can sit in the server's TCP stack ~40ms
+    # waiting for a delayed ACK from a keep-alive client.
     disable_nagle_algorithm = True
 
-    @property
-    def service(self) -> ExpansionService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    @property
-    def api(self) -> "apiv1.ApiV1":
-        return self.server.api  # type: ignore[attr-defined]
-
-    # -- routing -----------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._handle("GET")
 
@@ -100,246 +128,52 @@ class _Handler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802 (http.server API)
         self._handle("DELETE")
 
+    def version_string(self) -> str:
+        front: HttpFront = self.server.front  # type: ignore[attr-defined]
+        return f"{front.server_version} {self.sys_version}"
+
     def _handle(self, verb: str) -> None:
+        front: HttpFront = self.server.front  # type: ignore[attr-defined]
         started = time.perf_counter()
-        raw_path, _, query = self.path.partition("?")
-        path = raw_path.rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
         # Honor a syntactically valid client-supplied X-Request-Id so one id
         # correlates gateway log, worker log, and envelope; replace anything
         # malformed rather than echoing hostile bytes into logs and headers.
         inbound = (self.headers.get(REQUEST_ID_HEADER) or "").strip()
-        request_id = inbound if is_valid_request_id(inbound) else new_request_id()
-        if verb == "GET" and path == "/v1/metrics":
-            self._send_raw(
-                200,
-                self.service.metrics.render_prometheus().encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-                request_id,
-            )
-            self._access_log(
-                request_id=request_id,
-                verb=verb,
-                route=path,
-                status=200,
-                latency_ms=(time.perf_counter() - started) * 1000.0,
-                cached=None,
-                deprecated=False,
-            )
-            return
-        legacy_target = LEGACY_ROUTES.get((verb, path))
-        is_v1 = path.startswith("/v1")
-        target = legacy_target or path
-
-        # The front door: authenticate + charge quota before reading the
-        # body or dispatching.  Liveness probes stay exempt (a throttled
-        # worker must not look dead to its pool), and /v1/metrics returned
-        # above so scrapes never burn tenant quota.
-        gate = self.service.gate
-        gate_error: "apiv1.ApiResult | None" = None
-        tenant: str | None = None
-        if gate is not None and not (verb == "GET" and target == "/v1/healthz"):
-            api_key = (self.headers.get(API_KEY_HEADER) or "").strip() or None
-            try:
-                tenant = gate.check(api_key, operation_for(verb, target))
-            except ReproError as exc:
-                status, error = error_payload(exc)
-                gate_error = apiv1.ApiResult(status=status, error=error)
-        elif gate is None:
-            # Behind a cluster gateway the worker runs open; it honors the
-            # gateway's forwarded tenant (syntactically validated) so
-            # per-tenant metrics attribute correctly fleet-wide.
-            hint = (self.headers.get(TENANT_HEADER) or "").strip()
-            if is_valid_tenant_id(hint):
-                tenant = hint
-
-        # Trace continuation/creation: a gateway hop carries a sampled
-        # ``traceparent`` we must continue under the same trace_id; a
-        # front-line worker makes its own head-sampling decision (or traces
-        # anyway when a slow-query threshold might want the spans).
-        context = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
-        collector = self.service.traces
-        trace: Trace | None = None
-        if context is not None and context.sampled:
-            trace = Trace(
-                request_id=request_id,
-                trace_id=context.trace_id,
-                parent_span_id=context.span_id,
-            )
-            trace.sampled = True
-        elif collector is not None:
-            sampled = collector.sample()
-            if sampled or collector.slow_ms is not None:
-                trace = Trace(request_id=request_id)
-                trace.sampled = sampled
-
-        # The request id (and resolved tenant, and trace) ride contextvars
-        # through dispatch so deeper layers (spans, the slow-query log,
-        # metric labels) can recover them unplumbed.
-        with request_scope(request_id), tenant_scope(tenant):
-            if trace is not None:
-                with activate(trace):
-                    result = gate_error or self._dispatch(
-                        verb, target, is_v1 or bool(legacy_target), query
-                    )
-            else:
-                result = gate_error or self._dispatch(
-                    verb, target, is_v1 or bool(legacy_target), query
-                )
-        if legacy_target is not None:
-            body = apiv1.render_legacy_body(result)
-        elif is_v1:
-            body = apiv1.render_v1_body(result, request_id)
-        else:
-            # exact pre-v1 unrouted-404 body (lower-case error value).
-            body = {"error": "not_found", "message": f"no route {path!r}"}
-        retry_after = None
-        if result.error is not None:
-            retry_after = (result.error.get("details") or {}).get("retry_after")
-        extra_headers: list[tuple[str, str]] = []
-        if trace is not None:
-            extra_headers.append((TRACE_ID_HEADER, trace.trace_id))
-            if context is not None:
-                # remote hop: return this worker's span fragment so the
-                # gateway can graft it into its joined trace.
-                fragment = json.dumps(
-                    {"trace_id": trace.trace_id, "spans": trace.to_span_dicts()},
-                    separators=(",", ":"),
-                )
-                extra_headers.append((TRACE_SPANS_HEADER, fragment))
-        self._send(
-            result.status,
-            body,
-            request_id,
-            deprecated=legacy_target is not None,
-            retry_after=retry_after,
-            extra_headers=extra_headers,
-        )
-        self._access_log(
-            request_id=request_id,
+        request = Request(
             verb=verb,
-            route=path,
-            status=result.status,
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            cached=result.cached,
-            deprecated=legacy_target is not None,
-            trace_id=trace.trace_id if trace is not None else None,
+            path=path.rstrip("/") or "/",
+            query=query,
+            request_id=inbound if is_valid_request_id(inbound) else new_request_id(),
+            headers=self.headers,
+            rfile=self.rfile,
         )
-
-    def _dispatch(
-        self, verb: str, path: str, routed: bool, query: str = ""
-    ) -> "apiv1.ApiResult":
-        """Resolve the route, then read the body (POST), then dispatch.
-
-        Routing comes first so an unknown path is a deterministic 404
-        regardless of what (or whether) a body was sent."""
-        if not routed or not self.api.resolves(verb, path):
-            return apiv1.ApiResult(status=404, error=route_not_found_payload(path))
-        payload = None
-        if verb == "POST":
-            try:
-                payload = self._read_json()
-            except ReproError as exc:
-                status, error = error_payload(exc)
-                return apiv1.ApiResult(status=status, error=error)
-        return self.api.dispatch(verb, path, payload, query=query)
-
-    # -- plumbing ----------------------------------------------------------------
-    def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ReproError("Content-Length header is not a number") from exc
-        if length <= 0:
-            raise ReproError("request body is empty")
-        if length > MAX_BODY_BYTES:
-            raise ReproError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ReproError(f"request body is not valid JSON: {exc}") from exc
-
-    def _send(
-        self,
-        status: int,
-        body,
-        request_id: str,
-        deprecated: bool = False,
-        retry_after: float | None = None,
-        extra_headers: list[tuple[str, str]] | None = None,
-    ) -> None:
-        self._send_raw(
-            status,
-            json.dumps(body).encode("utf-8"),
-            "application/json",
-            request_id,
-            deprecated=deprecated,
-            retry_after=retry_after,
-            extra_headers=extra_headers,
-        )
-
-    def _send_raw(
-        self,
-        status: int,
-        encoded: bytes,
-        content_type: str,
-        request_id: str,
-        deprecated: bool = False,
-        retry_after: float | None = None,
-        extra_headers: list[tuple[str, str]] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.send_header(REQUEST_ID_HEADER, request_id)
-        for name, value in extra_headers or ():
+        # The request id rides a contextvar through respond() so deeper
+        # layers (spans, the slow-query log, proxy hops) recover it unplumbed.
+        with request_scope(request.request_id):
+            reply = front.respond(request)
+        # a proxied reply already carries the worker's echo of this same id.
+        reply.headers.setdefault(REQUEST_ID_HEADER, request.request_id)
+        # Logged before the reply goes out: a client that holds its reply
+        # can already find the line.
+        front._log_access(request, reply, started)
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(reply.body)))
+        for name, value in reply.headers.items():
             self.send_header(name, value)
-        if deprecated:
-            self.send_header("Deprecation", "true")
-        if retry_after is not None:
-            # integral delta-seconds, rounded up (RFC 9110); the exact float
-            # rides in the error payload's details.retry_after.
-            self.send_header("Retry-After", retry_after_header(retry_after))
-        if status >= 400:
-            # An error response may leave an unread request body on the
-            # socket; closing keeps keep-alive clients from desynchronizing.
+        if reply.status >= 400:
+            # An error reply may leave an unread request body on the socket;
+            # closing keeps keep-alive clients from desynchronizing.
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
-        self.wfile.write(encoded)
-
-    def _access_log(
-        self,
-        request_id: str,
-        verb: str,
-        route: str,
-        status: int,
-        latency_ms: float,
-        cached: bool | None,
-        deprecated: bool,
-        trace_id: str | None = None,
-    ) -> None:
-        if not self.service.config.access_log:
-            return
-        line = {
-            "request_id": request_id,
-            "method": verb,
-            "route": route,
-            "status": status,
-            "latency_ms": round(latency_ms, 3),
-            "cached": cached,
-            "deprecated": deprecated,
-        }
-        # only stamped on traced requests, keeping the untraced line's
-        # exact key set (pinned by wire-shape tests) unchanged.
-        if trace_id is not None:
-            line["trace_id"] = trace_id
-        access_logger.info("%s", json.dumps(line, sort_keys=True))
+        self.wfile.write(reply.body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         # The structured access log (or silence) replaces the default
         # per-request stderr chatter; opt back in with verbose=True.
-        if getattr(self.server, "verbose", False):
+        if self.server.front.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
 
@@ -363,9 +197,11 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
 
     ``shutdown()`` only stops *new* connections; an idle keep-alive socket a
     client still holds (e.g. a gateway's connection pool) would keep being
-    served by its handler thread, leaving a stopped worker looking healthy
-    to the rest of the fleet.
+    served by its handler thread, leaving a stopped front looking healthy
+    to its clients.
     """
+
+    daemon_threads = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -382,6 +218,12 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
             self._open_connections.discard(request)
         super().shutdown_request(request)
 
+    def handle_error(self, request, client_address):
+        # A peer hang-up, or a connection close_all_connections() severed
+        # mid-read, is routine; anything else keeps the default traceback.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
     def close_all_connections(self) -> None:
         with self._connections_lock:
             connections = list(self._open_connections)
@@ -393,27 +235,45 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
                 pass  # the peer already hung up
 
 
-class ExpansionHTTPServer:
-    """Owns the listening socket and (optionally) a background serving thread."""
+class HttpFront:
+    """Binding, the serve thread, shutdown, and the HTTP plumbing of every
+    request, shared by the worker and the gateway.
+
+    The constructor binds ``(host, port)`` (port 0 picks a free one), so a
+    port clash raises before a subclass starts any background work.  A
+    subclass implements :meth:`respond` and releases what it owns in
+    :meth:`_release`.
+    """
+
+    #: the ``Server`` header's product token.
+    server_version = "repro-serve/1.0"
+    #: name of the :meth:`start` thread.
+    thread_name = "repro-serve"
 
     def __init__(
         self,
-        service: ExpansionService,
-        host: str | None = None,
-        port: int | None = None,
+        host: str,
+        port: int,
+        access_log: logging.Logger | None = None,
         verbose: bool = False,
     ):
-        host = host if host is not None else service.config.host
-        port = port if port is not None else service.config.port
-        self.service = service
         self._httpd = _TrackingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._httpd.api = apiv1.ApiV1(service)  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
+        self._httpd.front = self  # type: ignore[attr-defined]
+        #: where access-log lines go; ``None`` keeps the access log off.
+        self.access_log = access_log
+        #: keep http.server's own per-request stderr lines.
+        self.verbose = verbose
         self._thread: threading.Thread | None = None
         self._serving = False
 
+    def respond(self, request: Request) -> Reply:
+        """Answer one request on its handler thread."""
+        raise NotImplementedError
+
+    def _release(self) -> None:
+        """Release what the subclass owns, once serving has stopped."""
+
+    # -- lifecycle ---------------------------------------------------------------
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` — useful with an ephemeral port 0."""
@@ -425,11 +285,11 @@ class ExpansionHTTPServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "ExpansionHTTPServer":
+    def start(self):
         """Serve on a daemon thread and return immediately (test/embedded use)."""
         self._serving = True
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
+            target=self._httpd.serve_forever, name=self.thread_name, daemon=True
         )
         self._thread.start()
         return self
@@ -440,9 +300,11 @@ class ExpansionHTTPServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
+        """Stop serving: wake the serve loop, sever live connections, close
+        the listening socket, then release the subclass's resources."""
         if self._serving:
             # socketserver's shutdown() waits for a running serve loop to
-            # exit, so on a never-started server it would block forever.
+            # exit, so on a never-started front it would block forever.
             self._serving = False
             stop_serve_loop(self._httpd)
         self._httpd.close_all_connections()
@@ -450,11 +312,162 @@ class ExpansionHTTPServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._httpd.server_close()
-        self._httpd.api.close()  # type: ignore[attr-defined]
-        self.service.close()
+        self._release()
 
-    def __enter__(self) -> "ExpansionHTTPServer":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+    def _log_access(self, request: Request, reply: Reply, started: float) -> None:
+        if self.access_log is None:
+            return
+        line = {
+            "request_id": reply.headers[REQUEST_ID_HEADER],
+            "method": request.verb,
+            "route": request.path,
+            "status": reply.status,
+            "latency_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            **reply.log_fields,
+        }
+        # only stamped on traced requests, keeping the untraced line's
+        # exact key set (pinned by wire-shape tests) unchanged.
+        trace_id = reply.headers.get(TRACE_ID_HEADER)
+        if trace_id is not None:
+            line["trace_id"] = trace_id
+        self.access_log.info("%s", json.dumps(line, sort_keys=True))
+
+
+class ExpansionHTTPServer(HttpFront):
+    """One worker: the v1 API of one :class:`ExpansionService` over HTTP."""
+
+    def __init__(
+        self,
+        service: ExpansionService,
+        host: str | None = None,
+        port: int | None = None,
+        verbose: bool = False,
+    ):
+        super().__init__(
+            host if host is not None else service.config.host,
+            port if port is not None else service.config.port,
+            access_log=access_logger if service.config.access_log else None,
+            verbose=verbose,
+        )
+        self.service = service
+        self.api = apiv1.ApiV1(service)
+
+    def respond(self, request: Request) -> Reply:
+        verb, path = request.verb, request.path
+        if verb == "GET" and path == "/v1/metrics":
+            return Reply(
+                200,
+                self.service.metrics.render_prometheus().encode("utf-8"),
+                content_type=PROMETHEUS_CONTENT_TYPE,
+                log_fields={"cached": None},
+            )
+
+        # The front door: authenticate + charge quota before reading the
+        # body or dispatching.  Liveness probes stay exempt (a throttled
+        # worker must not look dead to its pool), and /v1/metrics returned
+        # above so scrapes never burn tenant quota.
+        gate = self.service.gate
+        gate_error: "apiv1.ApiResult | None" = None
+        tenant: str | None = None
+        if gate is not None and not (verb == "GET" and path == "/v1/healthz"):
+            try:
+                tenant = gate.check(
+                    request.header(API_KEY_HEADER), operation_for(verb, path)
+                )
+            except ReproError as exc:
+                status, error = error_payload(exc)
+                gate_error = apiv1.ApiResult(status=status, error=error)
+        elif gate is None:
+            # Behind a cluster gateway the worker runs open; it honors the
+            # gateway's forwarded tenant (syntactically validated) so
+            # per-tenant metrics attribute correctly fleet-wide.
+            hint = request.header(TENANT_HEADER)
+            if is_valid_tenant_id(hint):
+                tenant = hint
+
+        # Trace continuation/creation: a gateway hop carries a sampled
+        # ``traceparent`` we must continue under the same trace_id; a
+        # front-line worker makes its own head-sampling decision (or traces
+        # anyway when a slow-query threshold might want the spans).
+        context = parse_traceparent(request.headers.get(TRACEPARENT_HEADER))
+        collector = self.service.traces
+        trace: Trace | None = None
+        if context is not None and context.sampled:
+            trace = Trace(
+                request_id=request.request_id,
+                trace_id=context.trace_id,
+                parent_span_id=context.span_id,
+            )
+            trace.sampled = True
+        elif collector is not None:
+            sampled = collector.sample()
+            if sampled or collector.slow_ms is not None:
+                trace = Trace(request_id=request.request_id)
+                trace.sampled = sampled
+
+        # The resolved tenant (and trace) ride contextvars through dispatch
+        # so deeper layers (spans, metric labels) can recover them unplumbed.
+        with tenant_scope(tenant):
+            if trace is not None:
+                with activate(trace):
+                    result = gate_error or self._dispatch(request)
+            else:
+                result = gate_error or self._dispatch(request)
+        headers: dict[str, str] = {}
+        retry_after = ((result.error or {}).get("details") or {}).get("retry_after")
+        if retry_after is not None:
+            # integral delta-seconds, rounded up (RFC 9110); the exact float
+            # rides in the error payload's details.retry_after.
+            headers["Retry-After"] = retry_after_header(retry_after)
+        if trace is not None:
+            headers[TRACE_ID_HEADER] = trace.trace_id
+            if context is not None:
+                # remote hop: return this worker's span fragment so the
+                # gateway can graft it into its joined trace.
+                headers[TRACE_SPANS_HEADER] = json.dumps(
+                    {"trace_id": trace.trace_id, "spans": trace.to_span_dicts()},
+                    separators=(",", ":"),
+                )
+        return Reply(
+            result.status,
+            json.dumps(apiv1.render_v1_body(result, request.request_id)).encode("utf-8"),
+            headers,
+            log_fields={"cached": result.cached},
+        )
+
+    def _dispatch(self, request: Request) -> "apiv1.ApiResult":
+        """Resolve the route, then read the body (POST), then dispatch.
+
+        Routing comes first so an unknown path is a deterministic 404
+        regardless of what (or whether) a body was sent."""
+        verb, path = request.verb, request.path
+        if not self.api.resolves(verb, path):
+            return apiv1.ApiResult(status=404, error=route_not_found_payload(path))
+        payload = None
+        if verb == "POST":
+            try:
+                payload = _read_json(request)
+            except ReproError as exc:
+                status, error = error_payload(exc)
+                return apiv1.ApiResult(status=status, error=error)
+        return self.api.dispatch(verb, path, payload, query=request.query)
+
+    def _release(self) -> None:
+        self.api.close()
+        self.service.close()
+
+
+def _read_json(request: Request):
+    raw = request.read_body()
+    if not raw:
+        raise ReproError("request body is empty")
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ReproError(f"request body is not valid JSON: {exc}") from exc

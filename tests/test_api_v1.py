@@ -168,10 +168,15 @@ class TestExpandOptions:
             ExpandOptions.from_dict(payload)
 
     def test_request_rejects_mixed_option_spellings(self):
-        with pytest.raises(ServiceError):
-            ExpandRequest.from_dict(
-                {"method": "m", "query_id": "q", "top_k": 5, "options": {"top_k": 5}}
-            )
+        """Serving options live only under "options": the pre-v1 top-level
+        top_k/use_cache are unknown fields, alone or beside "options"."""
+        for top_level in (
+            {"top_k": 5},
+            {"use_cache": False},
+            {"top_k": 5, "options": {"top_k": 5}},
+        ):
+            with pytest.raises(ServiceError, match="unknown request fields"):
+                ExpandRequest.from_dict({"method": "m", "query_id": "q", **top_level})
 
     def test_request_rejects_boolean_ids_and_top_k(self):
         """Satellite: int(True) == 1 must not smuggle booleans into ids."""

@@ -4,8 +4,7 @@ The same :class:`ExpansionService` is served to an in-process client and,
 through :class:`ExpansionHTTPServer`, to an HTTP client — the two must be
 indistinguishable: same responses, same exception classes, same envelopes.
 A separate flaky stdlib server exercises the HTTP transport's bounded
-retry-on-retryable behaviour, and the legacy ``POST /expand`` wire shape is
-pinned exactly so pre-v1 callers keep working.
+retry-on-retryable behaviour.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -31,6 +28,7 @@ from repro.exceptions import (
     UnknownMethodError,
 )
 from repro.serve import ExpandOptions, ExpandRequest, ExpansionHTTPServer, ExpansionService
+from repro.serve.server import stop_serve_loop
 from repro.types import ExpansionResult
 
 
@@ -73,7 +71,7 @@ def service(tiny_dataset):
 def server(service):
     server = ExpansionHTTPServer(service, port=0).start()
     yield server
-    server._httpd.shutdown()  # keep the shared service alive for other tests
+    stop_serve_loop(server._httpd)  # keep the shared service alive for other tests
     server._httpd.server_close()
 
 
@@ -287,7 +285,7 @@ class _FlakyScript:
         )
 
         def shutdown():
-            httpd.shutdown()
+            stop_serve_loop(httpd)
             httpd.server_close()
 
         return transport, shutdown
@@ -483,54 +481,3 @@ class TestFitCancellation:
 
         with pytest.raises(JobNotFoundError):
             http_client.cancel_fit("fit-nope")
-
-
-class TestLegacyBackCompat:
-    """Pin the pre-v1 wire shapes so existing callers keep working."""
-
-    def test_legacy_expand_wire_shape_is_pinned(self, server, tiny_dataset):
-        query = tiny_dataset.queries[0]
-        body = json.dumps(
-            {"method": "stub", "query_id": query.query_id, "top_k": 5}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            server.url + "/expand",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            assert response.status == 200
-            assert response.headers.get("Deprecation") == "true"
-            payload = json.loads(response.read())
-        # exact pre-v1 shape: no envelope, these keys and only these keys.
-        assert set(payload) == {
-            "method", "query_id", "top_k", "ranking", "cached", "latency_ms",
-        }
-        assert payload["method"] == "stub"
-        assert payload["top_k"] == 5
-        assert len(payload["ranking"]) == 5
-        assert all(
-            set(item) == {"entity_id", "name", "score"} for item in payload["ranking"]
-        )
-        assert isinstance(payload["cached"], bool)
-
-    def test_legacy_error_shape_is_pinned(self, server):
-        request = urllib.request.Request(
-            server.url + "/expand",
-            data=json.dumps({"method": "nope", "query_id": "q"}).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as exc:
-            urllib.request.urlopen(request, timeout=10)
-        assert exc.value.code == 404
-        payload = json.loads(exc.value.read())
-        assert set(payload) == {"error", "message"}
-        assert payload["error"] == "UnknownMethodError"
-
-    def test_legacy_get_routes_delegate_to_v1(self, server):
-        for path in ("/healthz", "/methods", "/stats"):
-            with urllib.request.urlopen(server.url + path, timeout=10) as response:
-                assert response.status == 200
-                assert response.headers.get("Deprecation") == "true"
-                payload = json.loads(response.read())
-            assert "api_version" not in payload

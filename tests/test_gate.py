@@ -437,7 +437,11 @@ class TestGatedServer:
             gated_server,
             "POST",
             "/v1/expand",
-            {"method": "stub", "query_id": tiny_dataset.queries[0].query_id, "top_k": 5},
+            {
+                "method": "stub",
+                "query_id": tiny_dataset.queries[0].query_id,
+                "options": {"top_k": 5},
+            },
             headers={API_KEY_HEADER: ACME_KEY},
         )
         assert status == 200

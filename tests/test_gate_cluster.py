@@ -109,7 +109,7 @@ def expand_payload(tiny_dataset, index=0):
     return {
         "method": STUB_METHODS[index % len(STUB_METHODS)],
         "query_id": tiny_dataset.queries[index % len(tiny_dataset.queries)].query_id,
-        "top_k": 5,
+        "options": {"top_k": 5},
     }
 
 

@@ -1,0 +1,235 @@
+"""One HTTP contract for both serving tiers.
+
+The worker (:class:`ExpansionHTTPServer`) and the gateway
+(:class:`ClusterGateway`) share one HTTP front (:class:`HttpFront`), so the
+HTTP mechanics — request ids, body limits, error replies, unknown routes and
+shutdown — are checked once against each tier.  The last tests check that a
+front starts no background work when its port is taken, and that shutting a
+worker and gateway down leaves no threads or sockets behind.
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+import os
+import socket
+import threading
+import time
+from http.server import BaseHTTPRequestHandler
+
+import pytest
+
+from repro.client import ExpansionClient
+from repro.cluster import ClusterConfig, ClusterGateway
+from repro.config import ServiceConfig
+from repro.core.base import Expander
+from repro.serve import ExpansionHTTPServer, ExpansionService
+from repro.serve.server import MAX_BODY_BYTES, _TrackingHTTPServer
+from repro.types import ExpansionResult
+
+TIERS = ("worker", "gateway")
+
+
+class StubExpander(Expander):
+    name = "stub"
+
+    def _expand(self, query, top_k):
+        scored = [(eid, 1.0 / (1.0 + eid)) for eid in self.candidate_ids(query)]
+        return ExpansionResult.from_scores(query.query_id, scored)
+
+
+def make_worker(dataset) -> ExpansionHTTPServer:
+    service = ExpansionService(
+        dataset,
+        config=ServiceConfig(port=0),
+        factories={"stub": lambda _resources: StubExpander()},
+    )
+    return ExpansionHTTPServer(service, port=0).start()
+
+
+def make_gateway(dataset, worker: ExpansionHTTPServer) -> ClusterGateway:
+    return ClusterGateway(
+        [("worker-0", worker.url)], fingerprint=dataset.fingerprint(), port=0
+    ).start()
+
+
+@pytest.fixture(scope="module")
+def tiers(tiny_dataset):
+    worker = make_worker(tiny_dataset)
+    gateway = make_gateway(tiny_dataset, worker)
+    yield {"worker": worker, "gateway": gateway}
+    gateway.shutdown()
+    worker.shutdown()
+
+
+@pytest.fixture(params=TIERS)
+def front(request, tiers):
+    return tiers[request.param]
+
+
+def call(front, verb, path, body=None, headers=None):
+    """One request on a fresh connection: (status, headers, JSON body)."""
+    connection = http.client.HTTPConnection(*front.address, timeout=10)
+    try:
+        connection.request(verb, path, body=body, headers=headers or {})
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHttpContract:
+    def test_valid_request_id_is_echoed(self, front):
+        status, headers, payload = call(
+            front, "GET", "/v1/healthz", headers={"X-Request-Id": "client-42.a_b"}
+        )
+        assert status == 200
+        assert headers["X-Request-Id"] == payload["request_id"] == "client-42.a_b"
+
+    @pytest.mark.parametrize("bad_id", ["not ok!", "x" * 129])
+    def test_malformed_request_id_is_replaced(self, front, bad_id):
+        status, headers, payload = call(
+            front, "GET", "/v1/healthz", headers={"X-Request-Id": bad_id}
+        )
+        assert status == 200
+        assert payload["request_id"].startswith("req-")
+        assert headers["X-Request-Id"] == payload["request_id"]
+
+    @pytest.mark.parametrize("length", ["abc", str(MAX_BODY_BYTES + 1)])
+    def test_bad_content_length_is_400_invalid_request(self, front, length):
+        status, headers, payload = call(
+            front, "POST", "/v1/expand", headers={"Content-Length": length}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert headers["X-Request-Id"] == payload["request_id"]
+
+    def test_error_reply_closes_the_connection(self, front):
+        status, headers, payload = call(
+            front,
+            "POST",
+            "/v1/expand",
+            body=b"{broken",
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "verb, path",
+        [("GET", "/v1/nothing"), ("GET", "/healthz"), ("POST", "/expand")],
+    )
+    def test_unknown_route_is_an_enveloped_404(self, front, verb, path):
+        status, headers, payload = call(front, verb, path)
+        assert status == 404
+        assert payload["api_version"] == "v1"
+        assert payload["error"]["code"] == "not_found"
+        assert headers["X-Request-Id"] == payload["request_id"]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_shutdown_severs_open_keep_alive_connections(tiny_dataset, tier):
+    """A stopped front must not keep answering on a connection a client
+    still holds: the next request on it fails instead of getting a 200."""
+    worker = make_worker(tiny_dataset)
+    front = make_gateway(tiny_dataset, worker) if tier == "gateway" else worker
+    connection = http.client.HTTPConnection(*front.address, timeout=10)
+    try:
+        connection.request("GET", "/v1/methods")
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        assert not response.will_close
+        front.shutdown()
+        with pytest.raises(ConnectionError):
+            connection.request("GET", "/v1/methods")
+            connection.getresponse()
+    finally:
+        connection.close()
+        for server in {front, worker}:
+            server.shutdown()  # a second shutdown is a no-op
+
+
+def test_severed_connections_stay_quiet(capsys):
+    """A peer hang-up (or a connection shutdown severed) prints no
+    traceback; any other handler failure keeps socketserver's report."""
+    httpd = _TrackingHTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
+    try:
+        for error, reported in ((ConnectionResetError(), False), (ValueError(), True)):
+            try:
+                raise error
+            except Exception:
+                httpd.handle_error(None, ("127.0.0.1", 0))
+            assert ("Traceback" in capsys.readouterr().err) is reported
+    finally:
+        httpd.server_close()
+
+
+def test_port_clash_starts_no_background_work(tiny_dataset):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        before = set(threading.enumerate())
+        with pytest.raises(OSError):
+            ClusterGateway(
+                [("worker-0", "http://127.0.0.1:9")],
+                config=ClusterConfig(
+                    gateway_exporter="statsd", gateway_exporter_target="127.0.0.1:9"
+                ),
+                fingerprint=tiny_dataset.fingerprint(),
+                host="127.0.0.1",
+                port=taken.getsockname()[1],
+            )
+        assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
+def _open_fds() -> set[str]:
+    """What each open descriptor points at (a socket's target names its
+    inode, so a leaked socket shows up even when its number is reused)."""
+    targets = set()
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            targets.add(os.readlink(f"/proc/self/fd/{name}"))
+        except OSError:
+            pass  # closed meanwhile (the listing's own descriptor, say)
+    return targets
+
+
+def _settles(condition, timeout: float = 10.0) -> bool:
+    """Whether ``condition()`` holds within ``timeout`` (a liveness bound:
+    threads and sockets are released asynchronously after shutdown)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_shutdown_leaves_no_threads_or_sockets(tiny_dataset):
+    threads_before = set(threading.enumerate())
+    fds_before = _open_fds()
+    worker = make_worker(tiny_dataset)
+    gateway = make_gateway(tiny_dataset, worker)
+    client = ExpansionClient.connect(gateway.url)
+    queries = tiny_dataset.queries[:3]
+    for _ in range(2):  # a miss, then a cache hit, on one kept-alive socket
+        response = client.expand("stub", query_id=queries[0].query_id, top_k=5)
+        assert len(response.ranking) == 5
+    results = client.expand_batch(
+        [{"method": "stub", "query_id": query.query_id} for query in queries]
+    )
+    assert not [result for result in results if isinstance(result, Exception)]
+    # shut both tiers down while the client still holds its keep-alive socket.
+    gateway.shutdown()
+    worker.shutdown()
+
+    def leftover_threads():
+        return [t.name for t in threading.enumerate() if t not in threads_before]
+
+    assert _settles(lambda: not leftover_threads()), leftover_threads()
+    client.close()
+    assert _settles(lambda: _open_fds() <= fds_before), _open_fds() - fds_before

@@ -312,21 +312,15 @@ class TestClusterTelemetryExport:
             sink.close()
 
 
-def _await_log_lines(caplog, logger_name: str, request_id: str, timeout: float = 5.0):
-    """JSON records from ``logger_name``, waiting until one carries
-    ``request_id`` (access logs land just after the response does)."""
-    deadline = time.monotonic() + timeout
-    while True:
-        lines = [
-            json.loads(record.message)
-            for record in caplog.records
-            if record.name == logger_name
-        ]
-        if any(line.get("request_id") == request_id for line in lines):
-            return lines
-        if time.monotonic() >= deadline:
-            return lines
-        time.sleep(0.01)
+def _log_lines(caplog, logger_name: str) -> list[dict]:
+    """JSON records from ``logger_name``.  Each tier writes its access-log
+    line before its reply goes out, so a client holding the gateway's reply
+    already finds the worker's and the gateway's lines."""
+    return [
+        json.loads(record.message)
+        for record in caplog.records
+        if record.name == logger_name
+    ]
 
 
 class TestRequestIdCorrelation:
@@ -343,14 +337,8 @@ class TestRequestIdCorrelation:
                     {"method": STUB_METHODS[0], "query_id": query_id},
                     headers={"X-Request-Id": client_id},
                 )
-                # access logs land just after the response bytes do, on the
-                # handler threads — wait for them inside the capture window.
-                worker_lines = _await_log_lines(
-                    caplog, "repro.serve.access", client_id
-                )
-                gateway_lines = _await_log_lines(
-                    caplog, "repro.cluster.access", client_id
-                )
+                worker_lines = _log_lines(caplog, "repro.serve.access")
+                gateway_lines = _log_lines(caplog, "repro.cluster.access")
         assert status == 200
         assert envelope["request_id"] == client_id
         assert headers["X-Request-Id"] == client_id
@@ -389,7 +377,7 @@ class TestRequestIdCorrelation:
                 {"requests": requests},
                 headers={"X-Request-Id": client_id},
             )
-            worker_lines = _await_log_lines(caplog, "repro.serve.access", client_id)
+            worker_lines = _log_lines(caplog, "repro.serve.access")
         assert status == 200
         assert envelope["request_id"] == client_id
         batch_lines = [

@@ -37,6 +37,7 @@ from repro.obs.progress import (
 )
 from repro.obs.slowlog import SlowQueryLog
 from repro.serve import ExpandRequest, ExpansionService
+from repro.serve.server import stop_serve_loop
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -339,7 +340,7 @@ class TestJsonHttpExporter:
             finally:
                 exporter.shutdown()
         finally:
-            server.shutdown()
+            stop_serve_loop(server)
             server.server_close()
             thread.join(timeout=5.0)
         assert len(server.received) >= 1

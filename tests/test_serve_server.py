@@ -54,20 +54,21 @@ def post(server, path, payload):
 
 class TestEndpoints:
     def test_healthz(self, server):
-        status, payload = get(server, "/healthz")
+        status, payload = get(server, "/v1/healthz")
         assert status == 200
-        assert payload == {"status": "ok"}
+        assert payload["data"] == {"status": "ok"}
 
     def test_methods_lists_the_registry(self, server):
-        status, payload = get(server, "/methods")
+        status, payload = get(server, "/v1/methods")
         assert status == 200
-        assert {row["method"] for row in payload["methods"]} == {"stub"}
+        assert {row["method"] for row in payload["data"]["methods"]} == {"stub"}
 
     def test_expand_round_trip_and_cache_hit(self, server, tiny_dataset):
         query = tiny_dataset.queries[0]
-        body = {"method": "stub", "query_id": query.query_id, "top_k": 10}
+        body = {"method": "stub", "query_id": query.query_id, "options": {"top_k": 10}}
 
-        status, first = post(server, "/expand", body)
+        status, payload = post(server, "/v1/expand", body)
+        first = payload["data"]
         assert status == 200
         assert first["cached"] is False
         assert first["query_id"] == query.query_id
@@ -75,20 +76,21 @@ class TestEndpoints:
         returned = {item["entity_id"] for item in first["ranking"]}
         assert not returned & set(query.seed_ids())
 
-        hits_before = get(server, "/stats")[1]["cache"]["hits"]
-        status, second = post(server, "/expand", body)
+        hits_before = get(server, "/v1/stats")[1]["data"]["cache"]["hits"]
+        status, payload = post(server, "/v1/expand", body)
+        second = payload["data"]
         assert status == 200
         assert second["cached"] is True
         assert [i["entity_id"] for i in second["ranking"]] == [
             i["entity_id"] for i in first["ranking"]
         ]
-        assert get(server, "/stats")[1]["cache"]["hits"] == hits_before + 1
+        assert get(server, "/v1/stats")[1]["data"]["cache"]["hits"] == hits_before + 1
 
     def test_stats_shape(self, server):
-        status, payload = get(server, "/stats")
+        status, payload = get(server, "/v1/stats")
         assert status == 200
-        assert set(payload) == {"service", "cache", "registry", "jobs"}
-        assert payload["service"]["requests"] >= 1
+        assert set(payload["data"]) == {"service", "cache", "registry", "jobs"}
+        assert payload["data"]["service"]["requests"] >= 1
 
     def test_concurrent_http_clients(self, server, tiny_dataset):
         from concurrent.futures import ThreadPoolExecutor
@@ -99,14 +101,14 @@ class TestEndpoints:
                 pool.map(
                     lambda q: post(
                         server,
-                        "/expand",
-                        {"method": "stub", "query_id": q.query_id, "top_k": 5},
+                        "/v1/expand",
+                        {"method": "stub", "query_id": q.query_id, "options": {"top_k": 5}},
                     ),
                     queries,
                 )
             )
         assert all(status == 200 for status, _ in results)
-        assert {payload["query_id"] for _, payload in results} == {
+        assert {payload["data"]["query_id"] for _, payload in results} == {
             q.query_id for q in queries
         }
 
@@ -115,29 +117,29 @@ class TestErrorMapping:
     def test_unknown_method_is_404(self, server, tiny_dataset):
         status, payload = post(
             server,
-            "/expand",
+            "/v1/expand",
             {"method": "nope", "query_id": tiny_dataset.queries[0].query_id},
         )
         assert status == 404
-        assert payload["error"] == "UnknownMethodError"
+        assert payload["error"]["error"] == "UnknownMethodError"
 
     def test_unknown_class_is_404(self, server):
         status, payload = post(
             server,
-            "/expand",
+            "/v1/expand",
             {"method": "stub", "class_id": "no-such-class", "positive_seed_ids": [0]},
         )
         assert status == 404
-        assert payload["error"] == "DatasetError"
+        assert payload["error"]["error"] == "DatasetError"
 
     def test_unknown_query_id_is_404(self, server):
-        status, _ = post(server, "/expand", {"method": "stub", "query_id": "missing"})
+        status, _ = post(server, "/v1/expand", {"method": "stub", "query_id": "missing"})
         assert status == 404
 
     def test_malformed_json_is_400(self, server):
-        status, payload = post(server, "/expand", b"{not json")
+        status, payload = post(server, "/v1/expand", b"{not json")
         assert status == 400
-        assert "JSON" in payload["message"]
+        assert "JSON" in payload["error"]["message"]
 
     def test_non_numeric_content_length_is_400(self, server):
         import http.client
@@ -145,17 +147,18 @@ class TestErrorMapping:
         host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
-            connection.putrequest("POST", "/expand")
+            connection.putrequest("POST", "/v1/expand")
             connection.putheader("Content-Length", "abc")
             connection.endheaders()
             response = connection.getresponse()
             assert response.status == 400
-            assert json.loads(response.read())["message"].startswith("Content-Length")
+            error = json.loads(response.read())["error"]
+            assert error["message"].startswith("Content-Length")
         finally:
             connection.close()
 
     def test_error_responses_close_the_connection(self, server):
-        status, _ = post(server, "/expand", b"{not json")
+        status, _ = post(server, "/v1/expand", b"{not json")
         assert status == 400
         # header check via a raw connection
         import http.client
@@ -164,7 +167,10 @@ class TestErrorMapping:
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.request(
-                "POST", "/expand", body=b"{broken", headers={"Content-Type": "application/json"}
+                "POST",
+                "/v1/expand",
+                body=b"{broken",
+                headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
             assert response.status == 400
@@ -175,11 +181,11 @@ class TestErrorMapping:
     def test_invalid_request_fields_are_400(self, server, tiny_dataset):
         status, _ = post(
             server,
-            "/expand",
+            "/v1/expand",
             {
                 "method": "stub",
                 "query_id": tiny_dataset.queries[0].query_id,
-                "top_k": -3,
+                "options": {"top_k": -3},
             },
         )
         assert status == 400
@@ -263,22 +269,6 @@ class TestV1Endpoints:
             finally:
                 connection.close()
 
-    def test_legacy_expand_accepts_truthy_use_cache(self, server, tiny_dataset):
-        """The pre-v1 parser coerced use_cache with bool(); keep that exact
-        behaviour on the deprecated route (v1 options stay strictly typed)."""
-        status, payload = post(
-            server,
-            "/expand",
-            {
-                "method": "stub",
-                "query_id": tiny_dataset.queries[0].query_id,
-                "top_k": 5,
-                "use_cache": 0,
-            },
-        )
-        assert status == 200
-        assert payload["cached"] is False
-
     def test_unknown_v1_route_is_an_enveloped_404(self, server):
         try:
             urllib.request.urlopen(server.url + "/v1/nothing", timeout=10)
@@ -300,26 +290,24 @@ def test_access_log_emits_structured_lines(tiny_dataset, caplog):
     query = tiny_dataset.queries[0]
     with caplog.at_level(logging.INFO, logger="repro.serve.access"):
         with ExpansionHTTPServer(service, port=0).start() as server:
-            get(server, "/healthz")
+            get(server, "/v1/healthz")
             post(
                 server,
                 "/v1/expand",
-                {"method": "stub", "query_id": query.query_id, "top_k": 5},
+                {"method": "stub", "query_id": query.query_id, "options": {"top_k": 5}},
             )
     lines = [json.loads(record.getMessage()) for record in caplog.records
              if record.name == "repro.serve.access"]
     assert len(lines) == 2
-    legacy, expand = lines
+    health, expand = lines
     for line in lines:
         assert set(line) == {
-            "request_id", "method", "route", "status", "latency_ms",
-            "cached", "deprecated",
+            "request_id", "method", "route", "status", "latency_ms", "cached",
         }
         assert line["request_id"].startswith("req-")
         assert line["status"] == 200
         assert line["latency_ms"] >= 0.0
-    assert legacy["route"] == "/healthz"
-    assert legacy["deprecated"] is True
+    assert health["route"] == "/v1/healthz"
     assert expand["route"] == "/v1/expand"
     assert expand["method"] == "POST"
     assert expand["cached"] is False
@@ -333,7 +321,7 @@ def test_access_log_is_off_by_default(tiny_dataset, caplog):
     )
     with caplog.at_level(logging.INFO, logger="repro.serve.access"):
         with ExpansionHTTPServer(service, port=0).start() as server:
-            get(server, "/healthz")
+            get(server, "/v1/healthz")
     assert not [r for r in caplog.records if r.name == "repro.serve.access"]
 
 
@@ -344,7 +332,7 @@ def test_server_shutdown_closes_the_service(tiny_dataset):
         factories={"stub": lambda _resources: StubExpander()},
     )
     server = ExpansionHTTPServer(service, port=0).start()
-    assert get(server, "/healthz")[0] == 200
+    assert get(server, "/v1/healthz")[0] == 200
     server.shutdown()
     with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
-        urllib.request.urlopen(server.url + "/healthz", timeout=1)
+        urllib.request.urlopen(server.url + "/v1/healthz", timeout=1)

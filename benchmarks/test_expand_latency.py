@@ -28,7 +28,7 @@ from repro.cluster import ClusterConfig, ClusterGateway
 from repro.config import DatasetConfig, ServiceConfig
 from repro.core.base import Expander
 from repro.dataset.builder import build_dataset
-from repro.retrieval import CandidateMatrix, PartitionedIndex, RetrievalProfile
+from repro.retrieval import CandidateMatrix, PartitionedIndex
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
 
@@ -95,10 +95,10 @@ def _exact_top_k(matrix, query, seeds):
     return top[np.argsort(-scores[top])].tolist()
 
 
-def _ann_top_k(matrix, query, seeds, profile):
+def _ann_top_k(matrix, query, seeds):
     """(top ids, rows re-scored exactly) for one probed query."""
     shortlist = matrix.shortlist(
-        None, query, profile, required=TOP_K + len(seeds), exclude=seeds
+        query, required=TOP_K + len(seeds), exclude=seeds, nprobe=BENCH_NPROBE
     )
     scores = matrix.rows(shortlist) @ query
     top = np.argpartition(-scores, min(TOP_K, len(shortlist) - 1))[:TOP_K]
@@ -107,9 +107,8 @@ def _ann_top_k(matrix, query, seeds, profile):
 
 def run_ann_benchmark() -> dict:
     matrix, queries = _build_workload()
-    profile = RetrievalProfile(ann="on", nprobe=BENCH_NPROBE)
     _exact_top_k(matrix, *queries[0])
-    _ann_top_k(matrix, *queries[0], profile)  # warm both paths
+    _ann_top_k(matrix, *queries[0])  # warm both paths
 
     exact_times, exact_results = [], []
     for query, seeds in queries:
@@ -120,7 +119,7 @@ def run_ann_benchmark() -> dict:
     ann_times, ann_results, rows_scored = [], [], []
     for query, seeds in queries:
         started = time.perf_counter()
-        top, rows = _ann_top_k(matrix, query, seeds, profile)
+        top, rows = _ann_top_k(matrix, query, seeds)
         ann_times.append(time.perf_counter() - started)
         ann_results.append(top)
         rows_scored.append(rows)

@@ -48,13 +48,6 @@ def coerce_bool(value: Any, field_name: str) -> bool:
     return value
 
 
-def coerce_str(value: Any, field_name: str) -> str:
-    """``value`` as a str, rejecting everything that is not a JSON string."""
-    if not isinstance(value, str):
-        raise ServiceError(f"{field_name} must be a string, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExpandOptions:
     """How one expansion request should be served."""
@@ -72,12 +65,6 @@ class ExpandOptions:
     #: return per-stage trace timings in a ``debug.timings`` block of the
     #: response (cache lookup, execution, expander stages, ...).
     include_timings: bool = False
-    #: candidate retrieval strategy: ``"auto"`` (probed ANN once the
-    #: vocabulary is large enough), ``"on"`` (force probed retrieval), or
-    #: ``"off"`` (force the exact full-vocabulary scan).
-    ann: str = "auto"
-    #: override the number of probed ANN lists (``None`` = index default).
-    nprobe: int | None = None
 
     def validate(self) -> None:
         if isinstance(self.top_k, bool) or (
@@ -88,21 +75,9 @@ class ExpandOptions:
             raise ServiceError("offset must be a non-negative integer")
         if isinstance(self.limit, bool) or (self.limit is not None and self.limit <= 0):
             raise ServiceError("limit must be a positive integer or null")
-        if self.ann not in ("auto", "on", "off"):
-            raise ServiceError("ann must be one of 'auto', 'on', 'off'")
-        if isinstance(self.nprobe, bool) or (
-            self.nprobe is not None and self.nprobe < 1
-        ):
-            raise ServiceError("nprobe must be a positive integer or null")
 
     def resolved_top_k(self, default: int) -> int:
         return self.top_k if self.top_k is not None else default
-
-    def retrieval_profile(self):
-        """The :class:`~repro.retrieval.RetrievalProfile` these options ask for."""
-        from repro.retrieval import RetrievalProfile
-
-        return RetrievalProfile(ann=self.ann, nprobe=self.nprobe)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExpandOptions":
@@ -124,8 +99,6 @@ class ExpandOptions:
             include_timings=coerce_bool(
                 payload.get("include_timings", False), "include_timings"
             ),
-            ann=coerce_str(payload.get("ann", "auto"), "ann"),
-            nprobe=coerce_optional_int(payload.get("nprobe"), "nprobe", minimum=1),
         )
         options.validate()
         return options
@@ -138,6 +111,4 @@ class ExpandOptions:
             "limit": self.limit,
             "return_names": self.return_names,
             "include_timings": self.include_timings,
-            "ann": self.ann,
-            "nprobe": self.nprobe,
         }

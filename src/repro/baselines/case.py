@@ -7,11 +7,10 @@ sentences and the seed entities' context sentences — with (b) a distributed
 signal — cosine similarity between corpus co-occurrence embeddings.  Like
 SetExpan it only consumes positive seeds.
 
-Hot path: the sliced entity embeddings are stacked once at fit/load time
-into a contiguous :class:`~repro.retrieval.CandidateMatrix`, and the
-distributed scan goes through the shared partitioned ANN index when the
-request's :class:`RetrievalProfile` asks for it (probed shortlist, exact
-re-score; ``ann=off`` keeps the historical ranking bitwise).
+Hot path: the sliced entity embeddings are a
+:class:`~repro.core.dense.DenseRanker` vector space, stacked once at
+fit/load time; from 4,096 entities the distributed scan covers a probed ANN
+shortlist, always re-scored exactly.
 """
 
 from __future__ import annotations
@@ -20,24 +19,24 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.base import Expander
+from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
-from repro.lm.embeddings import CooccurrenceEmbeddings
-from repro.retrieval import CandidateMatrix
-from repro.substrate import ANN_INDEX, COOCCURRENCE_EMBEDDINGS
+from repro.substrate import COOCCURRENCE_EMBEDDINGS
 from repro.text.bm25 import BM25Index
 from repro.text.tokenizer import WordTokenizer
 from repro.types import ExpansionResult, Query
 
 
-class CaSE(Expander):
+class CaSE(DenseRanker):
     """Lexical + distributed one-shot ranking."""
 
     name = "CaSE"
     supports_persistence = True
-    #: v3: the candidate matrix is precomputed and the artifact references a
-    #: partitioned ANN-index substrate alongside the embeddings.
+    #: v3: the candidate matrix is precomputed; the artifact references the
+    #: embeddings, plus a partitioned ANN-index substrate from 4,096
+    #: entities (a smaller vocabulary's index reference, written by older
+    #: builds, is never resolved).
     state_version = 3
 
     def __init__(
@@ -49,43 +48,29 @@ class CaSE(Expander):
         """``distributed_dim`` truncates the entity embeddings: CaSE predates
         large pretrained encoders, so its distributed representations are
         lower-capacity (word2vec-scale) than the ones RetExpan consumes."""
-        super().__init__()
+        super().__init__(resources)
         if not 0.0 <= lexical_weight <= 1.0:
             raise ValueError("lexical_weight must be in [0, 1]")
         if distributed_dim <= 0:
             raise ValueError("distributed_dim must be positive")
         self.lexical_weight = lexical_weight
         self.distributed_dim = distributed_dim
-        self._resources = resources
         self._tokenizer = WordTokenizer()
-        self._embeddings: CooccurrenceEmbeddings | None = None
         self._bm25: BM25Index | None = None
         self._entity_terms: dict[int, list[str]] = {}
-        self._matrix: CandidateMatrix | None = None
 
-    def _ann_params(self) -> dict:
-        return self._resources.ann_index_params(
+    def _vector_space(self) -> VectorSpace:
+        """The PPMI-SVD co-occurrence entity embeddings, truncated."""
+        return VectorSpace(
             COOCCURRENCE_EMBEDDINGS,
             self._resources.cooccurrence_params(),
-            field="entity",
-            dim=self.distributed_dim,
-            normalize=True,
+            "entity",
+            self.distributed_dim,
         )
-
-    def _bind_matrix(self, index) -> None:
-        matrix = CandidateMatrix.from_vectors(
-            self._embeddings.entity_vectors(),
-            dim=self.distributed_dim,
-            normalize=True,
-        )
-        matrix.attach_index(index)
-        self._matrix = matrix
 
     def _fit(self, dataset: UltraWikiDataset) -> None:
-        resources = self._resources or SharedResources(dataset)
-        self._resources = resources
-        self._embeddings = resources.cooccurrence_embeddings()
-        self._bind_matrix(resources.ann_index(self._ann_params()))
+        self._resources = self._resources or SharedResources(dataset)
+        self._bind_vectors()
         self._bm25 = BM25Index()
         self._entity_terms = {}
         for entity in dataset.entities():
@@ -101,16 +86,6 @@ class CaSE(Expander):
             self._bm25.add_document(entity.entity_id, tokens)
 
     # -- persistence ----------------------------------------------------------------
-    def substrate_dependencies(self) -> list[tuple[str, dict]]:
-        """The PPMI-SVD co-occurrence embeddings this fit stands on, plus the
-        partitioned ANN index over them."""
-        if self._resources is None:
-            return []
-        return [
-            (COOCCURRENCE_EMBEDDINGS, self._resources.cooccurrence_params()),
-            (ANN_INDEX, self._ann_params()),
-        ]
-
     def _save_state(self, directory: Path) -> None:
         # The embeddings substrate is *referenced* via the manifest (see
         # substrate_dependencies); only the method-private BM25 term
@@ -126,10 +101,7 @@ class CaSE(Expander):
         from repro.store.serialization import read_json_state
 
         self._resources = self._resources or SharedResources(dataset)
-        self._embeddings = self._resolve_substrate(
-            COOCCURRENCE_EMBEDDINGS, self._resources.cooccurrence_params()
-        )
-        self._bind_matrix(self._resolve_substrate(ANN_INDEX, self._ann_params()))
+        self._bind_vectors()
         terms = read_json_state(directory / "entity_terms.json")
         self._entity_terms = {
             int(entity_id): [str(t) for t in tokens] for entity_id, tokens in terms.items()
@@ -170,23 +142,8 @@ class CaSE(Expander):
         return scores
 
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
-        matrix = self._matrix
         required = max(3 * top_k, 150)
-        probe_seeds = [s for s in query.positive_seed_ids if s in matrix]
-        profile = self.retrieval_profile()
-        if probe_seeds and matrix.wants_probe(profile):
-            # probed mode shortlists straight from the index: no per-query
-            # O(vocab) candidate list, seeds dropped from the probed lists.
-            candidates = matrix.shortlist(
-                None,
-                matrix.rows(probe_seeds).mean(axis=0),
-                profile,
-                required=required,
-                telemetry=self._ann_recorder(),
-                exclude=query.seed_ids(),
-            )
-        else:
-            candidates = self.candidate_ids(query)
+        candidates = self._candidates(query, required)
         distributed = self._distributed_scores(candidates, query.positive_seed_ids)
         # Lexical scoring is restricted to the best distributed candidates for
         # tractability (CaSE itself prunes with an inverted index).

@@ -12,35 +12,33 @@ restricted to the fine-grained level (no attribute reasoning) and the
 class-name guidance is a lexical concept-match between the inferred class
 name and each candidate's context sentences.
 
-Hot path: the entity embeddings are stacked once at fit/load time into a
-contiguous :class:`~repro.retrieval.CandidateMatrix` (no per-query
-``np.stack`` rebuild), and candidate retrieval goes through the shared
-partitioned ANN index when the request's :class:`RetrievalProfile` asks for
-it — the probed shortlist is always re-scored exactly, and ``ann=off``
-reproduces the historical full-scan ranking bitwise.
+Hot path: the sliced entity embeddings are a
+:class:`~repro.core.dense.DenseRanker` vector space, stacked once at
+fit/load time; from 4,096 entities the candidates come from a probed ANN
+shortlist, always re-scored exactly.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.base import Expander
+from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.genexpan.cot import ConceptMatcher
-from repro.lm.embeddings import CooccurrenceEmbeddings
-from repro.retrieval import CandidateMatrix
-from repro.substrate import ANN_INDEX, COOCCURRENCE_EMBEDDINGS
+from repro.substrate import COOCCURRENCE_EMBEDDINGS
 from repro.types import ExpansionResult, Query
 
 
-class CGExpan(Expander):
+class CGExpan(DenseRanker):
     """Class-name guided expansion with positive seeds only."""
 
     name = "CGExpan"
     supports_persistence = True
-    #: v3: the candidate matrix is precomputed and the artifact references a
-    #: partitioned ANN-index substrate alongside the embeddings.
+    #: v3: the candidate matrix is precomputed; the artifact references the
+    #: embeddings, plus a partitioned ANN-index substrate from 4,096
+    #: entities (a smaller vocabulary's index reference, written by older
+    #: builds, is never resolved).
     state_version = 3
 
     def __init__(
@@ -52,55 +50,33 @@ class CGExpan(Expander):
         """``distributed_dim`` truncates the entity embeddings: CGExpan probes a
         frozen BERT rather than fine-tuning it, so its entity representations
         carry less attribute-level detail than RetExpan's refined encoder."""
-        super().__init__()
+        super().__init__(resources)
         if not 0.0 <= class_name_weight <= 1.0:
             raise ValueError("class_name_weight must be in [0, 1]")
         if distributed_dim <= 0:
             raise ValueError("distributed_dim must be positive")
         self.class_name_weight = class_name_weight
         self.distributed_dim = distributed_dim
-        self._resources = resources
-        self._embeddings: CooccurrenceEmbeddings | None = None
         self._concept_matcher: ConceptMatcher | None = None
-        self._matrix: CandidateMatrix | None = None
 
-    def _ann_params(self) -> dict:
-        return self._resources.ann_index_params(
+    def _vector_space(self) -> VectorSpace:
+        """The PPMI-SVD co-occurrence entity embeddings, truncated."""
+        return VectorSpace(
             COOCCURRENCE_EMBEDDINGS,
             self._resources.cooccurrence_params(),
-            field="entity",
-            dim=self.distributed_dim,
-            normalize=True,
+            "entity",
+            self.distributed_dim,
         )
-
-    def _bind_matrix(self, index) -> None:
-        matrix = CandidateMatrix.from_vectors(
-            self._embeddings.entity_vectors(),
-            dim=self.distributed_dim,
-            normalize=True,
-        )
-        matrix.attach_index(index)
-        self._matrix = matrix
 
     def _fit(self, dataset: UltraWikiDataset) -> None:
-        resources = self._resources or SharedResources(dataset)
-        self._resources = resources
-        # Pre-build the expensive shared pieces.
-        self._embeddings = resources.cooccurrence_embeddings()
+        self._bind(dataset)
+
+    def _bind(self, dataset: UltraWikiDataset) -> None:
+        self._resources = self._resources or SharedResources(dataset)
+        self._bind_vectors()
         self._concept_matcher = ConceptMatcher(dataset)
-        self._bind_matrix(resources.ann_index(self._ann_params()))
 
     # -- persistence ----------------------------------------------------------------
-    def substrate_dependencies(self) -> list[tuple[str, dict]]:
-        """The PPMI-SVD co-occurrence embeddings this fit stands on, plus the
-        partitioned ANN index over them."""
-        if self._resources is None:
-            return []
-        return [
-            (COOCCURRENCE_EMBEDDINGS, self._resources.cooccurrence_params()),
-            (ANN_INDEX, self._ann_params()),
-        ]
-
     def _save_state(self, directory: Path) -> None:
         # The embeddings substrate is *referenced* via the manifest (see
         # substrate_dependencies), not embedded; the method artifact carries
@@ -110,17 +86,12 @@ class CGExpan(Expander):
         write_json_state(directory / "cgexpan.json", {"distributed_dim": self.distributed_dim})
 
     def _load_state(self, directory: Path, dataset: UltraWikiDataset) -> None:
-        """Restore the PPMI-SVD embeddings and the ANN index from their shared
-        substrates; the concept matcher and oracle are cheap, dataset-derived
-        pieces and are rebuilt.  The provider caches the restored substrates,
-        so every other embeddings-backed method reuses them instead of
-        refitting."""
-        self._resources = self._resources or SharedResources(dataset)
-        self._embeddings = self._resolve_substrate(
-            COOCCURRENCE_EMBEDDINGS, self._resources.cooccurrence_params()
-        )
-        self._concept_matcher = ConceptMatcher(dataset)
-        self._bind_matrix(self._resolve_substrate(ANN_INDEX, self._ann_params()))
+        """Restore the PPMI-SVD embeddings (and any ANN index) from their
+        shared substrates; the concept matcher and oracle are cheap,
+        dataset-derived pieces and are rebuilt.  The provider caches the
+        restored substrates, so every other embeddings-backed method reuses
+        them instead of refitting."""
+        self._bind(dataset)
 
     def _probe_class_name(self, query: Query) -> str:
         """LM probing for the *fine-grained* class name of the positive seeds.
@@ -140,22 +111,7 @@ class CGExpan(Expander):
             return ExpansionResult(query_id=query.query_id, ranking=())
         seed_matrix = matrix.rows(seed_ids)
         required = max(top_k, 200)
-        profile = self.retrieval_profile()
-        # Ranking by mean cosine to the seeds equals ranking by dot product
-        # with the mean seed vector, so that is the probe query.  Probed mode
-        # shortlists straight from the index (no per-query O(vocab) candidate
-        # list); exact mode keeps the historical scan bitwise intact.
-        if matrix.wants_probe(profile):
-            shortlist = matrix.shortlist(
-                None,
-                seed_matrix.mean(axis=0),
-                profile,
-                required=required,
-                telemetry=self._ann_recorder(),
-                exclude=query.seed_ids(),
-            )
-        else:
-            shortlist = [eid for eid in self.candidate_ids(query) if eid in matrix]
+        shortlist = [eid for eid in self._candidates(query, required) if eid in matrix]
         if not shortlist:
             return ExpansionResult(query_id=query.query_id, ranking=())
         candidate_matrix = matrix.rows(shortlist)

@@ -9,33 +9,32 @@ trails RetExpan on Ultra-ESE (Section VI-B(2)).
 
 The paper also bolts its negative-seed re-ranking module onto ProbExpan for
 the Table IV ablation; the ``use_negative_rerank`` flag reproduces that
-variant ("+ Neg Rerank").
+variant ("+ Neg Rerank").  The distributions are a
+:class:`~repro.core.dense.DenseRanker` vector space.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import EncoderConfig
-from repro.core.base import Expander
-from repro.core.rerank import segmented_rerank
+from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError
 from repro.retexpan.expansion import matrix_similarity_scores, top_k_expansion
-from repro.retrieval import CandidateMatrix
-from repro.substrate import ANN_INDEX, ENTITY_REPRESENTATIONS
+from repro.substrate import ENTITY_REPRESENTATIONS
 from repro.types import ExpansionResult, Query
 
 
-class ProbExpan(Expander):
+class ProbExpan(DenseRanker):
     """Distribution-representation retrieval baseline."""
 
     supports_persistence = True
-    #: v3: the (normalized) distribution candidate matrix is precomputed and
-    #: the artifact references a partitioned ANN-index substrate.
+    #: v3: the (normalized) distribution candidate matrix is precomputed; the
+    #: artifact references the entity representations, plus a partitioned
+    #: ANN-index substrate from 4,096 entities (a smaller vocabulary's index
+    #: reference, written by older builds, is never resolved).
     state_version = 3
 
     def __init__(
@@ -47,57 +46,36 @@ class ProbExpan(Expander):
         resources: SharedResources | None = None,
         name: str | None = None,
     ):
-        super().__init__()
+        super().__init__(resources)
         self.encoder_config = encoder_config or EncoderConfig()
         self.use_negative_rerank = use_negative_rerank
         self.expansion_size = expansion_size
         self.segment_length = segment_length
-        self._resources = resources
-        self._vectors: dict[int, np.ndarray] = {}
-        self._matrix: CandidateMatrix | None = None
         if name is not None:
             self.name = name
         else:
             self.name = "ProbExpan + Neg Rerank" if use_negative_rerank else "ProbExpan"
 
-    def _ann_params(self) -> dict:
-        return self._resources.ann_index_params(
+    def _vector_space(self) -> VectorSpace:
+        """The mask distributions of the trained entity representations."""
+        return VectorSpace(
             ENTITY_REPRESENTATIONS,
             self._resources.entity_representation_params(trained=True),
-            field="distribution",
-            normalize=True,
+            "distribution",
         )
-
-    def _bind_matrix(self, index) -> None:
-        matrix = CandidateMatrix.from_vectors(self._vectors, normalize=True)
-        matrix.attach_index(index)
-        self._matrix = matrix
 
     def _fit(self, dataset: UltraWikiDataset) -> None:
-        resources = self._resources or SharedResources(
+        self._bind(dataset)
+
+    def _bind(self, dataset: UltraWikiDataset) -> None:
+        self._resources = self._resources or SharedResources(
             dataset, encoder_config=self.encoder_config
         )
-        self._resources = resources
-        representations = resources.entity_representations(trained=True)
-        self._vectors = dict(representations.distribution)
-        if not self._vectors:
+        self._bind_vectors()
+        if not len(self._matrix):
             raise ExpansionError("no distribution representations available")
-        self._bind_matrix(resources.ann_index(self._ann_params()))
 
     # -- persistence ----------------------------------------------------------------
-    def substrate_dependencies(self) -> list[tuple[str, dict]]:
-        """The trained entity representations whose distributions this uses,
-        plus the partitioned ANN index over them."""
-        if self._resources is None:
-            return []
-        return [
-            (
-                ENTITY_REPRESENTATIONS,
-                self._resources.entity_representation_params(trained=True),
-            ),
-            (ANN_INDEX, self._ann_params()),
-        ]
-
     def _save_state(self, directory: Path) -> None:
         # The distribution vectors live in the shared entity-representations
         # substrate (referenced via the manifest); the method artifact only
@@ -110,68 +88,17 @@ class ProbExpan(Expander):
         )
 
     def _load_state(self, directory: Path, dataset: UltraWikiDataset) -> None:
-        self._resources = self._resources or SharedResources(
-            dataset, encoder_config=self.encoder_config
-        )
-        representations = self._resolve_substrate(
-            ENTITY_REPRESENTATIONS,
-            self._resources.entity_representation_params(trained=True),
-        )
-        self._vectors = dict(representations.distribution)
-        if not self._vectors:
-            raise ExpansionError("no distribution representations in saved state")
-        self._bind_matrix(self._resolve_substrate(ANN_INDEX, self._ann_params()))
-
-    def _similarity_table(
-        self, entity_ids: list[int], seed_ids: tuple[int, ...]
-    ) -> dict[int, float]:
-        """Mean cosine similarity of each entity to ``seed_ids``, with the
-        seed matrix gathered once from the precomputed candidate matrix."""
-        matrix = self._matrix
-        table = {entity_id: 0.0 for entity_id in entity_ids}
-        seeds = [s for s in seed_ids if s in matrix]
-        if not seeds:
-            return table
-        seed_matrix = matrix.rows(seeds)
-        for entity_id in entity_ids:
-            if entity_id in matrix:
-                table[entity_id] = float(np.mean(seed_matrix @ matrix.row(entity_id)))
-        return table
+        self._bind(dataset)
 
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
-        matrix = self._matrix
         expansion_size = max(self.expansion_size, top_k)
-        seed_ids = [s for s in query.positive_seed_ids if s in matrix]
-        profile = self.retrieval_profile()
-        if seed_ids and matrix.wants_probe(profile):
-            # probed mode shortlists straight from the index: no per-query
-            # O(vocab) candidate list, seeds dropped from the probed lists.
-            candidates = matrix.shortlist(
-                None,
-                matrix.rows(seed_ids).mean(axis=0),
-                profile,
-                required=expansion_size,
-                telemetry=self._ann_recorder(),
-                exclude=query.seed_ids(),
-            )
-        else:
-            candidates = self.candidate_ids(query)
-        scores = matrix_similarity_scores(matrix, candidates, query.positive_seed_ids)
+        candidates = self._candidates(query, expansion_size)
+        scores = matrix_similarity_scores(
+            self._matrix, candidates, query.positive_seed_ids
+        )
         initial = top_k_expansion(scores, k=expansion_size)
         result = ExpansionResult.from_scores(query.query_id, initial)
-        if self.use_negative_rerank and query.negative_seed_ids:
-            # Same contrastive negative score as RetExpan's re-ranking module
-            # (the paper bolts the identical module onto ProbExpan).
-            list_ids = [item.entity_id for item in result.ranking]
-            negative_table = self._similarity_table(list_ids, query.negative_seed_ids)
-            positive_table = self._similarity_table(list_ids, query.positive_seed_ids)
-
-            def negative_score(entity_id: int) -> float:
-                return negative_table[entity_id] - positive_table[entity_id]
-
-            result = segmented_rerank(
-                result,
-                negative_score=negative_score,
-                segment_length=self.segment_length,
-            )
+        if self.use_negative_rerank:
+            # The paper bolts RetExpan's re-ranking module onto ProbExpan.
+            result = self._negative_rerank(query, result, self.segment_length)
         return result

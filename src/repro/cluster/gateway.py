@@ -768,7 +768,7 @@ class ClusterGateway(HttpFront):
         or a body the worker would reject anyway).
 
         The key reuses :meth:`ExpandRequest.cache_key` canonicalization
-        (normalized method, sorted seeds, retrieval knobs) and adds every
+        (normalized method, sorted seeds, ``top_k``) and adds every
         remaining tenant-visible response shaper — the gateway caches the
         serialized response, so pagination and name resolution must key
         too — plus the resolved tenant and the dataset fingerprint, which
@@ -983,7 +983,7 @@ class ClusterGateway(HttpFront):
         latencies: list[dict] = []
         totals = {"requests": 0, "errors": 0, "cache_hits": 0, "cache_misses": 0}
         #: probed-retrieval counters summed across the fleet (ANN hot path).
-        ann_totals = {"queries": 0, "probes": 0, "shortlisted": 0, "exact_fallbacks": 0}
+        ann_totals = {"queries": 0, "probes": 0, "shortlisted": 0}
         #: tenant -> summed usage buckets across every metered worker.
         usage_totals: dict[str, dict] = {}
         for worker_id in self._ring.nodes:
@@ -1415,10 +1415,7 @@ def _render_dashboard_html(data: dict) -> str:
     ann = cluster.get("ann") or {}
     ann_fragment = ""
     if ann.get("queries"):
-        ann_fragment = (
-            f" &middot; ann queries {cell(ann.get('queries'))}"
-            f" (exact fallbacks {cell(ann.get('exact_fallbacks'))})"
-        )
+        ann_fragment = f" &middot; ann queries {cell(ann.get('queries'))}"
     return (
         "<!doctype html><html><head>"
         '<meta charset="utf-8">'

@@ -20,24 +20,13 @@ artifact being restored references them).
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
 
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError, PersistenceError
 from repro.obs import span
-from repro.retrieval import RetrievalProfile
 from repro.types import ExpansionResult, Query
-
-#: the active per-request retrieval profile, scoped per thread: ``expand``
-#: installs it for the duration of ``_expand`` so subclasses read it via
-#: :meth:`Expander.retrieval_profile` without any signature churn, and
-#: concurrent batches on different threads never see each other's knobs.
-_RETRIEVAL_SCOPE = threading.local()
-
-#: profile applied when a request carries no retrieval options.
-_DEFAULT_PROFILE = RetrievalProfile()
 
 
 class Expander(ABC):
@@ -173,11 +162,6 @@ class Expander(ABC):
                 )
         return provider.get(kind, params, resolver=resolver)
 
-    def _ann_recorder(self):
-        """The provider's ANN telemetry hook (``None`` without a provider)."""
-        provider = self._substrate_provider()
-        return None if provider is None else provider.record_ann_query
-
     def publish_substrates(self, store) -> list[dict]:
         """Publish this fit's substrate artifacts into ``store`` (idempotent)
         and return the manifest references; called by ``ArtifactStore.save``."""
@@ -190,19 +174,8 @@ class Expander(ABC):
         ]
 
     # -- expansion ---------------------------------------------------------------
-    def expand(
-        self,
-        query: Query,
-        top_k: int = 100,
-        retrieval: RetrievalProfile | None = None,
-    ) -> ExpansionResult:
-        """Expand ``query`` into a ranked list of at most ``top_k`` entities.
-
-        ``retrieval`` carries the per-request candidate-retrieval knobs
-        (``ann``/``nprobe``); it is installed for the duration of
-        ``_expand`` and read back by ANN-aware subclasses through
-        :meth:`retrieval_profile`.
-        """
+    def expand(self, query: Query, top_k: int = 100) -> ExpansionResult:
+        """Expand ``query`` into a ranked list of at most ``top_k`` entities."""
         if top_k <= 0:
             raise ExpansionError("top_k must be positive")
         dataset = self.dataset
@@ -210,21 +183,11 @@ class Expander(ABC):
             raise ExpansionError(
                 f"query {query.query_id!r} references unknown class {query.class_id!r}"
             )
-        previous = getattr(_RETRIEVAL_SCOPE, "profile", None)
-        _RETRIEVAL_SCOPE.profile = retrieval if retrieval is not None else previous
-        try:
-            with span("expand", method=self.name, query=query.query_id):
-                result = self._expand(query, top_k)
-        finally:
-            _RETRIEVAL_SCOPE.profile = previous
+        with span("expand", method=self.name, query=query.query_id):
+            result = self._expand(query, top_k)
         seeds = query.seed_ids()
         filtered = [item for item in result.ranking if item.entity_id not in seeds]
         return ExpansionResult(query_id=result.query_id, ranking=tuple(filtered[:top_k]))
-
-    def retrieval_profile(self) -> RetrievalProfile:
-        """The retrieval knobs of the request currently being expanded."""
-        profile = getattr(_RETRIEVAL_SCOPE, "profile", None)
-        return profile if profile is not None else _DEFAULT_PROFILE
 
     @abstractmethod
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:

@@ -27,14 +27,11 @@ from repro.lm.causal_lm import CausalEntityLM
 from repro.lm.context_encoder import ContextEncoder, EntityRepresentations
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.lm.oracle import OracleLLM
-from repro.retrieval import PartitionedIndex
 from repro.substrate import (
-    ANN_INDEX,
     CAUSAL_LM,
     COOCCURRENCE_EMBEDDINGS,
     ENTITY_REPRESENTATIONS,
     SubstrateProvider,
-    ann_index_params,
     causal_lm_params,
     cooccurrence_params_from_encoder,
     entity_representation_params,
@@ -88,19 +85,6 @@ class SharedResources:
         """Key parameters of the causal-LM substrate."""
         return causal_lm_params(self.causal_lm_config, further_pretrain)
 
-    def ann_index_params(
-        self,
-        source_kind: str,
-        source_params: dict,
-        field: str = "entity",
-        dim: int | None = None,
-        normalize: bool = False,
-    ) -> dict:
-        """Key parameters of an ANN index over one substrate's vector map."""
-        return ann_index_params(
-            source_kind, source_params, field=field, dim=dim, normalize=normalize
-        )
-
     def default_substrate_specs(self) -> list[tuple[str, dict]]:
         """Every substrate the default method fleet stands on, in dependency
         order — what ``repro fit --substrates-only`` pre-builds."""
@@ -129,11 +113,6 @@ class SharedResources:
         return self.provider.get(
             ENTITY_REPRESENTATIONS, self.entity_representation_params(trained)
         )
-
-    # -- ann retrieval -----------------------------------------------------------------
-    def ann_index(self, params: dict) -> PartitionedIndex:
-        """The partitioned retrieval index for ``params`` (built at most once)."""
-        return self.provider.get(ANN_INDEX, params)
 
     # -- causal LM ---------------------------------------------------------------------
     def causal_lm(self, further_pretrain: bool = True) -> CausalEntityLM:

@@ -52,7 +52,7 @@ OPERATION_READ = "read"
 
 def operation_for(verb: str, path: str) -> str:
     """Classify a request into the quota operation it charges."""
-    if path == "/v1/expand" or path == "/expand":
+    if path == "/v1/expand":
         return OPERATION_EXPAND
     if path == "/v1/expand/batch":
         return OPERATION_EXPAND_BATCH

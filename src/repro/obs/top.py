@@ -83,13 +83,12 @@ def render_dashboard(data: dict) -> str:
     queries = ann.get("queries", 0) or 0
     if queries:
         # probed-retrieval hot path: how much of the fleet's expand traffic
-        # ran on the ANN shortlist, and how often it fell back to exact.
+        # ran on the ANN shortlist, and how large the shortlists were.
         lines.append(
             "ann: "
             f"queries={queries} "
             f"probes/q={ann.get('probes', 0) / queries:.1f} "
-            f"shortlist/q={ann.get('shortlisted', 0) / queries:.0f} "
-            f"exact_fallbacks={ann.get('exact_fallbacks', 0)}"
+            f"shortlist/q={ann.get('shortlisted', 0) / queries:.0f}"
         )
     gateway_line = (
         "gateway: "

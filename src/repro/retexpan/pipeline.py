@@ -13,25 +13,24 @@ Three stages per query:
 
 The ``use_contrastive`` switch adds ultra-fine-grained contrastive learning:
 similarities are then computed in the query-conditioned projected space.
+
+The hidden states are a :class:`~repro.core.dense.DenseRanker` vector
+space, which also owns stage 2's candidate retrieval and stage 3.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import RetExpanConfig
-from repro.core.base import Expander
-from repro.core.rerank import segmented_rerank
+from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError, PersistenceError
 from repro.lm.context_encoder import EntityRepresentations
 from repro.obs import span
 from repro.retexpan.contrastive import UltraContrastiveLearner
-from repro.retrieval import CandidateMatrix
-from repro.substrate import ANN_INDEX, ENTITY_REPRESENTATIONS
+from repro.substrate import ENTITY_REPRESENTATIONS
 from repro.retexpan.expansion import (
     matrix_similarity_scores,
     positive_similarity_scores,
@@ -40,12 +39,14 @@ from repro.retexpan.expansion import (
 from repro.types import ExpansionResult, Query
 
 
-class RetExpan(Expander):
+class RetExpan(DenseRanker):
     """Retrieval-based Ultra-ESE with negative seed entities."""
 
     supports_persistence = True
-    #: v3: the (normalized) hidden-state candidate matrix is precomputed and
-    #: the artifact references a partitioned ANN-index substrate.
+    #: v3: the (normalized) hidden-state candidate matrix is precomputed; the
+    #: artifact references the entity representations, plus a partitioned
+    #: ANN-index substrate from 4,096 entities (a smaller vocabulary's index
+    #: reference, written by older builds, is never resolved).
     state_version = 3
 
     def __init__(
@@ -55,71 +56,47 @@ class RetExpan(Expander):
         contrastive_queries: list[Query] | None = None,
         name: str | None = None,
     ):
-        super().__init__()
+        super().__init__(resources)
         self.config = config or RetExpanConfig()
         self.config.validate()
-        self._resources = resources
         self._contrastive_queries = contrastive_queries
         self._representations: EntityRepresentations | None = None
         self._contrastive: UltraContrastiveLearner | None = None
-        self._matrix: CandidateMatrix | None = None
         if name is not None:
             self.name = name
         else:
             self.name = "RetExpan + Contrast" if self.config.use_contrastive else "RetExpan"
 
-    def _ann_params(self) -> dict:
-        return self._resources.ann_index_params(
+    def _vector_space(self) -> VectorSpace:
+        """The hidden states of the trained (or ablated) entity representations."""
+        return VectorSpace(
             ENTITY_REPRESENTATIONS,
             self._resources.entity_representation_params(
                 trained=self.config.use_entity_prediction
             ),
-            field="hidden",
-            normalize=True,
+            "hidden",
         )
-
-    def _bind_matrix(self, index) -> None:
-        matrix = CandidateMatrix.from_vectors(
-            dict(self._representations.hidden), normalize=True
-        )
-        matrix.attach_index(index)
-        self._matrix = matrix
 
     # -- fitting -----------------------------------------------------------------
     def _fit(self, dataset: UltraWikiDataset) -> None:
-        resources = self._resources or SharedResources(
-            dataset, encoder_config=self.config.encoder
-        )
-        self._resources = resources
-        self._representations = resources.entity_representations(
-            trained=self.config.use_entity_prediction
-        )
-        self._bind_matrix(resources.ann_index(self._ann_params()))
+        self._bind(dataset)
         if self.config.use_contrastive:
             learner = UltraContrastiveLearner(self.config.contrastive)
             learner.fit(
                 dataset,
                 self._representations,
-                resources.oracle(),
+                self._resources.oracle(),
                 queries=self._contrastive_queries,
             )
             self._contrastive = learner
 
-    # -- persistence -------------------------------------------------------------
-    def substrate_dependencies(self) -> list[tuple[str, dict]]:
-        """The trained (or ablated) entity representations this fit stands on."""
-        if self._resources is None:
-            return []
-        return [
-            (
-                ENTITY_REPRESENTATIONS,
-                self._resources.entity_representation_params(
-                    trained=self.config.use_entity_prediction
-                ),
-            ),
-            (ANN_INDEX, self._ann_params()),
-        ]
+    def _bind(self, dataset: UltraWikiDataset) -> None:
+        self._resources = self._resources or SharedResources(
+            dataset, encoder_config=self.config.encoder
+        )
+        self._representations = self._bind_vectors()
 
+    # -- persistence -------------------------------------------------------------
     def _save_state(self, directory: Path) -> None:
         # The representations substrate is *referenced* via the manifest
         # (see substrate_dependencies), not embedded; only the method-private
@@ -151,16 +128,7 @@ class RetExpan(Expander):
                 "saved RetExpan state and this configuration disagree on "
                 "use_entity_prediction; refit instead of restoring"
             )
-        self._resources = self._resources or SharedResources(
-            dataset, encoder_config=self.config.encoder
-        )
-        self._representations = self._resolve_substrate(
-            ENTITY_REPRESENTATIONS,
-            self._resources.entity_representation_params(
-                trained=self.config.use_entity_prediction
-            ),
-        )
-        self._bind_matrix(self._resolve_substrate(ANN_INDEX, self._ann_params()))
+        self._bind(dataset)
         if self.config.use_contrastive:
             learner = UltraContrastiveLearner(self.config.contrastive)
             learner.load_state(directory / "contrastive", self._representations)
@@ -169,27 +137,6 @@ class RetExpan(Expander):
             self._contrastive = None
 
     # -- similarity helpers ------------------------------------------------------------
-    def _similarity_table(
-        self, entity_ids: list[int], seed_ids: tuple[int, ...]
-    ) -> dict[int, float]:
-        """Mean cosine similarity of each entity to ``seed_ids``.
-
-        The seed matrix is gathered **once** from the precomputed candidate
-        matrix instead of re-stacked and re-normalized per entity; each
-        entity keeps the historical matrix-vector product so values stay
-        bitwise identical to the old per-entity scoring.
-        """
-        matrix = self._matrix
-        table = {entity_id: 0.0 for entity_id in entity_ids}
-        seeds = [s for s in seed_ids if s in matrix]
-        if not seeds:
-            return table
-        seed_matrix = matrix.rows(seeds)
-        for entity_id in entity_ids:
-            if entity_id in matrix:
-                table[entity_id] = float(np.mean(seed_matrix @ matrix.row(entity_id)))
-        return table
-
     def _contrastive_rescore(
         self, query: Query, initial: list[tuple[int, float]]
     ) -> list[tuple[int, float]]:
@@ -228,51 +175,22 @@ class RetExpan(Expander):
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
         if self._representations is None or self._matrix is None:
             raise ExpansionError("RetExpan is not fitted")
-        matrix = self._matrix
         expansion_size = max(self.config.expansion_size, top_k)
         with span("candidates"):
-            seed_ids = [s for s in query.positive_seed_ids if s in matrix]
-            profile = self.retrieval_profile()
-            if seed_ids and matrix.wants_probe(profile):
-                # probed mode shortlists straight from the index: no
-                # per-query O(vocab) candidate list, seeds dropped from
-                # the probed lists.
-                candidates = matrix.shortlist(
-                    None,
-                    matrix.rows(seed_ids).mean(axis=0),
-                    profile,
-                    required=expansion_size,
-                    telemetry=self._ann_recorder(),
-                    exclude=query.seed_ids(),
-                )
-            else:
-                candidates = self.candidate_ids(query)
+            candidates = self._candidates(query, expansion_size)
 
         with span("score"):
             scores = matrix_similarity_scores(
-                matrix, candidates, query.positive_seed_ids
+                self._matrix, candidates, query.positive_seed_ids
             )
         initial = top_k_expansion(scores, k=expansion_size)
         if self._contrastive is not None:
             initial = self._contrastive_rescore(query, initial)
         result = ExpansionResult.from_scores(query.query_id, initial)
 
-        if self.config.use_negative_rerank and query.negative_seed_ids:
-            # The negative score contrasts similarity to the negative seeds
-            # against similarity to the positive seeds: the fine-grained-class
-            # commonality cancels, leaving the attribute-level signal that
-            # identifies entities sharing the negative attribute value.
-            list_ids = [item.entity_id for item in result.ranking]
-            negative_table = self._similarity_table(list_ids, query.negative_seed_ids)
-            positive_table = self._similarity_table(list_ids, query.positive_seed_ids)
-
-            def negative_score(entity_id: int) -> float:
-                return negative_table[entity_id] - positive_table[entity_id]
-
-            result = segmented_rerank(
-                result,
-                negative_score=negative_score,
-                segment_length=self.config.segment_length,
+        if self.config.use_negative_rerank:
+            result = self._negative_rerank(
+                query, result, self.config.segment_length
             )
         return result
 

@@ -6,8 +6,8 @@ Two pieces replace the per-query O(vocab) scans in the dense rankers:
   at fit/load time into a C-contiguous, optionally row-normalized matrix
   with a stable (sorted) id order, replacing the per-query ``np.stack``
   rebuild.  Gathering rows from it is bitwise-identical to stacking the
-  same per-entity vectors, so the exact path (``ann=off``) preserves
-  ranking parity with the historical code.
+  same per-entity vectors, so the exact scan preserves ranking parity with
+  the historical code.
 
 * :class:`PartitionedIndex` — a coarse k-means partition of those rows.
   Queries rank candidates by dot product with the mean seed vector, which
@@ -18,15 +18,15 @@ Two pieces replace the per-query O(vocab) scans in the dense rankers:
   nearest lists and the caller re-scores the shortlist **exactly**, so
   approximation only ever drops candidates, never mis-scores them.
 
-The index is content-addressed substrate state (:mod:`repro.substrate`
-kind ``"ann_index"``): ids + centroids + list layout persist; the vectors
-themselves stay with their source substrate and the matrix is rebuilt from
-them on load.
+A matrix gets an index only from :data:`ANN_AUTO_THRESHOLD` rows (see
+:class:`repro.core.dense.DenseRanker`).  The index is content-addressed
+substrate state (:mod:`repro.substrate` kind ``"ann_index"``): ids +
+centroids + list layout persist; the vectors themselves stay with their
+source substrate and the matrix is rebuilt from them on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -35,51 +35,13 @@ import numpy as np
 from repro.exceptions import ArtifactCorruptError, ConfigurationError
 from repro.utils.mathx import l2_normalize
 
-#: vocabulary size at which ``ann="auto"`` switches from the exact scan to
-#: probed retrieval.  Small vocabularies stay exact (and bitwise identical
-#: to the historical rankings) because the scan is already cheap there.
+#: vocabulary size from which a dense ranker probes a partitioned index
+#: instead of scanning every candidate.  Smaller vocabularies keep the exact
+#: scan, which is already cheap there, and build no index at all.
 ANN_AUTO_THRESHOLD = 4096
 
-#: modes accepted by :class:`RetrievalProfile`.
-ANN_MODES = ("auto", "on", "off")
-
-#: telemetry hook: ``(probes, shortlist_size, exact_fallback)``.
-AnnTelemetry = Callable[[int, int, bool], None]
-
-
-@dataclass(frozen=True)
-class RetrievalProfile:
-    """Per-request retrieval knobs, threaded from ``ExpandOptions``.
-
-    ``ann`` selects the candidate-retrieval strategy: ``"off"`` forces the
-    exact full-vocabulary scan, ``"on"`` forces probed retrieval whenever an
-    index exists, and ``"auto"`` (the default) probes only once the
-    vocabulary crosses :data:`ANN_AUTO_THRESHOLD`.  ``nprobe`` overrides the
-    index's default number of probed lists.
-    """
-
-    ann: str = "auto"
-    nprobe: int | None = None
-
-    def validate(self) -> None:
-        if self.ann not in ANN_MODES:
-            raise ConfigurationError(
-                f"ann must be one of {ANN_MODES}, got {self.ann!r}"
-            )
-        if self.nprobe is not None and self.nprobe < 1:
-            raise ConfigurationError("nprobe must be >= 1 or None")
-
-    def wants_ann(self, vocabulary_size: int) -> bool:
-        """Whether probed retrieval applies at this vocabulary size."""
-        if self.ann == "on":
-            return True
-        if self.ann == "off":
-            return False
-        return vocabulary_size >= ANN_AUTO_THRESHOLD
-
-
-#: the default profile (exact below the auto threshold).
-EXACT_PROFILE = RetrievalProfile()
+#: telemetry hook: ``(probes, shortlist_size)``.
+AnnTelemetry = Callable[[int, int], None]
 
 
 class PartitionedIndex:
@@ -262,7 +224,7 @@ class CandidateMatrix:
     for a given vector map regardless of dict iteration order — gathering a
     subset of rows yields exactly the values the historical per-query
     ``np.stack`` produced for those entities (``l2_normalize`` is purely
-    row-wise), which is what keeps ``ann=off`` rankings bitwise identical.
+    row-wise), which is what keeps exact-scan rankings bitwise identical.
     """
 
     __slots__ = ("ids", "matrix", "row_of", "index", "_ids_array", "_ids_sorted")
@@ -354,87 +316,39 @@ class CandidateMatrix:
         self.index = index
 
     # -- retrieval -------------------------------------------------------------
-    def wants_probe(self, profile: RetrievalProfile) -> bool:
-        """Whether a request with ``profile`` takes the probed path here.
-
-        Callers use this to skip building the per-query exact candidate
-        list entirely in probed mode (``shortlist(None, ...)``).
-        """
-        return (
-            self.index is not None
-            and len(self.index) > 0
-            and profile.wants_ann(len(self.ids))
-        )
-
-    def universe(self, exclude: Sequence[int] = ()) -> list[int]:
-        """The full vocabulary in id order, minus ``exclude`` (exact list)."""
-        if not exclude:
-            return list(self.ids)
-        excluded = set(exclude)
-        return [eid for eid in self.ids if eid not in excluded]
-
     def shortlist(
         self,
-        candidates: list[int] | None,
         query_vector: np.ndarray,
-        profile: RetrievalProfile,
         required: int = 0,
-        telemetry: AnnTelemetry | None = None,
         exclude: Sequence[int] = (),
+        nprobe: int | None = None,
+        telemetry: AnnTelemetry | None = None,
     ) -> list[int]:
-        """The candidate subset to score exactly for one query.
+        """The probed candidate ids to score exactly for one query.
 
-        ``candidates=None`` means the whole indexed vocabulary — the fast
-        path: probed lists need no intersection at all, only the ``exclude``
-        ids (a query's seeds) are dropped, so per-query work is proportional
-        to the shortlist, not the vocabulary.  Exact mode (or no index)
-        returns ``candidates`` untouched (the vocabulary minus ``exclude``
-        when ``candidates`` is ``None``).  Probed mode intersects the probed
-        lists with the candidates — a vectorized sorted-set intersection —
-        escalating ``nprobe`` (doubling) until the shortlist can fill a
-        ranking of ``required`` entries, and falls back to the exact scan
-        when even a full probe cannot (counted as an exact fallback).
+        The ids of the ``nprobe`` lists nearest to ``query_vector`` (the
+        index default when ``None``), minus ``exclude`` (a query's seeds), in
+        ascending id order, so per-query work is proportional to the
+        shortlist, not the vocabulary.  ``nprobe`` doubles until the
+        shortlist can fill a ranking of ``required`` entries; a full probe
+        returns the whole vocabulary minus ``exclude``.
         """
         index = self.index
-        if index is None or not profile.wants_ann(len(self.ids)):
-            return candidates if candidates is not None else self.universe(exclude)
-        if not len(index):
-            fallback = candidates if candidates is not None else self.universe(exclude)
-            if telemetry is not None:
-                telemetry(0, len(fallback), True)
-            return fallback
-        candidate_array = (
-            np.asarray(candidates, dtype=np.int64) if candidates is not None else None
-        )
         exclude_array = None
         if len(exclude):
             exclude_array = np.fromiter(
                 sorted({int(eid) for eid in exclude}), dtype=np.int64
             )
-        nprobe = profile.nprobe if profile.nprobe is not None else index.default_nprobe()
+        nprobe = index.default_nprobe() if nprobe is None else nprobe
         nprobe = max(1, min(int(nprobe), index.n_lists))
         need = max(0, int(required))
         while True:
-            probed = np.sort(index.ids[index.probe(query_vector, nprobe)])
-            if candidate_array is not None:
-                # both sides are unique id sets; candidates come in ascending
-                # id order from the expanders, so the sorted intersection
-                # preserves their order.
-                short = np.intersect1d(candidate_array, probed, assume_unique=True)
-            else:
-                short = probed
+            short = np.sort(index.ids[index.probe(query_vector, nprobe)])
             if exclude_array is not None:
                 short = short[~np.isin(short, exclude_array, assume_unique=True)]
             if short.size >= need or nprobe >= index.n_lists:
                 break
             nprobe = min(index.n_lists, nprobe * 2)
-        if need and short.size < need:
-            # even the full partition cannot fill the ranking (candidates
-            # outside the index, e.g. after vocabulary drift): score exactly.
-            fallback = candidates if candidates is not None else self.universe(exclude)
-            if telemetry is not None:
-                telemetry(nprobe, len(fallback), True)
-            return fallback
         if telemetry is not None:
-            telemetry(nprobe, int(short.size), False)
+            telemetry(nprobe, int(short.size))
         return short.tolist()

@@ -78,8 +78,7 @@ class ExpandRequest:
         """The result-cache key; equivalent requests must collide, so the
         method is normalized the same way the registry normalizes it.
         Pagination and name resolution are views over the cached ranking and
-        deliberately do not participate; the retrieval knobs (``ann`` /
-        ``nprobe``) do, because they can change the ranking itself."""
+        deliberately do not participate."""
         if self.query_id is not None:
             query_part: tuple = ("q", self.query_id)
         else:
@@ -89,13 +88,7 @@ class ExpandRequest:
                 tuple(sorted(self.positive_seed_ids)),
                 tuple(sorted(self.negative_seed_ids)),
             )
-        return (
-            self.method.strip().lower(),
-            query_part,
-            top_k,
-            self.options.ann,
-            self.options.nprobe,
-        )
+        return (self.method.strip().lower(), query_part, top_k)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExpandRequest":

@@ -362,15 +362,14 @@ class ExpansionService:
                     method, cached, options, top_k, True, started, trace
                 )
 
-        retrieval = options.retrieval_profile()
         with span("batch", method=method):
             if self.admission is not None:
                 # cache hits returned above never touch admission — only the
                 # expensive registry/expand section competes for slots.
                 with self.admission.admit(lane):
-                    result = self._execute(method, query, top_k, retrieval)
+                    result = self._execute(method, query, top_k)
             else:
-                result = self._execute(method, query, top_k, retrieval)
+                result = self._execute(method, query, top_k)
         if options.use_cache:
             with span("cache_store"):
                 self.cache.put(key, result)
@@ -461,16 +460,14 @@ class ExpansionService:
             negative_seed_ids=request.negative_seed_ids,
         )
 
-    def _execute(self, method: str, query: Query, top_k: int, retrieval) -> ExpansionResult:
+    def _execute(self, method: str, query: Query, top_k: int) -> ExpansionResult:
         """Run one uncached expand on the calling thread.  With metering on,
         its wall time is billed to the caller's tenant, also when the
         expander raises: the compute was spent."""
         started = time.perf_counter()
         try:
             with span("execute", method=method):
-                return self.registry.get(method).expand(
-                    query, top_k, retrieval=retrieval
-                )
+                return self.registry.get(method).expand(query, top_k)
         finally:
             if self.usage is not None:
                 self.usage.charge_expand(

@@ -23,6 +23,7 @@ from repro.substrate.provider import (
     cooccurrence_params_from_encoder,
     entity_representation_params,
     hash_params,
+    vector_map,
 )
 
 __all__ = [
@@ -39,4 +40,5 @@ __all__ = [
     "cooccurrence_params_from_encoder",
     "entity_representation_params",
     "hash_params",
+    "vector_map",
 ]

@@ -157,6 +157,19 @@ def ann_index_params(
     }
 
 
+def vector_map(instance: object, field: str) -> dict:
+    """The ``field`` vector map of a fitted substrate: co-occurrence
+    ``"entity"`` embeddings, or encoder ``"hidden"`` states or mask
+    ``"distribution"`` vectors of an entity-representations substrate."""
+    if field == "entity":
+        return instance.entity_vectors()
+    if field == "hidden":
+        return instance.hidden
+    if field == "distribution":
+        return instance.distribution
+    raise SubstrateError(f"unknown vector field {field!r}")
+
+
 def _encoder_dict(config: EncoderConfig) -> dict:
     return dict(config.__dict__)
 
@@ -267,10 +280,6 @@ class SubstrateProvider:
             "repro_ann_shortlist_total",
             "Candidates exact-rescored from probed shortlists (sum of sizes).",
         )
-        self._ann_fallbacks = metrics.counter(
-            "repro_ann_exact_fallbacks_total",
-            "Probed queries that fell back to the exact full-vocabulary scan.",
-        )
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Re-home this provider's instruments onto ``metrics``.
@@ -302,7 +311,6 @@ class SubstrateProvider:
                     "_ann_queries",
                     "_ann_probes",
                     "_ann_shortlist",
-                    "_ann_fallbacks",
                 )
             }
             resident = len(self._cache)
@@ -589,10 +597,9 @@ class SubstrateProvider:
             source["params"],
             progress=progress.subrange(0.0, 0.8) if progress is not None else None,
         )
-        vectors = self._ann_source_vectors(instance, params["field"])
         dim = params.get("dim")
         matrix = CandidateMatrix.from_vectors(
-            vectors,
+            vector_map(instance, params["field"]),
             dim=int(dim) if dim is not None else None,
             normalize=bool(params.get("normalize", False)),
         )
@@ -602,16 +609,6 @@ class SubstrateProvider:
             n_lists=params.get("n_lists"),
             seed=int(params.get("seed", 0)),
         )
-
-    @staticmethod
-    def _ann_source_vectors(instance: object, field: str) -> dict:
-        if field == "entity":
-            return instance.entity_vectors()
-        if field == "hidden":
-            return dict(instance.hidden)
-        if field == "distribution":
-            return dict(instance.distribution)
-        raise SubstrateError(f"unknown ann index field {field!r}")
 
     @staticmethod
     def _save_substrate(kind: str, instance: object, directory: "Path") -> None:
@@ -665,13 +662,11 @@ class SubstrateProvider:
             return self._encoders.setdefault(cache_key, encoder)
 
     # -- telemetry ---------------------------------------------------------------
-    def record_ann_query(self, probes: int, shortlist_size: int, fallback: bool) -> None:
+    def record_ann_query(self, probes: int, shortlist_size: int) -> None:
         """Count one probed retrieval (called from the expand hot path)."""
         self._ann_queries.inc()
         self._ann_probes.inc(probes)
         self._ann_shortlist.inc(shortlist_size)
-        if fallback:
-            self._ann_fallbacks.inc()
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> dict:
@@ -703,7 +698,6 @@ class SubstrateProvider:
                 "queries": int(self._ann_queries.total()),
                 "probes": int(self._ann_probes.total()),
                 "shortlisted": int(self._ann_shortlist.total()),
-                "exact_fallbacks": int(self._ann_fallbacks.total()),
             },
         }
 

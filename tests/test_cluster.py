@@ -207,8 +207,9 @@ class TestFitLock:
 
         def hold_briefly():
             time.sleep(0.2)
-            lock.release()
+            # set first: the waiter may return the moment the file is gone.
             released.set()
+            lock.release()
 
         threading.Thread(target=hold_briefly).start()
         assert waiter.wait(timeout=5.0) is True

@@ -350,7 +350,7 @@ class TestAdmission:
 class TestHelpers:
     def test_operation_classification(self):
         assert operation_for("POST", "/v1/expand") == "expand"
-        assert operation_for("POST", "/expand") == "expand"
+        assert operation_for("POST", "/expand") == "read"
         assert operation_for("POST", "/v1/expand/batch") == "expand_batch"
         assert operation_for("POST", "/v1/fits") == "fit"
         assert operation_for("GET", "/v1/fits") == "read"
@@ -498,6 +498,40 @@ class TestGatedServer:
             gated_server, "GET", "/v1/stats", headers={API_KEY_HEADER: ACME_KEY}
         )[1]["data"]["gate"]["throttled"]["tiny"]
         assert after == before + 5
+
+
+class TestRetiredExpandPath:
+    def test_retired_expand_path_spends_no_expand_quota(self, tiny_dataset, tmp_path):
+        """``POST /expand`` is a 404 on both tiers, so the gate charges it as
+        a read: it must leave the tenant's expand quota untouched."""
+        keyfile = tmp_path / "keys.json"
+        write_keyfile(
+            keyfile,
+            {
+                "tenants": [
+                    {
+                        "tenant": "solo",
+                        "key": "solo-front-door-key",
+                        "method_quotas": {"expand": "0.001:1"},
+                    }
+                ]
+            },
+        )
+        service = ExpansionService(
+            tiny_dataset,
+            config=ServiceConfig(port=0, keyfile=str(keyfile)),
+            factories={"stub": lambda _resources: StubExpander()},
+        )
+        server = ExpansionHTTPServer(service, port=0).start()
+        try:
+            payload = {"method": "stub", "query_id": tiny_dataset.queries[0].query_id}
+            headers = {API_KEY_HEADER: "solo-front-door-key"}
+            status, _, _ = http(server, "POST", "/expand", payload, headers=headers)
+            assert status == 404
+            status, _, _ = http(server, "POST", "/v1/expand", payload, headers=headers)
+            assert status == 200, "the retired path spent the expand token"
+        finally:
+            server.shutdown()
 
 
 @pytest.fixture(scope="module")

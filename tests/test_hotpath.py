@@ -4,9 +4,10 @@ Covers the three legs of the hot-path work:
 
 * the pure-numpy partitioned ANN index (:mod:`repro.retrieval`): build /
   probe / persistence, the MIPS lift for un-normalized vectors, shortlist
-  escalation and the exact fallback, and exact-vs-ANN parity through the
-  real expanders — ``ann=off`` must stay **bitwise** identical to the
-  historical full-vocabulary scan, ``ann=on`` must keep recall@k >= 0.98;
+  escalation up to the full probe, the vocabulary-size threshold from which
+  a dense ranker builds and probes an index, and recall@k >= 0.98 of the
+  probed path against the exact scan through a real expander (the
+  threshold patched below ``tiny``'s vocabulary);
 * the corrupt-index self-heal: a checksum-mismatched ``ann_index`` artifact
   is evicted and refitted, never served;
 * batched LM conditional-similarity scoring (GenExpan): one memoised batch
@@ -19,6 +20,7 @@ Covers the three legs of the hot-path work:
 from __future__ import annotations
 
 import json
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -26,43 +28,16 @@ import pytest
 
 from repro.api.options import ExpandOptions
 from repro.baselines import CGExpan
+from repro.core import dense
 from repro.core.resources import SharedResources
-from repro.exceptions import ConfigurationError, ServiceError
-from repro.retrieval import (
-    ANN_AUTO_THRESHOLD,
-    CandidateMatrix,
-    PartitionedIndex,
-    RetrievalProfile,
-)
+from repro.exceptions import ServiceError
+from repro.retrieval import CandidateMatrix, PartitionedIndex
 from repro.serve import ExpanderRegistry
-from repro.serve.protocol import ExpandRequest
 from repro.store import ArtifactStore
+from repro.substrate import ANN_INDEX, COOCCURRENCE_EMBEDDINGS
 from repro.utils.mathx import l2_normalize
 
 from test_cluster import make_gateway, make_worker
-
-
-# ---------------------------------------------------------------------------
-# retrieval profile
-# ---------------------------------------------------------------------------
-
-
-class TestRetrievalProfile:
-    def test_defaults_validate(self):
-        RetrievalProfile().validate()
-
-    def test_bad_mode_and_nprobe_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetrievalProfile(ann="sometimes").validate()
-        with pytest.raises(ConfigurationError):
-            RetrievalProfile(nprobe=0).validate()
-
-    def test_wants_ann_modes(self):
-        assert RetrievalProfile(ann="on").wants_ann(10)
-        assert not RetrievalProfile(ann="off").wants_ann(10**9)
-        auto = RetrievalProfile(ann="auto")
-        assert not auto.wants_ann(ANN_AUTO_THRESHOLD - 1)
-        assert auto.wants_ann(ANN_AUTO_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +138,6 @@ class TestCandidateMatrix:
         matrix.attach_index(fresh)
         assert matrix.index is fresh
 
-    def test_shortlist_exact_when_off_or_unindexed(self):
-        vectors = _vector_map(30, 6)
-        matrix = CandidateMatrix.from_vectors(vectors)
-        candidates = matrix.ids[:20]
-        assert (
-            matrix.shortlist(candidates, np.zeros(6), RetrievalProfile(ann="on"))
-            is candidates
-        ), "no index: the exact candidate list passes through untouched"
-        matrix.attach_index(PartitionedIndex.build(matrix.matrix, matrix.ids))
-        assert (
-            matrix.shortlist(candidates, np.zeros(6), RetrievalProfile(ann="off"))
-            is candidates
-        )
-
     def test_shortlist_escalates_nprobe_until_required_is_met(self):
         vectors = _vector_map(400, 8)
         matrix = CandidateMatrix.from_vectors(vectors)
@@ -185,97 +146,110 @@ class TestCandidateMatrix:
         )
         events = []
         shortlist = matrix.shortlist(
-            list(matrix.ids),
             np.zeros(8),
-            RetrievalProfile(ann="on", nprobe=1),
             required=350,
-            telemetry=lambda p, s, f: events.append((p, s, f)),
+            nprobe=1,
+            telemetry=lambda probes, size: events.append((probes, size)),
         )
         assert len(shortlist) >= 350
-        (probes, size, fallback) = events[0]
+        (probes, size) = events[0]
         assert probes > 1, "nprobe=1 cannot cover 350 rows; it must escalate"
-        assert not fallback
+        assert size == len(shortlist)
 
-    def test_shortlist_falls_back_to_exact_when_index_cannot_fill(self):
+    def test_full_probe_returns_the_vocabulary_minus_exclude(self):
         vectors = _vector_map(50, 8)
         matrix = CandidateMatrix.from_vectors(vectors)
         matrix.attach_index(PartitionedIndex.build(matrix.matrix, matrix.ids))
-        # candidates outside the indexed vocabulary (vocabulary drift)
-        candidates = [99999, 99998, 99997]
-        events = []
-        shortlist = matrix.shortlist(
-            candidates,
-            np.zeros(8),
-            RetrievalProfile(ann="on"),
-            required=2,
-            telemetry=lambda p, s, f: events.append((p, s, f)),
+        exclude = matrix.ids[3:6]
+        everything = [eid for eid in matrix.ids if eid not in exclude]
+        full = matrix.shortlist(
+            np.zeros(8), exclude=exclude, nprobe=matrix.index.n_lists
         )
-        assert shortlist == candidates
-        assert events[0][2] is True, "must be counted as an exact fallback"
+        assert full == everything
+        # a ranking no partial probe can fill escalates to the full probe.
+        assert matrix.shortlist(np.zeros(8), required=10**6, exclude=exclude) == everything
 
 
 # ---------------------------------------------------------------------------
-# exact-vs-ANN parity through a real expander
+# the ANN threshold and the probed path through a real expander
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def fitted_cgexpan(tiny_dataset):
-    expander = CGExpan(resources=SharedResources(tiny_dataset))
-    expander.fit(tiny_dataset)
-    return expander
+def dense_resources(tiny_dataset):
+    """One pool, so exact and probed expanders rank the same embeddings
+    (the PPMI-SVD factors differ from fit to fit)."""
+    return SharedResources(tiny_dataset)
+
+
+@pytest.fixture(scope="module")
+def fitted_cgexpan(tiny_dataset, dense_resources):
+    return CGExpan(resources=dense_resources).fit(tiny_dataset)
+
+
+@pytest.fixture(scope="module")
+def probed_cgexpan(tiny_dataset, dense_resources):
+    """CGExpan with the ANN threshold patched below ``tiny``'s vocabulary."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "ANN_AUTO_THRESHOLD", 1)
+        return CGExpan(resources=dense_resources).fit(tiny_dataset)
 
 
 class TestExpanderParity:
-    def test_ann_off_is_bitwise_identical_to_default(self, fitted_cgexpan, tiny_dataset):
-        """``ann=off`` and the default profile (auto, under the threshold)
-        must both take the exact path and agree on ids AND raw scores."""
-        for query in tiny_dataset.queries[:5]:
-            default = fitted_cgexpan.expand(query, top_k=20)
-            off = fitted_cgexpan.expand(
-                query, top_k=20, retrieval=RetrievalProfile(ann="off")
-            )
-            assert [(i.entity_id, i.score) for i in default.ranking] == [
-                (i.entity_id, i.score) for i in off.ranking
-            ]
+    def test_index_exists_from_the_threshold(
+        self, fitted_cgexpan, dense_resources, tiny_dataset, monkeypatch
+    ):
+        """Vocabulary size alone picks the path: at the threshold the ranker
+        has an index and depends on it, one entity short it has neither."""
+        assert fitted_cgexpan._matrix.index is None, "tiny is below the threshold"
+        vocabulary = len(fitted_cgexpan._matrix)
+        monkeypatch.setattr(dense, "ANN_AUTO_THRESHOLD", vocabulary)
+        at = CGExpan(resources=dense_resources).fit(tiny_dataset)
+        assert at._matrix.index is not None
+        assert [kind for kind, _ in at.substrate_dependencies()] == [
+            COOCCURRENCE_EMBEDDINGS,
+            ANN_INDEX,
+        ]
+        monkeypatch.setattr(dense, "ANN_AUTO_THRESHOLD", vocabulary + 1)
+        below = CGExpan(resources=dense_resources).fit(tiny_dataset)
+        assert below._matrix.index is None
+        assert [kind for kind, _ in below.substrate_dependencies()] == [
+            COOCCURRENCE_EMBEDDINGS
+        ]
 
-    def test_ann_on_keeps_recall(self, fitted_cgexpan, tiny_dataset):
-        """Forced probing must keep recall@k >= 0.98 against the exact
-        ranking at the default nprobe (with shortlist escalation)."""
+    def test_ann_on_keeps_recall(self, fitted_cgexpan, probed_cgexpan, tiny_dataset):
+        """The probed path (threshold patched below tiny's vocabulary) must
+        keep recall@k >= 0.98 against the exact ranking of the same
+        embeddings at the default nprobe (with shortlist escalation)."""
         recalls = []
         k = 20
         for query in tiny_dataset.queries[:10]:
-            exact = set(
-                fitted_cgexpan.expand(
-                    query, top_k=k, retrieval=RetrievalProfile(ann="off")
-                ).entity_ids()
-            )
-            probed = set(
-                fitted_cgexpan.expand(
-                    query, top_k=k, retrieval=RetrievalProfile(ann="on")
-                ).entity_ids()
-            )
+            exact = set(fitted_cgexpan.expand(query, top_k=k).entity_ids())
+            probed = set(probed_cgexpan.expand(query, top_k=k).entity_ids())
             recalls.append(len(exact & probed) / max(1, len(exact)))
         assert float(np.mean(recalls)) >= 0.98
 
-    def test_ann_queries_are_counted(self, fitted_cgexpan, tiny_dataset):
-        provider = fitted_cgexpan._resources.provider
-        before = provider.stats()["ann"]["queries"]
-        fitted_cgexpan.expand(
-            tiny_dataset.queries[0], top_k=10, retrieval=RetrievalProfile(ann="on")
-        )
+    def test_ann_queries_are_counted(self, fitted_cgexpan, probed_cgexpan, tiny_dataset):
+        """``repro_ann_queries_total`` counts each probed query and no exact scan."""
+        provider = probed_cgexpan._resources.provider
+        before = provider.stats()["ann"]
+        for query in tiny_dataset.queries[:3]:
+            probed_cgexpan.expand(query, top_k=10)
+        fitted_cgexpan.expand(tiny_dataset.queries[0], top_k=10)
         after = provider.stats()["ann"]
-        assert after["queries"] == before + 1
-        assert after["probes"] >= 1
+        assert after["queries"] == before["queries"] + 3, "exact scans do not count"
+        assert after["probes"] >= before["probes"] + 3
+        assert after["shortlisted"] > before["shortlisted"]
 
 
 class TestCorruptIndexSelfHeal:
     def test_checksum_mismatch_refits_instead_of_serving(
-        self, tiny_dataset, tmp_path
+        self, tiny_dataset, tmp_path, monkeypatch
     ):
         """Flipping bytes in the persisted ANN index must never produce a
         wrong ranking: the restore detects the checksum mismatch, evicts
         the artifact, refits, and republishes a good copy."""
+        monkeypatch.setattr(dense, "ANN_AUTO_THRESHOLD", 1)
         store = ArtifactStore(tmp_path)
         registry = ExpanderRegistry(tiny_dataset, store=store)
         registry.get("cgexpan")
@@ -288,9 +262,7 @@ class TestCorruptIndexSelfHeal:
         payload.write_bytes(b"\x00corrupt")
         fresh = ExpanderRegistry(tiny_dataset, store=store)
         expander = fresh.get("cgexpan")
-        result = expander.expand(
-            tiny_dataset.queries[0], top_k=10, retrieval=RetrievalProfile(ann="on")
-        )
+        result = expander.expand(tiny_dataset.queries[0], top_k=10)
         assert result.ranking, "self-healed expander must serve"
         healed = next(s for s in store.ls_substrates() if s.kind == "ann_index")
         assert (
@@ -333,38 +305,26 @@ class TestBatchedConditionalSimilarity:
 
 
 class TestRetrievalOptionsWireShape:
-    def test_round_trip(self):
-        options = ExpandOptions.from_dict({"ann": "on", "nprobe": 4})
-        assert (options.ann, options.nprobe) == ("on", 4)
-        assert ExpandOptions.from_dict(options.to_dict()) == options
-
-    def test_defaults_are_auto(self):
-        options = ExpandOptions.from_dict({})
-        assert (options.ann, options.nprobe) == ("auto", None)
-
-    def test_bad_values_are_rejected(self):
-        with pytest.raises(ServiceError):
-            ExpandOptions.from_dict({"ann": "always"})
-        with pytest.raises(ServiceError):
-            ExpandOptions.from_dict({"nprobe": 0})
-        with pytest.raises(ServiceError):
-            ExpandOptions.from_dict({"nprobe": True})
-
-    def test_retrieval_knobs_change_the_cache_key(self):
-        base = ExpandRequest(method="stub", query_id="q1")
-        on = ExpandRequest(
-            method="stub", query_id="q1", options=ExpandOptions(ann="on")
-        )
-        probed = ExpandRequest(
-            method="stub", query_id="q1", options=ExpandOptions(ann="on", nprobe=2)
-        )
-        keys = {base.cache_key(10), on.cache_key(10), probed.cache_key(10)}
-        assert len(keys) == 3, "ann/nprobe change the ranking, so they key"
-
-    def test_retrieval_profile_view(self):
-        profile = ExpandOptions(ann="on", nprobe=3).retrieval_profile()
-        assert isinstance(profile, RetrievalProfile)
-        assert (profile.ann, profile.nprobe) == ("on", 3)
+    def test_retrieval_knobs_are_unknown_options(self, cached_cluster, tiny_dataset):
+        """Vocabulary size alone picks the retrieval path: a per-request
+        knob is an unknown options field, in the parser and on the wire of
+        both tiers."""
+        gateway, servers = cached_cluster
+        for field, value in (("ann", "on"), ("nprobe", 4)):
+            with pytest.raises(ServiceError, match="unknown options fields"):
+                ExpandOptions.from_dict({field: value})
+            body = {
+                "method": "stuba",
+                "query_id": tiny_dataset.queries[0].query_id,
+                "options": {"top_k": 5, field: value},
+            }
+            for front in (servers[0], gateway):
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    _post(front, body)
+                assert refused.value.code == 400
+                error = json.loads(refused.value.read())["error"]
+                assert error["code"] == "invalid_request"
+                assert "unknown options fields" in error["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +345,9 @@ def cached_cluster(tiny_dataset):
         server.shutdown()
 
 
-def _post(gateway, payload):
+def _post(server, payload):
     request = urllib.request.Request(
-        gateway.url + "/v1/expand",
+        server.url + "/v1/expand",
         data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
@@ -447,21 +407,6 @@ class TestGatewayCache:
             assert status == 200
             assert "X-Repro-Cache" not in headers
             assert headers.get("X-Repro-Worker")
-
-    def test_different_retrieval_knobs_never_collide(
-        self, cached_cluster, tiny_dataset
-    ):
-        gateway, _servers = cached_cluster
-        base = {
-            "method": "stubd",
-            "query_id": tiny_dataset.queries[3].query_id,
-            "options": {"top_k": 5},
-        }
-        _post(gateway, base)
-        probed = dict(base, options={"top_k": 5, "ann": "on"})
-        status, _payload, headers = _post(gateway, probed)
-        assert status == 200
-        assert "X-Repro-Cache" not in headers, "different ann mode is a miss"
 
     def test_key_scopes_tenant_and_fingerprint(self, cached_cluster, tiny_dataset):
         """Unit-level: the key embeds the resolved tenant and the dataset

@@ -181,17 +181,14 @@ class TestStoreSubstrateArtifacts:
         registry.get("cgexpan")
         [info] = store.ls()
         assert info.method == "cgexpan"
-        # v3 fits reference the embeddings AND the ANN index built over them.
-        assert len(info.substrates) == 2
-        by_kind = {ref["kind"]: ref for ref in info.substrates}
-        assert set(by_kind) == {COOCCURRENCE_EMBEDDINGS, "ann_index"}
-        substrates = {s.kind: s for s in store.ls_substrates()}
-        assert set(substrates) == {COOCCURRENCE_EMBEDDINGS, "ann_index"}
-        for kind, ref in by_kind.items():
-            assert ref["content_hash"] == substrates[kind].content_hash
+        # tiny is below the ANN threshold: the embeddings are the only reference.
+        assert len(info.substrates) == 1
+        ref = info.substrates[0]
+        assert ref["kind"] == COOCCURRENCE_EMBEDDINGS
+        [substrate] = store.ls_substrates()
+        assert ref["content_hash"] == substrate.content_hash
         references = store.substrate_references()
-        embeddings = substrates[COOCCURRENCE_EMBEDDINGS]
-        assert references[(embeddings.kind, embeddings.content_hash)] == [
+        assert references[(substrate.kind, substrate.content_hash)] == [
             f"cgexpan/{tiny_dataset.fingerprint()}"
         ]
 
@@ -203,9 +200,7 @@ class TestStoreSubstrateArtifacts:
         store = ArtifactStore(tmp_path)
         registry = ExpanderRegistry(tiny_dataset, store=store)
         registry.get("cgexpan")
-        substrate = next(
-            s for s in store.ls_substrates() if s.kind == "cooccurrence_embeddings"
-        )
+        [substrate] = store.ls_substrates()
         assert store.evict_substrate(substrate.kind, substrate.content_hash, force=True)
         fresh = CGExpan(resources=SharedResources(tiny_dataset))
         with pytest.raises(ArtifactCorruptError):
@@ -253,9 +248,7 @@ class TestStoreSubstrateArtifacts:
         store = ArtifactStore(tmp_path)
         registry = ExpanderRegistry(tiny_dataset, store=store)
         registry.get("cgexpan")
-        substrate = next(
-            s for s in store.ls_substrates() if s.kind == "cooccurrence_embeddings"
-        )
+        [substrate] = store.ls_substrates()
         with pytest.raises(StoreError, match="referenced"):
             store.evict_substrate(substrate.kind, substrate.content_hash)
         store.evict("cgexpan", tiny_dataset.fingerprint())
@@ -290,18 +283,15 @@ class TestReferenceAwareGC:
     ):
         store, _registry = embeddings_backed_store
         methods = store.ls()
-        substrates = store.ls_substrates()
-        total = sum(i.total_bytes for i in methods) + sum(
-            s.total_bytes for s in substrates
-        )
+        [substrate] = store.ls_substrates()
+        total = sum(i.total_bytes for i in methods) + substrate.total_bytes
         # A budget that forces evictions but can be met by dropping method
-        # artifacts alone: the substrates (still referenced by the survivor)
-        # must be untouched even though they are the oldest entries.
+        # artifacts alone: the substrate (still referenced by the survivor)
+        # must be untouched even though it is the oldest entry.
         budget = total - min(i.total_bytes for i in methods)
         removed = store.gc_to_budget(budget)
         assert removed, "the budget must have forced at least one eviction"
-        for substrate in substrates:
-            assert store.contains_substrate(substrate.kind, substrate.content_hash)
+        assert store.contains_substrate(substrate.kind, substrate.content_hash)
         assert store.ls(), "at least one referencing method must survive"
 
     def test_budget_gc_collects_orphaned_substrates_instead_of_stranding(
@@ -319,19 +309,17 @@ class TestReferenceAwareGC:
     ):
         store, _registry = embeddings_backed_store
         fingerprint = tiny_dataset.fingerprint()
-        # Keeping the live fingerprint keeps the methods and their substrates
-        # (the shared embeddings plus the ANN index over them).
+        # Keeping the live fingerprint keeps the methods and their substrate.
         assert store.gc(keep_fingerprints={fingerprint}) == []
-        assert store.stats()["substrates"] == 2
-        # Dropping every method orphans the substrates; the same filter now
-        # sweeps them instead of stranding their bytes forever.
+        assert store.stats()["substrates"] == 1
+        # Dropping every method orphans the substrate; the same filter now
+        # sweeps it instead of stranding its bytes forever.
         store.evict("cgexpan", fingerprint)
         store.evict("case", fingerprint)
         removed = store.gc(keep_fingerprints=set())
-        assert {getattr(info, "kind", None) for info in removed} == {
-            COOCCURRENCE_EMBEDDINGS,
-            "ann_index",
-        }
+        assert [getattr(info, "kind", None) for info in removed] == [
+            COOCCURRENCE_EMBEDDINGS
+        ]
         assert store.ls_substrates() == []
 
     def test_fresh_orphans_are_protected_by_the_publication_grace(
@@ -347,7 +335,7 @@ class TestReferenceAwareGC:
         # and the budget pass must leave it alone.
         assert store.gc(keep_fingerprints=set()) == []
         assert store.gc_to_budget(0) == []
-        assert store.stats()["substrates"] == 2
+        assert store.stats()["substrates"] == 1
 
 
 class TestFitOnceAcceptance:
@@ -365,25 +353,19 @@ class TestFitOnceAcceptance:
         registry.get("case")
         assert calls == ["CooccurrenceEmbeddings"], "CaSE must not refit the substrate"
         provider_stats = registry.stats()["substrates"]
-        # Two fits total: the embeddings, then the shared ANN index over them
-        # (same params for both methods, so it too is fitted exactly once).
-        assert provider_stats["fits"] == 2
+        assert provider_stats["fits"] == 1
         assert provider_stats["hits"] >= 1
-        # The store holds each substrate exactly once; both manifests point
-        # at the same content hashes.
-        substrates = store.ls_substrates()
-        assert len(substrates) == 2
+        # The store holds the substrate exactly once; both manifests point
+        # at the same content hash.
+        [substrate] = store.ls_substrates()
         hashes = {
             ref["content_hash"] for info in store.ls() for ref in info.substrates
         }
-        assert hashes == {s.content_hash for s in substrates}
-        all_references = store.substrate_references()
-        for substrate in substrates:
-            references = all_references[(substrate.kind, substrate.content_hash)]
-            assert sorted(label.split("/")[0] for label in references) == [
-                "case",
-                "cgexpan",
-            ]
+        assert hashes == {substrate.content_hash}
+        references = store.substrate_references()[
+            (substrate.kind, substrate.content_hash)
+        ]
+        assert sorted(label.split("/")[0] for label in references) == ["case", "cgexpan"]
 
 
 class TestFitJobPhases:

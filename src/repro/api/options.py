@@ -10,7 +10,10 @@ than a new kwarg on every layer.
 The module also owns the strict JSON integer coercion shared by the request
 parsers: JSON booleans are *rejected* where ids or counts are expected,
 because ``int(True) == 1`` would otherwise silently turn ``true`` into
-entity id 1 or ``top_k`` 1.
+entity id 1 or ``top_k`` 1.  Fractional, infinite and NaN numbers are
+rejected for the same reason: ``int(2.9) == 2`` would serve ``top_k`` 2,
+and ``1e999`` parses to ``inf``, which ``int`` cannot convert at all.
+Integral floats such as ``5.0`` are accepted.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from repro.exceptions import ServiceError
 
 
 def coerce_int(value: Any, field_name: str, minimum: int | None = None) -> int:
-    """``value`` as an int, rejecting bools and sub-minimum values."""
+    """``value`` as an int, rejecting bools, non-integral numbers and
+    sub-minimum values."""
     if isinstance(value, bool):
         raise ServiceError(f"{field_name} must be an integer, not a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ServiceError(f"{field_name} must be an integer, got {value!r}")
     try:
         coerced = int(value)
     except (TypeError, ValueError) as exc:

@@ -182,14 +182,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         slow_query_max_bytes=getattr(
             args, "slow_query_max_bytes", ServiceConfig.slow_query_max_bytes
         ),
-        exporter=getattr(args, "exporter", None),
-        exporter_target=getattr(args, "exporter_target", None),
-        exporter_interval_seconds=getattr(
-            args, "exporter_interval", ServiceConfig.exporter_interval_seconds
-        ),
-        exporter_max_retries=getattr(
-            args, "exporter_max_retries", ServiceConfig.exporter_max_retries
-        ),
         keyfile=getattr(args, "keyfile", None),
         default_quota=getattr(args, "default_quota", None),
         admission_max_concurrent=getattr(args, "admission_max_concurrent", None),
@@ -204,7 +196,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
             args, "trace_buffer_size", ServiceConfig.trace_buffer_size
         ),
         trace_sample_seed=getattr(args, "trace_sample_seed", None),
-        trace_export=getattr(args, "trace_export", False),
         usage_metering=getattr(args, "usage_metering", False),
         usage_ledger=getattr(args, "usage_ledger", None),
         usage_rollup_interval_seconds=getattr(
@@ -472,17 +463,6 @@ def worker_command(
             "--slow-query-max-bytes",
             str(args.slow_query_max_bytes),
         ]
-    if getattr(args, "exporter", None):
-        command += [
-            "--exporter",
-            args.exporter,
-            "--exporter-target",
-            args.exporter_target,
-            "--exporter-interval",
-            str(args.exporter_interval),
-            "--exporter-max-retries",
-            str(args.exporter_max_retries),
-        ]
     # Admission control is per-shard, so workers get it; auth + quota are NOT
     # forwarded — the gateway enforces them once at the front door.
     if getattr(args, "admission_max_concurrent", None) is not None:
@@ -503,8 +483,6 @@ def worker_command(
         ]
         if getattr(args, "trace_sample_seed", None) is not None:
             command += ["--trace-sample-seed", str(args.trace_sample_seed)]
-        if getattr(args, "trace_export", False):
-            command.append("--trace-export")
     if getattr(args, "usage_metering", False):
         command.append("--usage-metering")
     if getattr(args, "usage_ledger", None):
@@ -549,13 +527,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         gateway_host=args.host,
         gateway_port=args.port,
         gateway_access_log=getattr(args, "gateway_access_log", False),
-        gateway_exporter=getattr(args, "gateway_exporter", None),
-        gateway_exporter_target=getattr(args, "gateway_exporter_target", None),
-        gateway_exporter_interval_seconds=getattr(
-            args,
-            "gateway_exporter_interval",
-            ClusterConfig.gateway_exporter_interval_seconds,
-        ),
         keyfile=getattr(args, "keyfile", None),
         keyfile_reload_seconds=getattr(
             args, "keyfile_reload", ClusterConfig.keyfile_reload_seconds
@@ -781,33 +752,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="rotate the slow-query log file once it crosses this size",
     )
     parser.add_argument(
-        "--exporter",
-        default=None,
-        choices=("statsd", "json"),
-        help="background push-exporter shipping /v1/metrics telemetry to "
-        "an external collector",
-    )
-    parser.add_argument(
-        "--exporter-target",
-        default=None,
-        metavar="TARGET",
-        help="exporter sink: host:port for statsd, an http(s) URL for json",
-    )
-    parser.add_argument(
-        "--exporter-interval",
-        type=float,
-        default=ServiceConfig.exporter_interval_seconds,
-        metavar="SECONDS",
-        help="seconds between exporter flushes",
-    )
-    parser.add_argument(
-        "--exporter-max-retries",
-        type=int,
-        default=ServiceConfig.exporter_max_retries,
-        metavar="N",
-        help="ship retries per batch before dropping it (drop-and-count)",
-    )
-    parser.add_argument(
         "--keyfile",
         default=None,
         metavar="FILE",
@@ -867,12 +811,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SEED",
         help="seed the sampling RNG for deterministic keep/drop decisions",
-    )
-    parser.add_argument(
-        "--trace-export",
-        action="store_true",
-        help="also ship kept traces' spans through the json exporter "
-        "(OTLP-flavoured JSON; requires --exporter json)",
     )
     parser.add_argument(
         "--usage-metering",
@@ -1037,20 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gateway-access-log", action="store_true",
         help="the gateway emits one structured JSON access-log line per "
         "request (workers keep their own --access-log)",
-    )
-    cluster_serve.add_argument(
-        "--gateway-exporter", default=None, choices=("statsd", "json"),
-        help="push-exporter for the gateway's own metrics registry "
-        "(workers ship theirs with --exporter)",
-    )
-    cluster_serve.add_argument(
-        "--gateway-exporter-target", default=None, metavar="TARGET",
-        help="gateway exporter sink: host:port (statsd) or URL (json)",
-    )
-    cluster_serve.add_argument(
-        "--gateway-exporter-interval", type=float,
-        default=ClusterConfig.gateway_exporter_interval_seconds,
-        metavar="SECONDS", help="seconds between gateway exporter flushes",
     )
     cluster_serve.add_argument(
         "--gateway-cache-size", type=int, default=0, metavar="N",

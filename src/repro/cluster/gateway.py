@@ -79,7 +79,6 @@ from repro.obs import (
     TraceCollector,
     UsageMeter,
     activate,
-    build_exporter,
     current_context,
     current_request_id,
     current_tenant,
@@ -280,16 +279,6 @@ class ClusterGateway(HttpFront):
                 gateway_access_logger if self.config.gateway_access_log else None
             ),
         )
-        # Background work starts only once the port is bound, so a port
-        # clash leaves nothing running.
-        self.exporter = build_exporter(
-            self.metrics,
-            self.config.gateway_exporter,
-            self.config.gateway_exporter_target,
-            interval_seconds=self.config.gateway_exporter_interval_seconds,
-        )
-        if self.exporter is not None:
-            self.exporter.start()
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "ClusterGateway":
@@ -306,9 +295,6 @@ class ClusterGateway(HttpFront):
         self._scatter_pool.shutdown(wait=False)
         for worker_id in list(self._conn_pool):
             self._flush_connections(worker_id)
-        if self.exporter is not None:
-            # Last: the drain flush ships the shutdown's own counter bumps.
-            self.exporter.shutdown()
 
     def _resolve_fingerprint(self) -> None:
         """Learn the dataset fingerprint from the first reachable worker so

@@ -358,18 +358,6 @@ class ServiceConfig:
     #: rotate the slow-query log file to a single ``.1`` backup once it
     #: crosses this many bytes.
     slow_query_max_bytes: int = 10 * 1024 * 1024
-    #: push-exporter kind shipping the metrics registry to an external
-    #: collector in the background: ``"statsd"`` (UDP line protocol) or
-    #: ``"json"`` (OTLP-flavored JSON POST batches); ``None`` disables push.
-    exporter: str | None = None
-    #: exporter sink address — ``host:port`` for statsd, an ``http(s)://``
-    #: URL for the JSON exporter.
-    exporter_target: str | None = None
-    #: seconds between background exporter flushes.
-    exporter_interval_seconds: float = 10.0
-    #: ship retries per flush (exponential backoff) before the batch is
-    #: dropped and counted in ``obs_exporter_dropped_series_total``.
-    exporter_max_retries: int = 3
     #: API keyfile (JSON, see :mod:`repro.gate.tenants`) enabling the
     #: multi-tenant front door; ``None`` leaves the server open.
     keyfile: str | None = None
@@ -402,9 +390,6 @@ class ServiceConfig:
     #: seed for the sampling RNG; ``None`` seeds from the OS.  A fixed seed
     #: makes the kept-trace sequence reproducible (tests, load replays).
     trace_sample_seed: int | None = None
-    #: also ship kept traces' spans through the push exporter (requires
-    #: ``exporter="json"``; spans go out as OTLP-flavored ``resourceSpans``).
-    trace_export: bool = False
     #: meter per-tenant compute-seconds (execute wall-time, cache-hit
     #: costs, fit wall-time) in memory; surfaced in ``/v1/stats``
     #: and the dashboard tenants table.
@@ -423,14 +408,6 @@ class ServiceConfig:
             raise ConfigurationError("slow_query_log must be a non-empty path or None")
         if self.slow_query_max_bytes <= 0:
             raise ConfigurationError("slow_query_max_bytes must be positive")
-        if self.exporter is not None and self.exporter not in ("statsd", "json"):
-            raise ConfigurationError('exporter must be "statsd", "json", or None')
-        if self.exporter is not None and not self.exporter_target:
-            raise ConfigurationError("exporter_target is required with an exporter")
-        if self.exporter_interval_seconds <= 0:
-            raise ConfigurationError("exporter_interval_seconds must be positive")
-        if self.exporter_max_retries < 0:
-            raise ConfigurationError("exporter_max_retries must be non-negative")
         if self.store_dir is not None and not str(self.store_dir).strip():
             raise ConfigurationError("store_dir must be a non-empty path or None")
         if self.fit_lock_wait_seconds <= 0:
@@ -476,14 +453,6 @@ class ServiceConfig:
             raise ConfigurationError("trace_sample_rate must be in [0, 1] or None")
         if self.trace_buffer_size < 1:
             raise ConfigurationError("trace_buffer_size must be >= 1")
-        if self.trace_export and self.exporter != "json":
-            raise ConfigurationError(
-                'trace_export requires exporter="json" (statsd cannot carry spans)'
-            )
-        if self.trace_export and self.trace_sample_rate is None:
-            raise ConfigurationError(
-                "trace_export requires trace_sample_rate (the trace collector)"
-            )
         if self.usage_ledger is not None and not str(self.usage_ledger).strip():
             raise ConfigurationError("usage_ledger must be a non-empty path or None")
         if self.usage_rollup_interval_seconds <= 0:
@@ -502,7 +471,7 @@ class ClusterConfig:
     serve`` processes: workers listen on consecutive ports starting at
     ``worker_base_port``, the gateway consistent-hashes method-affine
     traffic across them, and the pool restarts crashed workers with
-    exponential backoff.  Per-worker serving behaviour (cache, batching,
+    exponential backoff.  Per-worker serving behaviour (cache, admission,
     store) lives on the embedded :class:`ServiceConfig`.
     """
 
@@ -538,14 +507,6 @@ class ClusterConfig:
     #: emit one structured JSON access-log line per gateway request on the
     #: ``repro.cluster.access`` logger (mirrors ``ServiceConfig.access_log``).
     gateway_access_log: bool = False
-    #: push exporter shipping the *gateway's* metrics registry (worker
-    #: registries ship via the embedded service config): ``"statsd"``,
-    #: ``"json"``, or ``None``.
-    gateway_exporter: str | None = None
-    #: gateway exporter sink — ``host:port`` (statsd) or URL (json).
-    gateway_exporter_target: str | None = None
-    #: seconds between gateway exporter flushes.
-    gateway_exporter_interval_seconds: float = 10.0
     #: API keyfile enforced at the *gateway* (workers behind it stay open
     #: and trust the gateway's forwarded tenant header); ``None`` leaves
     #: the cluster front door open.
@@ -591,20 +552,6 @@ class ClusterConfig:
             raise ConfigurationError("failover_cooldown_seconds must be non-negative")
         if self.proxy_timeout_seconds <= 0:
             raise ConfigurationError("proxy_timeout_seconds must be positive")
-        if self.gateway_exporter is not None and self.gateway_exporter not in (
-            "statsd", "json",
-        ):
-            raise ConfigurationError(
-                'gateway_exporter must be "statsd", "json", or None'
-            )
-        if self.gateway_exporter is not None and not self.gateway_exporter_target:
-            raise ConfigurationError(
-                "gateway_exporter_target is required with a gateway exporter"
-            )
-        if self.gateway_exporter_interval_seconds <= 0:
-            raise ConfigurationError(
-                "gateway_exporter_interval_seconds must be positive"
-            )
         if self.keyfile is not None and not str(self.keyfile).strip():
             raise ConfigurationError("keyfile must be a non-empty path or None")
         if self.keyfile_reload_seconds < 0:

@@ -1,27 +1,20 @@
-"""repro.obs — unified telemetry: metrics, tracing, export, progress, usage.
+"""repro.obs — unified telemetry: metrics, tracing, progress, usage.
 
 This package is the one place serving-layer counters live.  Components
 expose :class:`~repro.obs.metrics.MetricsRegistry` instruments instead of
 hand-rolled ``self._stats = {}`` dicts (a tier-1 lint test enforces this),
 per-request stage timings ride the :mod:`~repro.obs.trace` ContextVar,
 completed traces land in a searchable :class:`~repro.obs.traces.TraceCollector`
-ring (served as ``GET /v1/traces``), push exporters
-(:mod:`~repro.obs.export`) ship the registry — and optionally kept trace
-spans — to external statsd/OTLP collectors in the background, fit jobs
-report fractional progress through
+ring, fit jobs report fractional progress through
 :class:`~repro.obs.progress.ProgressReporter`, and per-tenant
 compute-seconds accumulate in a :class:`~repro.obs.usage.UsageMeter` for
 billing-grade accounting.
+
+Telemetry is pull-only: no process pushes metrics or spans anywhere.
+Collectors scrape ``GET /v1/metrics`` (the registry as Prometheus text,
+with exemplars) and read kept traces from ``GET /v1/traces``.
 """
 
-from repro.obs.export import (
-    EXPORTER_KINDS,
-    JsonHttpExporter,
-    PushExporter,
-    StatsdExporter,
-    build_exporter,
-    spans_document,
-)
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     PROMETHEUS_CONTENT_TYPE,
@@ -67,7 +60,6 @@ from repro.obs.usage import (
 __all__ = [
     "ANONYMOUS_TENANT",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "EXPORTER_KINDS",
     "MAX_TENANTS",
     "OVERFLOW_TENANT",
     "PHASE_WINDOWS",
@@ -78,18 +70,14 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JsonHttpExporter",
     "MetricsRegistry",
     "ProgressReporter",
-    "PushExporter",
     "SlowQueryLog",
-    "StatsdExporter",
     "Trace",
     "TraceCollector",
     "TraceContext",
     "UsageMeter",
     "activate",
-    "build_exporter",
     "current_context",
     "current_request_id",
     "current_tenant",
@@ -108,6 +96,5 @@ __all__ = [
     "request_scope",
     "slow_query_logger",
     "span",
-    "spans_document",
     "tenant_scope",
 ]

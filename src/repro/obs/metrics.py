@@ -662,52 +662,6 @@ class MetricsRegistry:
             lines.append(f"{family.name}_sum{labels} {_format_value(series_sum)}")
             lines.append(f"{family.name}_count{labels} {series_count}")
 
-    def export_snapshot(self) -> list[dict]:
-        """Every live series as one flat list, for the push exporters.
-
-        Counters and gauges ship ``{"name", "kind", "labels", "value"}``;
-        histograms ship per-label-set ``{"name", "kind", "labels", "count",
-        "sum", "buckets"}`` with cumulative ``[le, count]`` pairs.  Labels
-        include the registry's const labels, so an exporter's output matches
-        what ``/v1/metrics`` scrapes series-for-series.
-        """
-        const = _label_key(self.const_labels)
-        series: list[dict] = []
-        for family in self.families():
-            if isinstance(family, Histogram):
-                with family._lock:
-                    entries = {
-                        key: (list(v[0]), v[1], v[2])
-                        for key, v in family._hist.items()
-                    }
-                for key in sorted(entries):
-                    counts, series_sum, series_count = entries[key]
-                    cumulative, running = [], 0
-                    for index, bound in enumerate((*family.bounds, float("inf"))):
-                        running += counts[index]
-                        cumulative.append([_format_le(bound), running])
-                    series.append(
-                        {
-                            "name": family.name,
-                            "kind": "histogram",
-                            "labels": dict(const + key),
-                            "count": series_count,
-                            "sum": series_sum,
-                            "buckets": cumulative,
-                        }
-                    )
-                continue
-            for key, value in sorted(family.series().items()):
-                series.append(
-                    {
-                        "name": family.name,
-                        "kind": family.kind,
-                        "labels": dict(const + key),
-                        "value": value,
-                    }
-                )
-        return series
-
     def snapshot(self) -> dict:
         """Debug view: family name -> {label tuple -> value} (counters/gauges)."""
         result: dict[str, dict] = {}

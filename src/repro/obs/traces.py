@@ -9,9 +9,8 @@ tracing, ``include_timings``) is retained when the request ran slower than
 the slow threshold or errored, regardless of the sampling verdict.
 
 The ring is deliberately small (default 256 traces): this is a flight
-recorder for debugging tail latency, not a durable span warehouse.  For
-off-box retention the collector can hand its kept traces to a push
-exporter (see :mod:`repro.obs.export`) as OTLP-flavored JSON spans.
+recorder for debugging tail latency, not a durable span warehouse.  A
+collector that wants off-box retention polls ``GET /v1/traces``.
 
 Thread safety: ``offer`` and the query surface take one lock; records are
 plain dicts snapshot at offer time, so readers never see a trace mutate.
@@ -39,8 +38,6 @@ class TraceCollector:
         sample_rate: float = 0.0,
         slow_ms: float | None = None,
         rng: random.Random | None = None,
-        export: bool = False,
-        export_capacity: int = 256,
     ):
         self.capacity = max(1, int(capacity))
         self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
@@ -50,16 +47,10 @@ class TraceCollector:
         #: trace_id -> record, insertion-ordered (oldest first) so eviction
         #: pops from the left; doubles as the O(1) id index.
         self._records: OrderedDict[str, dict] = OrderedDict()
-        #: records kept since the last exporter drain, bounded separately so
-        #: a sink outage cannot grow memory; only fed when span export is on.
-        self.export_enabled = bool(export)
-        self._export_queue: list[dict] = []
-        self._export_capacity = max(1, int(export_capacity))
         self._sampled = 0
         self._kept = 0
         self._evicted = 0
         self._discarded = 0
-        self._export_dropped = 0
 
     # -- head sampling ---------------------------------------------------------------
     def sample(self) -> bool:
@@ -121,12 +112,6 @@ class TraceCollector:
             while len(self._records) > self.capacity:
                 self._records.popitem(last=False)
                 self._evicted += 1
-            if self.export_enabled:
-                self._export_queue.append(record)
-                overflow = len(self._export_queue) - self._export_capacity
-                if overflow > 0:
-                    del self._export_queue[:overflow]
-                    self._export_dropped += overflow
         return True
 
     # -- query surface ---------------------------------------------------------------
@@ -170,13 +155,6 @@ class TraceCollector:
                 break
         return matched
 
-    # -- export ----------------------------------------------------------------------
-    def drain_export(self) -> list[dict]:
-        """Hand the records kept since the last drain to a push exporter."""
-        with self._lock:
-            pending, self._export_queue = self._export_queue, []
-        return pending
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -187,5 +165,4 @@ class TraceCollector:
                 "sampled": self._sampled,
                 "discarded": self._discarded,
                 "evicted": self._evicted,
-                "export_dropped": self._export_dropped,
             }

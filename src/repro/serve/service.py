@@ -46,7 +46,6 @@ from repro.obs import (
     TraceCollector,
     UsageMeter,
     activate,
-    build_exporter,
     current_request_id,
     current_tenant,
     current_trace,
@@ -128,7 +127,6 @@ class ExpansionService:
                     if self.config.trace_sample_seed is not None
                     else None
                 ),
-                export=self.config.trace_export,
             )
         # The front door (repro.gate): built only when configured, so a
         # plain service carries zero gate state and stays fully open.
@@ -200,22 +198,6 @@ class ExpansionService:
                 self.config.slow_query_log,
                 max_bytes=self.config.slow_query_max_bytes,
             )
-        self.exporter = build_exporter(
-            self.metrics,
-            self.config.exporter,
-            self.config.exporter_target,
-            interval_seconds=self.config.exporter_interval_seconds,
-            max_retries=self.config.exporter_max_retries,
-        )
-        if self.exporter is not None:
-            if (
-                self.config.trace_export
-                and self.traces is not None
-                and self.exporter.supports_spans
-            ):
-                # kept traces also ship out-of-band as OTLP-style spans.
-                self.exporter.span_source = self.traces.drain_export
-            self.exporter.start()
         self._janitor: _StoreJanitor | None = None
         if store is not None and self.config.store_gc_interval_seconds is not None:
             self._janitor = _StoreJanitor(
@@ -550,8 +532,6 @@ class ExpansionService:
             merged["store"] = self.store.stats()
         if self._janitor is not None:
             merged["store_gc"] = self._janitor.stats()
-        if self.exporter is not None:
-            merged["exporter"] = self.exporter.stats()
         if self._slow_log is not None:
             merged["slow_query_log"] = self._slow_log.stats()
         if self.traces is not None:
@@ -572,9 +552,6 @@ class ExpansionService:
         if self.usage is not None:
             # force the final rollup so short-lived services still ledger.
             self.usage.close()
-        if self.exporter is not None:
-            # Last: the drain flush ships whatever the shutdown just counted.
-            self.exporter.shutdown()
 
     def __enter__(self) -> "ExpansionService":
         return self

@@ -161,11 +161,22 @@ class TestExpandOptions:
             {"limit": 0},
             {"use_cache": 1},
             {"return_names": "yes"},
+            {"top_k": float("inf")},
+            {"top_k": float("nan")},
+            {"top_k": 2.9},
+            {"offset": float("inf")},
+            {"offset": 1.5},
+            {"limit": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, payload):
         with pytest.raises(ServiceError):
             ExpandOptions.from_dict(payload)
+
+    def test_accepts_integral_numbers(self):
+        options = ExpandOptions.from_dict({"top_k": 5.0, "offset": 2.0, "limit": 3})
+        assert (options.top_k, options.offset, options.limit) == (5, 2, 3)
+        assert isinstance(options.top_k, int)
 
     def test_request_rejects_mixed_option_spellings(self):
         """Serving options live only under "options": the pre-v1 top-level
@@ -191,6 +202,21 @@ class TestExpandOptions:
                 {"method": "m", "class_id": "c",
                  "positive_seed_ids": [1], "negative_seed_ids": [2, False]}
             )
+        # nor fractions or infinities: 3.7 is not entity 3, and 1e999 (inf)
+        # is a bad request, not an internal error.
+        for seeds in ([3.7], [float("inf")], [float("nan")], [1, -float("inf")]):
+            with pytest.raises(ServiceError):
+                ExpandRequest.from_dict(
+                    {"method": "m", "class_id": "c", "positive_seed_ids": seeds}
+                )
+        with pytest.raises(ServiceError):
+            ExpandRequest.from_dict(
+                {"method": "m", "query_id": "q", "options": {"top_k": float("inf")}}
+            )
+        request = ExpandRequest.from_dict(
+            {"method": "m", "class_id": "c", "positive_seed_ids": [3.0]}
+        )
+        assert request.positive_seed_ids == (3,)
 
 
 class TestPagination:

@@ -57,37 +57,29 @@ class TestParser:
         assert build_parser().parse_args(["serve"]).access_log is False
 
     def test_serve_telemetry_export_arguments(self):
+        """The slow-query log keeps its flags; metrics and traces leave a
+        process only when scraped, so no exporter flags remain."""
         args = build_parser().parse_args(
             [
                 "serve",
-                "--exporter", "statsd",
-                "--exporter-target", "127.0.0.1:8125",
-                "--exporter-interval", "5",
-                "--exporter-max-retries", "1",
                 "--slow-query-log", "/tmp/slow.jsonl",
                 "--slow-query-max-bytes", "4096",
             ]
         )
-        assert args.exporter == "statsd"
-        assert args.exporter_target == "127.0.0.1:8125"
-        assert args.exporter_interval == 5.0
-        assert args.exporter_max_retries == 1
         assert args.slow_query_log == "/tmp/slow.jsonl"
         assert args.slow_query_max_bytes == 4096
-        assert build_parser().parse_args(["serve"]).exporter is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--exporter", "kafka"])
 
-    def test_cluster_serve_gateway_exporter_arguments(self):
-        args = build_parser().parse_args(
-            [
-                "cluster", "serve",
-                "--gateway-exporter", "json",
-                "--gateway-exporter-target", "http://collector:4318/v1/metrics",
-            ]
-        )
-        assert args.gateway_exporter == "json"
-        assert args.gateway_exporter_target == "http://collector:4318/v1/metrics"
+    def test_cluster_serve_gateway_exporter_arguments(self, capsys):
+        """The push-exporter flags are gone: each is a usage error."""
+        for argv, flag in (
+            (["serve", "--exporter", "statsd"], "--exporter"),
+            (["serve", "--trace-export"], "--trace-export"),
+            (["cluster", "serve", "--gateway-exporter", "json"], "--gateway-exporter"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCommands:

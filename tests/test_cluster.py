@@ -45,6 +45,10 @@ from repro.store import ArtifactStore, FitLock
 from repro.store.serialization import read_json_state, write_json_state
 from repro.types import ExpansionResult
 
+#: every server a test here starts must be gone, threads and sockets, by
+#: the time the module is torn down (see ``no_leaks`` in conftest.py).
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 # ---------------------------------------------------------------------------
 # shared stubs
 # ---------------------------------------------------------------------------

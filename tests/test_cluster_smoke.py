@@ -13,12 +13,13 @@ CI runs this file as its cluster smoke job.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import sys
 
 import pytest
 
-from repro.cli import build_parser, worker_command
+from repro.cli import _service_config, build_parser, worker_command
 from repro.client import ExpansionClient
 from repro.cluster import ClusterGateway, WorkerPool, WorkerSpec
 from repro.config import ClusterConfig, ServiceConfig
@@ -133,10 +134,49 @@ def test_sigterm_shutdown_is_clean(dataset_dir):
     assert stats["exit_codes"][-1] == 0, f"unclean worker exit: {stats}"
 
 
-def test_worker_command_points_at_this_interpreter(dataset_dir):
+def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
     parser = build_parser()
     args = parser.parse_args(["serve", "--dataset", dataset_dir, "--port", "0"])
     command = worker_command(dataset_dir, "127.0.0.1", 8123, args)
     assert command[0] == sys.executable
     assert command[1:4] == ("-m", "repro.cli", "serve")
     assert "--port" in command and "8123" in command
+
+    # Round trip: every flag a worker inherits, set to a non-default value,
+    # must come back out of the worker's own argv parse unchanged.
+    cluster_args = parser.parse_args(
+        [
+            "cluster", "serve", "--dataset", dataset_dir,
+            "--worker-host", "127.0.0.2",
+            "--cache-capacity", "7", "--cache-ttl", "12.5",
+            "--store", str(tmp_path / "store"),
+            "--warm", "setexpan", "retexpan",
+            "--access-log",
+            "--slow-query-ms", "25", "--slow-query-log", str(tmp_path / "slow.jsonl"),
+            "--slow-query-max-bytes", "4096",
+            "--keyfile", str(tmp_path / "keys.json"), "--default-quota", "5:10",
+            "--admission-max-concurrent", "3", "--admission-queue-depth", "5",
+            "--admission-timeout", "2.5",
+            "--trace-sample-rate", "0.25", "--trace-buffer-size", "64",
+            "--trace-sample-seed", "9",
+            "--usage-metering", "--usage-ledger", str(tmp_path / "usage.jsonl"),
+            "--usage-rollup-interval-seconds", "7",
+        ]
+    )
+    command = worker_command(dataset_dir, cluster_args.worker_host, 8123, cluster_args)
+    worker_args = parser.parse_args(list(command[3:]))
+    assert worker_args.dataset == dataset_dir
+    assert worker_args.warm == ["setexpan", "retexpan"]
+    cluster_config = _service_config(cluster_args)
+    # The documented differences: workers bind their own host and port,
+    # suffix file sinks with the port so workers never share a file, and
+    # leave auth and quotas to the gateway.
+    assert _service_config(worker_args) == dataclasses.replace(
+        cluster_config,
+        host="127.0.0.2",
+        port=8123,
+        slow_query_log=f"{cluster_config.slow_query_log}.8123",
+        usage_ledger=f"{cluster_config.usage_ledger}.8123",
+        keyfile=None,
+        default_quota=None,
+    )

@@ -15,18 +15,21 @@ import json
 import os
 import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from repro.client import ExpansionClient
-from repro.cluster import ClusterConfig, ClusterGateway
+from repro.cluster import ClusterGateway
 from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.serve.server import MAX_BODY_BYTES, _TrackingHTTPServer
 from repro.types import ExpansionResult
+
+#: every server a test here starts must be gone, threads and sockets, by
+#: the time the module is torn down (see ``no_leaks`` in conftest.py).
+pytestmark = pytest.mark.usefixtures("no_leaks")
 
 TIERS = ("worker", "gateway")
 
@@ -118,6 +121,27 @@ class TestHttpContract:
         assert headers["Connection"] == "close"
 
     @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"method": "stub", "query_id": "QID", "options": {"top_k": 1e999}}',
+            b'{"method": "stub", "query_id": "QID", "options": {"top_k": 2.9}}',
+            b'{"method": "stub", "class_id": "CID", "positive_seed_ids": [1e999]}',
+        ],
+    )
+    def test_non_integral_numbers_are_400_not_retryable(
+        self, front, tiny_dataset, body
+    ):
+        """JSON 1e999 parses to inf: a bad request, never a retryable 500."""
+        query = tiny_dataset.queries[0]
+        body = body.replace(b"QID", query.query_id.encode()).replace(
+            b"CID", query.class_id.encode()
+        )
+        status, _headers, payload = call(front, "POST", "/v1/expand", body=body)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["retryable"] is False
+
+    @pytest.mark.parametrize(
         "verb, path",
         [("GET", "/v1/nothing"), ("GET", "/healthz"), ("POST", "/expand")],
     )
@@ -175,9 +199,6 @@ def test_port_clash_starts_no_background_work(tiny_dataset):
         with pytest.raises(OSError):
             ClusterGateway(
                 [("worker-0", "http://127.0.0.1:9")],
-                config=ClusterConfig(
-                    gateway_exporter="statsd", gateway_exporter_target="127.0.0.1:9"
-                ),
                 fingerprint=tiny_dataset.fingerprint(),
                 host="127.0.0.1",
                 port=taken.getsockname()[1],
@@ -185,33 +206,8 @@ def test_port_clash_starts_no_background_work(tiny_dataset):
         assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
-def _open_fds() -> set[str]:
-    """What each open descriptor points at (a socket's target names its
-    inode, so a leaked socket shows up even when its number is reused)."""
-    targets = set()
-    for name in os.listdir("/proc/self/fd"):
-        try:
-            targets.add(os.readlink(f"/proc/self/fd/{name}"))
-        except OSError:
-            pass  # closed meanwhile (the listing's own descriptor, say)
-    return targets
-
-
-def _settles(condition, timeout: float = 10.0) -> bool:
-    """Whether ``condition()`` holds within ``timeout`` (a liveness bound:
-    threads and sockets are released asynchronously after shutdown)."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-def test_shutdown_leaves_no_threads_or_sockets(tiny_dataset):
-    threads_before = set(threading.enumerate())
-    fds_before = _open_fds()
+def test_shutdown_leaves_no_threads_or_sockets(tiny_dataset, process_snapshot):
     worker = make_worker(tiny_dataset)
     gateway = make_gateway(tiny_dataset, worker)
     client = ExpansionClient.connect(gateway.url)
@@ -226,10 +222,8 @@ def test_shutdown_leaves_no_threads_or_sockets(tiny_dataset):
     # shut both tiers down while the client still holds its keep-alive socket.
     gateway.shutdown()
     worker.shutdown()
-
-    def leftover_threads():
-        return [t.name for t in threading.enumerate() if t not in threads_before]
-
-    assert _settles(lambda: not leftover_threads()), leftover_threads()
+    leftover_threads = process_snapshot.leftover_threads()
+    assert not leftover_threads, leftover_threads
     client.close()
-    assert _settles(lambda: _open_fds() <= fds_before), _open_fds() - fds_before
+    leftover_fds = process_snapshot.leftover_fds()
+    assert not leftover_fds, leftover_fds

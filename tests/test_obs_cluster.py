@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import socket
 import time
 import urllib.error
 import urllib.request
@@ -26,6 +25,10 @@ from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.obs.top import render_dashboard
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
+
+#: every server a test here starts must be gone, threads and sockets, by
+#: the time the module is torn down (see ``no_leaks`` in conftest.py).
+pytestmark = pytest.mark.usefixtures("no_leaks")
 
 #: enough methods that a 2-worker ring owns some on each shard.
 STUB_METHODS = tuple(f"stub{letter}" for letter in "abcdef")
@@ -244,72 +247,6 @@ class TestGatewayMetrics:
         assert stats["proxied"] >= 1
         assert set(stats["routed"]) == {"worker-0", "worker-1"}
         assert sum(stats["routed"].values()) == stats["proxied"]
-
-
-class TestClusterTelemetryExport:
-    def test_fleet_ships_statsd_flushes_end_to_end(self, tiny_dataset):
-        """Workers and gateway both push to one UDP statsd stub while a
-        request is served — the CI cluster-smoke path for the export
-        pipeline (background flush, zero requests blocked)."""
-        sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sink.bind(("127.0.0.1", 0))
-        sink.settimeout(10.0)
-        target = f"127.0.0.1:{sink.getsockname()[1]}"
-
-        servers = [
-            make_worker(
-                tiny_dataset,
-                exporter="statsd",
-                exporter_target=target,
-                exporter_interval_seconds=0.1,
-            )
-        ]
-        gateway = make_gateway(
-            tiny_dataset,
-            servers,
-            gateway_exporter="statsd",
-            gateway_exporter_target=target,
-            gateway_exporter_interval_seconds=0.1,
-        )
-        try:
-            query_id = tiny_dataset.queries[0].query_id
-            status, envelope, _ = http_post(
-                gateway.url + "/v1/expand",
-                {"method": STUB_METHODS[0], "query_id": query_id},
-            )
-            assert status == 200  # serving never waits on the exporter
-
-            lines: list[str] = []
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                payload, _addr = sink.recvfrom(65535)
-                lines.extend(payload.decode("utf-8").split("\n"))
-                if any(
-                    line.startswith("repro_gateway_requests_total:")
-                    for line in lines
-                ) and any(
-                    line.startswith("repro_service_requests_total:")
-                    for line in lines
-                ):
-                    break
-            assert any(
-                line.startswith("repro_gateway_requests_total:") for line in lines
-            ), lines
-            assert any(
-                line.startswith("repro_service_requests_total:") for line in lines
-            ), lines
-            # the flush self-metric increments just after the datagram goes
-            # out, on the exporter thread — give it a beat.
-            flushes = gateway.metrics.counter("obs_exporter_flushes_total")
-            deadline = time.monotonic() + 5.0
-            while flushes.total() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert flushes.total() >= 1
-        finally:
-            gateway.shutdown()
-            for server in servers:
-                server.shutdown()
-            sink.close()
 
 
 def _log_lines(caplog, logger_name: str) -> list[dict]:

@@ -1,34 +1,21 @@
-"""Tests for the telemetry export pipeline and fit-progress reporting.
+"""Tests for the telemetry a process serves on request, and fit progress.
 
-Covers the push-exporter delta semantics, the failure modes the tentpole
-promises (sink down at startup, sink dying mid-run, clean drain on
-shutdown — always retry/backoff then drop-and-count, never block), the
-statsd line protocol end-to-end over a real UDP socket, the OTLP-flavored
-JSON document shape, the golden OpenMetrics exemplar rendering, slow-query
-log rotation, :class:`ProgressReporter` composition, the causal-LM fit's
-monotonic progress, and the ``FitJob`` wire document shape.
+Covers the golden OpenMetrics exemplar rendering behind ``GET
+/v1/metrics``, slow-query log rotation, :class:`ProgressReporter`
+composition, the causal-LM fit's monotonic progress, and the ``FitJob``
+wire document shape.
 """
 
 from __future__ import annotations
 
 import json
-import socket
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from repro.api.jobs import JobManager
-from repro.config import CausalLMConfig, ServiceConfig
+from repro.config import CausalLMConfig
 from repro.lm.causal_lm import CausalEntityLM
-from repro.obs import MetricsRegistry, build_exporter, request_scope
-from repro.obs.export import (
-    JsonHttpExporter,
-    PushExporter,
-    StatsdExporter,
-    MAX_DATAGRAM_BYTES,
-)
+from repro.obs import MetricsRegistry, request_scope
 from repro.obs.progress import (
     NULL_PROGRESS,
     PHASE_WINDOWS,
@@ -36,370 +23,6 @@ from repro.obs.progress import (
     phase_window,
 )
 from repro.obs.slowlog import SlowQueryLog
-from repro.serve import ExpandRequest, ExpansionService
-from repro.serve.server import stop_serve_loop
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-class RecordingExporter(PushExporter):
-    """Captures shipped batches; optionally fails the next N ship attempts."""
-
-    kind = "recording"
-
-    def __init__(self, registry, **kwargs):
-        kwargs.setdefault("backoff_seconds", 0.0)
-        super().__init__(registry, **kwargs)
-        self.batches: list[list[dict]] = []
-        self.fail_attempts = 0
-        self.ship_attempts = 0
-
-    def _ship(self, batch):
-        self.ship_attempts += 1
-        if self.fail_attempts > 0:
-            self.fail_attempts -= 1
-            raise ConnectionError("sink is down")
-        self.batches.append([dict(entry) for entry in batch])
-
-
-def udp_sink():
-    """A bound UDP socket standing in for a statsd server."""
-    sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sink.bind(("127.0.0.1", 0))
-    sink.settimeout(5.0)
-    return sink, sink.getsockname()[1]
-
-
-def recv_lines(sink, datagrams: int = 1) -> list[str]:
-    lines: list[str] = []
-    for _ in range(datagrams):
-        payload, _addr = sink.recvfrom(65535)
-        lines.extend(payload.decode("utf-8").split("\n"))
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# delta semantics
-# ---------------------------------------------------------------------------
-
-
-class TestPushExporterDeltas:
-    def test_counters_ship_positive_deltas_only(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_t_requests_total")
-        exporter = RecordingExporter(registry)
-
-        counter.inc(3, method="a")
-        exporter.run_once()
-        first = {e["name"]: e for e in exporter.batches[-1]}
-        assert first["repro_t_requests_total"]["delta"] == 3
-
-        counter.inc(2, method="a")
-        exporter.run_once()
-        second = {e["name"]: e for e in exporter.batches[-1]}
-        assert second["repro_t_requests_total"]["delta"] == 2
-
-    def test_unchanged_counters_do_not_reship(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_t_hits_total").inc()
-        exporter = RecordingExporter(registry)
-        assert exporter.run_once() > 0
-        exporter.run_once()
-        # The counter didn't move, so it must not appear in later batches
-        # (the exporter's own flush counters may).
-        names = {e["name"] for batch in exporter.batches[1:] for e in batch}
-        assert "repro_t_hits_total" not in names
-
-    def test_gauges_ship_current_value_every_flush(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("repro_t_resident")
-        exporter = RecordingExporter(registry)
-        gauge.set(4)
-        exporter.run_once()
-        exporter.run_once()
-        for batch in exporter.batches:
-            entry = next(e for e in batch if e["name"] == "repro_t_resident")
-            assert entry["value"] == 4
-
-    def test_histograms_ship_window_deltas(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_t_ms", buckets=(1.0, 10.0))
-        exporter = RecordingExporter(registry)
-        hist.observe(0.5)
-        hist.observe(5.0)
-        exporter.run_once()
-        entry = next(
-            e for e in exporter.batches[-1] if e["name"] == "repro_t_ms"
-        )
-        assert entry["delta_count"] == 2
-        assert entry["delta_sum"] == pytest.approx(5.5)
-        assert entry["buckets"] == [["1", 1], ["10", 2], ["+Inf", 2]]
-
-        hist.observe(0.5)
-        exporter.run_once()
-        entry = next(
-            e for e in exporter.batches[-1] if e["name"] == "repro_t_ms"
-        )
-        assert entry["delta_count"] == 1
-        assert entry["delta_sum"] == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
-# failure modes: retry, backoff, drop-and-count, drain
-# ---------------------------------------------------------------------------
-
-
-class TestExporterFailureModes:
-    def test_sink_down_at_startup_drops_and_counts(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_t_total").inc(7)
-        exporter = RecordingExporter(registry, max_retries=2)
-        exporter.fail_attempts = 10  # every attempt fails
-
-        assert exporter.run_once() == 0
-        # initial attempt + 2 retries, then the batch dropped.
-        assert exporter.ship_attempts == 3
-        assert registry.counter("obs_exporter_retries_total").total() == 2
-        assert registry.counter("obs_exporter_dropped_series_total").total() == 1
-        assert registry.counter("obs_exporter_flushes_total").total() == 0
-        assert "ConnectionError" in exporter.last_error
-
-    def test_dropped_window_is_lost_not_buffered(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_t_total")
-        exporter = RecordingExporter(registry, max_retries=0)
-
-        counter.inc(5)
-        exporter.fail_attempts = 1
-        exporter.run_once()  # the 5 is dropped, baseline still advances
-
-        counter.inc(2)
-        assert exporter.run_once() > 0
-        entry = next(
-            e for e in exporter.batches[-1] if e["name"] == "repro_t_total"
-        )
-        assert entry["delta"] == 2  # only the post-drop window ships
-
-    def test_sink_dying_mid_run_recovers_on_next_flush(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_t_total")
-        exporter = RecordingExporter(registry, max_retries=1)
-
-        counter.inc()
-        assert exporter.run_once() > 0  # healthy flush
-        assert exporter.last_error is None
-
-        counter.inc()
-        exporter.fail_attempts = 10
-        assert exporter.run_once() == 0  # sink died: retried, then dropped
-        assert exporter.last_error is not None
-        drops = registry.counter("obs_exporter_dropped_series_total").total()
-        assert drops >= 1
-
-        counter.inc()
-        exporter.fail_attempts = 0
-        assert exporter.run_once() > 0  # sink back: shipping resumes
-        assert exporter.last_error is None
-
-    def test_shutdown_drains_one_final_batch(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_t_total")
-        exporter = RecordingExporter(registry, interval_seconds=3600.0)
-        exporter.start()
-        counter.inc(9)
-        exporter.shutdown()
-        assert exporter._thread is None
-        entry = next(
-            e
-            for batch in exporter.batches
-            for e in batch
-            if e["name"] == "repro_t_total"
-        )
-        assert entry["delta"] == 9
-
-    def test_retry_backoff_collapses_during_shutdown(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_t_total").inc()
-        exporter = RecordingExporter(
-            registry, max_retries=3, backoff_seconds=30.0
-        )
-        exporter.fail_attempts = 10
-        exporter._stop.set()  # as shutdown() would
-        started = time.perf_counter()
-        assert exporter.run_once() == 0
-        assert time.perf_counter() - started < 5.0
-
-
-# ---------------------------------------------------------------------------
-# statsd
-# ---------------------------------------------------------------------------
-
-
-class TestStatsdExporter:
-    def test_line_protocol_over_a_real_udp_socket(self):
-        sink, port = udp_sink()
-        try:
-            registry = MetricsRegistry()
-            registry.counter("repro_t_total").inc(3, method="a")
-            registry.gauge("repro_t_resident").set(2.5)
-            hist = registry.histogram("repro_t_ms", buckets=(10.0,))
-            hist.observe(4.0)
-            hist.observe(8.0)
-            exporter = StatsdExporter(registry, "127.0.0.1", port)
-            try:
-                assert exporter.run_once() == 3  # counter + gauge + histogram
-                lines = recv_lines(sink)
-            finally:
-                exporter.shutdown()
-        finally:
-            sink.close()
-        assert "repro_t_total:3|c|#method:a" in lines
-        assert "repro_t_resident:2.5|g" in lines
-        assert "repro_t_ms:6|ms" in lines  # window mean of 4 and 8
-        assert "repro_t_ms.count:2|c" in lines
-
-    def test_datagrams_stay_under_the_mtu_budget(self):
-        long_lines = [f"repro_t_{i}:{i}|c" + "x" * 100 for i in range(40)]
-        datagrams = StatsdExporter._pack(long_lines)
-        assert len(datagrams) > 1
-        for datagram in datagrams:
-            assert len(datagram) <= MAX_DATAGRAM_BYTES
-        reassembled = b"\n".join(datagrams).decode("utf-8").split("\n")
-        assert reassembled == long_lines
-
-    def test_tags_render_sorted_dogstatsd_style(self):
-        assert StatsdExporter._tags({}) == ""
-        assert StatsdExporter._tags({"b": "2", "a": "1"}) == "|#a:1,b:2"
-
-
-# ---------------------------------------------------------------------------
-# json / OTLP
-# ---------------------------------------------------------------------------
-
-
-class _SinkHandler(BaseHTTPRequestHandler):
-    def do_POST(self):  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.received.append(json.loads(self.rfile.read(length)))
-        self.send_response(200)
-        self.end_headers()
-
-    def log_message(self, *args):
-        pass
-
-
-class TestJsonHttpExporter:
-    def test_document_shape(self):
-        batch = [
-            {"name": "c", "kind": "counter", "labels": {"m": "a"}, "delta": 2.0},
-            {"name": "g", "kind": "gauge", "labels": {}, "value": 1.5},
-            {
-                "name": "h",
-                "kind": "histogram",
-                "labels": {},
-                "delta_count": 2,
-                "delta_sum": 3.0,
-                "buckets": [["1", 1], ["+Inf", 2]],
-            },
-        ]
-        document = JsonHttpExporter._document(batch)
-        metrics = document["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        by_name = {metric["name"]: metric for metric in metrics}
-
-        counter = by_name["c"]["sum"]
-        assert counter["aggregationTemporality"] == 1
-        assert counter["isMonotonic"] is True
-        assert counter["dataPoints"][0]["asDouble"] == 2.0
-        assert counter["dataPoints"][0]["attributes"] == [
-            {"key": "m", "value": {"stringValue": "a"}}
-        ]
-
-        assert by_name["g"]["gauge"]["dataPoints"][0]["asDouble"] == 1.5
-
-        hist = by_name["h"]["histogram"]["dataPoints"][0]
-        assert hist["count"] == 2
-        assert hist["sum"] == 3.0
-        assert hist["bucketCounts"] == [1, 2]
-        assert hist["explicitBounds"] == [1.0]
-
-    def test_posts_one_document_per_flush(self):
-        server = HTTPServer(("127.0.0.1", 0), _SinkHandler)
-        server.received = []
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            registry = MetricsRegistry()
-            registry.counter("repro_t_total").inc(4)
-            exporter = JsonHttpExporter(
-                registry, f"http://127.0.0.1:{server.server_address[1]}/v1/metrics"
-            )
-            try:
-                assert exporter.run_once() == 1
-            finally:
-                exporter.shutdown()
-        finally:
-            stop_serve_loop(server)
-            server.server_close()
-            thread.join(timeout=5.0)
-        assert len(server.received) >= 1
-        metrics = server.received[0]["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        assert metrics[0]["name"] == "repro_t_total"
-
-    def test_unreachable_sink_never_blocks_serving(self):
-        # grab a port with nothing listening on it.
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        port = placeholder.getsockname()[1]
-        placeholder.close()
-
-        registry = MetricsRegistry()
-        registry.counter("repro_t_total").inc()
-        exporter = JsonHttpExporter(
-            registry,
-            f"http://127.0.0.1:{port}/",
-            timeout=0.5,
-            max_retries=1,
-            backoff_seconds=0.0,
-        )
-        assert exporter.run_once() == 0
-        assert registry.counter("obs_exporter_dropped_series_total").total() == 1
-        assert exporter.last_error is not None
-
-
-class TestBuildExporter:
-    def test_off_when_kind_is_falsy(self):
-        registry = MetricsRegistry()
-        assert build_exporter(registry, None, None) is None
-        assert build_exporter(registry, "", "127.0.0.1:8125") is None
-
-    def test_builds_each_kind(self):
-        registry = MetricsRegistry()
-        statsd = build_exporter(
-            registry, "statsd", "127.0.0.1:8125", interval_seconds=1.0
-        )
-        assert isinstance(statsd, StatsdExporter)
-        assert statsd.address == ("127.0.0.1", 8125)
-        assert statsd.interval_seconds == 1.0
-        statsd._close()
-        json_exporter = build_exporter(
-            registry, "json", "http://collector:4318/v1/metrics", max_retries=5
-        )
-        assert isinstance(json_exporter, JsonHttpExporter)
-        assert json_exporter.max_retries == 5
-
-    def test_rejects_bad_configuration(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown exporter kind"):
-            build_exporter(registry, "kafka", "somewhere")
-        with pytest.raises(ValueError, match="needs a target"):
-            build_exporter(registry, "statsd", None)
-        with pytest.raises(ValueError, match="host:port"):
-            build_exporter(registry, "statsd", "no-port")
-        with pytest.raises(ValueError, match="http\\(s\\) URL"):
-            build_exporter(registry, "json", "collector:4318")
-
 
 # ---------------------------------------------------------------------------
 # OpenMetrics exemplars
@@ -696,64 +319,3 @@ class TestFitJobProgress:
         document = queued.to_dict()
         assert list(document) == FIT_JOB_DOCUMENT_KEYS
         assert document["progress"] is None
-
-
-# ---------------------------------------------------------------------------
-# service wiring: config -> exporter lifecycle
-# ---------------------------------------------------------------------------
-
-
-class TestServiceExportWiring:
-    def make_service(self, dataset, **config_kwargs):
-        from repro.core.base import Expander
-        from repro.types import ExpansionResult
-
-        class StubExpander(Expander):
-            name = "stub"
-
-            def _fit(self, dataset) -> None:
-                pass
-
-            def _expand(self, query, top_k) -> ExpansionResult:
-                scored = [
-                    (eid, 1.0 / (1.0 + eid)) for eid in self.dataset.entity_ids()
-                ]
-                return ExpansionResult.from_scores(query.query_id, scored)
-
-        config = ServiceConfig(**config_kwargs)
-        return ExpansionService(
-            dataset, config=config, factories={"stub": lambda _res: StubExpander()}
-        )
-
-    def test_statsd_export_end_to_end_with_drain_on_close(
-        self, tiny_dataset, sample_query
-    ):
-        sink, port = udp_sink()
-        try:
-            service = self.make_service(
-                tiny_dataset,
-                exporter="statsd",
-                exporter_target=f"127.0.0.1:{port}",
-                exporter_interval_seconds=3600.0,  # only the drain flushes
-            )
-            assert service.exporter is not None
-            assert "exporter" in service.stats()
-            service.submit(ExpandRequest(method="stub", query_id=sample_query.query_id))
-            service.close()  # drains one final batch
-            lines = recv_lines(sink)
-        finally:
-            sink.close()
-        assert any(
-            line.startswith("repro_service_requests_total:") and "|c" in line
-            for line in lines
-        ), lines
-        flushes = service.metrics.counter("obs_exporter_flushes_total").total()
-        assert flushes >= 1
-
-    def test_export_disabled_by_default(self, tiny_dataset):
-        service = self.make_service(tiny_dataset)
-        try:
-            assert service.exporter is None
-            assert "exporter" not in service.stats()
-        finally:
-            service.close()

@@ -25,6 +25,10 @@ from repro.obs.top import render_dashboard
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
 
+#: every server a test here starts must be gone, threads and sockets, by
+#: the time the module is torn down (see ``no_leaks`` in conftest.py).
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 STUB_METHODS = tuple(f"stub{letter}" for letter in "abcdef")
 
 

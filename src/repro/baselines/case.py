@@ -10,7 +10,9 @@ SetExpan it only consumes positive seeds.
 Hot path: the sliced entity embeddings are a
 :class:`~repro.core.dense.DenseRanker` vector space, stacked once at
 fit/load time; from 4,096 entities the distributed scan covers a probed ANN
-shortlist, always re-scored exactly.
+shortlist, always re-scored exactly.  Fit and restore also keep a per-entity
+term-frequency matrix, so the lexical score of the whole shortlist is one
+gather and a few array operations per seed.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ class CaSE(DenseRanker):
         self._tokenizer = WordTokenizer()
         self._bm25: BM25Index | None = None
         self._entity_terms: dict[int, list[str]] = {}
+        #: entity id -> row of the term-frequency matrix.
+        self._term_rows: dict[int, int] = {}
+        self._term_columns: dict[str, int] = {}
+        #: entity x term frequencies, plus one all-zero last row that stands
+        #: in for a candidate without a document.
+        self._term_frequencies = np.zeros((1, 0), dtype=np.uint8)
+        self._document_lengths = np.zeros(1)
 
     def _vector_space(self) -> VectorSpace:
         """The PPMI-SVD co-occurrence entity embeddings, truncated."""
@@ -71,7 +80,6 @@ class CaSE(DenseRanker):
     def _fit(self, dataset: UltraWikiDataset) -> None:
         self._resources = self._resources or SharedResources(dataset)
         self._bind_vectors()
-        self._bm25 = BM25Index()
         self._entity_terms = {}
         for entity in dataset.entities():
             tokens: list[str] = []
@@ -83,7 +91,34 @@ class CaSE(DenseRanker):
                     if token != "[MASK]"
                 )
             self._entity_terms[entity.entity_id] = tokens
-            self._bm25.add_document(entity.entity_id, tokens)
+        self._index_terms()
+
+    def _index_terms(self) -> None:
+        """Derive the BM25 index and the term-frequency matrix from the term
+        profiles.  Neither changes after fit, so nothing invalidates them."""
+        ids = sorted(self._entity_terms)
+        self._bm25 = BM25Index()
+        for entity_id in ids:
+            self._bm25.add_document(entity_id, self._entity_terms[entity_id])
+        self._term_rows = {entity_id: row for row, entity_id in enumerate(ids)}
+        lengths = [len(self._entity_terms[entity_id]) for entity_id in ids]
+        self._term_columns = {}
+        columns = np.fromiter(
+            (
+                self._term_columns.setdefault(term, len(self._term_columns))
+                for entity_id in ids
+                for term in self._entity_terms[entity_id]
+            ),
+            dtype=np.intp,
+            count=sum(lengths),
+        )
+        # a term's frequency is at most its document's length
+        self._term_frequencies = np.zeros(
+            (len(ids) + 1, len(self._term_columns)),
+            dtype=np.min_scalar_type(max(lengths, default=0)),
+        )
+        np.add.at(self._term_frequencies, (np.repeat(np.arange(len(ids)), lengths), columns), 1)
+        self._document_lengths = np.array(lengths + [0], dtype=np.float64)
 
     # -- persistence ----------------------------------------------------------------
     def _save_state(self, directory: Path) -> None:
@@ -106,23 +141,57 @@ class CaSE(DenseRanker):
         self._entity_terms = {
             int(entity_id): [str(t) for t in tokens] for entity_id, tokens in terms.items()
         }
-        # The BM25 index is derived from the term profiles; re-adding the
-        # documents in id order reproduces the fitted index exactly.
-        self._bm25 = BM25Index()
-        for entity_id in sorted(self._entity_terms):
-            self._bm25.add_document(entity_id, self._entity_terms[entity_id])
+        self._index_terms()
 
-    def _lexical_score(self, candidate_id: int, seed_ids: tuple[int, ...]) -> float:
-        """Mean BM25 score of the candidate's context document for each seed's terms."""
-        if self._bm25 is None:
-            return 0.0
-        scores = []
-        for seed in seed_ids:
-            seed_terms = self._entity_terms.get(seed, [])
+    def _bm25_scores(self, query_terms: list[str], rows: np.ndarray) -> np.ndarray:
+        """``BM25Index.score(query_terms, doc)`` for the document of every
+        term-frequency row, bit for bit: each query term adds the same float
+        expression, in query order (a term the document lacks adds exactly
+        0.0 to a non-negative total, where ``score`` skips it)."""
+        bm25 = self._bm25
+        totals = np.zeros(len(rows))
+        terms = [term for term in query_terms if term in self._term_columns]
+        if not terms:
+            return totals
+        k1, b = bm25.k1, bm25.b
+        avg_len = bm25.average_document_length or 1.0
+        length_norm = k1 * (1.0 - b + b * self._document_lengths[rows] / avg_len)
+        tf = self._term_frequencies[
+            np.ix_(rows, [self._term_columns[term] for term in terms])
+        ].astype(np.float64)
+        idf = np.array([bm25.idf(term) for term in terms])
+        term_scores = np.divide(
+            idf * tf * (k1 + 1.0),
+            tf + length_norm[:, None],
+            out=np.zeros_like(tf),
+            where=tf > 0,
+        )
+        for term_score in term_scores.T:
+            totals += term_score
+        return totals
+
+    def _lexical_scores(
+        self, candidate_ids: list[int], seed_ids: tuple[int, ...]
+    ) -> np.ndarray:
+        """Mean BM25 score of each candidate's context document for each
+        seed's terms.
+
+        Bit for bit ``np.mean`` over the per-seed scores: each candidate's
+        row is reduced over its contiguous seed axis, as ``np.mean`` reduces
+        a list.
+        """
+        if not seed_ids:
+            return np.zeros(len(candidate_ids))
+        rows = np.array(
+            [self._term_rows.get(eid, -1) for eid in candidate_ids], dtype=np.intp
+        )
+        per_seed = np.empty((len(candidate_ids), len(seed_ids)))
+        for column, seed in enumerate(seed_ids):
             # Use a truncated seed term profile as the query to keep scoring cheap.
-            query_terms = seed_terms[:50]
-            scores.append(self._bm25.score(query_terms, candidate_id))
-        return float(np.mean(scores)) if scores else 0.0
+            per_seed[:, column] = self._bm25_scores(
+                self._entity_terms.get(seed, [])[:50], rows
+            )
+        return per_seed.mean(axis=1)
 
     def _distributed_scores(
         self, candidate_ids: list[int], seed_ids: tuple[int, ...]
@@ -149,13 +218,11 @@ class CaSE(DenseRanker):
         # tractability (CaSE itself prunes with an inverted index).
         shortlist = sorted(distributed.items(), key=lambda item: (-item[1], item[0]))
         shortlist_ids = [eid for eid, _ in shortlist[:required]]
-        lexical_values = {
-            eid: self._lexical_score(eid, query.positive_seed_ids) for eid in shortlist_ids
-        }
-        max_lex = max(lexical_values.values()) if lexical_values else 0.0
+        lexical_values = self._lexical_scores(shortlist_ids, query.positive_seed_ids).tolist()
+        max_lex = max(lexical_values) if lexical_values else 0.0
         scored = []
-        for eid in shortlist_ids:
-            lexical = lexical_values[eid] / max_lex if max_lex > 0 else 0.0
+        for eid, lexical_value in zip(shortlist_ids, lexical_values):
+            lexical = lexical_value / max_lex if max_lex > 0 else 0.0
             combined = (
                 self.lexical_weight * lexical
                 + (1.0 - self.lexical_weight) * distributed[eid]

@@ -8,12 +8,19 @@ the top consensus entities to the set.  Being purely statistical and driven
 by positive seeds only, it has no notion of ultra-fine-grained attributes or
 negative seeds — which is why the paper reports low Pos *and* low Neg scores
 for it (it simply fails to recall the fine-grained class members).
+
+Hot path: fit and restore index every feature as an int array of the
+positions (in ascending entity-id order) of the entities exhibiting it, so
+one ensemble sample's overlap counts are one ``np.bincount`` over its
+sampled features' arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.base import Expander
 from repro.dataset.ultrawiki import UltraWikiDataset
@@ -48,13 +55,15 @@ class SetExpan(Expander):
         self._tokenizer = WordTokenizer()
         #: entity id -> Counter of skip-gram context features.
         self._entity_features: dict[int, Counter] = {}
-        #: feature -> set of entity ids exhibiting it.
-        self._feature_entities: dict[str, set[int]] = defaultdict(set)
+        #: the fitted entity ids, ascending; positions index the count vectors.
+        self._ids = np.empty(0, dtype=np.int64)
+        #: feature -> ascending positions of the entities exhibiting it (its
+        #: support is the array's length).
+        self._feature_entities: dict[str, np.ndarray] = {}
 
     # -- fitting --------------------------------------------------------------------
     def _fit(self, dataset: UltraWikiDataset) -> None:
         self._entity_features = {}
-        self._feature_entities = defaultdict(set)
         for entity in dataset.entities():
             features: Counter = Counter()
             for sentence in dataset.corpus.sentences_of(entity.entity_id):
@@ -62,8 +71,19 @@ class SetExpan(Expander):
                 tokens = self._tokenizer.tokenize(masked)
                 features.update(self._skipgrams(tokens))
             self._entity_features[entity.entity_id] = features
-            for feature in features:
-                self._feature_entities[feature].add(entity.entity_id)
+        self._index_features()
+
+    def _index_features(self) -> None:
+        """Derive the entity positions and the feature -> positions arrays."""
+        self._ids = np.array(sorted(self._entity_features), dtype=np.int64)
+        members: dict[str, list[int]] = defaultdict(list)
+        for position, entity_id in enumerate(self._ids.tolist()):
+            for feature in self._entity_features[entity_id]:
+                members[feature].append(position)
+        self._feature_entities = {
+            feature: np.array(positions, dtype=np.intp)
+            for feature, positions in members.items()
+        }
 
     # -- persistence ----------------------------------------------------------------
     def _save_state(self, directory: Path) -> None:
@@ -82,10 +102,7 @@ class SetExpan(Expander):
             int(entity_id): Counter(features) for entity_id, features in table.items()
         }
         # The inverse index is derived state; rebuilding it beats storing it.
-        self._feature_entities = defaultdict(set)
-        for entity_id, features in self._entity_features.items():
-            for feature in features:
-                self._feature_entities[feature].add(entity_id)
+        self._index_features()
 
     @staticmethod
     def _skipgrams(tokens: list[str]) -> list[str]:
@@ -116,22 +133,34 @@ class SetExpan(Expander):
                 scores[feature] = scores.get(feature, 0.0) + count / support
         return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
-    def _rank_candidates(
-        self, current_set: set[int], features: list[str], excluded: set[int]
-    ) -> list[int]:
-        """Rank candidates by overlap with the given feature subset."""
-        scores: Counter = Counter()
-        for feature in features:
-            for entity_id in self._feature_entities.get(feature, ()):
-                if entity_id in current_set or entity_id in excluded:
-                    continue
-                scores[entity_id] += 1
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return [entity_id for entity_id, _ in ranked]
+    def _ensemble(self, pool: list[str], blocked: np.ndarray, rng: RandomState) -> np.ndarray:
+        """Rank ensemble: every entity's summed reciprocal rank over sampled
+        feature subsets (0 for an entity no sample ranks).
+
+        Each sample ranks the entities not ``blocked`` that exhibit a sampled
+        feature by (-overlap count, id).  Reciprocal ranks are added one
+        sample at a time, in sample order, so every entity's sum adds the
+        same terms in the same order as a per-entity running total.
+        """
+        mrr = np.zeros(len(self._ids))
+        sample_size = min(self.features_per_sample, len(pool))
+        for sample_index in range(self.num_feature_samples):
+            sampled = rng.child(sample_index).sample(pool, sample_size)
+            members = [self._feature_entities[feature] for feature in sampled]
+            counts = np.bincount(
+                np.concatenate(members or [np.empty(0, dtype=np.intp)]),
+                minlength=len(self._ids),
+            )
+            counts[blocked] = 0
+            ranked = np.flatnonzero(counts)
+            ranked = ranked[np.lexsort((ranked, -counts[ranked]))]
+            mrr[ranked] += 1.0 / np.arange(1, len(ranked) + 1)
+        return mrr
 
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
-        excluded = set(query.negative_seed_ids)
         current = set(query.positive_seed_ids)
+        # no ranking holds the growing set or a negative seed
+        blocked = np.isin(self._ids, [*query.positive_seed_ids, *query.negative_seed_ids])
         expansion_order: list[int] = []
 
         for iteration in range(self.num_iterations):
@@ -140,26 +169,16 @@ class SetExpan(Expander):
             if not pool:
                 break
             rng = self._rng.child(query.query_id, iteration)
-            # Rank ensemble: mean reciprocal rank over sampled feature subsets.
-            mrr: dict[int, float] = defaultdict(float)
-            for sample_index in range(self.num_feature_samples):
-                sample_size = min(self.features_per_sample, len(pool))
-                sampled = rng.child(sample_index).sample(pool, sample_size)
-                ranking = self._rank_candidates(current, sampled, excluded)
-                for rank, entity_id in enumerate(ranking, start=1):
-                    mrr[entity_id] += 1.0 / rank
-            ranked = sorted(mrr.items(), key=lambda item: (-item[1], item[0]))
-            added = 0
-            for entity_id, _ in ranked:
-                if entity_id in current or entity_id in expansion_order:
-                    continue
+            mrr = self._ensemble(pool, blocked, rng)
+            # the entities ranked at least once, by (-MRR, id)
+            ranked = np.flatnonzero(mrr)
+            added = ranked[np.lexsort((ranked, -mrr[ranked]))][: self.entities_per_iteration]
+            if not len(added):
+                break
+            blocked[added] = True
+            for entity_id in self._ids[added].tolist():
                 expansion_order.append(entity_id)
                 current.add(entity_id)
-                added += 1
-                if added >= self.entities_per_iteration:
-                    break
-            if added == 0:
-                break
 
         scored = [
             (entity_id, 1.0 / (rank + 1))

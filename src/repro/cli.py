@@ -528,9 +528,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         gateway_port=args.port,
         gateway_access_log=getattr(args, "gateway_access_log", False),
         keyfile=getattr(args, "keyfile", None),
-        keyfile_reload_seconds=getattr(
-            args, "keyfile_reload", ClusterConfig.keyfile_reload_seconds
-        ),
         default_quota=getattr(args, "default_quota", None),
         gateway_cache_capacity=getattr(args, "gateway_cache_size", 0),
         gateway_cache_ttl_seconds=getattr(

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from repro.config import OracleConfig
 from repro.exceptions import ModelError
 from repro.types import Entity
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, derive_seeds, first_uniform
 
 _FAKE_NAME_PARTS = (
     "Zephyr", "Quantum", "Nimbus", "Vertex", "Aurora", "Solstice", "Pinnacle",
@@ -229,16 +229,19 @@ class OracleLLM:
             "expand", tuple(sorted(positive_seed_ids)), tuple(sorted(negative_seed_ids))
         )
         seeds = set(positive_seed_ids) | set(negative_seed_ids)
+        known = [
+            (candidate, self._entities[candidate])
+            for candidate in candidate_ids
+            if candidate not in seeds and candidate in self._entities
+        ]
+        # Knowledge gate: the oracle simply does not recall very obscure
+        # entities often enough to include them.  Each candidate's draw is
+        # the first uniform of its child stream ``rng.child(candidate)``,
+        # drawn for all candidates at once.
+        draws = first_uniform(derive_seeds(rng.seed, [c for c, _ in known])).tolist()
         scored: list[tuple[float, str]] = []
-        for candidate in candidate_ids:
-            if candidate in seeds:
-                continue
-            entity = self._entities.get(candidate)
-            if entity is None:
-                continue
-            # Knowledge gate: the oracle simply does not recall very obscure
-            # entities often enough to include them.
-            if rng.child(candidate).random() < 0.6 * self._error_probability(entity):
+        for (candidate, entity), draw in zip(known, draws):
+            if draw < 0.6 * self._error_probability(entity):
                 continue
             positive_match = self._match_score(candidate, positive_assignment)
             negative_match = self._match_score(candidate, negative_assignment)

@@ -33,6 +33,10 @@ class BM25Index:
     def num_documents(self) -> int:
         return self._index.num_documents
 
+    @property
+    def average_document_length(self) -> float:
+        return self._index.average_document_length
+
     def idf(self, token: str) -> float:
         """BM25 idf with the +1 floor that keeps scores non-negative."""
         n = self._index.num_documents

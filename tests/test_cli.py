@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,27 @@ class TestParser:
                 build_parser().parse_args(argv)
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_every_flag_the_readme_names_exists(self):
+        """README.md names no ``--flag`` that no subcommand defines (lines
+        about ``perfbench/``, which parses its own flags, are skipped)."""
+        options: set[str] = set()
+        parsers = [build_parser()]
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                options.update(action.option_strings)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        unknown = [
+            (number, flag)
+            for number, line in enumerate(readme.read_text().splitlines(), start=1)
+            if "perfbench/" not in line
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+            if flag not in options
+        ]
+        assert unknown == []
 
 
 class TestCommands:

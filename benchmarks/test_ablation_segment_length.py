@@ -6,8 +6,6 @@ this.  This bench sweeps the segment length and checks that moderate segments
 beat whole-list-scale segments on the combined metric.
 """
 
-import pytest
-
 from repro.config import RetExpanConfig
 from repro.retexpan import RetExpan
 

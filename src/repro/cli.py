@@ -31,10 +31,10 @@ writing Python:
   ``/v1/stats``/``/v1/healthz``, and fails over when a worker dies; with a
   shared ``--store`` the cross-process fit lock makes every cold fit
   single-payer across the fleet;
-* ``cluster top`` — a ``top(1)``-style refreshing terminal dashboard over a
-  running gateway's ``GET /v1/dashboard``: fleet health, per-shard traffic,
-  error and latency rollups, cache hit rates, substrate residency, and live
-  fit-job phases;
+* ``cluster top`` — a ``top(1)``-style refreshing terminal view of a running
+  gateway's fleet ``GET /v1/stats`` and ``GET /v1/fits``: fleet health,
+  per-shard traffic, error and latency rollups, cache hit rates, substrate
+  residency, live fit-job phases, and per-tenant requests and cost;
 * ``usage report`` — sum one or more JSONL usage ledgers (written by
   ``serve --usage-ledger``) into a per-tenant compute-seconds billing table;
 * ``query`` — submit one expansion request through the
@@ -81,7 +81,7 @@ from repro.config import ClusterConfig, DatasetConfig, ServiceConfig
 from repro.dataset.analysis import compute_statistics
 from repro.dataset.builder import build_dataset
 from repro.dataset.ultrawiki import UltraWikiDataset
-from repro.exceptions import TransportError
+from repro.exceptions import ReproError, TransportError
 from repro.experiments.registry import EXPERIMENTS, experiment_by_id
 from repro.experiments.runner import ExperimentContext
 from repro.serve import (
@@ -92,7 +92,8 @@ from repro.serve import (
 )
 from repro.cluster.gateway import gateway_access_logger
 from repro.obs import read_ledger, slow_query_logger
-from repro.obs.top import render_dashboard
+from repro.obs.top import render_top
+from repro.obs.usage import sum_usage
 from repro.serve.server import access_logger
 from repro.store import ArtifactStore
 from repro.utils.iox import to_jsonable, write_json
@@ -577,7 +578,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         )
         print(
             "  /v1/stats and /v1/healthz aggregate the whole fleet; "
-            "/v1/dashboard joins it for `repro cluster top`"
+            "`repro cluster top` renders /v1/stats and /v1/fits"
         )
         if gateway.gate is not None:
             print(
@@ -600,14 +601,19 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_top(args: argparse.Namespace) -> int:
-    """A refreshing terminal view of ``GET /v1/dashboard`` (fleet health,
-    per-shard traffic and latency, cache hit rates, live fit progress)."""
+    """A refreshing terminal view of a gateway's fleet ``GET /v1/stats`` and
+    ``GET /v1/fits`` (fleet health, per-shard traffic and latency, cache hit
+    rates, live fit progress, tenants)."""
     with ExpansionClient.connect(
         args.url, api_key=getattr(args, "api_key", None)
     ) as client:
         try:
             while True:
-                frame = render_dashboard(client.dashboard())
+                stats = client.stats()
+                if "workers" not in stats or "gateway" not in stats:
+                    print(f"not a gateway: {args.url}", file=sys.stderr)
+                    return 1
+                frame = render_top(stats, client.fit_jobs())
                 if not args.once:
                     # clear screen + home, like watch(1)/top(1).
                     print("\x1b[2J\x1b[H", end="")
@@ -622,31 +628,35 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
             # command, not a crash: one clean line, exit code 1.
             print(f"gateway unreachable at {args.url}", file=sys.stderr)
             return 1
+        except ReproError as exc:
+            # an API error (missing or unknown key, throttled, a route the
+            # server lacks): the same one line, never a traceback.
+            print(f"cluster top: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     return 0
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a refresh interval: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be above 0 seconds, got {text}")
+    return value
 
 
 def _cmd_usage_report(args: argparse.Namespace) -> int:
     """Sum one or more JSONL usage ledgers into a per-tenant billing table."""
-    totals: dict[str, dict] = {}
+    ledgers = []
     for path in args.ledger:
         try:
-            partial = read_ledger(path)
+            ledgers.append(read_ledger(path))
         except OSError as exc:
             print(f"cannot read ledger {path}: {exc}", file=sys.stderr)
             return 1
-        for tenant, bucket in partial.items():
-            merged = totals.setdefault(
-                tenant,
-                {
-                    "requests": 0,
-                    "cache_hits": 0,
-                    "fits": 0,
-                    "compute_seconds": 0.0,
-                    "fit_seconds": 0.0,
-                },
-            )
-            for key in merged:
-                merged[key] += bucket.get(key, 0)
+    totals = sum_usage(ledgers)
     if not totals:
         print("no usage records found")
         return 0
@@ -991,14 +1001,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster_top = cluster_sub.add_parser(
         "top",
-        help="live terminal dashboard over a running gateway's /v1/dashboard",
+        help="live terminal view of a running gateway's /v1/stats and /v1/fits",
     )
     cluster_top.add_argument(
         "--url", required=True, metavar="URL", help="gateway base URL"
     )
     cluster_top.add_argument(
-        "--interval", type=float, default=2.0,
-        help="seconds between refreshes",
+        "--interval", type=_positive_seconds, default=2.0,
+        help="seconds between refreshes (above 0)",
     )
     cluster_top.add_argument(
         "--once", action="store_true",

@@ -25,6 +25,7 @@ from urllib.parse import urlencode
 from repro.api.errors import exception_for_payload
 from repro.api.options import ExpandOptions
 from repro.exceptions import JobError, ReproError, ServiceError, TransportError
+from repro.obs.usage import fleet_usage
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.client.transport import HttpTransport, InProcessTransport
 
@@ -186,14 +187,6 @@ class ExpansionClient:
     def stats(self) -> dict:
         return self._call("GET", "/v1/stats")
 
-    def dashboard(self) -> dict:
-        """The gateway's fleet dashboard (``GET /v1/dashboard``): per-worker
-        health, request/error/latency rollups, cache hit rates, substrate
-        residency, and live fit-job phases with fractional progress.
-        Gateway-only — a single worker answers 404 (append ``?format=html``
-        in a browser for the self-contained HTML rendering)."""
-        return self._call("GET", "/v1/dashboard")
-
     def healthz(self) -> dict:
         return self._call("GET", "/v1/healthz")
 
@@ -234,8 +227,13 @@ class ExpansionClient:
 
     def usage(self) -> dict | None:
         """The server's per-tenant usage summary, or ``None`` when usage
-        metering is not enabled (the ``usage`` stats key is conditional)."""
-        return self.stats().get("usage")
+        metering is not enabled (the ``usage`` stats key is conditional).
+        Through a gateway it is the fleet's: every worker's tenants plus
+        the gateway cache's own, summed per tenant under ``tenants``."""
+        stats = self.stats()
+        if "workers" in stats and "gateway" in stats:
+            return fleet_usage(stats)
+        return stats.get("usage")
 
     # -- plumbing ----------------------------------------------------------------
     def _call(self, verb: str, path: str, payload: Mapping | None = None) -> dict:

@@ -38,9 +38,8 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from html import escape
 from typing import Mapping, Sequence
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.api.envelope import (
     REQUEST_ID_HEADER,
@@ -84,7 +83,6 @@ from repro.obs import (
     current_tenant,
     current_trace,
     format_traceparent,
-    merge_bucket_lists,
     new_span_id,
     propagation_scope,
     request_scope,
@@ -109,6 +107,11 @@ gateway_access_logger = logging.getLogger("repro.cluster.access")
 #: routes the front-door gate never charges: liveness probes (a throttled
 #: fleet must not look dead) and metrics scrapes (observability is free).
 _GATE_EXEMPT = {("GET", "/v1/healthz"), ("GET", "/v1/metrics")}
+
+#: routes the gateway never traces: the gate-exempt ones, plus the two
+#: reads each ``repro cluster top`` refresh makes, so a watched fleet's
+#: trace ring keeps only real traffic.
+_UNTRACED = _GATE_EXEMPT | {("GET", "/v1/stats"), ("GET", "/v1/fits")}
 
 
 def _unavailable_payload(message: str) -> dict:
@@ -306,13 +309,8 @@ class ClusterGateway(HttpFront):
                 status, raw, _headers = self._forward(worker_id, "GET", "/v1/stats", None)
             except _BackendError:
                 continue
-            if status != 200:
-                continue
-            try:
-                data = json.loads(raw.decode("utf-8")).get("data") or {}
-                fingerprint = data.get("registry", {}).get("dataset_fingerprint", "")
-            except (ValueError, AttributeError):
-                continue
+            data = self._parse_envelope_data((status, raw)) or {}
+            fingerprint = (data.get("registry") or {}).get("dataset_fingerprint")
             if fingerprint:
                 self.fingerprint = str(fingerprint)
                 self.metrics.const_labels["fingerprint"] = self.fingerprint
@@ -353,13 +351,12 @@ class ClusterGateway(HttpFront):
                 status, payload = error_payload(exc)
                 return self._error_reply(status, payload)
         # Head-sampling for the joined gateway trace; trace-search and
-        # exempt observability routes never trace themselves.
+        # observability routes never trace themselves.
         trace: Trace | None = None
         if (
             self.traces is not None
-            and (verb, path) not in _GATE_EXEMPT
+            and (verb, path) not in _UNTRACED
             and not path.startswith("/v1/traces")
-            and path != "/v1/dashboard"
         ):
             sampled = self.traces.sample()
             if sampled or self.traces.slow_ms is not None:
@@ -432,9 +429,6 @@ class ClusterGateway(HttpFront):
                 self.metrics.render_prometheus().encode("utf-8"),
                 content_type=PROMETHEUS_CONTENT_TYPE,
             )
-        if (verb, path) == ("GET", "/v1/dashboard"):
-            wants_html = parse_qs(query).get("format", [""])[-1] == "html"
-            return self._dashboard(html=wants_html)
         if (verb, path) == ("GET", "/v1/methods"):
             return self._forward_any(verb, path)
         if (verb, path) == ("POST", "/v1/expand"):
@@ -645,11 +639,6 @@ class ClusterGateway(HttpFront):
         ``_mark_down`` and order the same preference list inconsistently."""
         with self._lock:
             return dict(self._down_until)
-
-    def _is_down(self, worker_id: str) -> bool:
-        with self._lock:
-            until = self._down_until.get(worker_id)
-            return until is not None and time.monotonic() < until
 
     def _attempt_order(self, key: str) -> list[str]:
         """Failover order for ``key``: ring preference with sidelined workers
@@ -925,16 +914,16 @@ class ClusterGateway(HttpFront):
         return self._data_reply(data)
 
     def _aggregate_stats(self) -> Reply:
+        """The fleet document: every worker's own ``/v1/stats`` (or
+        ``{"unreachable": true}``), their summed totals, and the gateway's
+        and gate's counters.  perfbench reads it, and ``repro cluster top``
+        renders it (:func:`repro.obs.top.render_top`)."""
         results = self._worker_scatter("GET", "/v1/stats")
         workers: dict[str, dict] = {}
         totals = {"requests": 0, "errors": 0, "cache_hits": 0, "cache_misses": 0}
         for worker_id, result in results.items():
-            if result is None:
-                workers[worker_id] = {"unreachable": True}
-                continue
-            try:
-                data = json.loads(result[1].decode("utf-8")).get("data") or {}
-            except (UnicodeDecodeError, ValueError):
+            data = self._parse_envelope_data(result)
+            if data is None:
                 workers[worker_id] = {"unreachable": True}
                 continue
             workers[worker_id] = data
@@ -955,177 +944,6 @@ class ClusterGateway(HttpFront):
             data["gate"] = self.gate.stats()
         return self._data_reply(data)
 
-    def _dashboard(self, html: bool = False) -> Reply:
-        """One joined fleet view for ``repro cluster top`` and dashboards:
-        per-worker health, request/error/latency rollups, cache hit rates,
-        substrate residency, and live fit-job phases — two concurrent
-        scatters (stats + fit jobs) joined gateway-side so a terminal
-        refresh costs one round trip, not 2N.  ``?format=html`` renders the
-        same document as a self-contained auto-refreshing page."""
-        stats_results = self._worker_scatter("GET", "/v1/stats")
-        jobs_results = self._worker_scatter("GET", "/v1/fits")
-        workers: dict[str, dict] = {}
-        healthy = 0
-        latencies: list[dict] = []
-        totals = {"requests": 0, "errors": 0, "cache_hits": 0, "cache_misses": 0}
-        #: probed-retrieval counters summed across the fleet (ANN hot path).
-        ann_totals = {"queries": 0, "probes": 0, "shortlisted": 0}
-        #: tenant -> summed usage buckets across every metered worker.
-        usage_totals: dict[str, dict] = {}
-        for worker_id in self._ring.nodes:
-            url = self._backend_urls[worker_id]
-            data = self._parse_envelope_data(stats_results[worker_id])
-            if data is None:
-                workers[worker_id] = {"healthy": False, "url": url}
-                continue
-            healthy += 1
-            service = data.get("service") or {}
-            cache = data.get("cache") or {}
-            registry = data.get("registry") or {}
-            for tenant_id, bucket in (
-                (data.get("usage") or {}).get("tenants") or {}
-            ).items():
-                if not isinstance(bucket, dict):
-                    continue
-                joined = usage_totals.setdefault(
-                    str(tenant_id),
-                    {
-                        "requests": 0,
-                        "cache_hits": 0,
-                        "fits": 0,
-                        "compute_seconds": 0.0,
-                        "fit_seconds": 0.0,
-                    },
-                )
-                for field_name in joined:
-                    try:
-                        joined[field_name] += bucket.get(field_name, 0) or 0
-                    except TypeError:
-                        continue
-            substrates = registry.get("substrates") or {}
-            worker_ann = substrates.get("ann") or {}
-            for field_name in ann_totals:
-                try:
-                    ann_totals[field_name] += int(worker_ann.get(field_name, 0) or 0)
-                except (TypeError, ValueError):
-                    continue
-            latency = dict(service.get("latency_ms") or {})
-            if latency.get("buckets"):
-                # copy: ``latency`` loses its buckets below for the per-worker
-                # view, but the merge needs them.
-                latencies.append(dict(latency))
-            hits = int(cache.get("hits", 0))
-            misses = int(cache.get("misses", 0))
-            lookups = hits + misses
-            totals["requests"] += int(service.get("requests", 0))
-            totals["errors"] += int(service.get("errors", 0))
-            totals["cache_hits"] += hits
-            totals["cache_misses"] += misses
-            fit_jobs = []
-            jobs_data = self._parse_envelope_data(jobs_results.get(worker_id)) or {}
-            for job in jobs_data.get("jobs") or []:
-                if isinstance(job, dict) and job.get("status") in ("queued", "running"):
-                    fit_jobs.append(
-                        {
-                            "method": job.get("method"),
-                            "status": job.get("status"),
-                            "phase": job.get("phase"),
-                            "progress": job.get("progress"),
-                        }
-                    )
-            # the raw bucket list is scrape food, not dashboard food.
-            latency.pop("buckets", None)
-            workers[worker_id] = {
-                "healthy": True,
-                "url": url,
-                "requests": int(service.get("requests", 0)),
-                "errors": int(service.get("errors", 0)),
-                "cache_hit_rate": (hits / lookups) if lookups else 0.0,
-                "latency_ms": latency,
-                "fitted": registry.get("fitted") or [],
-                "pinned": registry.get("pinned") or [],
-                "substrates_resident": int(substrates.get("resident", 0)),
-                "fit_jobs": fit_jobs,
-            }
-        # the gateway's own meter bills cache hits that never reached a
-        # worker; fold it into the same per-tenant usage rollup.
-        if self.usage is not None:
-            for tenant_id, bucket in (
-                self.usage.summary().get("tenants") or {}
-            ).items():
-                joined = usage_totals.setdefault(
-                    str(tenant_id),
-                    {
-                        "requests": 0,
-                        "cache_hits": 0,
-                        "fits": 0,
-                        "compute_seconds": 0.0,
-                        "fit_seconds": 0.0,
-                    },
-                )
-                for field_name in joined:
-                    try:
-                        joined[field_name] += bucket.get(field_name, 0) or 0
-                    except TypeError:
-                        continue
-        total = len(self._ring.nodes)
-        status = "ok" if healthy == total else ("degraded" if healthy else "down")
-        lookups = totals["cache_hits"] + totals["cache_misses"]
-        data = {
-            "fleet": {
-                "status": status,
-                "healthy_workers": healthy,
-                "total_workers": total,
-            },
-            "cluster": {
-                "requests": totals["requests"],
-                "errors": totals["errors"],
-                "cache_hit_rate": (totals["cache_hits"] / lookups) if lookups else 0.0,
-                "latency_ms": merge_bucket_lists(latencies),
-                "ann": ann_totals,
-            },
-            "workers": workers,
-            "gateway": self.stats(),
-        }
-        if usage_totals:
-            for tenant_usage in usage_totals.values():
-                tenant_usage["compute_seconds"] = round(
-                    tenant_usage["compute_seconds"], 6
-                )
-                tenant_usage["fit_seconds"] = round(tenant_usage["fit_seconds"], 6)
-            data["usage"] = {
-                "tenants": {
-                    tenant_id: usage_totals[tenant_id]
-                    for tenant_id in sorted(usage_totals)
-                }
-            }
-        if self.gate is not None:
-            tenants = self.gate.tenant_summary()
-            for row in tenants:
-                tenant_usage = usage_totals.get(str(row.get("tenant")))
-                if tenant_usage is not None:
-                    row["compute_seconds"] = tenant_usage["compute_seconds"]
-            data["tenants"] = tenants
-        elif usage_totals:
-            # ungated cluster: the tenants table is synthesized from usage
-            # so the cost column still has a home.
-            data["tenants"] = [
-                {
-                    "tenant": tenant_id,
-                    "requests": usage_totals[tenant_id]["requests"],
-                    "throttled": 0,
-                    "compute_seconds": usage_totals[tenant_id]["compute_seconds"],
-                }
-                for tenant_id in sorted(usage_totals)
-            ]
-        if html:
-            return Reply(
-                200,
-                _render_dashboard_html(data).encode("utf-8"),
-                content_type="text/html; charset=utf-8",
-            )
-        return self._data_reply(data)
-
     @staticmethod
     def _parse_envelope_data(result: "tuple[int, bytes] | None") -> dict | None:
         """The ``data`` object of one scattered worker envelope, or ``None``
@@ -1142,12 +960,7 @@ class ClusterGateway(HttpFront):
         results = self._worker_scatter("GET", "/v1/fits")
         jobs: list[dict] = []
         for worker_id, result in results.items():
-            if result is None or result[0] != 200:
-                continue
-            try:
-                data = json.loads(result[1].decode("utf-8")).get("data") or {}
-            except (UnicodeDecodeError, ValueError):
-                continue
+            data = self._parse_envelope_data(result) or {}
             for job in data.get("jobs") or []:
                 if isinstance(job, dict):
                     jobs.append({**job, "worker_id": worker_id})
@@ -1249,8 +1062,9 @@ class ClusterGateway(HttpFront):
     def stats(self) -> dict:
         """The legacy stats dict (wire shape pinned), as a registry view.
 
-        The ``cache`` key is additive: it appears only when the gateway
-        result cache is enabled, so the default shape is unchanged."""
+        The ``cache`` and ``usage`` keys are additive: they appear only when
+        the gateway result cache (and with it the meter that bills its hits)
+        is enabled, so the default shape is unchanged."""
         down_until = self._down_snapshot()
         now = time.monotonic()
         merged = {
@@ -1274,6 +1088,8 @@ class ClusterGateway(HttpFront):
         }
         if self.cache is not None:
             merged["cache"] = self.cache.stats()
+        if self.usage is not None:
+            merged["usage"] = self.usage.summary()
         return merged
 
     # -- helpers -----------------------------------------------------------------
@@ -1302,126 +1118,3 @@ class ClusterGateway(HttpFront):
             reply.headers["Retry-After"] = retry_after_header(retry_after)
         return reply
 
-
-#: seconds between HTML dashboard auto-refreshes (meta tag, no scripts).
-DASHBOARD_REFRESH_SECONDS = 5
-
-_DASHBOARD_STYLE = (
-    "body{font-family:monospace;background:#111;color:#ddd;margin:2em}"
-    "h1{font-size:1.2em}h2{font-size:1em;margin-top:1.5em}"
-    "table{border-collapse:collapse}"
-    "td,th{border:1px solid #444;padding:0.3em 0.8em;text-align:left}"
-    ".ok{color:#7c7}.degraded{color:#cc7}.down{color:#c77}"
-    ".bar{display:inline-block;width:12em;height:0.8em;background:#333;"
-    "vertical-align:middle}"
-    ".bar span{display:block;height:100%;background:#7c7}"
-)
-
-
-def _render_dashboard_html(data: dict) -> str:
-    """The ``/v1/dashboard`` document as a self-contained HTML page.
-
-    No scripts, no external assets — a ``<meta http-equiv="refresh">`` tag
-    re-polls the endpoint, so the page works from any browser that can
-    reach the gateway and nothing else.
-    """
-    fleet = data.get("fleet") or {}
-    cluster = data.get("cluster") or {}
-    gateway = data.get("gateway") or {}
-    status = str(fleet.get("status", "unknown"))
-    latency = cluster.get("latency_ms") or {}
-
-    def cell(value) -> str:
-        return escape("-" if value is None else str(value))
-
-    def bar(fraction: float) -> str:
-        percent = max(0.0, min(1.0, float(fraction))) * 100.0
-        return (
-            f'<span class="bar"><span style="width:{percent:.1f}%"></span></span>'
-            f" {percent:.0f}%"
-        )
-
-    rows = []
-    for worker_id, worker in sorted((data.get("workers") or {}).items()):
-        if not worker.get("healthy"):
-            rows.append(
-                f"<tr><td>{cell(worker_id)}</td>"
-                f'<td class="down">down</td><td colspan="5"></td></tr>'
-            )
-            continue
-        hit_rate = float(worker.get("cache_hit_rate", 0.0))
-        p99 = (worker.get("latency_ms") or {}).get("p99_ms")
-        jobs = []
-        for job in worker.get("fit_jobs") or []:
-            label = f"{job.get('method')} [{job.get('phase') or job.get('status')}]"
-            progress = job.get("progress") or {}
-            fraction = progress.get("fraction") if isinstance(progress, dict) else None
-            jobs.append(
-                escape(label) + (" " + bar(fraction) if fraction is not None else "")
-            )
-        rows.append(
-            f"<tr><td>{cell(worker_id)}</td>"
-            f'<td class="ok">up</td>'
-            f"<td>{cell(worker.get('requests'))}</td>"
-            f"<td>{bar(hit_rate)}</td>"
-            f"<td>{cell(round(p99, 1) if p99 is not None else None)}</td>"
-            f"<td>{cell(', '.join(worker.get('fitted') or []))}</td>"
-            f"<td>{'<br>'.join(jobs) if jobs else '-'}</td></tr>"
-        )
-    routed = gateway.get("routed") or {}
-    shard_rows = "".join(
-        f"<tr><td>{cell(worker_id)}</td><td>{cell(count)}</td></tr>"
-        for worker_id, count in sorted(routed.items())
-    )
-    tenants_table = ""
-    tenants = data.get("tenants")
-    if tenants:
-        # the cost column appears once any worker reports usage metering.
-        with_cost = any("compute_seconds" in (row or {}) for row in tenants)
-        tenant_rows = "".join(
-            f"<tr><td>{cell(row.get('tenant'))}</td>"
-            f"<td>{cell(row.get('requests'))}</td>"
-            f"<td>{cell(row.get('throttled'))}</td>"
-            + (
-                f"<td>{cell(row.get('compute_seconds'))}</td>"
-                if with_cost
-                else ""
-            )
-            + "</tr>"
-            for row in tenants
-        )
-        cost_header = "<th>compute s</th>" if with_cost else ""
-        tenants_table = (
-            "<h2>tenants</h2>"
-            "<table><tr><th>tenant</th><th>requests</th><th>throttled</th>"
-            f"{cost_header}</tr>"
-            f"{tenant_rows}</table>"
-        )
-    p99 = latency.get("p99_ms")
-    ann = cluster.get("ann") or {}
-    ann_fragment = ""
-    if ann.get("queries"):
-        ann_fragment = f" &middot; ann queries {cell(ann.get('queries'))}"
-    return (
-        "<!doctype html><html><head>"
-        '<meta charset="utf-8">'
-        f'<meta http-equiv="refresh" content="{DASHBOARD_REFRESH_SECONDS}">'
-        "<title>repro cluster</title>"
-        f"<style>{_DASHBOARD_STYLE}</style></head><body>"
-        f'<h1>repro cluster &mdash; <span class="{escape(status)}">'
-        f"{escape(status)}</span> "
-        f"({cell(fleet.get('healthy_workers'))}/{cell(fleet.get('total_workers'))}"
-        " workers)</h1>"
-        f"<p>requests {cell(cluster.get('requests'))}"
-        f" &middot; errors {cell(cluster.get('errors'))}"
-        f" &middot; cache hit rate {bar(float(cluster.get('cache_hit_rate', 0.0)))}"
-        f" &middot; p99 {cell(round(p99, 1) if p99 is not None else None)} ms"
-        f"{ann_fragment}</p>"
-        "<h2>workers</h2><table><tr><th>worker</th><th>state</th><th>requests</th>"
-        "<th>cache hits</th><th>p99 ms</th><th>fitted</th><th>fit jobs</th></tr>"
-        f"{''.join(rows)}</table>"
-        "<h2>shard load (gateway routed)</h2>"
-        f"<table><tr><th>worker</th><th>proxied</th></tr>{shard_rows}</table>"
-        f"{tenants_table}"
-        "</body></html>"
-    )

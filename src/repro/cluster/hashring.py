@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.exceptions import ServiceError
 

@@ -392,7 +392,7 @@ class ServiceConfig:
     trace_sample_seed: int | None = None
     #: meter per-tenant compute-seconds (execute wall-time, cache-hit
     #: costs, fit wall-time) in memory; surfaced in ``/v1/stats``
-    #: and the dashboard tenants table.
+    #: and the COST column of ``repro cluster top``.
     usage_metering: bool = False
     #: JSONL usage-ledger path; setting it implies metering and persists
     #: per-tenant deltas once per rollup window (``repro usage report``

@@ -175,16 +175,3 @@ class Gate:
         if self.directory is not None:
             payload["directory"] = self.directory.stats()
         return payload
-
-    def tenant_summary(self) -> list[dict]:
-        """Per-tenant rows for the dashboard / ``cluster top`` table."""
-        with self._lock:
-            tenant_ids = sorted(set(self._requests) | set(self._throttled))
-            return [
-                {
-                    "tenant": tenant_id,
-                    "requests": self._requests.get(tenant_id, 0),
-                    "throttled": self._throttled.get(tenant_id, 0),
-                }
-                for tenant_id in tenant_ids
-            ]

@@ -1,11 +1,18 @@
-"""Terminal renderer for the gateway dashboard (`repro cluster top`).
+"""Terminal renderer for the fleet view (`repro cluster top`).
 
-Pure function from the ``GET /v1/dashboard`` payload to a fixed-width
-table, so the CLI loop stays trivial and tests can golden-check the
-rendering without a terminal.
+Pure function from the gateway's fleet ``GET /v1/stats`` data and its
+``GET /v1/fits`` job list to a fixed-width table, so the CLI loop stays
+trivial and tests can golden-check the rendering without a terminal.  The
+gateway joins the fleet once, for ``/v1/stats``; fleet health, merged
+latency, per-worker rates and the tenant rollup are computed here.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+from repro.obs.metrics import merge_bucket_lists
+from repro.obs.usage import fleet_usage
 
 
 def _fmt_ms(value) -> str:
@@ -33,11 +40,16 @@ def _fmt_cost(value) -> str:
         return "-"
 
 
+def _hit_rate(hits, misses) -> float:
+    lookups = int(hits) + int(misses)
+    return int(hits) / lookups if lookups else 0.0
+
+
 #: character cells in a fit-job progress bar.
 PROGRESS_BAR_WIDTH = 10
 
 
-def _fmt_job(job: dict) -> str:
+def _fmt_job(job: Mapping) -> str:
     """``method:phase`` plus a progress bar when the job reports one."""
     text = f"{job.get('method', '?')}:{job.get('phase') or job.get('status', '?')}"
     progress = job.get("progress")
@@ -56,39 +68,79 @@ def _fmt_job(job: dict) -> str:
     return text
 
 
-def render_dashboard(data: dict) -> str:
-    """Render one refresh frame of the cluster dashboard."""
-    fleet = data.get("fleet", {})
-    cluster = data.get("cluster", {})
-    workers = data.get("workers", {})
-    gateway = data.get("gateway", {})
+def _tenant_rows(stats: Mapping) -> list[tuple]:
+    """``(tenant, requests, throttled, compute_seconds or None)`` rows: the
+    gate's tenants on a gated fleet, otherwise every metered tenant."""
+    usage = (fleet_usage(stats) or {}).get("tenants") or {}
+    gate = stats.get("gate")
+    if gate is None:
+        return [
+            (tenant, bucket["requests"], 0, bucket["compute_seconds"])
+            for tenant, bucket in usage.items()
+        ]
+    requests = gate.get("requests") or {}
+    throttled = gate.get("throttled") or {}
+    return [
+        (
+            tenant,
+            requests.get(tenant, 0),
+            throttled.get(tenant, 0),
+            (usage.get(tenant) or {}).get("compute_seconds"),
+        )
+        for tenant in sorted(set(requests) | set(throttled))
+    ]
+
+
+def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
+    """Render one refresh frame from the fleet ``/v1/stats`` data and the
+    ``/v1/fits`` jobs (each stamped with its ``worker_id``)."""
+    workers = stats.get("workers") or {}
+    cluster = stats.get("cluster") or {}
+    gateway = stats.get("gateway") or {}
+    healthy = {
+        worker_id: worker
+        for worker_id, worker in workers.items()
+        if not worker.get("unreachable")
+    }
 
     lines: list[str] = []
-    status = str(fleet.get("status", "unknown")).upper()
+    if len(healthy) == len(workers):
+        status = "OK"
+    else:
+        status = "DEGRADED" if healthy else "DOWN"
     lines.append(
         f"repro cluster top — fleet {status} "
-        f"({fleet.get('healthy_workers', '?')}/{fleet.get('total_workers', '?')} workers healthy)"
+        f"({len(healthy)}/{len(workers)} workers healthy)"
     )
-    latency = cluster.get("latency_ms", {})
+    latency = merge_bucket_lists(
+        (worker.get("service") or {}).get("latency_ms") or {}
+        for worker in healthy.values()
+    )
+    hit_rate = _hit_rate(cluster.get("cache_hits", 0), cluster.get("cache_misses", 0))
     lines.append(
         "cluster: "
         f"requests={cluster.get('requests', 0)} "
         f"errors={cluster.get('errors', 0)} "
-        f"cache_hit={_fmt_rate(cluster.get('cache_hit_rate'))} "
+        f"cache_hit={_fmt_rate(hit_rate)} "
         f"p50={_fmt_ms(latency.get('p50'))} "
         f"p90={_fmt_ms(latency.get('p90'))} "
         f"p99={_fmt_ms(latency.get('p99'))}"
     )
-    ann = cluster.get("ann") or {}
-    queries = ann.get("queries", 0) or 0
+    ann = {"queries": 0, "probes": 0, "shortlisted": 0}
+    for worker in healthy.values():
+        substrates = (worker.get("registry") or {}).get("substrates") or {}
+        worker_ann = substrates.get("ann") or {}
+        for field_name in ann:
+            ann[field_name] += int(worker_ann.get(field_name, 0) or 0)
+    queries = ann["queries"]
     if queries:
         # probed-retrieval hot path: how much of the fleet's expand traffic
         # ran on the ANN shortlist, and how large the shortlists were.
         lines.append(
             "ann: "
             f"queries={queries} "
-            f"probes/q={ann.get('probes', 0) / queries:.1f} "
-            f"shortlist/q={ann.get('shortlisted', 0) / queries:.0f}"
+            f"probes/q={ann['probes'] / queries:.1f} "
+            f"shortlist/q={ann['shortlisted'] / queries:.0f}"
         )
     gateway_line = (
         "gateway: "
@@ -110,41 +162,48 @@ def render_dashboard(data: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for worker_id in sorted(workers):
-        shard = workers[worker_id] or {}
-        healthy = shard.get("healthy")
-        state = "up" if healthy else "DOWN"
-        shard_latency = shard.get("latency_ms", {}) or {}
-        fitted = ",".join(shard.get("fitted", []) or []) or "-"
-        jobs = shard.get("fit_jobs", []) or []
-        job_text = " ".join(_fmt_job(job) for job in jobs) or "-"
+        worker = healthy.get(worker_id)
+        if worker is None:
+            lines.append(
+                f"{worker_id:<12} {'DOWN':<6} {'-':>7} {'-':>6} {'-':>6} "
+                f"{'-':>9} {'-':>9} {'-':>5} {'-':<18} -"
+            )
+            continue
+        service = worker.get("service") or {}
+        cache = worker.get("cache") or {}
+        registry = worker.get("registry") or {}
+        worker_latency = service.get("latency_ms") or {}
+        fitted = ",".join(registry.get("fitted") or []) or "-"
+        job_text = " ".join(
+            _fmt_job(job)
+            for job in jobs
+            if job.get("worker_id") == worker_id
+            and job.get("status") in ("queued", "running")
+        ) or "-"
         lines.append(
-            f"{worker_id:<12} {state:<6} "
-            f"{shard.get('requests', 0) if healthy else '-':>7} "
-            f"{shard.get('errors', 0) if healthy else '-':>6} "
-            f"{_fmt_rate(shard.get('cache_hit_rate')) if healthy else '-':>6} "
-            f"{_fmt_ms(shard_latency.get('p50')) if healthy else '-':>9} "
-            f"{_fmt_ms(shard_latency.get('p99')) if healthy else '-':>9} "
-            f"{shard.get('substrates_resident', 0) if healthy else '-':>5} "
+            f"{worker_id:<12} {'up':<6} "
+            f"{int(service.get('requests', 0)):>7} "
+            f"{int(service.get('errors', 0)):>6} "
+            f"{_fmt_rate(_hit_rate(cache.get('hits', 0), cache.get('misses', 0))):>6} "
+            f"{_fmt_ms(worker_latency.get('p50')):>9} "
+            f"{_fmt_ms(worker_latency.get('p99')):>9} "
+            f"{int((registry.get('substrates') or {}).get('resident', 0)):>5} "
             f"{fitted[:18]:<18} {job_text}"
         )
 
-    tenants = data.get("tenants") or []
+    tenants = _tenant_rows(stats)
     if tenants:
         lines.append("")
-        # the COST column appears once any worker reports usage metering.
-        with_cost = any("compute_seconds" in (row or {}) for row in tenants)
+        # the COST column appears once any tenant has metered usage.
+        with_cost = any(cost is not None for *_counts, cost in tenants)
         tenant_header = f"{'TENANT':<24} {'REQS':>8} {'THROTTLED':>10}"
         if with_cost:
             tenant_header += f" {'COST(s)':>10}"
         lines.append(tenant_header)
         lines.append("-" * len(tenant_header))
-        for row in tenants:
-            line = (
-                f"{str(row.get('tenant', '?'))[:24]:<24} "
-                f"{row.get('requests', 0):>8} "
-                f"{row.get('throttled', 0):>10}"
-            )
+        for tenant, requests, throttled, cost in tenants:
+            line = f"{str(tenant)[:24]:<24} {requests:>8} {throttled:>10}"
             if with_cost:
-                line += f" {_fmt_cost(row.get('compute_seconds')):>10}"
+                line += f" {_fmt_cost(cost):>10}"
             lines.append(line)
     return "\n".join(lines)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 #: unkeyed traffic is attributed here (matches the gate's anonymous tenant).
 ANONYMOUS_TENANT = "anonymous"
@@ -198,11 +198,43 @@ def read_ledger(path: str) -> dict[str, dict]:
             if payload.get("event") != "usage":
                 continue
             tenant = payload.get("tenant")
-            if not isinstance(tenant, str):
-                continue
-            bucket = totals.setdefault(tenant, dict(_ZERO))
-            for key in _ZERO:
-                value = payload.get(key, 0)
-                if isinstance(value, (int, float)):
-                    bucket[key] += value
+            if isinstance(tenant, str):
+                _add_usage(totals, tenant, payload)
     return totals
+
+
+def sum_usage(tables: Iterable[Mapping]) -> dict[str, dict]:
+    """Sum several ``tenant -> usage bucket`` tables (ledgers, workers)."""
+    totals: dict[str, dict] = {}
+    for table in tables:
+        for tenant, bucket in table.items():
+            if isinstance(bucket, Mapping):
+                _add_usage(totals, str(tenant), bucket)
+    return totals
+
+
+def _add_usage(totals: dict[str, dict], tenant: str, bucket: Mapping) -> None:
+    total = totals.setdefault(tenant, dict(_ZERO))
+    for key in _ZERO:
+        value = bucket.get(key, 0)
+        if isinstance(value, (int, float)):
+            total[key] += value
+
+
+def fleet_usage(stats: Mapping) -> dict | None:
+    """Per-tenant usage across a gateway's fleet ``/v1/stats``: each
+    worker's ``usage.tenants`` plus ``gateway.usage`` (the hits the gateway
+    result cache answered), summed per tenant.  ``None`` when neither the
+    gateway nor any worker meters usage."""
+    summaries = [
+        worker.get("usage") for worker in (stats.get("workers") or {}).values()
+    ]
+    summaries.append((stats.get("gateway") or {}).get("usage"))
+    summaries = [summary for summary in summaries if isinstance(summary, dict)]
+    if not summaries:
+        return None
+    totals = sum_usage(summary.get("tenants") or {} for summary in summaries)
+    for total in totals.values():
+        total["compute_seconds"] = round(total["compute_seconds"], 6)
+        total["fit_seconds"] = round(total["fit_seconds"], 6)
+    return {"tenants": {tenant: totals[tenant] for tenant in sorted(totals)}}

@@ -1,7 +1,7 @@
 """A thread-safe LRU + TTL cache for expansion results.
 
 Repeated queries dominate realistic expansion traffic (the same seed sets
-get re-issued by dashboards, retries, and pagination), so the service caches
+get re-issued by pollers, retries, and pagination), so the service caches
 ``(method, query, top_k) -> ExpansionResult`` with two independent bounds:
 
 * **capacity** — least-recently-used entries are evicted once the cache is

@@ -242,3 +242,63 @@ class TestClusterTopCommand:
         captured = capsys.readouterr()
         assert captured.err.strip() == f"gateway unreachable at {url}"
         assert captured.out == ""  # no traceback, no partial frame
+
+    @pytest.fixture()
+    def gated_gateway(self, tiny_dataset, tmp_path):
+        """One stub worker behind a gateway whose keyfile knows one tenant."""
+        from repro.cluster import ClusterConfig, ClusterGateway
+        from repro.config import ServiceConfig
+        from repro.serve import ExpansionHTTPServer, ExpansionService
+
+        keyfile = tmp_path / "keys.json"
+        keyfile.write_text(
+            json.dumps({"tenants": [{"tenant": "ops", "key": "ops-key"}]}),
+            encoding="utf-8",
+        )
+        service = ExpansionService(tiny_dataset, config=ServiceConfig(port=0))
+        with ExpansionHTTPServer(service, port=0).start() as worker:
+            gateway = ClusterGateway(
+                [("worker-0", worker.url)],
+                config=ClusterConfig(keyfile=str(keyfile)),
+                fingerprint=tiny_dataset.fingerprint(),
+                port=0,
+            )
+            with gateway.start():
+                yield gateway, worker
+
+    def test_one_frame_from_the_fleet_stats(self, gated_gateway, capsys):
+        gateway, _worker = gated_gateway
+        code = main(
+            ["cluster", "top", "--url", gateway.url, "--once", "--api-key", "ops-key"]
+        )
+        assert code == 0
+        frame = capsys.readouterr().out
+        assert frame.startswith("repro cluster top — fleet OK (1/1 workers healthy)")
+        # the reading tenant's own stats read is already on the gate's books.
+        assert re.search(r"^ops +1 +0$", frame, re.MULTILINE)
+
+    def test_missing_api_key_exits_with_one_clean_line(self, gated_gateway, capsys):
+        gateway, _worker = gated_gateway
+        code = main(["cluster", "top", "--url", gateway.url, "--once"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "cluster top: AuthenticationError: "
+            "missing API key (X-Api-Key header required)"
+        )
+        assert captured.out == ""
+
+    def test_a_worker_url_is_not_a_gateway(self, gated_gateway, capsys):
+        _gateway, worker = gated_gateway
+        code = main(["cluster", "top", "--url", worker.url, "--once"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"not a gateway: {worker.url}"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "soon"])
+    def test_interval_must_be_above_zero(self, interval, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "top", "--url", "http://127.0.0.1:1", "--interval", interval])
+        assert excinfo.value.code == 2
+        assert "--interval" in capsys.readouterr().err

@@ -261,16 +261,6 @@ class TestGate:
             gate.check(None, "read")
         assert gate.stats()["auth_failures"] == 2
 
-    def test_tenant_summary_rows(self):
-        now = [0.0]
-        gate = Gate(default_quota=QuotaSpec(rate=1.0, burst=1.0), clock=lambda: now[0])
-        gate.check(None, "expand")
-        with pytest.raises(RateLimitedError):
-            gate.check(None, "expand")
-        assert gate.tenant_summary() == [
-            {"tenant": ANONYMOUS_TENANT, "requests": 1, "throttled": 1}
-        ]
-
 
 # -- admission control -----------------------------------------------------------------
 class TestAdmission:

@@ -21,6 +21,7 @@ from repro.cluster import ClusterConfig, ClusterGateway
 from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.gate import API_KEY_HEADER
+from repro.obs.top import render_top
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
 
@@ -249,9 +250,13 @@ class TestNoisyNeighbor:
         assert gate["requests"]["calm"] >= 1
         assert gate["throttled"]["noisy"] >= 1
 
-        status, body, _ = call(gateway, "GET", "/v1/dashboard", api_key=CALM_KEY)
-        assert status == 200
-        rows = {row["tenant"]: row for row in body["data"]["tenants"]}
-        assert rows["noisy"]["throttled"] >= 1
-        assert rows["calm"]["requests"] >= 1
-        assert rows["calm"]["throttled"] == 0
+        # `cluster top` renders one row per tenant: TENANT REQS THROTTLED.
+        frame = render_top(body["data"], [])
+        rows = {
+            fields[0]: (int(fields[1]), int(fields[2]))
+            for fields in (line.split() for line in frame.splitlines())
+            if fields and fields[0] in ("calm", "noisy")
+        }
+        assert rows["noisy"][1] >= 1
+        assert rows["calm"][0] >= 1
+        assert rows["calm"][1] == 0

@@ -14,7 +14,6 @@ import json
 import logging
 import re
 import threading
-import time
 import urllib.error
 import urllib.request
 from pathlib import Path

@@ -1,5 +1,6 @@
-"""Fleet-level observability tests: /v1/dashboard, gateway /v1/metrics,
-``repro cluster top`` rendering, and end-to-end request-id correlation.
+"""Fleet-level observability tests: the fleet /v1/stats and its
+``repro cluster top`` rendering, gateway /v1/metrics, and end-to-end
+request-id correlation.
 
 Thread-backed workers (real :class:`ExpansionHTTPServer` instances on
 ephemeral ports) behind a real :class:`ClusterGateway`, as in
@@ -18,11 +19,12 @@ import urllib.request
 
 import pytest
 
+from repro.client import ExpansionClient
 from repro.cluster import ClusterConfig, ClusterGateway
 from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.obs import PROMETHEUS_CONTENT_TYPE
-from repro.obs.top import render_dashboard
+from repro.obs.top import render_top
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
 
@@ -125,37 +127,27 @@ class TestDashboard:
             )
             assert status == 200
 
-        status, body, _ = http_get(gateway.url + "/v1/dashboard")
-        assert status == 200
-        data = json.loads(body)["data"]
-        assert data["fleet"] == {
-            "status": "ok", "healthy_workers": 2, "total_workers": 2,
-        }
-        assert data["cluster"]["requests"] >= 4
-        assert data["cluster"]["latency_ms"]["count"] >= 4
-        assert set(data["workers"]) == {"worker-0", "worker-1"}
-        for shard in data["workers"].values():
-            assert shard["healthy"] is True
-            assert "cache_hit_rate" in shard
-            assert "substrates_resident" in shard
+        with ExpansionClient.connect(gateway.url) as client:
+            stats = client.stats()
+            frame = render_top(stats, client.fit_jobs())
+        assert stats["cluster"]["requests"] >= 4
+        assert set(stats["workers"]) == {"worker-0", "worker-1"}
         fitted_somewhere = [
             method
-            for shard in data["workers"].values()
-            for method in shard["fitted"]
+            for worker in stats["workers"].values()
+            for method in worker["registry"]["fitted"]
         ]
         assert set(fitted_somewhere) == set(STUB_METHODS[:4])
-        assert data["gateway"]["proxied"] >= 4
+        assert stats["gateway"]["proxied"] >= 4
+        assert "fleet OK (2/2 workers healthy)" in frame
+        assert "DOWN" not in frame
 
-        # one worker dies mid-test: the dashboard reports it degraded.
+        # one worker dies mid-test: the frame reports the fleet degraded.
         servers[1].shutdown()
-        status, body, _ = http_get(gateway.url + "/v1/dashboard")
-        assert status == 200
-        data = json.loads(body)["data"]
-        assert data["fleet"]["status"] == "degraded"
-        assert data["fleet"]["healthy_workers"] == 1
-        assert data["workers"]["worker-1"]["healthy"] is False
-
-        frame = render_dashboard(data)
+        with ExpansionClient.connect(gateway.url) as client:
+            stats = client.stats()
+            frame = render_top(stats, client.fit_jobs())
+        assert stats["workers"]["worker-1"] == {"unreachable": True}
         assert "fleet DEGRADED (1/2 workers healthy)" in frame
         assert "worker-1" in frame and "DOWN" in frame
 
@@ -167,49 +159,152 @@ class TestDashboard:
         assert status == 202
         deadline = time.monotonic() + 5.0
         seen = None
-        while time.monotonic() < deadline:
-            _, body, _ = http_get(gateway.url + "/v1/dashboard")
-            data = json.loads(body)["data"]
-            jobs = [
-                job
-                for shard in data["workers"].values()
-                if shard.get("healthy")
-                for job in shard.get("fit_jobs", [])
-            ]
-            if jobs:
-                seen = jobs
-                break
-            time.sleep(0.02)
-        assert seen, "the running fit never appeared on the dashboard"
+        with ExpansionClient.connect(gateway.url) as client:
+            while time.monotonic() < deadline:
+                jobs = client.fit_jobs()
+                if any(job["status"] in ("queued", "running") for job in jobs):
+                    seen = jobs
+                    frame = render_top(client.stats(), jobs)
+                    break
+                time.sleep(0.02)
+        assert seen, "the running fit never appeared on /v1/fits"
         assert seen[0]["method"] == "slowfit"
-        assert seen[0]["status"] in ("queued", "running")
+        assert seen[0]["worker_id"] == gateway.owner("slowfit")
         assert "progress" in seen[0]
-        frame = render_dashboard(data)
         assert "slowfit:" in frame
 
-    def test_dashboard_html_rendering_is_self_contained(self, fleet, tiny_dataset):
+    def test_dashboard_route_is_gone(self, fleet):
         gateway, _servers = fleet
-        query_id = tiny_dataset.queries[0].query_id
-        http_post(
-            gateway.url + "/v1/expand",
-            {"method": STUB_METHODS[0], "query_id": query_id},
-        )
-        status, body, headers = http_get(gateway.url + "/v1/dashboard?format=html")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/html")
-        page = body.decode("utf-8")
-        assert page.startswith("<!doctype html>")
-        assert '<meta http-equiv="refresh"' in page
-        assert "worker-0" in page and "worker-1" in page
-        # self-contained: no external scripts, stylesheets, or fetches.
-        for marker in ("<script src", "<link", "http://", "https://", "fetch("):
-            assert marker not in page
+        for path in ("/v1/dashboard", "/v1/dashboard?format=html"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                http_get(gateway.url + path)
+            assert excinfo.value.code == 404
+            payload = json.loads(excinfo.value.read())["error"]
+            assert payload["code"] == "not_found"
 
-        # the JSON rendering is untouched by the HTML one.
-        status, body, headers = http_get(gateway.url + "/v1/dashboard")
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/json")
-        assert json.loads(body)["data"]["fleet"]["total_workers"] == 2
+
+class TestRenderTop:
+    """One scripted fleet document, rendered to a golden frame."""
+
+    STATS = {
+        "cluster": {"requests": 40, "errors": 1, "cache_hits": 30, "cache_misses": 10},
+        "gateway": {
+            "proxied": 47,
+            "failovers": 1,
+            "backend_errors": 2,
+            "sidelined": ["worker-2"],
+            "cache": {"hit_rate": 0.25},
+            "usage": {
+                "tenants": {
+                    "acme": {
+                        "requests": 0, "cache_hits": 3, "fits": 0,
+                        "compute_seconds": 0.002, "fit_seconds": 0.0,
+                    }
+                }
+            },
+        },
+        "gate": {
+            "requests": {"acme": 30, "beta": 12},
+            "throttled": {"beta": 4, "mallory": 9},
+        },
+        "workers": {
+            "worker-0": {
+                "service": {
+                    "requests": 25,
+                    "errors": 1,
+                    "latency_ms": {
+                        "count": 25, "sum": 60.0, "p50": 1.5, "p99": 4.9,
+                        "buckets": [[1.0, 5], [2.5, 20], [5.0, 25], ["+Inf", 25]],
+                    },
+                },
+                "cache": {"hits": 20, "misses": 5},
+                "registry": {
+                    "fitted": ["retexpan", "genexpan"],
+                    "substrates": {
+                        "resident": 3,
+                        "ann": {"queries": 10, "probes": 25, "shortlisted": 1200},
+                    },
+                },
+                "usage": {
+                    "tenants": {
+                        "acme": {
+                            "requests": 20, "cache_hits": 5, "fits": 1,
+                            "compute_seconds": 1.25, "fit_seconds": 1.0,
+                        }
+                    }
+                },
+            },
+            "worker-1": {
+                "service": {
+                    "requests": 15,
+                    "errors": 0,
+                    "latency_ms": {
+                        "count": 15, "sum": 1500.0, "p50": 90.0, "p99": 1200.0,
+                        "buckets": [[1.0, 0], [2.5, 5], [5.0, 10], ["+Inf", 15]],
+                    },
+                },
+                "cache": {"hits": 10, "misses": 5},
+                "registry": {
+                    "fitted": [],
+                    "substrates": {
+                        "resident": 0,
+                        "ann": {"queries": 0, "probes": 0, "shortlisted": 0},
+                    },
+                },
+                "usage": {
+                    "tenants": {
+                        "beta": {
+                            "requests": 8, "cache_hits": 0, "fits": 0,
+                            "compute_seconds": 0.0421, "fit_seconds": 0.0,
+                        }
+                    }
+                },
+            },
+            "worker-2": {"unreachable": True},
+        },
+    }
+    JOBS = [
+        {
+            "method": "probexpan", "status": "running", "phase": "training",
+            "progress": {"fraction": 0.42, "epoch": 3, "total_epochs": 8},
+            "worker_id": "worker-1",
+        },
+        {"method": "case", "status": "queued", "phase": None, "progress": None,
+         "worker_id": "worker-1"},
+        {"method": "cgexpan", "status": "succeeded", "phase": "done",
+         "progress": {"fraction": 1.0}, "worker_id": "worker-0"},
+        {"method": "setexpan", "status": "running", "phase": "restoring",
+         "progress": None, "worker_id": "worker-2"},
+    ]
+    FRAME = """\
+repro cluster top — fleet DEGRADED (2/3 workers healthy)
+cluster: requests=40 errors=1 cache_hit=75% p50=2.1ms p90=5.0ms p99=5.0ms
+ann: queries=10 probes/q=2.5 shortlist/q=120
+gateway: proxied=47 failovers=1 backend_errors=2 sidelined=1 cache_hit=25%
+
+WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED             FIT JOBS
+-----------------------------------------------------------------------------------------------
+worker-0     up          25      1    80%     1.5ms     4.9ms     3 retexpan,genexpan  -
+worker-1     up          15      0    67%    90.0ms     1.20s     0 -                  probexpan:training [====------] 42% (ep 3/8) case:queued
+worker-2     DOWN         -      -      -         -         -     - -                  -
+
+TENANT                       REQS  THROTTLED    COST(s)
+-------------------------------------------------------
+acme                           30          0      1.252
+beta                           12          4      0.042
+mallory                         0          9          -"""
+
+    def test_golden_frame(self):
+        assert render_top(self.STATS, self.JOBS) == self.FRAME
+
+    def test_open_fleet_rows_come_from_usage(self):
+        stats = {key: value for key, value in self.STATS.items() if key != "gate"}
+        frame = render_top(stats, [])
+        tenants = frame.split("\n\n")[-1].splitlines()
+        assert tenants[2:] == [
+            "acme                           20          0      1.252",
+            "beta                            8          0      0.042",
+        ]
 
 
 class TestGatewayMetrics:

@@ -26,7 +26,6 @@ from repro.serve import ExpanderRegistry
 from repro.store import ArtifactStore
 from repro.substrate import (
     COOCCURRENCE_EMBEDDINGS,
-    ENTITY_REPRESENTATIONS,
     SubstrateKey,
     SubstrateProvider,
     hash_params,

@@ -6,7 +6,7 @@ come back as ONE joined trace — the gateway's ``gateway``/``proxy`` spans
 plus every worker fragment grafted under them, all carrying the same
 ``trace_id`` — searchable at the gateway's ``GET /v1/traces``.  Worker-only
 traces stay reachable through the gateway via the scatter fallback, and
-per-tenant usage rolls up into the dashboard's cost column.
+per-tenant usage rolls up into ``repro cluster top``'s cost column.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import urllib.request
 
 import pytest
 
+from repro.client import ExpansionClient
 from repro.cluster import ClusterConfig, ClusterGateway
 from repro.config import ServiceConfig
 from repro.core.base import Expander
-from repro.obs.top import render_dashboard
+from repro.obs.top import render_top
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.types import ExpansionResult
 
@@ -215,6 +216,17 @@ class TestJoinedTraces:
             for server in servers:
                 server.shutdown()
 
+    def test_fleet_reads_stay_out_of_the_trace_ring(self, traced_fleet):
+        """`cluster top` polls /v1/stats and /v1/fits; an always-sampling
+        gateway keeps neither, while a proxied read is still traced."""
+        gateway, _servers = traced_fleet
+        with ExpansionClient.connect(gateway.url) as client:
+            client.stats()
+            client.fit_jobs()
+            assert gateway.traces.query() == []
+            client.methods()
+        assert len(gateway.traces.query()) == 1
+
     def test_unknown_trace_id_is_a_fleet_wide_404(self, traced_fleet):
         gateway, _servers = traced_fleet
         status, body, _ = http_get(gateway.url + "/v1/traces/" + "ab" * 16)
@@ -241,20 +253,80 @@ class TestClusterUsageMetering:
                     {"method": method, "query_id": query_id},
                 )
                 assert status == 200
-            status, body, _ = http_get(gateway.url + "/v1/dashboard")
+            status, body, _ = http_get(gateway.url + "/v1/stats")
             assert status == 200
             data = json.loads(body)["data"]
-            tenants = data["usage"]["tenants"]
-            assert "anonymous" in tenants
-            assert tenants["anonymous"]["requests"] == 4
-            assert tenants["anonymous"]["compute_seconds"] > 0.0
-            # the synthesized tenants table gives the cost column a home
-            # even without a gate, and `cluster top` renders it.
-            rows = {row["tenant"]: row for row in data["tenants"]}
-            assert rows["anonymous"]["compute_seconds"] > 0.0
-            frame = render_dashboard(data)
+            # each worker meters the expands it served; no gateway cache,
+            # so no gateway meter either.
+            assert "usage" not in data["gateway"]
+            served = [
+                worker["usage"]["tenants"]["anonymous"]
+                for worker in data["workers"].values()
+                if worker["usage"]["tenants"]
+            ]
+            assert sum(bucket["requests"] for bucket in served) == 4
+            # without a gate, the metered tenants give the cost column a
+            # home, and `cluster top` renders it.
+            frame = render_top(data, [])
             assert "COST(s)" in frame
-            assert "anonymous" in frame
+            row = next(line for line in frame.splitlines() if line.startswith("anonymous"))
+            _tenant, requests, throttled, cost = row.split()
+            assert (requests, throttled) == ("4", "0")
+            assert float(cost) == pytest.approx(
+                sum(bucket["compute_seconds"] for bucket in served), abs=1e-3
+            )
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    def test_client_usage_sums_the_fleet(self, tiny_dataset):
+        servers = [
+            make_worker(tiny_dataset, usage_metering=True),
+            make_worker(tiny_dataset, usage_metering=True),
+        ]
+        gateway = make_gateway(tiny_dataset, servers, gateway_cache_capacity=16)
+        try:
+            query_id = tiny_dataset.queries[0].query_id
+            for method in STUB_METHODS[:4]:
+                status, _envelope, _ = http_post(
+                    gateway.url + "/v1/expand",
+                    {"method": method, "query_id": query_id},
+                )
+                assert status == 200
+            # a repeat is answered by the gateway cache, billed by its meter.
+            status, _envelope, headers = http_post(
+                gateway.url + "/v1/expand",
+                {"method": STUB_METHODS[0], "query_id": query_id},
+            )
+            assert headers["X-Repro-Cache"] == "gateway"
+            with ExpansionClient.connect(gateway.url) as client:
+                usage = client.usage()
+            assert usage is not None
+            anonymous = usage["tenants"]["anonymous"]
+            # 4 expands the workers served plus the one the gateway did.
+            assert anonymous["requests"] == 5
+            assert anonymous["cache_hits"] == 1
+            worker_seconds = sum(
+                server.service.usage.summary()["tenants"]["anonymous"]["compute_seconds"]
+                for server in servers
+                if server.service.usage.summary()["tenants"]
+            )
+            # plus the gateway's lookup cost; each summary rounds to 1 µs.
+            assert anonymous["compute_seconds"] >= worker_seconds - 2e-6
+            with ExpansionClient.connect(servers[0].url) as client:
+                assert set(client.usage()) >= {"tenants", "tracked", "ledger"}
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    def test_client_usage_is_none_when_nothing_meters(self, tiny_dataset):
+        servers = [make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
+        try:
+            with ExpansionClient.connect(gateway.url) as client:
+                assert client.usage() is None
         finally:
             gateway.shutdown()
             for server in servers:

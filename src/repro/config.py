@@ -330,12 +330,10 @@ class ServiceConfig:
     #: verb, route, status, latency_ms, cache hit) on the
     #: ``repro.serve.access`` logger instead of http.server's stderr chatter.
     access_log: bool = False
-    #: guard cold fits with a cross-process lock file in the store directory
-    #: so N workers sharing one store pay each fit exactly once (no-op when
-    #: no store is attached).
-    fit_lock: bool = True
     #: ceiling on how long a request waits for another worker's in-flight
-    #: fit before fitting locally anyway (liveness over single-payer).
+    #: fit (cold fits elect one leader through a lock file whenever a store
+    #: is attached) before fitting locally anyway (liveness over
+    #: single-payer).
     fit_lock_wait_seconds: float = 600.0
     #: run periodic store GC inside the serving process every this many
     #: seconds; ``None`` disables the background janitor.

@@ -54,15 +54,12 @@ class SharedResources:
         oracle_config: OracleConfig | None = None,
         provider: SubstrateProvider | None = None,
         store: "ArtifactStore | None" = None,
-        fit_lock: bool = True,
     ):
         """``provider`` shares an existing substrate pool; otherwise one is
         created, backed by ``store`` when given so substrate fits restore
         from (and write through to) content-addressed artifacts."""
         self.dataset = dataset
-        self.provider = provider or SubstrateProvider(
-            dataset, store=store, fit_lock=fit_lock
-        )
+        self.provider = provider or SubstrateProvider(dataset, store=store)
         # Guards the cheap lazily-built pieces kept outside the provider.
         self._build_lock = threading.RLock()
         self.encoder_config = encoder_config or EncoderConfig()

@@ -13,7 +13,7 @@ templates whose wording expresses the attribute value lexically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.exceptions import DatasetError

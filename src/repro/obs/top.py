@@ -155,9 +155,15 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
     lines.append(gateway_line)
     lines.append("")
 
+    fitted = {
+        worker_id: ",".join((worker.get("registry") or {}).get("fitted") or []) or "-"
+        for worker_id, worker in healthy.items()
+    }
+    # the FITTED column widens to the longest list; it is never cut.
+    width = max([18, *map(len, fitted.values())])
     header = (
         f"{'WORKER':<12} {'STATE':<6} {'REQS':>7} {'ERRS':>6} {'CACHE':>6} "
-        f"{'P50':>9} {'P99':>9} {'SUBS':>5} {'FITTED':<18} FIT JOBS"
+        f"{'P50':>9} {'P99':>9} {'SUBS':>5} {'FITTED':<{width}} FIT JOBS"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -166,14 +172,13 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
         if worker is None:
             lines.append(
                 f"{worker_id:<12} {'DOWN':<6} {'-':>7} {'-':>6} {'-':>6} "
-                f"{'-':>9} {'-':>9} {'-':>5} {'-':<18} -"
+                f"{'-':>9} {'-':>9} {'-':>5} {'-':<{width}} -"
             )
             continue
         service = worker.get("service") or {}
         cache = worker.get("cache") or {}
         registry = worker.get("registry") or {}
         worker_latency = service.get("latency_ms") or {}
-        fitted = ",".join(registry.get("fitted") or []) or "-"
         job_text = " ".join(
             _fmt_job(job)
             for job in jobs
@@ -188,7 +193,7 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
             f"{_fmt_ms(worker_latency.get('p50')):>9} "
             f"{_fmt_ms(worker_latency.get('p99')):>9} "
             f"{int((registry.get('substrates') or {}).get('resident', 0)):>5} "
-            f"{fitted[:18]:<18} {job_text}"
+            f"{fitted[worker_id]:<{width}} {job_text}"
         )
 
     tenants = _tenant_rows(stats)

@@ -28,12 +28,13 @@ and substrate fits restore from (and write through to) the registry's store
 as content-addressed artifacts.  Substrate hit/miss/fit counters surface
 under ``stats()["substrates"]`` (and ``/v1/stats``).
 
-Across *processes*, the store also carries a :class:`~repro.store.FitLock`:
-before paying a cold fit, the registry elects a leader via an atomic lock
-file in the store directory, so N workers sharing a store pay each fit
-exactly once — the leader trains and publishes, the waiters restore the
-published artifact.  A stuck or dead leader goes stale and waiters fall back
-to fitting locally; the lock can delay a fit, never block serving.
+Across *processes*, the store also carries a :class:`~repro.store.FitLock`
+whenever one is attached: a cold fit runs through
+:func:`~repro.store.fitlock.single_payer`, the same election the substrate
+provider uses, so N workers sharing a store pay each fit exactly once — the
+leader re-checks the store, then trains and publishes; the waiters restore
+the published artifact.  A stuck or dead leader goes stale and waiters fall
+back to fitting locally; the lock can delay a fit, never block serving.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.genexpan import GenExpan
 from repro.obs import MetricsRegistry, ProgressReporter, span
 from repro.obs.progress import NULL_PROGRESS
 from repro.retexpan import RetExpan
-from repro.store.fitlock import DEFAULT_STALE_SECONDS, FitLock
+from repro.store.fitlock import FitLock, FitLockCounters, single_payer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ArtifactStore
@@ -87,14 +88,12 @@ class ExpanderRegistry:
         factories: Mapping[str, ExpanderFactory] | None = None,
         capacity: int = 8,
         store: "ArtifactStore | None" = None,
-        fit_lock: bool = True,
         fit_lock_wait_seconds: float = 600.0,
-        fit_lock_stale_seconds: float = DEFAULT_STALE_SECONDS,
         metrics: MetricsRegistry | None = None,
     ):
-        """``fit_lock`` elects a cross-process leader (via a lock file in the
-        store directory) before any cold fit, so sibling workers sharing the
-        store pay each fit once; it is a no-op without a ``store``."""
+        """With a ``store``, every cold fit first elects a cross-process
+        leader (a lock file in the store directory), so sibling workers
+        sharing the store pay each fit once."""
         if capacity < 1:
             raise ServiceError("registry capacity must be >= 1")
         self.dataset = dataset
@@ -103,15 +102,13 @@ class ExpanderRegistry:
         # content-addressed artifacts the method manifests reference.  An
         # injected pool that already has its own store keeps it.
         if resources is None:
-            resources = SharedResources(dataset, store=store, fit_lock=fit_lock)
+            resources = SharedResources(dataset, store=store)
         elif store is not None:
             resources.provider.attach_store(store)
         self.resources = resources
         self.capacity = capacity
         self.store = store
-        self.fit_lock_enabled = bool(fit_lock) and store is not None
         self.fit_lock_wait_seconds = fit_lock_wait_seconds
-        self.fit_lock_stale_seconds = fit_lock_stale_seconds
         self._factories = dict(
             DEFAULT_FACTORIES if factories is None else factories
         )
@@ -144,21 +141,7 @@ class ExpanderRegistry:
         self._store_errors = self.metrics.counter(
             "repro_registry_store_errors_total", "Store failures absorbed while serving."
         )
-        #: cross-process fit-lock traffic counters.
-        self._fit_lock_acquires = self.metrics.counter(
-            "repro_registry_fitlock_acquires_total", "Cross-process fit-lock wins."
-        )
-        self._fit_lock_waits = self.metrics.counter(
-            "repro_registry_fitlock_waits_total", "Waits behind another fit leader."
-        )
-        self._fit_lock_restores = self.metrics.counter(
-            "repro_registry_fitlock_restores_total",
-            "Restores of a leader-published artifact after a wait.",
-        )
-        self._fit_lock_timeouts = self.metrics.counter(
-            "repro_registry_fitlock_timeouts_total",
-            "Local fallback fits after a stuck leader exceeded the wait budget.",
-        )
+        self._fit_lock = FitLockCounters(self.metrics, "registry", "artifact")
         # Substrate counters join the same registry so /v1/metrics exposes
         # the full picture; an injected provider replays its prior values.
         self.resources.provider.attach_metrics(self.metrics)
@@ -271,50 +254,26 @@ class ExpanderRegistry:
         expander = self._factories[name](self.resources)
         progress.phase("restoring")
         with span("store_restore", method=name):
-            restored = self._try_restore(name, expander)
-        if restored:
-            return expander
-        if not (self.fit_lock_enabled and expander.supports_persistence):
-            return self._fit_and_publish(name, expander, progress)
-        lock = FitLock(
-            self.store.root,
-            name,
-            self._fingerprint,
-            stale_after=self.fit_lock_stale_seconds,
-        )
-        deadline = time.monotonic() + self.fit_lock_wait_seconds
-        contended = False
-        while True:
-            if lock.try_acquire():
-                try:
-                    self._fit_lock_acquires.inc()
-                    # Another leader may have published between our restore
-                    # miss and winning the lock (it can finish entirely
-                    # inside that window, so even an uncontended acquire is
-                    # not proof of absence).  A cheap manifest-existence
-                    # probe gates the full checksum-verified restore so the
-                    # plain cold-fit path stays a single restore miss.
-                    if (contended or self.artifact_available(name)) and (
-                        self._try_restore(name, expander)
-                    ):
-                        self._fit_lock_restores.inc()
-                        return expander
-                    return self._fit_and_publish(name, expander, progress)
-                finally:
-                    lock.release()
-            contended = True
-            self._fit_lock_waits.inc()
-            freed = lock.wait(timeout=max(0.0, deadline - time.monotonic()))
             if self._try_restore(name, expander):
-                self._fit_lock_restores.inc()
                 return expander
-            if not freed or time.monotonic() >= deadline:
-                # The leader is stuck past our wait budget (or failed without
-                # publishing): fit locally — liveness beats single-payer.
-                self._fit_lock_timeouts.inc()
-                return self._fit_and_publish(name, expander, progress)
-            # The lock was freed but nothing was published (the leader
-            # crashed or its method cannot persist): stand for election.
+        lock = None
+        if self.store is not None and expander.supports_persistence:
+            lock = FitLock(self.store.root, name, self._fingerprint)
+
+        def restore_published() -> Expander | None:
+            # A manifest-existence probe gates the checksum-verified restore,
+            # so the plain cold-fit path stays a single restore miss.
+            if self.artifact_available(name) and self._try_restore(name, expander):
+                return expander
+            return None
+
+        return single_payer(
+            lock,
+            restore_published,
+            lambda: self._fit_and_publish(name, expander, progress),
+            self._fit_lock,
+            self.fit_lock_wait_seconds,
+        )
 
     def _fit_and_publish(
         self,
@@ -470,12 +429,6 @@ class ExpanderRegistry:
                 "write_throughs": int(self._write_throughs.total()),
                 "errors": int(self._store_errors.total()),
             },
-            "fit_lock": {
-                "enabled": self.fit_lock_enabled,
-                "acquires": int(self._fit_lock_acquires.total()),
-                "waits": int(self._fit_lock_waits.total()),
-                "restores_after_wait": int(self._fit_lock_restores.total()),
-                "timeouts": int(self._fit_lock_timeouts.total()),
-            },
+            "fit_lock": self._fit_lock.stats(enabled=self.store is not None),
             "substrates": self.resources.provider.stats(),
         }

@@ -95,7 +95,6 @@ class ExpansionService:
             factories=factories,
             capacity=self.config.registry_capacity,
             store=store,
-            fit_lock=self.config.fit_lock,
             fit_lock_wait_seconds=self.config.fit_lock_wait_seconds,
             metrics=self.metrics,
         )

@@ -8,10 +8,14 @@ them build-once artifacts shared across restarts and worker processes:
   (checksums, sizes, versions), atomic staged writes, and ``ls``/``gc``/
   ``evict`` management; shared substrates (:mod:`repro.substrate`) are
   stored once under ``.substrates/<kind>/<content hash>`` and referenced
-  by method manifests, with reference-aware GC;
+  by method manifests, with reference-aware GC.  Both kinds of artifact go
+  through one staged writer, one checksum verify and one directory scan;
 * :class:`FitLock` — cross-process fit leader election via an atomic lock
-  file in the store directory, so N workers sharing the store pay each
-  cold fit exactly once (waiters restore the leader's published artifact);
+  file in the store directory, and
+  :func:`~repro.store.fitlock.single_payer`, the one election loop the
+  method registry and the substrate provider both run a cold fit through,
+  so N workers sharing the store pay each cold fit exactly once (waiters
+  restore the leader's published artifact);
 * :mod:`repro.store.serialization` — the pickle-free JSON + ``.npy``
   serialization layer, including mmap-friendly entity→vector maps.
 

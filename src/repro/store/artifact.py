@@ -29,11 +29,13 @@ substrate is never collected while a surviving method manifest points at
 it, and a substrate orphaned by method evictions is collected instead of
 stranding its bytes.
 
-Writes are atomic: state is staged under ``.tmp`` and moved into place with
-one ``os.replace``-style rename, so a crashed writer never leaves a
-half-written artifact where a reader could find it.  Restores verify the
-manifest's format/state versions and every file checksum before any state is
-deserialised; corrupt or version-mismatched artifacts raise a
+Method and substrate artifacts share one writer, one verifier and one
+directory scan.  Writes are atomic: state is staged under ``.tmp``,
+checksummed into the manifest, and moved into place with one
+``os.replace``-style rename, so a crashed writer never leaves a half-written
+artifact where a reader could find it.  Restores verify the manifest's
+format version and every file checksum before any state is deserialised;
+corrupt or version-mismatched artifacts raise a
 :class:`~repro.exceptions.StoreError` subtype that consumers treat as a miss
 (fall back to refit, then overwrite).
 """
@@ -116,6 +118,23 @@ class ArtifactInfo:
     def age_seconds(self) -> float:
         return max(0.0, time.time() - self.created_at)
 
+    @classmethod
+    def from_manifest(cls, manifest: dict, path: Path) -> "ArtifactInfo":
+        files = manifest.get("files", {})
+        return cls(
+            method=str(manifest["method"]),
+            fingerprint=str(manifest["fingerprint"]),
+            format_version=int(manifest["format_version"]),
+            state_version=int(manifest["state_version"]),
+            expander_class=str(manifest.get("expander_class", "")),
+            created_at=float(manifest.get("created_at", 0.0)),
+            total_bytes=sum(int(meta["bytes"]) for meta in files.values()),
+            num_files=len(files),
+            path=str(path),
+            library_versions=dict(manifest.get("library_versions", {})),
+            substrates=tuple(manifest.get("substrates", []) or ()),
+        )
+
 
 @dataclass(frozen=True)
 class SubstrateArtifactInfo:
@@ -134,6 +153,21 @@ class SubstrateArtifactInfo:
     @property
     def age_seconds(self) -> float:
         return max(0.0, time.time() - self.created_at)
+
+    @classmethod
+    def from_manifest(cls, manifest: dict, path: Path) -> "SubstrateArtifactInfo":
+        files = manifest.get("files", {})
+        return cls(
+            kind=str(manifest["kind"]),
+            content_hash=str(manifest["content_hash"]),
+            fingerprint=str(manifest.get("fingerprint", "")),
+            params_hash=str(manifest.get("params_hash", "")),
+            format_version=int(manifest["format_version"]),
+            created_at=float(manifest.get("created_at", 0.0)),
+            total_bytes=sum(int(meta["bytes"]) for meta in files.values()),
+            num_files=len(files),
+            path=str(path),
+        )
 
 
 class _ManifestSubstrates:
@@ -201,10 +235,6 @@ class ArtifactStore:
     def save(self, method: str, fingerprint: str, expander: "Expander") -> ArtifactInfo:
         """Persist ``expander``'s fitted state, replacing any previous artifact.
 
-        The expander writes into a staging directory; the manifest (with a
-        checksum and size per file) is written last and the whole directory
-        is renamed into place in one step.
-
         Substrates the fit depends on are published (idempotently) into this
         store's content-addressed ``.substrates`` area *before* the method
         manifest referencing them appears, so a reader can never observe a
@@ -213,48 +243,71 @@ class ArtifactStore:
         method = self._normalize(method)
         target = self.artifact_dir(method, fingerprint)
         substrates = expander.publish_substrates(self)
+        manifest = self._publish(
+            target,
+            f"artifact {method}/{fingerprint}",
+            {
+                "method": method,
+                "fingerprint": fingerprint,
+                "state_version": type(expander).state_version,
+                "expander_class": type(expander).__name__,
+                "substrates": substrates,
+            },
+            expander.save_state,
+            replace=True,
+        )
+        return ArtifactInfo.from_manifest(manifest, target)
+
+    def _publish(
+        self, target: Path, label: str, fields: dict, writer, replace: bool
+    ) -> dict:
+        """The one staged write; returns the manifest it published.
+
+        ``writer`` fills a staging ``state`` directory; the manifest
+        (``fields`` plus format version, creation time, library versions and
+        a checksum and size per file) is written last and the whole
+        directory is renamed into place in one step.  With ``replace`` an
+        existing artifact is moved aside first (a method refit supersedes
+        it); otherwise the first publisher's copy is kept (a content address
+        guarantees equivalence).
+        """
         self._tmp_root.mkdir(parents=True, exist_ok=True)
-        staging = self._tmp_root / f"{method}-{fingerprint}-{uuid.uuid4().hex}"
+        staging = self._tmp_root / f"{target.parent.name}-{target.name}-{uuid.uuid4().hex}"
         state_dir = staging / _STATE_DIR
         state_dir.mkdir(parents=True)
         try:
-            expander.save_state(state_dir)
-            files = self._checksum_tree(state_dir)
+            writer(state_dir)
             manifest = {
-                "method": method,
-                "fingerprint": fingerprint,
+                **fields,
                 "format_version": self.format_version,
-                "state_version": type(expander).state_version,
-                "expander_class": type(expander).__name__,
                 "created_at": time.time(),
                 "library_versions": {
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                 },
-                "substrates": substrates,
-                "files": files,
+                "files": self._checksum_tree(state_dir),
             }
             write_json_state(staging / _MANIFEST_NAME, manifest)
             with self._lock:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                if target.exists():
+                if replace and target.exists():
                     # Move the old artifact aside first so readers never see
                     # a partially-deleted directory at the published path.
                     graveyard = self._tmp_root / f"evicted-{uuid.uuid4().hex}"
                     os.replace(target, graveyard)
                     shutil.rmtree(graveyard, ignore_errors=True)
-                os.replace(staging, target)
+                if target.exists():
+                    shutil.rmtree(staging, ignore_errors=True)
+                else:
+                    os.replace(staging, target)
                 self._stats_cache = None
-        except StoreError:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        except PersistenceError:
+        except (StoreError, PersistenceError):
             shutil.rmtree(staging, ignore_errors=True)
             raise
         except OSError as exc:
             shutil.rmtree(staging, ignore_errors=True)
-            raise StoreError(f"cannot write artifact {method}/{fingerprint}: {exc}") from exc
-        return self._info_from_manifest(manifest, target)
+            raise StoreError(f"cannot write {label}: {exc}") from exc
+        return manifest
 
     @staticmethod
     def _checksum_tree(state_dir: Path) -> dict[str, dict]:
@@ -269,49 +322,50 @@ class ArtifactStore:
         return files
 
     # -- reading -----------------------------------------------------------------
-    def _read_manifest(self, method: str, fingerprint: str) -> tuple[dict, Path]:
-        target = self.artifact_dir(method, fingerprint)
+    def _verify(self, target: Path, label: str, required: tuple[str, ...]) -> dict:
+        """The one manifest read and checksum verify: the ``required`` keys,
+        the format version, then every state file's size and sha256.
+        Returns the manifest."""
         manifest_path = target / _MANIFEST_NAME
         if not manifest_path.exists():
-            raise ArtifactNotFoundError(
-                f"no artifact for method={method!r} fingerprint={fingerprint!r}"
-            )
+            raise ArtifactNotFoundError(f"no {label}")
         manifest = read_json_state(manifest_path)
-        for key in ("method", "fingerprint", "format_version", "state_version", "files"):
+        for key in (*required, "format_version", "files"):
             if key not in manifest:
                 raise ArtifactCorruptError(f"manifest {manifest_path} lacks {key!r}")
-        return manifest, target
-
-    def verify(self, method: str, fingerprint: str) -> ArtifactInfo:
-        """Check versions and every file checksum; raise a StoreError on failure."""
-        manifest, target = self._read_manifest(method, fingerprint)
         if int(manifest["format_version"]) != self.format_version:
             raise ArtifactVersionError(
-                f"artifact {method}/{fingerprint} has format_version "
-                f"{manifest['format_version']}, store expects {self.format_version}"
+                f"{label} has format_version {manifest['format_version']}, "
+                f"store expects {self.format_version}"
             )
         state_dir = target / _STATE_DIR
         for relative, meta in manifest["files"].items():
             path = state_dir / relative
             try:
                 if not path.is_file():
-                    raise ArtifactCorruptError(
-                        f"artifact {method}/{fingerprint} lost state file {relative!r}"
-                    )
+                    raise ArtifactCorruptError(f"{label} lost state file {relative!r}")
                 if (
                     path.stat().st_size != int(meta["bytes"])
                     or sha256_file(path) != meta["sha256"]
                 ):
                     raise ArtifactCorruptError(
-                        f"artifact {method}/{fingerprint} checksum mismatch on {relative!r}"
+                        f"{label} checksum mismatch on {relative!r}"
                     )
             except OSError as exc:
                 # A concurrent evict/replace can remove files mid-scan; the
                 # caller must see a StoreError, never a raw filesystem error.
-                raise ArtifactCorruptError(
-                    f"artifact {method}/{fingerprint} became unreadable: {exc}"
-                ) from exc
-        return self._info_from_manifest(manifest, target)
+                raise ArtifactCorruptError(f"{label} became unreadable: {exc}") from exc
+        return manifest
+
+    def verify(self, method: str, fingerprint: str) -> ArtifactInfo:
+        """Check versions and every file checksum; raise a StoreError on failure."""
+        target = self.artifact_dir(method, fingerprint)
+        manifest = self._verify(
+            target,
+            f"artifact {method}/{fingerprint}",
+            ("method", "fingerprint", "state_version"),
+        )
+        return ArtifactInfo.from_manifest(manifest, target)
 
     def restore(
         self,
@@ -347,7 +401,7 @@ class ArtifactStore:
                     f"artifact {method}/{fingerprint} references missing "
                     f"substrate {ref['kind']}/{ref['content_hash']}"
                 )
-        state_dir = self.artifact_dir(method, fingerprint) / _STATE_DIR
+        state_dir = Path(info.path) / _STATE_DIR
         resolver = _ManifestSubstrates(self, refs) if refs else None
         try:
             expander.load_state(state_dir, dataset, substrates=resolver)
@@ -365,7 +419,7 @@ class ArtifactStore:
             raise ArtifactCorruptError(
                 f"artifact {method}/{fingerprint} failed to load: {exc}"
             ) from exc
-        self._touch_restored(self.artifact_dir(method, fingerprint))
+        self._touch_restored(Path(info.path))
         return info
 
     @staticmethod
@@ -427,91 +481,38 @@ class ArtifactStore:
         """Persist one substrate under its content address (idempotent).
 
         ``writer`` serialises the substrate's fitted state into the staging
-        state directory; the write is staged and atomically renamed exactly
-        like a method artifact.  Content addressing makes the operation
-        idempotent: an existing artifact is returned untouched, so several
-        methods publishing the same substrate never rewrite it.
+        state directory, written like a method artifact.  Content addressing
+        makes the operation idempotent: an existing artifact is returned
+        untouched, so several methods publishing the same substrate never
+        rewrite it.
         """
         target = self.substrate_dir(kind, content_hash)
         if (target / _MANIFEST_NAME).exists():
-            return self._substrate_info_from_manifest(
+            return SubstrateArtifactInfo.from_manifest(
                 read_json_state(target / _MANIFEST_NAME), target
             )
-        self._tmp_root.mkdir(parents=True, exist_ok=True)
-        staging = self._tmp_root / f"substrate-{kind}-{content_hash}-{uuid.uuid4().hex}"
-        state_dir = staging / _STATE_DIR
-        state_dir.mkdir(parents=True)
-        try:
-            writer(state_dir)
-            manifest = {
+        manifest = self._publish(
+            target,
+            f"substrate {kind}/{content_hash}",
+            {
                 "kind": kind,
                 "content_hash": content_hash,
                 "fingerprint": fingerprint,
                 "params_hash": params_hash,
-                "format_version": self.format_version,
-                "created_at": time.time(),
-                "library_versions": {
-                    "python": platform.python_version(),
-                    "numpy": np.__version__,
-                },
-                "files": self._checksum_tree(state_dir),
-            }
-            write_json_state(staging / _MANIFEST_NAME, manifest)
-            with self._lock:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                if target.exists():
-                    # Another publisher won the race; the content address
-                    # guarantees equivalence, so keep theirs.
-                    shutil.rmtree(staging, ignore_errors=True)
-                else:
-                    os.replace(staging, target)
-                self._stats_cache = None
-        except (StoreError, PersistenceError):
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        except OSError as exc:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise StoreError(
-                f"cannot write substrate {kind}/{content_hash}: {exc}"
-            ) from exc
-        return self._substrate_info_from_manifest(manifest, target)
-
-    def _read_substrate_manifest(
-        self, kind: str, content_hash: str
-    ) -> tuple[dict, Path]:
-        target = self.substrate_dir(kind, content_hash)
-        manifest_path = target / _MANIFEST_NAME
-        if not manifest_path.exists():
-            raise ArtifactNotFoundError(
-                f"no substrate artifact {kind}/{content_hash}"
-            )
-        manifest = read_json_state(manifest_path)
-        for key in ("kind", "content_hash", "format_version", "files"):
-            if key not in manifest:
-                raise ArtifactCorruptError(f"manifest {manifest_path} lacks {key!r}")
-        return manifest, target
+            },
+            writer,
+            replace=False,
+        )
+        return SubstrateArtifactInfo.from_manifest(manifest, target)
 
     def verify_substrate(self, kind: str, content_hash: str) -> SubstrateArtifactInfo:
-        """Check every file checksum of a substrate artifact."""
-        manifest, target = self._read_substrate_manifest(kind, content_hash)
-        state_dir = target / _STATE_DIR
-        for relative, meta in manifest["files"].items():
-            path = state_dir / relative
-            try:
-                if (
-                    not path.is_file()
-                    or path.stat().st_size != int(meta["bytes"])
-                    or sha256_file(path) != meta["sha256"]
-                ):
-                    raise ArtifactCorruptError(
-                        f"substrate {kind}/{content_hash} checksum mismatch "
-                        f"on {relative!r}"
-                    )
-            except OSError as exc:
-                raise ArtifactCorruptError(
-                    f"substrate {kind}/{content_hash} became unreadable: {exc}"
-                ) from exc
-        return self._substrate_info_from_manifest(manifest, target)
+        """Check the format version and every file checksum of a substrate
+        artifact; raise a StoreError on failure."""
+        target = self.substrate_dir(kind, content_hash)
+        manifest = self._verify(
+            target, f"substrate {kind}/{content_hash}", ("kind", "content_hash")
+        )
+        return SubstrateArtifactInfo.from_manifest(manifest, target)
 
     def restore_substrate(self, kind: str, content_hash: str, loader):
         """Verify the substrate artifact, then run ``loader`` on its state dir.
@@ -519,41 +520,23 @@ class ArtifactStore:
         Any loader failure is reported as corruption so callers uniformly
         fall back to refitting (and republishing) the substrate.
         """
-        self.verify_substrate(kind, content_hash)
-        state_dir = self.substrate_dir(kind, content_hash) / _STATE_DIR
+        target = Path(self.verify_substrate(kind, content_hash).path)
         try:
-            instance = loader(state_dir)
+            instance = loader(target / _STATE_DIR)
         except StoreError:
             raise
         except Exception as exc:  # noqa: BLE001 - any load failure means corrupt state
             raise ArtifactCorruptError(
                 f"substrate {kind}/{content_hash} failed to load: {exc}"
             ) from exc
-        self._touch_restored(self.substrate_dir(kind, content_hash))
+        self._touch_restored(target)
         return instance
 
     def ls_substrates(self) -> list[SubstrateArtifactInfo]:
         """All substrate artifacts, newest first (unreadable ones skipped)."""
-        infos: list[SubstrateArtifactInfo] = []
-        substrates_root = self.root / _SUBSTRATES_DIRNAME
-        if not substrates_root.exists():
-            return infos
-        for kind_dir in sorted(substrates_root.iterdir()):
-            if not kind_dir.is_dir():
-                continue
-            for artifact_dir in sorted(kind_dir.iterdir()):
-                manifest_path = artifact_dir / _MANIFEST_NAME
-                if not manifest_path.exists():
-                    continue
-                try:
-                    manifest = read_json_state(manifest_path)
-                    infos.append(
-                        self._substrate_info_from_manifest(manifest, artifact_dir)
-                    )
-                except (StoreError, KeyError, TypeError, ValueError):
-                    continue
-        infos.sort(key=lambda info: -info.created_at)
-        return infos
+        return self._scan(
+            self.root / _SUBSTRATES_DIRNAME, SubstrateArtifactInfo.from_manifest
+        )
 
     def substrate_references(self) -> dict[tuple[str, str], list[str]]:
         """Back-references: ``(kind, content_hash)`` -> referencing methods.
@@ -589,19 +572,25 @@ class ArtifactStore:
     # -- management --------------------------------------------------------------
     def ls(self) -> list[ArtifactInfo]:
         """All artifacts in the store, newest first (unreadable ones skipped)."""
-        infos: list[ArtifactInfo] = []
-        if not self.root.exists():
+        return self._scan(self.root, ArtifactInfo.from_manifest)
+
+    @staticmethod
+    def _scan(root: Path, from_manifest) -> list:
+        """The one directory scan: every ``<root>/<group>/<artifact>`` with a
+        readable manifest, newest first.  Dot-groups (store internals such as
+        ``.tmp`` and ``.substrates``) are skipped."""
+        infos: list = []
+        if not root.exists():
             return infos
-        for method_dir in sorted(self.root.iterdir()):
-            if not method_dir.is_dir() or method_dir.name.startswith("."):
+        for group in sorted(root.iterdir()):
+            if not group.is_dir() or group.name.startswith("."):
                 continue
-            for artifact_dir in sorted(method_dir.iterdir()):
+            for artifact_dir in sorted(group.iterdir()):
                 manifest_path = artifact_dir / _MANIFEST_NAME
                 if not manifest_path.exists():
                     continue
                 try:
-                    manifest = read_json_state(manifest_path)
-                    infos.append(self._info_from_manifest(manifest, artifact_dir))
+                    infos.append(from_manifest(read_json_state(manifest_path), artifact_dir))
                 except (StoreError, KeyError, TypeError, ValueError):
                     continue
         infos.sort(key=lambda info: -info.created_at)
@@ -783,38 +772,6 @@ class ArtifactStore:
             shutil.rmtree(method_dir, ignore_errors=True)
         except OSError:
             pass
-
-    @staticmethod
-    def _info_from_manifest(manifest: dict, path: Path) -> ArtifactInfo:
-        files = manifest.get("files", {})
-        return ArtifactInfo(
-            method=str(manifest["method"]),
-            fingerprint=str(manifest["fingerprint"]),
-            format_version=int(manifest["format_version"]),
-            state_version=int(manifest["state_version"]),
-            expander_class=str(manifest.get("expander_class", "")),
-            created_at=float(manifest.get("created_at", 0.0)),
-            total_bytes=sum(int(meta["bytes"]) for meta in files.values()),
-            num_files=len(files),
-            path=str(path),
-            library_versions=dict(manifest.get("library_versions", {})),
-            substrates=tuple(manifest.get("substrates", []) or ()),
-        )
-
-    @staticmethod
-    def _substrate_info_from_manifest(manifest: dict, path: Path) -> SubstrateArtifactInfo:
-        files = manifest.get("files", {})
-        return SubstrateArtifactInfo(
-            kind=str(manifest["kind"]),
-            content_hash=str(manifest["content_hash"]),
-            fingerprint=str(manifest.get("fingerprint", "")),
-            params_hash=str(manifest.get("params_hash", "")),
-            format_version=int(manifest["format_version"]),
-            created_at=float(manifest.get("created_at", 0.0)),
-            total_bytes=sum(int(meta["bytes"]) for meta in files.values()),
-            num_files=len(files),
-            path=str(path),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ArtifactStore(root={str(self.root)!r}, format_version={self.format_version})"

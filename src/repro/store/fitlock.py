@@ -1,9 +1,9 @@
 """Cross-process fit leader election via atomic lock files.
 
 When N serving workers share one artifact store and none of them holds the
-artifact for a ``(method, dataset fingerprint)`` key yet, each would pay the
-cold fit independently — the most expensive operation in the system,
-multiplied by the fleet size.  :class:`FitLock` makes the fit single-payer:
+artifact for a key yet, each would pay the cold fit independently — the most
+expensive operation in the system, multiplied by the fleet size.
+:class:`FitLock` makes the fit single-payer:
 
 * the lock is one file under ``<store root>/.fitlocks/``, created with
   ``O_CREAT | O_EXCL`` so exactly one process (the **leader**) wins the
@@ -16,6 +16,12 @@ multiplied by the fleet size.  :class:`FitLock` makes the fit single-payer:
 * a leader that dies mid-fit stops heartbeating, so its lock goes **stale**
   (mtime older than ``stale_after``) and the next waiter breaks it and takes
   over — a crash delays the fit, it never wedges the key forever.
+
+:func:`single_payer` is the one election loop: the method registry
+(``(method, fingerprint)`` keys) and the substrate provider
+(``substrate-<kind>`` / content-hash keys) both run their cold fits through
+it, and :class:`FitLockCounters` gives both the same four counters and
+``fit_lock`` stats view.
 
 The lock protects an optimisation, not correctness: every consumer treats
 "could not acquire / wait timed out" as permission to fit locally, so a
@@ -31,8 +37,14 @@ import socket
 import threading
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.exceptions import StoreError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import MetricsRegistry
+
+T = TypeVar("T")
 
 #: subdirectory of the store root holding the lock files.
 LOCK_DIR_NAME = ".fitlocks"
@@ -43,7 +55,7 @@ DEFAULT_STALE_SECONDS = 600.0
 
 
 class FitLock:
-    """An advisory single-payer lock for one ``(method, fingerprint)`` fit."""
+    """An advisory single-payer lock for one ``(name, fingerprint)`` fit."""
 
     def __init__(
         self,
@@ -114,16 +126,6 @@ class FitLock:
             except OSError:
                 pass
 
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    def __enter__(self) -> "FitLock":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
     # -- waiting -----------------------------------------------------------------
     def wait(self, timeout: float, poll_interval: float = 0.05) -> bool:
         """Block until the lock is free (absent or gone stale).
@@ -178,3 +180,84 @@ class FitLock:
                 # The lock was stolen (stale break) or the filesystem went
                 # away; the fit continues — the lock is only an optimisation.
                 return
+
+
+class FitLockCounters:
+    """The four fit-lock counters one caller binds, and its stats view.
+
+    ``prefix`` names the metric family (``registry`` or ``substrate``) and
+    ``subject`` what a leader publishes (``artifact`` or ``substrate``).
+    """
+
+    def __init__(self, metrics: "MetricsRegistry", prefix: str, subject: str):
+        self.acquires = metrics.counter(
+            f"repro_{prefix}_fitlock_acquires_total", "Cross-process fit-lock wins."
+        )
+        self.waits = metrics.counter(
+            f"repro_{prefix}_fitlock_waits_total", "Waits behind another fit leader."
+        )
+        self.restores = metrics.counter(
+            f"repro_{prefix}_fitlock_restores_total",
+            f"Restores of a leader-published {subject} after a wait.",
+        )
+        self.timeouts = metrics.counter(
+            f"repro_{prefix}_fitlock_timeouts_total",
+            "Local fallback fits after a stuck leader exceeded the wait budget.",
+        )
+
+    def instruments(self) -> tuple:
+        return (self.acquires, self.waits, self.restores, self.timeouts)
+
+    def stats(self, enabled: bool) -> dict:
+        return {
+            "enabled": enabled,
+            "acquires": int(self.acquires.total()),
+            "waits": int(self.waits.total()),
+            "restores_after_wait": int(self.restores.total()),
+            "timeouts": int(self.timeouts.total()),
+        }
+
+
+def single_payer(
+    lock: FitLock | None,
+    restore: Callable[[], T | None],
+    fit: Callable[[], T],
+    counters: FitLockCounters,
+    wait_seconds: float,
+) -> T:
+    """Fit once per fleet: the caller has already missed its own restore.
+
+    ``restore`` returns the published instance or None (it must be cheap
+    when nothing is published); ``fit`` trains and publishes.  Without a
+    lock (no store attached) this is just ``fit()``.  The leader re-checks
+    the store even when its acquire was uncontended, since a sibling may
+    have published and released between the caller's miss and the acquire.
+    A waiter restores what the leader published, stands for election again
+    when the lock was freed with nothing published, and fits locally once
+    the wait budget is spent.
+    """
+    if lock is None:
+        return fit()
+    deadline = time.monotonic() + wait_seconds
+    while True:
+        if lock.try_acquire():
+            try:
+                counters.acquires.inc()
+                instance = restore()
+                if instance is not None:
+                    counters.restores.inc()
+                    return instance
+                return fit()
+            finally:
+                lock.release()
+        counters.waits.inc()
+        freed = lock.wait(timeout=max(0.0, deadline - time.monotonic()))
+        instance = restore()
+        if instance is not None:
+            counters.restores.inc()
+            return instance
+        if not freed or time.monotonic() >= deadline:
+            # The leader is stuck past the wait budget (or failed without
+            # publishing): fit locally — liveness beats single-payer.
+            counters.timeouts.inc()
+            return fit()

@@ -6,7 +6,8 @@ context-encoder entity representations, the causal entity LM) are fitted at
 most once per dataset by a :class:`SubstrateProvider`, cached in memory for
 every resident expander, persisted once as content-addressed artifacts that
 method manifests *reference* instead of embed, and trained exactly once per
-cluster via :class:`~repro.store.FitLock` leader election.
+cluster via :class:`~repro.store.FitLock` leader election (the same
+:func:`~repro.store.fitlock.single_payer` routine method fits use).
 """
 
 from repro.substrate.provider import (

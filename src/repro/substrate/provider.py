@@ -19,9 +19,10 @@ keyed by ``(kind, dataset fingerprint, params hash)``:
   to *restore* the substrate from its content-addressed artifact
   (``<store>/.substrates/<kind>/<content hash>.v<N>``) and a fresh fit is
   written through so sibling processes and restarts skip it;
-* cold fits are guarded by the same :class:`~repro.store.FitLock`
-  single-payer election the method registry uses, so a cluster sharing one
-  store trains each substrate exactly once.
+* with a store attached, cold fits run through
+  :func:`~repro.store.fitlock.single_payer`, the same
+  :class:`~repro.store.FitLock` election the method registry uses, so a
+  cluster sharing one store trains each substrate exactly once.
 
 The *substrate persistence protocol* is intentionally tiny: a substrate is
 any object that can write its fitted state into a directory and be
@@ -52,7 +53,7 @@ from repro.lm.causal_lm import CausalEntityLM
 from repro.lm.context_encoder import ContextEncoder, EntityRepresentations
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.obs import MetricsRegistry, span
-from repro.store.fitlock import DEFAULT_STALE_SECONDS, FitLock
+from repro.store.fitlock import FitLock, FitLockCounters, single_payer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -211,15 +212,11 @@ class SubstrateProvider:
         self,
         dataset: UltraWikiDataset,
         store: "ArtifactStore | None" = None,
-        fit_lock: bool = True,
         fit_lock_wait_seconds: float = 600.0,
-        fit_lock_stale_seconds: float = DEFAULT_STALE_SECONDS,
     ):
         self.dataset = dataset
         self.store = store
         self.fit_lock_wait_seconds = fit_lock_wait_seconds
-        self.fit_lock_stale_seconds = fit_lock_stale_seconds
-        self._fit_lock_wanted = bool(fit_lock)
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
         #: SubstrateKey -> fitted substrate instance (the shared copies).
@@ -253,20 +250,7 @@ class SubstrateProvider:
         self._store_errors = metrics.counter(
             "repro_substrate_store_errors_total", "Store failures absorbed."
         )
-        self._fit_lock_acquires = metrics.counter(
-            "repro_substrate_fitlock_acquires_total", "Cross-process fit-lock wins."
-        )
-        self._fit_lock_waits = metrics.counter(
-            "repro_substrate_fitlock_waits_total", "Waits behind another fit leader."
-        )
-        self._fit_lock_restores = metrics.counter(
-            "repro_substrate_fitlock_restores_total",
-            "Restores of a leader-published substrate after a wait.",
-        )
-        self._fit_lock_timeouts = metrics.counter(
-            "repro_substrate_fitlock_timeouts_total",
-            "Local fallback fits after a stuck leader exceeded the wait budget.",
-        )
+        self._fit_lock = FitLockCounters(metrics, "substrate", "substrate")
         self._resident = metrics.gauge(
             "repro_substrate_resident", "Distinct substrate instances in memory."
         )
@@ -293,39 +277,30 @@ class SubstrateProvider:
         if metrics is self.metrics:
             return
         with self._lock:
-            previous = {
-                name: instrument.total()
-                for name, instrument in vars(self).items()
-                if name
-                in (
-                    "_hits",
-                    "_misses",
-                    "_fits",
-                    "_restores",
-                    "_publishes",
-                    "_store_errors",
-                    "_fit_lock_acquires",
-                    "_fit_lock_waits",
-                    "_fit_lock_restores",
-                    "_fit_lock_timeouts",
-                    "_ann_queries",
-                    "_ann_probes",
-                    "_ann_shortlist",
-                )
-            }
+            previous = [counter.total() for counter in self._counters()]
             resident = len(self._cache)
             self.metrics = metrics
             self._bind_instruments(metrics)
-            for name, total in previous.items():
+            for counter, total in zip(self._counters(), previous):
                 if total:
-                    getattr(self, name).inc(total)
+                    counter.inc(total)
             self._resident.set(resident)
 
-    # -- identity ----------------------------------------------------------------
-    @property
-    def fit_lock_enabled(self) -> bool:
-        return self._fit_lock_wanted and self.store is not None
+    def _counters(self) -> tuple:
+        return (
+            self._hits,
+            self._misses,
+            self._fits,
+            self._restores,
+            self._publishes,
+            self._store_errors,
+            *self._fit_lock.instruments(),
+            self._ann_queries,
+            self._ann_probes,
+            self._ann_shortlist,
+        )
 
+    # -- identity ----------------------------------------------------------------
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
@@ -432,9 +407,16 @@ class SubstrateProvider:
         if instance is not None:
             return instance
         self._misses.inc()
-        if not self.fit_lock_enabled:
-            return self._fit_and_publish(key, kind, params, progress)
-        return self._fit_single_payer(key, kind, params, progress)
+        lock = None
+        if self.store is not None:
+            lock = FitLock(self.store.root, f"substrate-{kind}", key.content_hash)
+        return single_payer(
+            lock,
+            lambda: self._try_restore_from_store(key, kind),
+            lambda: self._fit_and_publish(key, kind, params, progress),
+            self._fit_lock,
+            self.fit_lock_wait_seconds,
+        )
 
     def _try_restore_from_store(self, key: SubstrateKey, kind: str) -> object | None:
         if self.store is None:
@@ -474,44 +456,6 @@ class SubstrateProvider:
         if self.store is not None:
             self._publish_instance(key, kind, instance, self.store)
         return instance
-
-    def _fit_single_payer(
-        self, key: SubstrateKey, kind: str, params: dict, progress=None
-    ) -> object:
-        """Cold-fit under cross-process leader election (same contract as the
-        method registry: the lock can delay a fit, never block progress)."""
-        lock = FitLock(
-            self.store.root,
-            f"substrate-{kind}",
-            key.content_hash,
-            stale_after=self.fit_lock_stale_seconds,
-        )
-        deadline = time.monotonic() + self.fit_lock_wait_seconds
-        contended = False
-        while True:
-            if lock.try_acquire():
-                try:
-                    self._fit_lock_acquires.inc()
-                    if contended:
-                        # A leader may have published while we stood in line.
-                        instance = self._try_restore_from_store(key, kind)
-                        if instance is not None:
-                            self._fit_lock_restores.inc()
-                            return instance
-                    return self._fit_and_publish(key, kind, params, progress)
-                finally:
-                    lock.release()
-            contended = True
-            self._fit_lock_waits.inc()
-            freed = lock.wait(timeout=max(0.0, deadline - time.monotonic()))
-            instance = self._try_restore_from_store(key, kind)
-            if instance is not None:
-                self._fit_lock_restores.inc()
-                return instance
-            if not freed or time.monotonic() >= deadline:
-                self._fit_lock_timeouts.inc()
-                return self._fit_and_publish(key, kind, params, progress)
-            # Lock freed but nothing published (the leader crashed): run again.
 
     # -- publication -------------------------------------------------------------
     def publish(self, store: "ArtifactStore", kind: str, params: dict) -> dict:
@@ -687,13 +631,7 @@ class SubstrateProvider:
             "store_errors": int(self._store_errors.total()),
             "fit_seconds": fit_seconds,
             "restore_seconds": restore_seconds,
-            "fit_lock": {
-                "enabled": self.fit_lock_enabled,
-                "acquires": int(self._fit_lock_acquires.total()),
-                "waits": int(self._fit_lock_waits.total()),
-                "restores_after_wait": int(self._fit_lock_restores.total()),
-                "timeouts": int(self._fit_lock_timeouts.total()),
-            },
+            "fit_lock": self._fit_lock.stats(enabled=self.store is not None),
             "ann": {
                 "queries": int(self._ann_queries.total()),
                 "probes": int(self._ann_probes.total()),

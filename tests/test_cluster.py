@@ -5,9 +5,9 @@ The gateway tests run against *thread-backed* workers (real
 failover, and scatter-gather are exercised over real sockets without
 subprocess startup cost; the subprocess path is covered by
 ``tests/test_cluster_smoke.py``.  The fit-lock tests simulate two worker
-processes with two independent registries sharing one store directory —
-the lock file is the only coordination channel either has, exactly as in
-a real fleet.
+processes with two independent registries (or substrate providers) sharing
+one store directory — the lock file is the only coordination channel either
+has, exactly as in a real fleet.
 """
 
 from __future__ import annotations
@@ -36,13 +36,19 @@ from repro.cluster import (
     WorkerSpec,
     shard_key,
 )
-from repro.config import ServiceConfig
+from repro.config import EncoderConfig, ServiceConfig
 from repro.core.base import Expander
 from repro.exceptions import JobConflictError, ServiceError
+from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.serve.registry import ExpanderRegistry
 from repro.store import ArtifactStore, FitLock
 from repro.store.serialization import read_json_state, write_json_state
+from repro.substrate import (
+    COOCCURRENCE_EMBEDDINGS,
+    SubstrateProvider,
+    cooccurrence_params_from_encoder,
+)
 from repro.types import ExpansionResult
 
 #: every server a test here starts must be gone, threads and sockets, by
@@ -256,103 +262,141 @@ class CountingPersistentExpander(Expander):
         self.payload = read_json_state(directory / "state.json")["payload"]
 
 
-class TestFitLockSinglePayer:
-    def _registry(self, dataset, resources, store, fit_log) -> ExpanderRegistry:
+class MethodFit:
+    """A cold method fit: ``CountingPersistentExpander`` behind a registry."""
+
+    def __init__(self, dataset, monkeypatch):
+        self.dataset = dataset
+        self.fit_log: list = []
+
+    def worker(self, store, wait_seconds=600.0):
         return ExpanderRegistry(
-            dataset,
-            resources=resources,
-            factories={"counting": lambda _res: CountingPersistentExpander(fit_log)},
+            self.dataset,
+            factories={
+                "counting": lambda _res: CountingPersistentExpander(self.fit_log)
+            },
             store=store,
-            fit_lock=True,
+            fit_lock_wait_seconds=wait_seconds,
         )
 
-    def test_concurrent_cold_fits_are_paid_exactly_once(
-        self, tiny_dataset, resources, tmp_path
-    ):
-        """Two registries sharing a store (= two worker processes) race one
+    def get(self, worker):
+        assert worker.get("counting").payload == 42
+
+    def counts(self, worker) -> dict:
+        stats = worker.stats()
+        return {
+            "fits": stats["fits"],
+            "restores": stats["store"]["restore_hits"],
+            **stats["fit_lock"],
+        }
+
+    def lock(self, root) -> FitLock:
+        return FitLock(root, "counting", self.dataset.fingerprint())
+
+
+class SubstrateFit:
+    """A cold substrate fit: the co-occurrence embeddings, fit counted."""
+
+    def __init__(self, dataset, monkeypatch):
+        self.dataset = dataset
+        self.fit_log: list = []
+        self.params = cooccurrence_params_from_encoder(EncoderConfig())
+        original = CooccurrenceEmbeddings.fit
+
+        def counting_fit(embeddings, *args, **kwargs):
+            time.sleep(0.3)  # wide window so concurrent fitters genuinely race
+            self.fit_log.append(id(embeddings))
+            return original(embeddings, *args, **kwargs)
+
+        monkeypatch.setattr(CooccurrenceEmbeddings, "fit", counting_fit)
+
+    def worker(self, store, wait_seconds=600.0):
+        return SubstrateProvider(
+            self.dataset, store=store, fit_lock_wait_seconds=wait_seconds
+        )
+
+    def get(self, worker):
+        assert worker.get(COOCCURRENCE_EMBEDDINGS, self.params).entity_vectors()
+
+    def counts(self, worker) -> dict:
+        stats = worker.stats()
+        return {"fits": stats["fits"], "restores": stats["restores"], **stats["fit_lock"]}
+
+    def lock(self, root) -> FitLock:
+        key = SubstrateProvider(self.dataset).key(COOCCURRENCE_EMBEDDINGS, self.params)
+        return FitLock(root, f"substrate-{COOCCURRENCE_EMBEDDINGS}", key.content_hash)
+
+
+class TestFitLockSinglePayer:
+    """The registry and the provider share one single-payer routine; each
+    case runs against a method fit and a substrate fit."""
+
+    @pytest.fixture(params=[MethodFit, SubstrateFit], ids=["method", "substrate"])
+    def subject(self, request, tiny_dataset, monkeypatch):
+        return request.param(tiny_dataset, monkeypatch)
+
+    def test_concurrent_cold_fits_are_paid_exactly_once(self, subject, tmp_path):
+        """Two workers sharing a store (= two worker processes) race one
         cold fit: exactly one trains, the other restores the artifact."""
-        fit_log: list = []
-        registries = [
-            self._registry(tiny_dataset, resources, ArtifactStore(tmp_path), fit_log)
-            for _ in range(2)
-        ]
+        workers = [subject.worker(ArtifactStore(tmp_path)) for _ in range(2)]
         barrier = threading.Barrier(2)
-        expanders: dict[int, object] = {}
 
-        def race(index: int):
+        def race(worker):
             barrier.wait()
-            expanders[index] = registries[index].get("counting")
+            subject.get(worker)
 
-        threads = [threading.Thread(target=race, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=race, args=(w,)) for w in workers]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30.0)
 
-        assert len(fit_log) == 1, "both workers paid the cold fit"
-        assert all(expanders[i].payload == 42 for i in range(2))
-        merged = [registry.stats() for registry in registries]
-        assert sum(stats["fits"] for stats in merged) == 1
-        assert sum(stats["fit_lock"]["acquires"] for stats in merged) == 1
-        assert sum(stats["fit_lock"]["restores_after_wait"] for stats in merged) == 1
-        assert sum(stats["store"]["restore_hits"] for stats in merged) == 1
+        assert len(subject.fit_log) == 1, "both workers paid the cold fit"
+        counts = [subject.counts(worker) for worker in workers]
+        for name in ("fits", "acquires", "restores_after_wait", "restores"):
+            assert sum(count[name] for count in counts) == 1, (name, counts)
 
-    def test_lock_disabled_pays_twice(self, tiny_dataset, resources, tmp_path):
-        """Control for the test above: without the lock, the same race costs
-        two fits (each worker misses, then trains)."""
-        fit_log: list = []
-        store = ArtifactStore(tmp_path)
-        registries = [
-            ExpanderRegistry(
-                tiny_dataset,
-                resources=resources,
-                factories={
-                    "counting": lambda _res: CountingPersistentExpander(fit_log)
-                },
-                store=store,
-                fit_lock=False,
-            )
-            for _ in range(2)
-        ]
-        barrier = threading.Barrier(2)
-
-        def race(registry):
-            barrier.wait()
-            registry.get("counting")
-
-        threads = [threading.Thread(target=race, args=(r,)) for r in registries]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert len(fit_log) == 2
-
-    def test_waiter_fits_locally_when_leader_never_publishes(
-        self, tiny_dataset, resources, tmp_path
+    def test_sibling_publishing_before_an_uncontended_acquire_is_restored(
+        self, subject, tmp_path, monkeypatch
     ):
+        """A sibling fits, publishes and releases between this worker's
+        restore miss and its acquire: the acquire is uncontended, and the
+        leader must still find the artifact instead of fitting again."""
+        worker = subject.worker(ArtifactStore(tmp_path))
+        sibling = subject.worker(ArtifactStore(tmp_path))
+        try_acquire = FitLock.try_acquire
+        sibling_ran: list = []
+
+        def sibling_first(lock):
+            if not sibling_ran:
+                sibling_ran.append(True)
+                subject.get(sibling)
+            return try_acquire(lock)
+
+        monkeypatch.setattr(FitLock, "try_acquire", sibling_first)
+        subject.get(worker)
+
+        assert len(subject.fit_log) == 1, "the worker refitted a published fit"
+        assert subject.counts(sibling)["fits"] == 1
+        counts = subject.counts(worker)
+        assert counts["fits"] == 0 and counts["restores"] == 1
+        assert counts["acquires"] == 1 and counts["waits"] == 0
+        assert counts["restores_after_wait"] == 1
+
+    def test_waiter_fits_locally_when_leader_never_publishes(self, subject, tmp_path):
         """A leader that dies without publishing must not wedge the waiter:
         past the wait budget (or a stale lock) the waiter fits itself."""
-        fit_log: list = []
-        store = ArtifactStore(tmp_path)
-        registry = ExpanderRegistry(
-            tiny_dataset,
-            resources=resources,
-            factories={"counting": lambda _res: CountingPersistentExpander(fit_log)},
-            store=store,
-            fit_lock=True,
-            fit_lock_wait_seconds=0.5,
-            fit_lock_stale_seconds=600.0,
-        )
+        worker = subject.worker(ArtifactStore(tmp_path), wait_seconds=0.5)
         # a foreign (dead) leader holds the lock and never heartbeats again
-        foreign = FitLock(tmp_path, "counting", tiny_dataset.fingerprint())
+        foreign = subject.lock(tmp_path)
         assert foreign.try_acquire()
         foreign._stop_heartbeat.set()
         foreign._heartbeat_thread.join(timeout=2.0)
 
-        expander = registry.get("counting")
-        assert expander.payload == 42
-        assert len(fit_log) == 1
-        assert registry.stats()["fit_lock"]["timeouts"] == 1
+        subject.get(worker)
+        assert len(subject.fit_log) == 1
+        counts = subject.counts(worker)
+        assert counts["timeouts"] == 1 and counts["fits"] == 1
 
 
 # ---------------------------------------------------------------------------

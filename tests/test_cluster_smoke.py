@@ -6,7 +6,9 @@ the cheapest real configuration: 2 workers, the tiny dataset, the fast
 ``setexpan`` method.  It proves the pieces compose across process
 boundaries: workers boot and pass health checks, the gateway routes and
 scatter-gathers through real sockets, answers match a single-process
-service, and SIGTERM shuts every worker down cleanly (exit code 0).
+service, and SIGTERM shuts every worker down cleanly (exit code 0).  Two
+``repro fit --substrates-only`` processes racing on one fresh store show
+that the fit lock makes each substrate fit single-payer across processes.
 
 CI runs this file as its cluster smoke job.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import socket
+import subprocess
 import sys
 
 import pytest
@@ -180,3 +183,28 @@ def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
         keyfile=None,
         default_quota=None,
     )
+
+
+def test_two_fit_processes_pay_each_substrate_once(tmp_path):
+    """Two processes prefit the substrates on one fresh store at once:
+    between them, each of the 3 substrates is fitted once and restored once."""
+    command = [
+        sys.executable, "-m", "repro.cli", "fit", "--substrates-only",
+        "--profile", "tiny", "--store", str(tmp_path / "store"),
+    ]
+    processes = [
+        subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        )
+        for _ in range(2)
+    ]
+    try:
+        outputs = [process.communicate(timeout=180)[0] for process in processes]
+    finally:
+        for process in processes:
+            process.kill()
+            process.wait()
+    assert [process.returncode for process in processes] == [0, 0], outputs
+    text = "".join(outputs)
+    assert text.count("fitted + persisted") == 3, text
+    assert text.count("restored") == 3, text

@@ -219,7 +219,7 @@ class TestRenderTop:
                 },
                 "cache": {"hits": 20, "misses": 5},
                 "registry": {
-                    "fitted": ["retexpan", "genexpan"],
+                    "fitted": ["retexpan", "genexpan", "setexpan"],
                     "substrates": {
                         "resident": 3,
                         "ann": {"queries": 10, "probes": 25, "shortlisted": 1200},
@@ -282,11 +282,11 @@ cluster: requests=40 errors=1 cache_hit=75% p50=2.1ms p90=5.0ms p99=5.0ms
 ann: queries=10 probes/q=2.5 shortlist/q=120
 gateway: proxied=47 failovers=1 backend_errors=2 sidelined=1 cache_hit=25%
 
-WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED             FIT JOBS
------------------------------------------------------------------------------------------------
-worker-0     up          25      1    80%     1.5ms     4.9ms     3 retexpan,genexpan  -
-worker-1     up          15      0    67%    90.0ms     1.20s     0 -                  probexpan:training [====------] 42% (ep 3/8) case:queued
-worker-2     DOWN         -      -      -         -         -     - -                  -
+WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED                     FIT JOBS
+-------------------------------------------------------------------------------------------------------
+worker-0     up          25      1    80%     1.5ms     4.9ms     3 retexpan,genexpan,setexpan -
+worker-1     up          15      0    67%    90.0ms     1.20s     0 -                          probexpan:training [====------] 42% (ep 3/8) case:queued
+worker-2     DOWN         -      -      -         -         -     - -                          -
 
 TENANT                       REQS  THROTTLED    COST(s)
 -------------------------------------------------------

@@ -35,8 +35,6 @@ writing Python:
   gateway's fleet ``GET /v1/stats`` and ``GET /v1/fits``: fleet health,
   per-shard traffic, error and latency rollups, cache hit rates, substrate
   residency, live fit-job phases, and per-tenant requests and cost;
-* ``usage report`` — sum one or more JSONL usage ledgers (written by
-  ``serve --usage-ledger``) into a per-tenant compute-seconds billing table;
 * ``query`` — submit one expansion request through the
   :class:`~repro.client.ExpansionClient` SDK and print the ranked entities:
   in-process by default, or against a running server with ``--url``.
@@ -62,6 +60,12 @@ service restores every prefitted method from disk instead of re-training it,
 and POST ``{"method": "retexpan", "query_id": ...}`` to ``/v1/expand``
 answers immediately (or warm any method first via ``POST /v1/fits``);
 restore/write-through counters appear under ``/v1/stats``.
+
+A serving process writes only to its terminal and its artifact store:
+``--access-log`` and ``--slow-query-ms`` lines go to stderr (a ``cluster
+serve`` worker's stderr is the cluster terminal's), ``--usage-metering``
+totals are read from ``/v1/stats``, and ``store gc`` is the one way to
+collect stale artifacts.
 """
 
 from __future__ import annotations
@@ -91,9 +95,8 @@ from repro.serve import (
     ExpansionService,
 )
 from repro.cluster.gateway import gateway_access_logger
-from repro.obs import read_ledger, slow_query_logger
+from repro.obs import slow_query_logger
 from repro.obs.top import render_top
-from repro.obs.usage import sum_usage
 from repro.serve.server import access_logger
 from repro.store import ArtifactStore
 from repro.utils.iox import to_jsonable, write_json
@@ -179,10 +182,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         store_dir=getattr(args, "store", None),
         access_log=getattr(args, "access_log", False),
         slow_query_ms=getattr(args, "slow_query_ms", None),
-        slow_query_log=getattr(args, "slow_query_log", None),
-        slow_query_max_bytes=getattr(
-            args, "slow_query_max_bytes", ServiceConfig.slow_query_max_bytes
-        ),
         keyfile=getattr(args, "keyfile", None),
         default_quota=getattr(args, "default_quota", None),
         admission_max_concurrent=getattr(args, "admission_max_concurrent", None),
@@ -198,12 +197,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         ),
         trace_sample_seed=getattr(args, "trace_sample_seed", None),
         usage_metering=getattr(args, "usage_metering", False),
-        usage_ledger=getattr(args, "usage_ledger", None),
-        usage_rollup_interval_seconds=getattr(
-            args,
-            "usage_rollup_interval_seconds",
-            ServiceConfig.usage_rollup_interval_seconds,
-        ),
     )
     config.validate()
     return config
@@ -455,15 +448,6 @@ def worker_command(
         command.append("--access-log")
     if getattr(args, "slow_query_ms", None) is not None:
         command += ["--slow-query-ms", str(args.slow_query_ms)]
-    if getattr(args, "slow_query_log", None):
-        # One shared path would interleave workers; suffix with the port so
-        # each worker rotates its own file.
-        command += [
-            "--slow-query-log",
-            f"{args.slow_query_log}.{port}",
-            "--slow-query-max-bytes",
-            str(args.slow_query_max_bytes),
-        ]
     # Admission control is per-shard, so workers get it; auth + quota are NOT
     # forwarded — the gateway enforces them once at the front door.
     if getattr(args, "admission_max_concurrent", None) is not None:
@@ -486,15 +470,6 @@ def worker_command(
             command += ["--trace-sample-seed", str(args.trace_sample_seed)]
     if getattr(args, "usage_metering", False):
         command.append("--usage-metering")
-    if getattr(args, "usage_ledger", None):
-        # Like the slow-query log: one shared path would interleave
-        # workers, so each worker appends to its own port-suffixed ledger.
-        command += [
-            "--usage-ledger",
-            f"{args.usage_ledger}.{port}",
-            "--usage-rollup-interval-seconds",
-            str(args.usage_rollup_interval_seconds),
-        ]
     return tuple(command)
 
 
@@ -647,36 +622,6 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-def _cmd_usage_report(args: argparse.Namespace) -> int:
-    """Sum one or more JSONL usage ledgers into a per-tenant billing table."""
-    ledgers = []
-    for path in args.ledger:
-        try:
-            ledgers.append(read_ledger(path))
-        except OSError as exc:
-            print(f"cannot read ledger {path}: {exc}", file=sys.stderr)
-            return 1
-    totals = sum_usage(ledgers)
-    if not totals:
-        print("no usage records found")
-        return 0
-    width = max(len("TENANT"), max(len(tenant) for tenant in totals))
-    print(
-        f"{'TENANT':<{width}} {'REQUESTS':>9} {'CACHED':>7} {'FITS':>5} "
-        f"{'COMPUTE(s)':>12} {'FIT(s)':>10}"
-    )
-    for tenant in sorted(totals):
-        bucket = totals[tenant]
-        print(
-            f"{tenant:<{width}} {bucket['requests']:>9} "
-            f"{bucket['cache_hits']:>7} {bucket['fits']:>5} "
-            f"{bucket['compute_seconds']:>12.6f} {bucket['fit_seconds']:>10.6f}"
-        )
-    grand = sum(bucket["compute_seconds"] for bucket in totals.values())
-    print(f"{'TOTAL':<{width}} {'':>9} {'':>7} {'':>5} {grand:>12.6f}")
-    return 0
-
-
 def _print_expand_response(response, args: argparse.Namespace) -> None:
     print(
         f"{response.method} on {response.query_id}: top-{response.top_k} "
@@ -741,29 +686,16 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="MS",
-        help="log one structured JSON line (with per-stage timings) for "
-        "every expansion slower than this many milliseconds",
-    )
-    parser.add_argument(
-        "--slow-query-log",
-        default=None,
-        metavar="FILE",
-        help="also append slow-query lines to this file (rotated to a "
-        "single .1 backup at --slow-query-max-bytes)",
-    )
-    parser.add_argument(
-        "--slow-query-max-bytes",
-        type=int,
-        default=ServiceConfig.slow_query_max_bytes,
-        metavar="BYTES",
-        help="rotate the slow-query log file once it crosses this size",
+        help="log one structured JSON line (with per-stage timings) to "
+        "stderr for every expansion slower than this many milliseconds",
     )
     parser.add_argument(
         "--keyfile",
         default=None,
         metavar="FILE",
         help="JSON tenant keyfile enabling the multi-tenant front door "
-        "(API keys, per-tenant quotas); hot-reloaded on change",
+        "(API keys, per-tenant quotas); re-statted at most once a second "
+        "and hot-reloaded on change",
     )
     parser.add_argument(
         "--default-quota",
@@ -824,20 +756,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="meter per-tenant compute-seconds (execute share, cache "
         "lookups, fit wall-time); summary under /v1/stats 'usage'",
-    )
-    parser.add_argument(
-        "--usage-ledger",
-        default=None,
-        metavar="FILE",
-        help="append per-tenant usage deltas to this JSONL ledger "
-        "(implies --usage-metering; sum offline with `repro usage report`)",
-    )
-    parser.add_argument(
-        "--usage-rollup-interval-seconds",
-        type=float,
-        default=ServiceConfig.usage_rollup_interval_seconds,
-        metavar="SECONDS",
-        help="seconds between ledger rollup writes",
     )
 
 
@@ -1019,24 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="API key for a gateway running the multi-tenant front door",
     )
     cluster_top.set_defaults(handler=_cmd_cluster_top)
-
-    usage = subparsers.add_parser(
-        "usage", help="per-tenant usage metering (billing)"
-    )
-    usage_sub = usage.add_subparsers(dest="usage_command", required=True)
-    usage_report = usage_sub.add_parser(
-        "report",
-        help="sum JSONL usage ledger(s) into a per-tenant compute-seconds table",
-    )
-    usage_report.add_argument(
-        "--ledger",
-        required=True,
-        nargs="+",
-        metavar="FILE",
-        help="usage ledger path(s); cluster workers each write "
-        "<ledger>.<port>, pass them all to bill the whole fleet",
-    )
-    usage_report.set_defaults(handler=_cmd_usage_report)
 
     query = subparsers.add_parser(
         "query", help="run one expansion request through the client SDK"

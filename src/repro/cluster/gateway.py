@@ -223,10 +223,7 @@ class ClusterGateway(HttpFront):
         if self.config.keyfile is not None or self.config.default_quota is not None:
             directory = None
             if self.config.keyfile is not None:
-                directory = TenantDirectory(
-                    self.config.keyfile,
-                    reload_interval_seconds=self.config.keyfile_reload_seconds,
-                )
+                directory = TenantDirectory(self.config.keyfile)
             self.gate = Gate(
                 directory=directory,
                 default_quota=(
@@ -717,7 +714,7 @@ class ClusterGateway(HttpFront):
             hit = self.cache.get(cache_key)
             if hit is not None:
                 # A hit costs a dict copy, not a forward pass: bill the
-                # lookup wall-time, flagged as cached, so usage reports
+                # lookup wall-time, flagged as cached, so usage totals
                 # stay complete without inflating compute attribution.
                 if self.usage is not None:
                     self.usage.charge_expand(

@@ -21,6 +21,9 @@ listen on, and the argv to spawn it — and managed through its lifecycle:
 * **stop**: SIGTERM, bounded wait, then SIGKILL — ``repro serve`` installs a
   SIGTERM handler, so a healthy worker exits 0.
 
+A worker's stdout is discarded and its stderr is inherited: access-log and
+slow-query lines and crash tracebacks reach the pool owner's stderr.
+
 The pool never routes traffic itself; the gateway (:mod:`.gateway`) reads
 :meth:`endpoints` / health and does its own passive failover, so the two
 stay independently testable.
@@ -33,7 +36,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServiceError
@@ -113,7 +116,6 @@ class WorkerPool:
         restart_backoff_max: float = 30.0,
         restart_stagger: float = 0.25,
         spawn_stagger: float = 0.0,
-        stdout: "IO | int | None" = subprocess.DEVNULL,
     ):
         if not specs:
             raise ServiceError("a worker pool needs at least one WorkerSpec")
@@ -127,7 +129,6 @@ class WorkerPool:
         self.restart_backoff_max = restart_backoff_max
         self.restart_stagger = restart_stagger
         self.spawn_stagger = spawn_stagger
-        self._stdout = stdout
         self._lock = threading.Lock()
         self._workers = [
             _Managed(spec=spec, index=index) for index, spec in enumerate(specs)
@@ -249,9 +250,7 @@ class WorkerPool:
     # -- internals ---------------------------------------------------------------
     def _spawn(self, worker: _Managed) -> None:
         worker.process = subprocess.Popen(
-            list(worker.spec.command),
-            stdout=self._stdout,
-            stderr=subprocess.STDOUT if self._stdout not in (None,) else None,
+            list(worker.spec.command), stdout=subprocess.DEVNULL
         )
         with self._lock:
             worker.state = STARTING

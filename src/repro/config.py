@@ -335,13 +335,6 @@ class ServiceConfig:
     #: is attached) before fitting locally anyway (liveness over
     #: single-payer).
     fit_lock_wait_seconds: float = 600.0
-    #: run periodic store GC inside the serving process every this many
-    #: seconds; ``None`` disables the background janitor.
-    store_gc_interval_seconds: float | None = None
-    #: artifact-store size budget enforced by the janitor: when the store
-    #: grows past this many bytes, least-recently-restored artifacts are
-    #: evicted first; ``None`` cleans only the staging area.
-    store_max_bytes: int | None = None
     #: record counters/gauges/latency histograms on the service's metrics
     #: registry (:mod:`repro.obs`); ``False`` swaps in no-op instruments —
     #: the mode the benchmark overhead guard measures its baseline with.
@@ -350,17 +343,10 @@ class ServiceConfig:
     #: every expand slower than this many milliseconds, with per-stage span
     #: timings attached; ``None`` disables the slow-query log.
     slow_query_ms: float | None = None
-    #: also write slow-query lines to this file (size-rotated); ``None``
-    #: keeps them on the logger only.
-    slow_query_log: str | None = None
-    #: rotate the slow-query log file to a single ``.1`` backup once it
-    #: crosses this many bytes.
-    slow_query_max_bytes: int = 10 * 1024 * 1024
     #: API keyfile (JSON, see :mod:`repro.gate.tenants`) enabling the
-    #: multi-tenant front door; ``None`` leaves the server open.
+    #: multi-tenant front door; ``None`` leaves the server open.  The file
+    #: is re-statted for hot reload at most once a second.
     keyfile: str | None = None
-    #: how often the keyfile is re-statted for hot reload, in seconds.
-    keyfile_reload_seconds: float = 1.0
     #: token-bucket quota (``"RATE"`` or ``"RATE:BURST"``, requests/second)
     #: applied to tenants without an explicit quota — and, with no keyfile,
     #: to the shared anonymous tenant; ``None`` disables quota enforcement
@@ -392,33 +378,14 @@ class ServiceConfig:
     #: costs, fit wall-time) in memory; surfaced in ``/v1/stats``
     #: and the COST column of ``repro cluster top``.
     usage_metering: bool = False
-    #: JSONL usage-ledger path; setting it implies metering and persists
-    #: per-tenant deltas once per rollup window (``repro usage report``
-    #: sums the file offline).
-    usage_ledger: str | None = None
-    #: seconds between usage-ledger rollup lines.
-    usage_rollup_interval_seconds: float = 30.0
 
     def validate(self) -> None:
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise ConfigurationError("slow_query_ms must be non-negative or None")
-        if self.slow_query_log is not None and not str(self.slow_query_log).strip():
-            raise ConfigurationError("slow_query_log must be a non-empty path or None")
-        if self.slow_query_max_bytes <= 0:
-            raise ConfigurationError("slow_query_max_bytes must be positive")
         if self.store_dir is not None and not str(self.store_dir).strip():
             raise ConfigurationError("store_dir must be a non-empty path or None")
         if self.fit_lock_wait_seconds <= 0:
             raise ConfigurationError("fit_lock_wait_seconds must be positive")
-        if (
-            self.store_gc_interval_seconds is not None
-            and self.store_gc_interval_seconds <= 0
-        ):
-            raise ConfigurationError(
-                "store_gc_interval_seconds must be positive or None"
-            )
-        if self.store_max_bytes is not None and self.store_max_bytes < 0:
-            raise ConfigurationError("store_max_bytes must be non-negative or None")
         if self.registry_capacity < 1:
             raise ConfigurationError("registry_capacity must be >= 1")
         if self.cache_capacity < 0:
@@ -431,8 +398,6 @@ class ServiceConfig:
             raise ConfigurationError("port must be in [0, 65535]")
         if self.keyfile is not None and not str(self.keyfile).strip():
             raise ConfigurationError("keyfile must be a non-empty path or None")
-        if self.keyfile_reload_seconds < 0:
-            raise ConfigurationError("keyfile_reload_seconds must be non-negative")
         if self.default_quota is not None:
             from repro.gate.limiter import QuotaSpec
 
@@ -451,12 +416,6 @@ class ServiceConfig:
             raise ConfigurationError("trace_sample_rate must be in [0, 1] or None")
         if self.trace_buffer_size < 1:
             raise ConfigurationError("trace_buffer_size must be >= 1")
-        if self.usage_ledger is not None and not str(self.usage_ledger).strip():
-            raise ConfigurationError("usage_ledger must be a non-empty path or None")
-        if self.usage_rollup_interval_seconds <= 0:
-            raise ConfigurationError(
-                "usage_rollup_interval_seconds must be positive"
-            )
         if self.admission_timeout_seconds <= 0:
             raise ConfigurationError("admission_timeout_seconds must be positive")
 
@@ -507,10 +466,8 @@ class ClusterConfig:
     gateway_access_log: bool = False
     #: API keyfile enforced at the *gateway* (workers behind it stay open
     #: and trust the gateway's forwarded tenant header); ``None`` leaves
-    #: the cluster front door open.
+    #: the cluster front door open.  Re-statted at most once a second.
     keyfile: str | None = None
-    #: keyfile hot-reload stat interval, in seconds.
-    keyfile_reload_seconds: float = 1.0
     #: gateway-enforced default quota (``"RATE"`` or ``"RATE:BURST"``).
     default_quota: str | None = None
     #: entries in the gateway-side expand result cache; ``0`` disables it
@@ -552,8 +509,6 @@ class ClusterConfig:
             raise ConfigurationError("proxy_timeout_seconds must be positive")
         if self.keyfile is not None and not str(self.keyfile).strip():
             raise ConfigurationError("keyfile must be a non-empty path or None")
-        if self.keyfile_reload_seconds < 0:
-            raise ConfigurationError("keyfile_reload_seconds must be non-negative")
         if self.default_quota is not None:
             from repro.gate.limiter import QuotaSpec
 

@@ -7,12 +7,15 @@ per-request stage timings ride the :mod:`~repro.obs.trace` ContextVar,
 completed traces land in a searchable :class:`~repro.obs.traces.TraceCollector`
 ring, fit jobs report fractional progress through
 :class:`~repro.obs.progress.ProgressReporter`, and per-tenant
-compute-seconds accumulate in a :class:`~repro.obs.usage.UsageMeter` for
-billing-grade accounting.
+compute-seconds accumulate in memory in a :class:`~repro.obs.usage.UsageMeter`
+for billing-grade accounting.
 
-Telemetry is pull-only: no process pushes metrics or spans anywhere.
-Collectors scrape ``GET /v1/metrics`` (the registry as Prometheus text,
-with exemplars) and read kept traces from ``GET /v1/traces``.
+Telemetry is pull-only: no process pushes metrics or spans anywhere, and
+none writes a telemetry file of its own.  Collectors scrape ``GET
+/v1/metrics`` (the registry as Prometheus text, with exemplars), read kept
+traces from ``GET /v1/traces`` and per-tenant usage from ``GET /v1/stats``;
+access-log and slow-query lines go to loggers, which the CLI sends to
+stderr.
 """
 
 from repro.obs.metrics import (
@@ -27,7 +30,7 @@ from repro.obs.metrics import (
     percentile_from_buckets,
 )
 from repro.obs.progress import PHASE_WINDOWS, ProgressReporter, phase_window
-from repro.obs.slowlog import SlowQueryLog, log_slow_query, slow_query_logger
+from repro.obs.slowlog import log_slow_query, slow_query_logger
 from repro.obs.trace import (
     TRACE_ID_HEADER,
     TRACE_SPANS_HEADER,
@@ -54,7 +57,6 @@ from repro.obs.usage import (
     MAX_TENANTS,
     OVERFLOW_TENANT,
     UsageMeter,
-    read_ledger,
 )
 
 __all__ = [
@@ -72,7 +74,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ProgressReporter",
-    "SlowQueryLog",
     "Trace",
     "TraceCollector",
     "TraceContext",
@@ -92,7 +93,6 @@ __all__ = [
     "percentile_from_buckets",
     "phase_window",
     "propagation_scope",
-    "read_ledger",
     "request_scope",
     "slow_query_logger",
     "span",

@@ -8,61 +8,18 @@ on each line matches the OpenMetrics exemplars ``/v1/metrics`` renders on
 the latency histogram buckets, so a fat p99 bucket joins straight to the
 span tree that caused it.
 
-Lines go to the ``repro.obs.slowlog`` logger; with
-``ServiceConfig.slow_query_log`` set, a :class:`SlowQueryLog` also writes
-them to that file with size-triggered rotation (``slow_query_max_bytes``)
-to a single ``.1`` backup, so a chatty threshold cannot fill the disk.
+Lines go to the ``repro.obs.slowlog`` logger and nowhere else: ``repro
+serve`` sends that logger to stderr, and ``repro cluster serve`` workers
+inherit the cluster terminal's stderr, so where the lines land is the
+operator's redirect to choose.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-import threading
 
 slow_query_logger = logging.getLogger("repro.obs.slowlog")
-
-#: rotate the slow-query log once it crosses this size (bytes).
-DEFAULT_SLOW_QUERY_MAX_BYTES = 10 * 1024 * 1024
-
-
-class SlowQueryLog:
-    """A size-bounded JSON-lines slow-query log file.
-
-    Appends one line per entry; once the file would cross ``max_bytes``
-    it is rotated to ``<path>.1`` (replacing any previous backup) and a
-    fresh file is started — at most two files ever exist.  ``rotations``
-    counts how often that happened.
-    """
-
-    def __init__(self, path: str, max_bytes: int = DEFAULT_SLOW_QUERY_MAX_BYTES):
-        if max_bytes <= 0:
-            raise ValueError("slow_query_max_bytes must be positive")
-        self.path = str(path)
-        self.max_bytes = int(max_bytes)
-        self.rotations = 0
-        self._lock = threading.Lock()
-
-    def write(self, line: str) -> None:
-        encoded = line.rstrip("\n") + "\n"
-        with self._lock:
-            try:
-                size = os.path.getsize(self.path)
-            except OSError:
-                size = 0
-            if size > 0 and size + len(encoded.encode("utf-8")) > self.max_bytes:
-                os.replace(self.path, self.path + ".1")
-                self.rotations += 1
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(encoded)
-
-    def stats(self) -> dict:
-        return {
-            "path": self.path,
-            "max_bytes": self.max_bytes,
-            "rotations": self.rotations,
-        }
 
 
 def log_slow_query(
@@ -76,7 +33,6 @@ def log_slow_query(
     trace_id: str | None = None,
     spans: list[dict] | None = None,
     error: str | None = None,
-    sink: SlowQueryLog | None = None,
 ) -> None:
     payload = {
         "event": "slow_query",
@@ -94,7 +50,4 @@ def log_slow_query(
         payload["error"] = error
     if spans:
         payload["spans"] = spans
-    line = json.dumps(payload, sort_keys=True)
-    slow_query_logger.warning(line)
-    if sink is not None:
-        sink.write(line)
+    slow_query_logger.warning(json.dumps(payload, sort_keys=True))

@@ -12,21 +12,16 @@ requests may be 100x more expensive than another's:
 * fit jobs are billed to the tenant that requested them, for the fit's
   full wall-time.
 
-Totals are kept in memory (bounded: tenants beyond ``max_tenants``
+Totals live in memory only (bounded: tenants beyond ``max_tenants``
 aggregate under :data:`OVERFLOW_TENANT`, mirroring the metrics registry's
-per-family series cap) and periodically rolled up to a **JSONL ledger**:
-one line per tenant per rollup window carrying the window's deltas, so the
-ledger stays append-only, bounded by traffic-time rather than request
-count, and summable offline — ``repro usage report`` does exactly that via
-:func:`read_ledger`.
+per-family series cap) and are read from the ``usage`` key of
+``/v1/stats``; :func:`fleet_usage` sums a gateway's workers into one table.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 #: unkeyed traffic is attributed here (matches the gate's anonymous tenant).
 ANONYMOUS_TENANT = "anonymous"
@@ -46,26 +41,13 @@ _ZERO = {
 
 
 class UsageMeter:
-    """Accumulates per-tenant compute-seconds; optionally ledger-backed."""
+    """Accumulates per-tenant compute-seconds in memory."""
 
-    def __init__(
-        self,
-        ledger_path: str | None = None,
-        rollup_interval_seconds: float = 30.0,
-        max_tenants: int = MAX_TENANTS,
-        clock: Callable[[], float] = time.time,
-    ):
-        self.ledger_path = ledger_path
-        self.rollup_interval_seconds = max(0.1, float(rollup_interval_seconds))
+    def __init__(self, max_tenants: int = MAX_TENANTS):
         self.max_tenants = max(1, int(max_tenants))
-        self.clock = clock
         self._lock = threading.Lock()
         self._totals: dict[str, dict] = {}
-        #: per-tenant deltas since the last ledger rollup.
-        self._window: dict[str, dict] = {}
-        self._last_rollup = clock()
         self._dropped = 0
-        self._write_errors = 0
 
     # -- charging --------------------------------------------------------------------
     def charge_expand(
@@ -79,13 +61,11 @@ class UsageMeter:
         cache-lookup cost for a hit."""
         del method  # attributed per tenant, not per method (keeps cardinality flat)
         with self._lock:
-            for entry in self._buckets_locked(tenant):
-                entry["requests"] += 1
-                if cached:
-                    entry["cache_hits"] += 1
-                entry["compute_seconds"] += compute_seconds
-        if self.ledger_path is not None:
-            self.maybe_rollup()
+            bucket = self._bucket_locked(tenant)
+            bucket["requests"] += 1
+            if cached:
+                bucket["cache_hits"] += 1
+            bucket["compute_seconds"] += compute_seconds
 
     def charge_fit(
         self, tenant: str | None, compute_seconds: float, method: str | None = None
@@ -93,19 +73,13 @@ class UsageMeter:
         """Bill a fit job's wall-time to the tenant that requested it."""
         del method
         with self._lock:
-            for entry in self._buckets_locked(tenant):
-                entry["fits"] += 1
-                entry["fit_seconds"] += compute_seconds
-                entry["compute_seconds"] += compute_seconds
-        if self.ledger_path is not None:
-            self.maybe_rollup()
+            bucket = self._bucket_locked(tenant)
+            bucket["fits"] += 1
+            bucket["fit_seconds"] += compute_seconds
+            bucket["compute_seconds"] += compute_seconds
 
-    def _buckets_locked(self, tenant: str | None) -> tuple[dict, ...]:
-        """The buckets one charge lands in: always the running total;
-        also the ledger window, but only when a ledger is configured —
-        a meter without one skips the window entirely (metering sits on
-        the cached hot path, so every dict touched here is paid per
-        request)."""
+    def _bucket_locked(self, tenant: str | None) -> dict:
+        """The running total one charge lands in."""
         name = tenant if tenant else ANONYMOUS_TENANT
         totals = self._totals
         bucket = totals.get(name)
@@ -118,45 +92,7 @@ class UsageMeter:
                 bucket = totals.get(name)
             if bucket is None:
                 bucket = totals[name] = dict(_ZERO)
-        if self.ledger_path is None:
-            return (bucket,)
-        window = self._window.get(name)
-        if window is None:
-            window = self._window[name] = dict(_ZERO)
-        return bucket, window
-
-    # -- ledger ----------------------------------------------------------------------
-    def maybe_rollup(self, force: bool = False) -> int:
-        """Append the window's per-tenant deltas to the ledger when the
-        rollup interval elapsed (or ``force``).  Returns lines written."""
-        if self.ledger_path is None:
-            return 0
-        now = self.clock()
-        with self._lock:
-            due = force or (now - self._last_rollup) >= self.rollup_interval_seconds
-            if not due or not self._window:
-                return 0
-            window, self._window = self._window, {}
-            self._last_rollup = now
-        lines = []
-        for tenant in sorted(window):
-            payload = {"event": "usage", "ts": round(now, 3), "tenant": tenant}
-            payload.update(window[tenant])
-            payload["compute_seconds"] = round(payload["compute_seconds"], 9)
-            payload["fit_seconds"] = round(payload["fit_seconds"], 9)
-            lines.append(json.dumps(payload, sort_keys=True))
-        try:
-            with open(self.ledger_path, "a", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-        except OSError:
-            with self._lock:
-                self._write_errors += 1
-            return 0
-        return len(lines)
-
-    def close(self) -> None:
-        """Flush any un-rolled-up window to the ledger."""
-        self.maybe_rollup(force=True)
+        return bucket
 
     # -- reporting -------------------------------------------------------------------
     def summary(self) -> dict:
@@ -174,51 +110,10 @@ class UsageMeter:
                 "tracked": len(tenants),
                 "max_tenants": self.max_tenants,
                 "dropped": self._dropped,
-                "ledger": self.ledger_path,
-                "write_errors": self._write_errors,
             }
 
     def stats(self) -> dict:
         return self.summary()
-
-
-def read_ledger(path: str) -> dict[str, dict]:
-    """Sum a JSONL usage ledger into per-tenant totals (offline; the
-    ``repro usage report`` backend).  Malformed lines are skipped."""
-    totals: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if payload.get("event") != "usage":
-                continue
-            tenant = payload.get("tenant")
-            if isinstance(tenant, str):
-                _add_usage(totals, tenant, payload)
-    return totals
-
-
-def sum_usage(tables: Iterable[Mapping]) -> dict[str, dict]:
-    """Sum several ``tenant -> usage bucket`` tables (ledgers, workers)."""
-    totals: dict[str, dict] = {}
-    for table in tables:
-        for tenant, bucket in table.items():
-            if isinstance(bucket, Mapping):
-                _add_usage(totals, str(tenant), bucket)
-    return totals
-
-
-def _add_usage(totals: dict[str, dict], tenant: str, bucket: Mapping) -> None:
-    total = totals.setdefault(tenant, dict(_ZERO))
-    for key in _ZERO:
-        value = bucket.get(key, 0)
-        if isinstance(value, (int, float)):
-            total[key] += value
 
 
 def fleet_usage(stats: Mapping) -> dict | None:
@@ -233,7 +128,16 @@ def fleet_usage(stats: Mapping) -> dict | None:
     summaries = [summary for summary in summaries if isinstance(summary, dict)]
     if not summaries:
         return None
-    totals = sum_usage(summary.get("tenants") or {} for summary in summaries)
+    totals: dict[str, dict] = {}
+    for summary in summaries:
+        for tenant, bucket in (summary.get("tenants") or {}).items():
+            if not isinstance(bucket, Mapping):
+                continue
+            total = totals.setdefault(str(tenant), dict(_ZERO))
+            for key in _ZERO:
+                value = bucket.get(key, 0)
+                if isinstance(value, (int, float)):
+                    total[key] += value
     for total in totals.values():
         total["compute_seconds"] = round(total["compute_seconds"], 6)
         total["fit_seconds"] = round(total["fit_seconds"], 6)

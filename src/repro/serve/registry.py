@@ -60,6 +60,7 @@ from repro.obs import MetricsRegistry, ProgressReporter, span
 from repro.obs.progress import NULL_PROGRESS
 from repro.retexpan import RetExpan
 from repro.store.fitlock import FitLock, FitLockCounters, single_payer
+from repro.substrate import SubstrateProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ArtifactStore
@@ -97,12 +98,19 @@ class ExpanderRegistry:
         if capacity < 1:
             raise ServiceError("registry capacity must be >= 1")
         self.dataset = dataset
-        # The pool's substrate provider shares the registry's store, so
-        # substrate fits restore from (and write through to) the same
-        # content-addressed artifacts the method manifests reference.  An
-        # injected pool that already has its own store keeps it.
+        # The pool's substrate provider shares the registry's store and its
+        # fit-lock wait budget, so substrate fits restore from (and write
+        # through to) the same content-addressed artifacts the method
+        # manifests reference, and wait for a sibling's substrate fit no
+        # longer than for its method fit.  An injected pool that already
+        # has its own store keeps it, and keeps its own budget.
         if resources is None:
-            resources = SharedResources(dataset, store=store)
+            resources = SharedResources(
+                dataset,
+                provider=SubstrateProvider(
+                    dataset, store=store, fit_lock_wait_seconds=fit_lock_wait_seconds
+                ),
+            )
         elif store is not None:
             resources.provider.attach_store(store)
         self.resources = resources

@@ -23,6 +23,10 @@ view over it, and the same registry renders ``GET /v1/metrics``.  Requests
 that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
 carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
 come back on the response and land in the slow-query log.
+
+The service writes no telemetry file: telemetry is read over HTTP or from
+its loggers, the only files it writes are fits published to the artifact
+store, and store GC is ``repro store gc``'s job, run out of process.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from repro.exceptions import DatasetError, ServiceUnavailableError
 from repro.gate import AdmissionController, Gate, QuotaSpec, TenantDirectory
 from repro.obs import (
     MetricsRegistry,
-    SlowQueryLog,
     Trace,
     TraceCollector,
     UsageMeter,
@@ -106,12 +109,9 @@ class ExpansionService:
         )
         # Billing-grade per-tenant metering: each uncached expand bills its
         # execute wall time to the caller's tenant.
-        self.usage: UsageMeter | None = None
-        if self.config.usage_metering or self.config.usage_ledger is not None:
-            self.usage = UsageMeter(
-                ledger_path=self.config.usage_ledger,
-                rollup_interval_seconds=self.config.usage_rollup_interval_seconds,
-            )
+        self.usage: UsageMeter | None = (
+            UsageMeter() if self.config.usage_metering else None
+        )
         # Searchable ring of completed traces (GET /v1/traces).  None means
         # tracing is off entirely; rate 0.0 installs the collector but keeps
         # only slow/errored traces (head sampling disabled).
@@ -133,10 +133,7 @@ class ExpansionService:
         if self.config.keyfile is not None or self.config.default_quota is not None:
             directory = None
             if self.config.keyfile is not None:
-                directory = TenantDirectory(
-                    self.config.keyfile,
-                    reload_interval_seconds=self.config.keyfile_reload_seconds,
-                )
+                directory = TenantDirectory(self.config.keyfile)
             self.gate = Gate(
                 directory=directory,
                 default_quota=(
@@ -191,20 +188,6 @@ class ExpansionService:
         #: serial for adhoc query ids; must stay exact even with metrics off.
         self._adhoc_serial = 0
         self._closed = False
-        self._slow_log: SlowQueryLog | None = None
-        if self.config.slow_query_log is not None:
-            self._slow_log = SlowQueryLog(
-                self.config.slow_query_log,
-                max_bytes=self.config.slow_query_max_bytes,
-            )
-        self._janitor: _StoreJanitor | None = None
-        if store is not None and self.config.store_gc_interval_seconds is not None:
-            self._janitor = _StoreJanitor(
-                store,
-                interval_seconds=self.config.store_gc_interval_seconds,
-                max_bytes=self.config.store_max_bytes,
-            )
-            self._janitor.start()
 
     # -- request path ----------------------------------------------------------------
     def submit(self, request: ExpandRequest, lane: str = "interactive") -> ExpandResponse:
@@ -416,7 +399,6 @@ class ExpansionService:
             cached=cached,
             spans=trace.to_list() if trace is not None else None,
             error=error,
-            sink=self._slow_log,
             trace_id=trace.trace_id if trace is not None else None,
         )
 
@@ -529,10 +511,6 @@ class ExpansionService:
             merged["admission"] = self.admission.stats()
         if self.store is not None:
             merged["store"] = self.store.stats()
-        if self._janitor is not None:
-            merged["store_gc"] = self._janitor.stats()
-        if self._slow_log is not None:
-            merged["slow_query_log"] = self._slow_log.stats()
         if self.traces is not None:
             merged["traces"] = self.traces.stats()
         if self.usage is not None:
@@ -545,12 +523,7 @@ class ExpansionService:
             if self._closed:
                 return
             self._closed = True
-        if self._janitor is not None:
-            self._janitor.stop()
         self.jobs.shutdown()
-        if self.usage is not None:
-            # force the final rollup so short-lived services still ledger.
-            self.usage.close()
 
     def __enter__(self) -> "ExpansionService":
         return self
@@ -558,75 +531,3 @@ class ExpansionService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class _StoreJanitor:
-    """Periodic artifact-store GC inside a long-running serving process.
-
-    Every ``interval_seconds`` it cleans abandoned staging directories and —
-    when ``max_bytes`` is set — evicts least-recently-restored artifacts
-    until the store fits the size budget (``ArtifactStore.gc_to_budget``).
-    GC failures are counted, never raised: a broken filesystem must not take
-    down the serving path.
-    """
-
-    def __init__(
-        self,
-        store: ArtifactStore,
-        interval_seconds: float,
-        max_bytes: int | None = None,
-    ):
-        self.store = store
-        self.interval_seconds = interval_seconds
-        self.max_bytes = max_bytes
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._ticks = 0
-        self._removed = 0
-        self._removed_bytes = 0
-        self._errors = 0
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-store-gc", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def run_once(self) -> None:
-        """One GC pass (also called directly by tests)."""
-        try:
-            if self.max_bytes is not None:
-                removed = self.store.gc_to_budget(self.max_bytes)
-            else:
-                removed = []
-            self.store.gc()  # always clean abandoned staging directories
-        except Exception:  # noqa: BLE001 - GC must never take down serving
-            with self._lock:
-                self._errors += 1
-            return
-        with self._lock:
-            self._ticks += 1
-            self._removed += len(removed)
-            self._removed_bytes += sum(info.total_bytes for info in removed)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "interval_seconds": self.interval_seconds,
-                "max_bytes": self.max_bytes,
-                "ticks": self._ticks,
-                "artifacts_removed": self._removed,
-                "bytes_removed": self._removed_bytes,
-                "errors": self._errors,
-            }
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_seconds):
-            self.run_once()

@@ -37,7 +37,9 @@ artifact where a reader could find it.  Restores verify the manifest's
 format version and every file checksum before any state is deserialised;
 corrupt or version-mismatched artifacts raise a
 :class:`~repro.exceptions.StoreError` subtype that consumers treat as a miss
-(fall back to refit, then overwrite).
+(fall back to refit, then overwrite).  A restore is a pure read: it changes
+no file in the store.  GC (``repro store gc``) collects by fingerprint and
+age, not by recency of use.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ _STATE_DIR = "state"
 
 #: dot-directory (skipped by ``ls``) holding content-addressed substrates.
 _SUBSTRATES_DIRNAME = ".substrates"
-
-#: marker file (next to the manifest, outside the checksummed state tree)
-#: whose mtime records the most recent restore — the signal the size-budget
-#: GC uses to evict least-recently-restored artifacts first.
-_RESTORED_MARKER = "restored_at"
 
 #: staging directories younger than this are treated as in-flight saves and
 #: left alone by ``gc`` — deleting them would race a concurrent writer.
@@ -419,30 +416,7 @@ class ArtifactStore:
             raise ArtifactCorruptError(
                 f"artifact {method}/{fingerprint} failed to load: {exc}"
             ) from exc
-        self._touch_restored(Path(info.path))
         return info
-
-    @staticmethod
-    def _touch_restored(artifact_dir: Path) -> None:
-        """Record a restore by (re)stamping the marker's mtime.  Best-effort:
-        a read-only store must not turn a successful restore into a failure."""
-        marker = artifact_dir / _RESTORED_MARKER
-        try:
-            marker.touch(exist_ok=True)
-            os.utime(marker)
-        except OSError:
-            pass
-
-    @staticmethod
-    def last_used_at(info) -> float:
-        """When the artifact (method or substrate — both carry ``path`` and
-        ``created_at``) was last restored (marker mtime), falling back to
-        its creation time — the recency signal for budget eviction."""
-        marker = Path(info.path) / _RESTORED_MARKER
-        try:
-            return max(info.created_at, marker.stat().st_mtime)
-        except OSError:
-            return info.created_at
 
     # -- substrates --------------------------------------------------------------
     @staticmethod
@@ -529,7 +503,6 @@ class ArtifactStore:
             raise ArtifactCorruptError(
                 f"substrate {kind}/{content_hash} failed to load: {exc}"
             ) from exc
-        self._touch_restored(target)
         return instance
 
     def ls_substrates(self) -> list[SubstrateArtifactInfo]:
@@ -664,76 +637,6 @@ class ArtifactStore:
                     continue  # a concurrent save just renamed it away
                 if abandoned:
                     shutil.rmtree(leftover, ignore_errors=True)
-        return removed
-
-    def gc_to_budget(self, max_bytes: int) -> list:
-        """Evict artifacts, least-recently-restored first, until the store's
-        total size (method artifacts plus substrates) fits under ``max_bytes``.
-
-        This is the policy a long-running serving process applies
-        periodically (see ``ServiceConfig.store_max_bytes``): artifacts that
-        keep getting restored by workers stay, cold ones age out.  The pass
-        is reference-aware: a substrate is only an eviction candidate while
-        **no** surviving method manifest references it (and it is past its
-        publication grace period), and evicting a method artifact
-        immediately makes its now-orphaned substrates eligible, so budget
-        pressure never strands substrate bytes behind deleted methods.
-        Returns the artifacts removed, coldest first.
-        """
-        if max_bytes < 0:
-            raise StoreError("max_bytes must be non-negative")
-        methods = self.ls()
-        substrates = self.ls_substrates()
-        total = sum(info.total_bytes for info in methods) + sum(
-            info.total_bytes for info in substrates
-        )
-        if total <= max_bytes:
-            return []
-        now = time.time()
-        # One scan up front; the reference map and recency are maintained
-        # incrementally as victims fall (evicting a method only ever drops
-        # its own references), so the pass never re-reads manifests.
-        reference_counts: dict[tuple[str, str], int] = {}
-        for info in methods:
-            for ref in info.substrates:
-                key = (str(ref.get("kind")), str(ref.get("content_hash")))
-                reference_counts[key] = reference_counts.get(key, 0) + 1
-        recency = {info.path: self.last_used_at(info) for info in (*methods, *substrates)}
-        methods_left = sorted(methods, key=lambda info: recency[info.path])
-        substrates_left = {
-            (info.kind, info.content_hash): info for info in substrates
-        }
-        removed: list = []
-
-        def evictable_substrates() -> list[SubstrateArtifactInfo]:
-            return [
-                info
-                for key, info in substrates_left.items()
-                if reference_counts.get(key, 0) == 0
-                and now - info.created_at > _ORPHAN_GRACE_SECONDS
-            ]
-
-        while total > max_bytes:
-            candidates = sorted(
-                [*methods_left, *evictable_substrates()],
-                key=lambda info: recency[info.path],
-            )
-            victim = next(iter(candidates), None)
-            if victim is None:
-                return removed  # everything left is referenced or in grace
-            if isinstance(victim, ArtifactInfo):
-                methods_left.remove(victim)
-                for ref in victim.substrates:
-                    key = (str(ref.get("kind")), str(ref.get("content_hash")))
-                    if reference_counts.get(key, 0) > 0:
-                        reference_counts[key] -= 1
-            else:
-                substrates_left.pop((victim.kind, victim.content_hash), None)
-            # A concurrently-removed victim still leaves the structures
-            # consistent: its bytes are gone from disk either way.
-            total -= victim.total_bytes
-            if self._remove(Path(victim.path)):
-                removed.append(victim)
         return removed
 
     def stats(self) -> dict:

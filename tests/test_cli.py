@@ -59,18 +59,30 @@ class TestParser:
         assert args.access_log is True
         assert build_parser().parse_args(["serve"]).access_log is False
 
-    def test_serve_telemetry_export_arguments(self):
-        """The slow-query log keeps its flags; metrics and traces leave a
-        process only when scraped, so no exporter flags remain."""
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--slow-query-log", "/tmp/slow.jsonl",
-                "--slow-query-max-bytes", "4096",
-            ]
-        )
-        assert args.slow_query_log == "/tmp/slow.jsonl"
-        assert args.slow_query_max_bytes == 4096
+    def test_serve_telemetry_export_arguments(self, capsys):
+        """No telemetry file flags remain: slow-query lines go to stderr and
+        usage totals to /v1/stats, so each former file flag is a usage error
+        on every subcommand that takes the service flags."""
+        for command in (["serve"], ["cluster", "serve"], ["query"]):
+            for flag, value in (
+                ("--usage-ledger", "/tmp/usage.jsonl"),
+                ("--usage-rollup-interval-seconds", "1"),
+                ("--slow-query-log", "/tmp/slow.jsonl"),
+                ("--slow-query-max-bytes", "4096"),
+            ):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args([*command, flag, value])
+                assert excinfo.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        args = build_parser().parse_args(["serve", "--slow-query-ms", "25"])
+        assert args.slow_query_ms == 25.0
+
+    def test_usage_report_is_gone(self, capsys):
+        """Usage is metered in memory only: there is no ledger to report on."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["usage", "report", "--ledger", "/tmp/u.jsonl"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'usage'" in capsys.readouterr().err
 
     def test_cluster_serve_gateway_exporter_arguments(self, capsys):
         """The push-exporter flags are gone: each is a usage error."""

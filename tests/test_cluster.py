@@ -398,59 +398,27 @@ class TestFitLockSinglePayer:
         counts = subject.counts(worker)
         assert counts["timeouts"] == 1 and counts["fits"] == 1
 
-
-# ---------------------------------------------------------------------------
-# store GC (janitor policy)
-# ---------------------------------------------------------------------------
-
-
-class TestStoreBudgetGc:
-    def _populate(self, store, dataset, methods):
-        for method in methods:
-            expander = CountingPersistentExpander([])
-            expander.fit(dataset)
-            store.save(method, dataset.fingerprint(), expander)
-
-    def test_gc_to_budget_evicts_least_recently_restored_first(
-        self, tiny_dataset, tmp_path
+    def test_registry_wait_budget_reaches_substrate_fits(
+        self, tiny_dataset, tmp_path, monkeypatch
     ):
-        store = ArtifactStore(tmp_path)
-        self._populate(store, tiny_dataset, ["m1", "m2", "m3"])
-        # restore m2 so it is the hottest artifact
-        hot = CountingPersistentExpander([])
-        store.restore("m2", tiny_dataset.fingerprint(), hot, tiny_dataset)
-        sizes = {info.method: info.total_bytes for info in store.ls()}
-        budget = sizes["m2"]  # room for exactly one artifact
-        removed = store.gc_to_budget(budget)
-        assert {info.method for info in removed} == {"m1", "m3"}
-        assert [info.method for info in store.ls()] == ["m2"]
-
-    def test_gc_to_budget_is_a_no_op_under_budget(self, tiny_dataset, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self._populate(store, tiny_dataset, ["m1"])
-        assert store.gc_to_budget(10**9) == []
-        assert len(store.ls()) == 1
-
-    def test_service_janitor_enforces_the_budget(self, tiny_dataset, tmp_path):
-        store = ArtifactStore(tmp_path)
-        self._populate(store, tiny_dataset, ["m1", "m2"])
-        service = ExpansionService(
-            tiny_dataset,
-            config=ServiceConfig(
-                port=0,
-                store_dir=str(tmp_path),
-                store_gc_interval_seconds=3600.0,  # tick manually below
-                store_max_bytes=0,
-            ),
+        """A method fit behind a stuck substrate leader waits the registry's
+        budget, not the provider's 600 s default, then fits locally."""
+        substrate = SubstrateFit(tiny_dataset, monkeypatch)
+        registry = ExpanderRegistry(
+            tiny_dataset, store=ArtifactStore(tmp_path), fit_lock_wait_seconds=0.5
         )
+        # a foreign leader holds the substrate lock and keeps heartbeating
+        foreign = substrate.lock(tmp_path)
+        assert foreign.try_acquire()
         try:
-            service._janitor.run_once()
-            stats = service.stats()["store_gc"]
-            assert stats["ticks"] == 1
-            assert stats["artifacts_removed"] == 2
-            assert store.ls() == []
+            assert returns_within(lambda: registry.get("cgexpan"), timeout=10.0), (
+                "the substrate fit waited past the registry's 0.5 s budget"
+            )
+            provider = registry.resources.provider.stats()
+            assert len(substrate.fit_log) == 1
+            assert provider["fits"] == 1 and provider["fit_lock"]["timeouts"] == 1
         finally:
-            service.close()
+            foreign.release()
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +856,29 @@ class TestWorkerPool:
                 assert time.monotonic() < deadline, "a hung start was never recycled"
                 time.sleep(0.05)
             assert time.monotonic() - started >= 0.5
+
+    def test_worker_stderr_reaches_the_pool_owner(self, capfd):
+        """Worker log lines and tracebacks go to stderr, which a worker
+        inherits; its stdout (start-up chatter) is discarded."""
+        port = free_port()
+        spec = WorkerSpec(
+            worker_id="chatty",
+            url=f"http://127.0.0.1:{port}",
+            command=(
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "print('worker stdout line', flush=True)\n"
+                "print('worker stderr line', file=sys.stderr, flush=True)\n"
+                + TOY_WORKER_SCRIPT,
+                str(port),
+            ),
+        )
+        with WorkerPool([spec], health_interval=0.1) as pool:
+            pool.start(wait_healthy=True, timeout=20.0)
+        captured = capfd.readouterr()
+        assert "worker stderr line" in captured.err
+        assert "worker stdout line" not in captured.out
 
     def test_duplicate_worker_ids_are_rejected(self):
         spec = toy_specs(1)[0]

@@ -155,15 +155,13 @@ def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
             "--store", str(tmp_path / "store"),
             "--warm", "setexpan", "retexpan",
             "--access-log",
-            "--slow-query-ms", "25", "--slow-query-log", str(tmp_path / "slow.jsonl"),
-            "--slow-query-max-bytes", "4096",
+            "--slow-query-ms", "25",
             "--keyfile", str(tmp_path / "keys.json"), "--default-quota", "5:10",
             "--admission-max-concurrent", "3", "--admission-queue-depth", "5",
             "--admission-timeout", "2.5",
             "--trace-sample-rate", "0.25", "--trace-buffer-size", "64",
             "--trace-sample-seed", "9",
-            "--usage-metering", "--usage-ledger", str(tmp_path / "usage.jsonl"),
-            "--usage-rollup-interval-seconds", "7",
+            "--usage-metering",
         ]
     )
     command = worker_command(dataset_dir, cluster_args.worker_host, 8123, cluster_args)
@@ -171,15 +169,12 @@ def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
     assert worker_args.dataset == dataset_dir
     assert worker_args.warm == ["setexpan", "retexpan"]
     cluster_config = _service_config(cluster_args)
-    # The documented differences: workers bind their own host and port,
-    # suffix file sinks with the port so workers never share a file, and
+    # The documented differences: workers bind their own host and port and
     # leave auth and quotas to the gateway.
     assert _service_config(worker_args) == dataclasses.replace(
         cluster_config,
         host="127.0.0.2",
         port=8123,
-        slow_query_log=f"{cluster_config.slow_query_log}.8123",
-        usage_ledger=f"{cluster_config.usage_ledger}.8123",
         keyfile=None,
         default_quota=None,
     )

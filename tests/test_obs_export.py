@@ -1,14 +1,12 @@
 """Tests for the telemetry a process serves on request, and fit progress.
 
 Covers the golden OpenMetrics exemplar rendering behind ``GET
-/v1/metrics``, slow-query log rotation, :class:`ProgressReporter`
-composition, the causal-LM fit's monotonic progress, and the ``FitJob``
+/v1/metrics``, :class:`ProgressReporter` composition, the causal-LM fit's monotonic progress, and the ``FitJob``
 wire document shape.
 """
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.obs.progress import (
     ProgressReporter,
     phase_window,
 )
-from repro.obs.slowlog import SlowQueryLog
 
 # ---------------------------------------------------------------------------
 # OpenMetrics exemplars
@@ -65,46 +62,6 @@ class TestExemplarRendering:
         with request_scope("req-abc"):
             hist.observe(3.0)
         assert "#" not in registry.render_prometheus().split("# TYPE")[-1]
-
-
-# ---------------------------------------------------------------------------
-# slow-query log rotation
-# ---------------------------------------------------------------------------
-
-
-class TestSlowQueryLogRotation:
-    def test_rotates_once_past_max_bytes(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(str(path), max_bytes=100)
-        first = json.dumps({"event": "slow_query", "request_id": "req-1", "pad": "x" * 60})
-        second = json.dumps({"event": "slow_query", "request_id": "req-2", "pad": "y" * 60})
-        log.write(first)
-        log.write(second)
-        assert log.rotations == 1
-        backup = tmp_path / "slow.jsonl.1"
-        assert backup.read_text().strip() == first
-        assert path.read_text().strip() == second
-
-    def test_only_one_backup_ever_exists(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(str(path), max_bytes=40)
-        for index in range(6):
-            log.write(json.dumps({"request_id": f"req-{index}", "pad": "z" * 30}))
-        assert log.rotations == 5
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "slow.jsonl",
-            "slow.jsonl.1",
-        ]
-
-    def test_stats_and_validation(self, tmp_path):
-        log = SlowQueryLog(str(tmp_path / "slow.jsonl"), max_bytes=1024)
-        assert log.stats() == {
-            "path": str(tmp_path / "slow.jsonl"),
-            "max_bytes": 1024,
-            "rotations": 0,
-        }
-        with pytest.raises(ValueError):
-            SlowQueryLog(str(tmp_path / "bad.jsonl"), max_bytes=0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.store.serialization import (
     save_vector_map,
     write_json_state,
 )
+from repro.substrate import COOCCURRENCE_EMBEDDINGS
 from repro.types import Entity, ExpansionResult, FineGrainedClass, Query, Sentence, UltraFineGrainedClass
 
 
@@ -300,6 +301,32 @@ class TestSaveLoadParity:
         )
         store.restore(method, tiny_dataset.fingerprint(), fresh, tiny_dataset)
         assert _rankings(fresh, queries) == expected
+
+    def test_restore_is_a_pure_read(self, parity_store, tiny_dataset):
+        """Restoring a method and its substrate changes no file in the store."""
+        store, _ = parity_store
+        fingerprint = tiny_dataset.fingerprint()
+
+        def snapshot() -> set:
+            files = [path for path in store.root.rglob("*") if path.is_file()]
+            return {
+                (
+                    path.relative_to(store.root).as_posix(),
+                    path.stat().st_size,
+                    path.stat().st_mtime_ns,
+                )
+                for path in files
+            }
+
+        before = snapshot()
+        fresh = DEFAULT_FACTORIES["cgexpan"](SharedResources(tiny_dataset))
+        info = store.restore("cgexpan", fingerprint, fresh, tiny_dataset)
+        [ref] = info.substrates
+        assert ref["kind"] == COOCCURRENCE_EMBEDDINGS
+        store.restore_substrate(
+            ref["kind"], ref["content_hash"], CooccurrenceEmbeddings.load
+        )
+        assert snapshot() == before
 
     def test_every_registered_method_supports_persistence(self, resources):
         for method, factory in DEFAULT_FACTORIES.items():

@@ -277,32 +277,6 @@ def no_orphan_grace(monkeypatch):
 class TestReferenceAwareGC:
     """Satellite regression: GC must honour the method->substrate references."""
 
-    def test_budget_gc_never_deletes_a_referenced_substrate(
-        self, embeddings_backed_store
-    ):
-        store, _registry = embeddings_backed_store
-        methods = store.ls()
-        [substrate] = store.ls_substrates()
-        total = sum(i.total_bytes for i in methods) + substrate.total_bytes
-        # A budget that forces evictions but can be met by dropping method
-        # artifacts alone: the substrate (still referenced by the survivor)
-        # must be untouched even though it is the oldest entry.
-        budget = total - min(i.total_bytes for i in methods)
-        removed = store.gc_to_budget(budget)
-        assert removed, "the budget must have forced at least one eviction"
-        assert store.contains_substrate(substrate.kind, substrate.content_hash)
-        assert store.ls(), "at least one referencing method must survive"
-
-    def test_budget_gc_collects_orphaned_substrates_instead_of_stranding(
-        self, embeddings_backed_store, no_orphan_grace
-    ):
-        store, _registry = embeddings_backed_store
-        removed = store.gc_to_budget(0)
-        assert store.ls() == [] and store.ls_substrates() == []
-        # Both methods and the (then orphaned) substrate were swept.
-        kinds = {getattr(info, "kind", None) for info in removed}
-        assert COOCCURRENCE_EMBEDDINGS in kinds
-
     def test_filter_gc_keeps_referenced_substrates_and_sweeps_orphans(
         self, embeddings_backed_store, tiny_dataset, no_orphan_grace
     ):
@@ -330,10 +304,9 @@ class TestReferenceAwareGC:
         fingerprint = tiny_dataset.fingerprint()
         store.evict("cgexpan", fingerprint)
         store.evict("case", fingerprint)
-        # Orphaned, but younger than the grace period: both the filter sweep
-        # and the budget pass must leave it alone.
+        # Orphaned, but younger than the grace period: the filter sweep
+        # must leave it alone.
         assert store.gc(keep_fingerprints=set()) == []
-        assert store.gc_to_budget(0) == []
         assert store.stats()["substrates"] == 1
 
 

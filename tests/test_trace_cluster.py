@@ -315,7 +315,9 @@ class TestClusterUsageMetering:
             # plus the gateway's lookup cost; each summary rounds to 1 µs.
             assert anonymous["compute_seconds"] >= worker_seconds - 2e-6
             with ExpansionClient.connect(servers[0].url) as client:
-                assert set(client.usage()) >= {"tenants", "tracked", "ledger"}
+                assert set(client.usage()) == {
+                    "tenants", "tracked", "max_tenants", "dropped"
+                }
         finally:
             gateway.shutdown()
             for server in servers:

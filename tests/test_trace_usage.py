@@ -6,10 +6,9 @@ duplicate sibling names (while the pinned ``debug.timings`` wire shape stays
 id-free), :class:`TraceCollector` semantics (head sampling determinism under
 a seeded RNG, always-keep for slow/errored requests, eviction, the query
 surface, and concurrent offer/query under fan-out), :class:`UsageMeter`
-semantics (cache-cost billing, fit attribution, the tenant cardinality cap,
-the JSONL ledger + :func:`read_ledger`), the worker HTTP surface (``/v1/traces``,
-trace-id response headers, access-log correlation), and the
-``repro usage report`` CLI.
+semantics (cache-cost billing, fit attribution, the tenant cardinality cap),
+and the worker HTTP surface (``/v1/traces``, trace-id response headers,
+access-log correlation).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import urllib.request
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.exceptions import DatasetError, ServiceError
@@ -38,7 +36,6 @@ from repro.obs import (
     activate,
     format_traceparent,
     parse_traceparent,
-    read_ledger,
     span,
     tenant_scope,
 )
@@ -333,46 +330,6 @@ class TestUsageMeter:
         assert total == pytest.approx(10.0)
         assert overflow["compute_seconds"] > 0.0
 
-    def test_ledger_rollup_and_read_back(self, tmp_path):
-        ledger = tmp_path / "usage.jsonl"
-        clock = [1000.0]
-        meter = UsageMeter(
-            ledger_path=str(ledger),
-            rollup_interval_seconds=30.0,
-            clock=lambda: clock[0],
-        )
-        meter.charge_expand("acme", 0.25)
-        meter.charge_expand("acme", 0.25, cached=True)
-        meter.charge_fit("generic", 2.0)
-        assert not ledger.exists()  # interval not elapsed yet
-        clock[0] += 31.0
-        meter.charge_expand("acme", 0.5)
-        assert ledger.exists()
-        meter.charge_expand("generic", 1.0)
-        meter.close()  # force-flushes the open window
-        lines = [json.loads(line) for line in ledger.read_text().splitlines()]
-        assert all(line["event"] == "usage" for line in lines)
-        totals = read_ledger(str(ledger))
-        assert totals["acme"]["requests"] == 3
-        assert totals["acme"]["cache_hits"] == 1
-        assert totals["acme"]["compute_seconds"] == pytest.approx(1.0)
-        assert totals["generic"]["fits"] == 1
-        assert totals["generic"]["fit_seconds"] == pytest.approx(2.0)
-        assert totals["generic"]["compute_seconds"] == pytest.approx(3.0)
-
-    def test_read_ledger_skips_malformed_lines(self, tmp_path):
-        ledger = tmp_path / "usage.jsonl"
-        ledger.write_text(
-            "not json\n"
-            '{"event": "other"}\n'
-            '{"event": "usage", "tenant": 7}\n'
-            '{"event": "usage", "tenant": "ok", "requests": 2, '
-            '"compute_seconds": 1.5}\n'
-        )
-        totals = read_ledger(str(ledger))
-        assert set(totals) == {"ok"}
-        assert totals["ok"]["requests"] == 2
-
 
 # ---------------------------------------------------------------------------
 # service integration: tracing + metering through the serving path
@@ -444,30 +401,6 @@ class TestServiceIntegration:
         assert acme["fits"] == 1
         assert acme["compute_seconds"] > 0.0
         assert acme["fit_seconds"] >= 0.0
-
-    def test_usage_ledger_sum_matches_in_memory_totals(
-        self, tiny_dataset, tmp_path
-    ):
-        ledger = tmp_path / "usage.jsonl"
-        service = make_service(tiny_dataset, usage_ledger=str(ledger))
-        query_id = tiny_dataset.queries[0].query_id
-        with service:
-            with tenant_scope("acme"):
-                for _ in range(3):
-                    service.submit(
-                        ExpandRequest(
-                            method="stub",
-                            query_id=query_id,
-                            options=ExpandOptions(use_cache=False),
-                        )
-                    )
-            in_memory = service.stats()["usage"]["tenants"]["acme"]
-        # close() force-flushed the window; the ledger sums to the totals.
-        totals = read_ledger(str(ledger))
-        assert totals["acme"]["requests"] == 3
-        assert totals["acme"]["compute_seconds"] == pytest.approx(
-            in_memory["compute_seconds"], abs=1e-6
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -590,51 +523,3 @@ class TestClientAccessors:
             assert client.usage() is None
             with pytest.raises(ServiceError):
                 client.traces()
-
-
-# ---------------------------------------------------------------------------
-# repro usage report CLI
-# ---------------------------------------------------------------------------
-
-
-class TestUsageReportCli:
-    def test_report_sums_ledgers_into_a_tenant_table(self, tmp_path, capsys):
-        first = tmp_path / "usage.jsonl.8100"
-        second = tmp_path / "usage.jsonl.8101"
-        first.write_text(
-            '{"event": "usage", "tenant": "acme", "requests": 2, "cache_hits": 1, '
-            '"fits": 0, "compute_seconds": 1.5, "fit_seconds": 0.0}\n'
-        )
-        second.write_text(
-            '{"event": "usage", "tenant": "acme", "requests": 1, "cache_hits": 0, '
-            '"fits": 1, "compute_seconds": 0.5, "fit_seconds": 0.25}\n'
-            '{"event": "usage", "tenant": "generic", "requests": 4, "cache_hits": 0, '
-            '"fits": 0, "compute_seconds": 2.0, "fit_seconds": 0.0}\n'
-        )
-        code = cli_main(
-            ["usage", "report", "--ledger", str(first), str(second)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("TENANT")
-        acme = next(line for line in lines if line.startswith("acme"))
-        fields = acme.split()
-        assert fields[1] == "3"  # requests
-        assert fields[2] == "1"  # cached
-        assert fields[3] == "1"  # fits
-        assert float(fields[4]) == pytest.approx(2.0)  # compute seconds
-        assert any(line.startswith("TOTAL") for line in lines)
-        total_line = next(line for line in lines if line.startswith("TOTAL"))
-        assert float(total_line.split()[-1]) == pytest.approx(4.0)
-
-    def test_report_on_an_empty_ledger_is_clean(self, tmp_path, capsys):
-        empty = tmp_path / "usage.jsonl"
-        empty.write_text("")
-        assert cli_main(["usage", "report", "--ledger", str(empty)]) == 0
-        assert "no usage records" in capsys.readouterr().out
-
-    def test_missing_ledger_is_an_error(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        assert cli_main(["usage", "report", "--ledger", str(missing)]) == 1
-        assert "cannot read ledger" in capsys.readouterr().err

@@ -10,8 +10,6 @@ transport:
   both directions (server render / client raise);
 * :mod:`repro.api.options` — :class:`ExpandOptions`, the typed per-request
   serving options threaded through :class:`ExpansionService`;
-* :mod:`repro.api.jobs` — the async fit-job subsystem behind
-  ``POST /v1/fits``;
 * :mod:`repro.api.v1` — the transport-agnostic route dispatcher shared by
   the HTTP server and the client SDK's in-process transport (imported as a
   submodule, not re-exported here, to keep this package import-light).
@@ -30,7 +28,6 @@ from repro.api.errors import (
     is_retryable,
     route_not_found_payload,
 )
-from repro.api.jobs import FitJob, JobManager
 from repro.api.options import ExpandOptions
 
 __all__ = [
@@ -43,7 +40,5 @@ __all__ = [
     "exception_for_payload",
     "is_retryable",
     "route_not_found_payload",
-    "FitJob",
-    "JobManager",
     "ExpandOptions",
 ]

@@ -19,8 +19,6 @@ from __future__ import annotations
 from repro.exceptions import (
     AuthenticationError,
     DatasetError,
-    JobConflictError,
-    JobNotFoundError,
     RateLimitedError,
     ReproError,
     ServiceError,
@@ -32,8 +30,6 @@ from repro.exceptions import (
 CODE_INVALID_REQUEST = "invalid_request"
 CODE_UNKNOWN_METHOD = "unknown_method"
 CODE_NOT_FOUND = "not_found"
-CODE_JOB_NOT_FOUND = "job_not_found"
-CODE_CONFLICT = "conflict"
 CODE_UNAUTHENTICATED = "unauthenticated"
 CODE_RATE_LIMITED = "rate_limited"
 CODE_UNAVAILABLE = "unavailable"
@@ -42,8 +38,6 @@ CODE_INTERNAL = "internal"
 #: exception class -> (HTTP status, code, retryable); ordered most-specific
 #: first because the mapping walks it with ``isinstance``.
 _TAXONOMY: tuple[tuple[type[BaseException], int, str, bool], ...] = (
-    (JobNotFoundError, 404, CODE_JOB_NOT_FOUND, False),
-    (JobConflictError, 409, CODE_CONFLICT, False),
     (UnknownMethodError, 404, CODE_UNKNOWN_METHOD, False),
     (AuthenticationError, 401, CODE_UNAUTHENTICATED, False),
     (RateLimitedError, 429, CODE_RATE_LIMITED, True),
@@ -58,8 +52,6 @@ _CLIENT_EXCEPTIONS: dict[str, type[ReproError]] = {
     CODE_INVALID_REQUEST: ServiceError,
     CODE_UNKNOWN_METHOD: UnknownMethodError,
     CODE_NOT_FOUND: DatasetError,
-    CODE_JOB_NOT_FOUND: JobNotFoundError,
-    CODE_CONFLICT: JobConflictError,
     CODE_UNAUTHENTICATED: AuthenticationError,
     CODE_RATE_LIMITED: RateLimitedError,
     CODE_UNAVAILABLE: ServiceUnavailableError,

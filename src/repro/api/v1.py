@@ -14,16 +14,12 @@ Routes::
 
     GET  /v1/healthz         liveness probe
     GET  /v1/methods         servable methods + persistence/artifact state
-    GET  /v1/stats           merged service/cache/registry/jobs counters
+    GET  /v1/stats           merged service/cache/registry counters
     POST /v1/expand          one ExpandRequest (v1 wire shape, paginated)
     POST /v1/expand/batch    {"requests": [...]} -> per-item response or error
-    POST   /v1/fits            start an async fit job -> 202 + job id
-    GET    /v1/fits            list tracked fit jobs
-    GET    /v1/fits/<job_id>   one fit job's status/outcome/phase (a running
-                               job reports restoring / fitting_substrates /
-                               training / publishing)
-    DELETE /v1/fits/<job_id>   cancel a queued job (409 if running/finished)
-    GET  /v1/traces            search kept traces (?tenant=&method=
+    POST /v1/fits            {"method", "pin"?} -> blocks until the method is
+                             resident -> {method, outcome, seconds}
+    GET  /v1/traces          search kept traces (?tenant=&method=
                                &min_duration_ms=&error=&limit=)
     GET  /v1/traces/<trace_id> one kept trace with its full span tree
 """
@@ -79,8 +75,7 @@ class ApiV1:
             ("GET", "/v1/stats"): lambda _payload: self.stats(),
             ("POST", "/v1/expand"): self.expand,
             ("POST", "/v1/expand/batch"): self.expand_batch,
-            ("POST", "/v1/fits"): self.start_fit,
-            ("GET", "/v1/fits"): lambda _payload: self.list_fits(),
+            ("POST", "/v1/fits"): self.fit,
         }
 
     # -- dispatch ----------------------------------------------------------------
@@ -126,12 +121,6 @@ class ApiV1:
             trace_id = path[len("/v1/traces/"):]
             if trace_id and "/" not in trace_id:
                 return lambda _payload: self.trace_detail(trace_id)
-        if verb in ("GET", "DELETE") and path.startswith("/v1/fits/"):
-            job_id = path[len("/v1/fits/"):]
-            if job_id and "/" not in job_id:
-                if verb == "GET":
-                    return lambda _payload: self.fit_status(job_id)
-                return lambda _payload: self.cancel_fit(job_id)
         return None
 
     # -- handlers ----------------------------------------------------------------
@@ -206,7 +195,7 @@ class ApiV1:
         if pool is not None:
             pool.shutdown(wait=False)
 
-    def start_fit(self, payload: Mapping | None) -> ApiResult:
+    def fit(self, payload: Mapping | None) -> ApiResult:
         if not isinstance(payload, Mapping):
             raise ServiceError("fit payload must be a JSON object")
         unknown = set(payload) - {"method", "pin"}
@@ -218,20 +207,7 @@ class ApiV1:
         pin = payload.get("pin", False)
         if not isinstance(pin, bool):
             raise ServiceError("pin must be a boolean")
-        job = self.service.start_fit(method, pin=pin)
-        return ApiResult(status=202, data={"job": job.to_dict()})
-
-    def list_fits(self) -> ApiResult:
-        jobs = [job.to_dict() for job in self.service.fit_jobs()]
-        return ApiResult(status=200, data={"jobs": jobs, "count": len(jobs)})
-
-    def fit_status(self, job_id: str) -> ApiResult:
-        return ApiResult(status=200, data={"job": self.service.fit_job(job_id).to_dict()})
-
-    def cancel_fit(self, job_id: str) -> ApiResult:
-        return ApiResult(
-            status=200, data={"job": self.service.cancel_fit(job_id).to_dict()}
-        )
+        return ApiResult(status=200, data=self.service.fit(method, pin=pin))
 
     # -- trace search ------------------------------------------------------------
     def _collector(self):

@@ -20,10 +20,11 @@ writing Python:
   manifest references it, orphans are);
 * ``serve`` — start the online expansion service (:mod:`repro.serve`): the
   versioned v1 JSON/HTTP API (``/v1/expand``, ``/v1/expand/batch``,
-  ``/v1/methods``, ``/v1/stats``, ``/v1/healthz``, async ``/v1/fits`` jobs)
-  with a lazily-fitted expander registry, result caching, and optional
-  admission control; with ``--store`` fits restore from / persist to disk and
-  ``--access-log`` emits one structured JSON line per request;
+  ``/v1/methods``, ``/v1/stats``, ``/v1/healthz``, and ``/v1/fits``, which
+  blocks until a method is resident) with a lazily-fitted expander registry,
+  result caching, and optional admission control; with ``--store`` fits
+  restore from / persist to disk and ``--access-log`` emits one structured
+  JSON line per request;
 * ``cluster serve`` — the horizontally scaled deployment
   (:mod:`repro.cluster`): N ``serve`` worker subprocesses (health-checked,
   restarted with backoff) behind a routing gateway that consistent-hashes
@@ -32,9 +33,9 @@ writing Python:
   shared ``--store`` the cross-process fit lock makes every cold fit
   single-payer across the fleet;
 * ``cluster top`` — a ``top(1)``-style refreshing terminal view of a running
-  gateway's fleet ``GET /v1/stats`` and ``GET /v1/fits``: fleet health,
-  per-shard traffic, error and latency rollups, cache hit rates, substrate
-  residency, live fit-job phases, and per-tenant requests and cost;
+  gateway's fleet ``GET /v1/stats``: fleet health, per-shard traffic,
+  error and latency rollups, cache hit rates, substrate and method
+  residency, and per-tenant requests and cost;
 * ``query`` — submit one expansion request through the
   :class:`~repro.client.ExpansionClient` SDK and print the ranked entities:
   in-process by default, or against a running server with ``--url``.
@@ -58,8 +59,9 @@ Serving workflow: ``build-dataset`` once, ``fit`` to persist the expensive
 model fits, then ``serve --store`` against the same directories — the
 service restores every prefitted method from disk instead of re-training it,
 and POST ``{"method": "retexpan", "query_id": ...}`` to ``/v1/expand``
-answers immediately (or warm any method first via ``POST /v1/fits``);
-restore/write-through counters appear under ``/v1/stats``.
+answers immediately (or make any method resident first with ``POST
+/v1/fits``, which answers once it is); restore/write-through counters
+appear under ``/v1/stats``.
 
 A serving process writes only to its terminal and its artifact store:
 ``--access-log`` and ``--slow-query-ms`` lines go to stderr (a ``cluster
@@ -172,31 +174,26 @@ def _load_or_build_dataset(args: argparse.Namespace) -> UltraWikiDataset:
 
 
 def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The worker config of ``serve`` / ``cluster serve`` arguments."""
     config = ServiceConfig(
         cache_capacity=args.cache_capacity,
         # only the literal 0 means "disable expiry"; negatives reach
         # validate() and are rejected there.
         cache_ttl_seconds=None if args.cache_ttl == 0 else args.cache_ttl,
-        host=getattr(args, "host", ServiceConfig.host),
-        port=getattr(args, "port", ServiceConfig.port),
-        store_dir=getattr(args, "store", None),
-        access_log=getattr(args, "access_log", False),
-        slow_query_ms=getattr(args, "slow_query_ms", None),
-        keyfile=getattr(args, "keyfile", None),
-        default_quota=getattr(args, "default_quota", None),
-        admission_max_concurrent=getattr(args, "admission_max_concurrent", None),
-        admission_queue_depth=getattr(
-            args, "admission_queue_depth", ServiceConfig.admission_queue_depth
-        ),
-        admission_timeout_seconds=getattr(
-            args, "admission_timeout", ServiceConfig.admission_timeout_seconds
-        ),
-        trace_sample_rate=getattr(args, "trace_sample_rate", None),
-        trace_buffer_size=getattr(
-            args, "trace_buffer_size", ServiceConfig.trace_buffer_size
-        ),
-        trace_sample_seed=getattr(args, "trace_sample_seed", None),
-        usage_metering=getattr(args, "usage_metering", False),
+        host=args.host,
+        port=args.port,
+        store_dir=args.store,
+        access_log=args.access_log,
+        slow_query_ms=args.slow_query_ms,
+        keyfile=args.keyfile,
+        default_quota=args.default_quota,
+        admission_max_concurrent=args.admission_max_concurrent,
+        admission_queue_depth=args.admission_queue_depth,
+        admission_timeout_seconds=args.admission_timeout,
+        trace_sample_rate=args.trace_sample_rate,
+        trace_buffer_size=args.trace_buffer_size,
+        trace_sample_seed=args.trace_sample_seed,
+        usage_metering=args.usage_metering,
     )
     config.validate()
     return config
@@ -256,10 +253,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             if args.force:
                 store.evict(name, fingerprint)
             started = time.perf_counter()
-            registry.get(name)
+            outcome = registry.fit(name)
             elapsed = time.perf_counter() - started
-            restored = name in registry.stats()["restore_seconds"]
-            action = "restored" if restored else "fitted + persisted"
+            action = "fitted + persisted" if outcome == "fitted" else outcome
             print(f"  {name:12s} {action} in {elapsed:.2f}s")
     store_stats = store.stats()
     print(
@@ -388,7 +384,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"Serving expansion API v1 on http://{host}:{port}")
     print(
         "  endpoints: POST /v1/expand · POST /v1/expand/batch · "
-        "POST /v1/fits · GET /v1/fits[/<id>]"
+        "POST /v1/fits"
     )
     print(
         "             GET /v1/methods · GET /v1/stats · GET /v1/metrics · "
@@ -553,7 +549,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         )
         print(
             "  /v1/stats and /v1/healthz aggregate the whole fleet; "
-            "`repro cluster top` renders /v1/stats and /v1/fits"
+            "`repro cluster top` renders /v1/stats"
         )
         if gateway.gate is not None:
             print(
@@ -576,9 +572,9 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_top(args: argparse.Namespace) -> int:
-    """A refreshing terminal view of a gateway's fleet ``GET /v1/stats`` and
-    ``GET /v1/fits`` (fleet health, per-shard traffic and latency, cache hit
-    rates, live fit progress, tenants)."""
+    """A refreshing terminal view of a gateway's fleet ``GET /v1/stats``
+    (fleet health, per-shard traffic and latency, cache hit rates, resident
+    methods, tenants): one read per refresh."""
     with ExpansionClient.connect(
         args.url, api_key=getattr(args, "api_key", None)
     ) as client:
@@ -588,7 +584,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                 if "workers" not in stats or "gateway" not in stats:
                     print(f"not a gateway: {args.url}", file=sys.stderr)
                     return 1
-                frame = render_top(stats, client.fit_jobs())
+                frame = render_top(stats)
                 if not args.once:
                     # clear screen + home, like watch(1)/top(1).
                     print("\x1b[2J\x1b[H", end="")
@@ -649,7 +645,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             _print_expand_response(response, args)
         return 0
     dataset = _load_or_build_dataset(args)
-    with ExpansionService(dataset, config=_service_config(args)) as service:
+    config = ServiceConfig(store_dir=args.store)
+    with ExpansionService(dataset, config=config) as service:
         client = ExpansionClient.in_process(service)
         response = client.expand(
             args.method,
@@ -919,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster_top = cluster_sub.add_parser(
         "top",
-        help="live terminal view of a running gateway's /v1/stats and /v1/fits",
+        help="live terminal view of a running gateway's /v1/stats",
     )
     cluster_top.add_argument(
         "--url", required=True, metavar="URL", help="gateway base URL"
@@ -942,13 +939,19 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="run one expansion request through the client SDK"
     )
     _add_dataset_source_arguments(query)
-    _add_service_arguments(query)
+    query.add_argument(
+        "--store",
+        default=None,
+        metavar="DIR",
+        help="artifact store the in-process service restores prefitted "
+        "expanders from and persists fresh fits into",
+    )
     query.add_argument(
         "--url",
         default=None,
         metavar="URL",
         help="query a running server over HTTP instead of serving in-process "
-        "(requires --query-id; dataset/service flags are ignored)",
+        "(requires --query-id; the dataset flags and --store are ignored)",
     )
     query.add_argument("--method", default="retexpan", help="e.g. retexpan, genexpan, setexpan")
     query.add_argument("--query-id", default=None, help="dataset query id (default: first)")

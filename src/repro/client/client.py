@@ -6,25 +6,24 @@
     client = ExpansionClient.connect("http://127.0.0.1:8080")   # HTTP
     client = ExpansionClient.in_process(service)                # same process
 
-    response = client.expand("retexpan", query_id="q-...", top_k=20)
-    job = client.start_fit("genexpan", pin=True)
-    job = client.wait_for_fit(job["job_id"])
+    client.fit("genexpan", pin=True)      # blocks until resident
+    response = client.expand("genexpan", query_id="q-...", top_k=20)
 
 Server-side failures arrive as the structured taxonomy and are re-raised as
 the *same* exception classes the in-process service raises
-(:class:`UnknownMethodError`, :class:`DatasetError`, :class:`JobConflictError`,
-...), so code written against one transport behaves identically on the other.
+(:class:`UnknownMethodError`, :class:`DatasetError`,
+:class:`ServiceUnavailableError`, ...), so code written against one
+transport behaves identically on the other.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 from urllib.parse import urlencode
 
 from repro.api.errors import exception_for_payload
 from repro.api.options import ExpandOptions
-from repro.exceptions import JobError, ReproError, ServiceError, TransportError
+from repro.exceptions import ReproError, ServiceError, TransportError
 from repro.obs.usage import fleet_usage
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.client.transport import HttpTransport, InProcessTransport
@@ -126,58 +125,13 @@ class ExpansionClient:
                 results.append(exception_for_payload(slot["error"]))
         return results
 
-    # -- fit jobs ----------------------------------------------------------------
-    def start_fit(self, method: str, pin: bool = False) -> dict:
-        """Start an async fit (restore-or-train); returns the job descriptor."""
-        data = self._call("POST", "/v1/fits", {"method": method, "pin": pin})
-        return data["job"]
-
-    def fit_status(self, job_id: str) -> dict:
-        """One job's descriptor: status, outcome, and — while it runs — the
-        ``phase`` it is in (``restoring`` / ``fitting_substrates`` /
-        ``training`` / ``publishing``) plus ``progress`` (``{"fraction":
-        0.0-1.0, "epoch": ..., "total_epochs": ...}``), which increases
-        monotonically as the training loops report and reaches 1.0 on
-        success."""
-        data = self._call("GET", f"/v1/fits/{job_id}")
-        return data["job"]
-
-    def cancel_fit(self, job_id: str) -> dict:
-        """Cancel a queued fit job (``DELETE /v1/fits/<id>``).
-
-        Raises :class:`JobNotFoundError` for unknown ids and
-        :class:`JobConflictError` when the job is already running or
-        finished (the server answers 409).
-        """
-        return self._call("DELETE", f"/v1/fits/{job_id}")["job"]
-
-    def fit_jobs(self) -> list[dict]:
-        return self._call("GET", "/v1/fits")["jobs"]
-
-    def wait_for_fit(
-        self,
-        job_id: str,
-        timeout: float = 120.0,
-        poll_interval: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> dict:
-        """Poll until a fit job finishes; raises :class:`JobError` on failure."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.fit_status(job_id)
-            if job["status"] == "succeeded":
-                return job
-            if job["status"] == "failed":
-                error = job.get("error") or {}
-                raise JobError(
-                    f"fit job {job_id} failed: "
-                    f"{error.get('message', 'unknown error')}"
-                )
-            if job["status"] == "cancelled":
-                raise JobError(f"fit job {job_id} was cancelled")
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"fit job {job_id} did not finish in {timeout}s")
-            sleep(poll_interval)
+    # -- fits --------------------------------------------------------------------
+    def fit(self, method: str, pin: bool = False) -> dict:
+        """Make ``method`` resident on the server (pinned when asked); blocks
+        until it is and returns ``{method, outcome, seconds}``, ``outcome``
+        being ``already_fitted``, ``restored`` or ``fitted``.  Over HTTP the
+        client's ``timeout`` must exceed the fit time."""
+        return self._call("POST", "/v1/fits", {"method": method, "pin": pin})
 
     # -- introspection -----------------------------------------------------------
     def methods(self) -> list[MethodInfo]:

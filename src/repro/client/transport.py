@@ -145,9 +145,10 @@ class HttpTransport:
                 status, body, retry_after = self._request_once(verb, path, payload)
             except (OSError, http.client.HTTPException) as exc:
                 # Fresh-connection failure: the request may or may not have
-                # reached the server.  Only GETs are safe to replay blindly —
-                # re-POSTing e.g. /v1/fits could duplicate the server-side
-                # effect (and then surface a spurious 409 to the caller).
+                # reached the server.  Only GETs are safe to replay blindly:
+                # a POST may still be running there (a cold expand, a fit),
+                # and a replay would hold a second thread and admission slot
+                # for the same work.
                 if verb.upper() == "GET" and attempt < self.max_retries:
                     attempt += 1
                     continue

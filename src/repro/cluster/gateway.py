@@ -5,7 +5,7 @@ serve`` process, so :class:`~repro.client.ExpansionClient` (and any raw HTTP
 caller) points at it unchanged.  Its HTTP side is the worker's own
 :class:`~repro.serve.server.HttpFront` (binding, request ids, body limits,
 reply writing, the access log with its ``worker`` field, shutdown); the
-gateway adds only :meth:`ClusterGateway.handle`.  Behind that it does four
+gateway adds only :meth:`ClusterGateway.handle`.  Behind that it does three
 jobs:
 
 * **shard routing** — method-affine calls (``POST /v1/expand``, ``POST
@@ -22,11 +22,10 @@ jobs:
 * **failover** — a worker that fails at the transport level is sidelined
   for ``failover_cooldown_seconds`` and the request is retried on the next
   node of the consistent-hash ring, so killing a worker mid-traffic costs a
-  shard move, not an outage (expansions are idempotent; a replayed fit is at
-  worst a 409 conflict);
-* **job affinity** — fit jobs live on the worker that owns the method, so
-  ``GET``/``DELETE /v1/fits/<id>`` asks the owner first and then the other
-  workers (the ring may have shifted since the job was created).
+  shard move, not an outage.  A POST the worker received but did not answer
+  (a fit past ``proxy_timeout_seconds``) is never replayed on another node:
+  it gets a retryable 503 while the worker finishes, and a repeat ``POST
+  /v1/fits`` then answers ``already_fitted``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.api.envelope import (
 )
 from repro.api.errors import (
     CODE_INVALID_REQUEST,
-    CODE_JOB_NOT_FOUND,
     CODE_NOT_FOUND,
     CODE_UNAVAILABLE,
     error_payload,
@@ -108,10 +106,10 @@ gateway_access_logger = logging.getLogger("repro.cluster.access")
 #: fleet must not look dead) and metrics scrapes (observability is free).
 _GATE_EXEMPT = {("GET", "/v1/healthz"), ("GET", "/v1/metrics")}
 
-#: routes the gateway never traces: the gate-exempt ones, plus the two
-#: reads each ``repro cluster top`` refresh makes, so a watched fleet's
+#: routes the gateway never traces: the gate-exempt ones, plus the one
+#: read each ``repro cluster top`` refresh makes, so a watched fleet's
 #: trace ring keeps only real traffic.
-_UNTRACED = _GATE_EXEMPT | {("GET", "/v1/stats"), ("GET", "/v1/fits")}
+_UNTRACED = _GATE_EXEMPT | {("GET", "/v1/stats")}
 
 
 def _unavailable_payload(message: str) -> dict:
@@ -434,12 +432,6 @@ class ClusterGateway(HttpFront):
             return self._route_by_method(verb, path, body)
         if (verb, path) == ("POST", "/v1/expand/batch"):
             return self._scatter_batch(body)
-        if (verb, path) == ("GET", "/v1/fits"):
-            return self._merged_fit_jobs()
-        if verb in ("GET", "DELETE") and path.startswith("/v1/fits/"):
-            job_id = path[len("/v1/fits/"):]
-            if job_id and "/" not in job_id:
-                return self._find_fit_job(verb, path)
         if (verb, path) == ("GET", "/v1/traces"):
             return self._list_traces(query)
         if verb == "GET" and path.startswith("/v1/traces/"):
@@ -952,56 +944,6 @@ class ClusterGateway(HttpFront):
         except (UnicodeDecodeError, ValueError, AttributeError):
             return None
         return data if isinstance(data, dict) else None
-
-    def _merged_fit_jobs(self) -> Reply:
-        results = self._worker_scatter("GET", "/v1/fits")
-        jobs: list[dict] = []
-        for worker_id, result in results.items():
-            data = self._parse_envelope_data(result) or {}
-            for job in data.get("jobs") or []:
-                if isinstance(job, dict):
-                    jobs.append({**job, "worker_id": worker_id})
-        jobs.sort(key=lambda job: -float(job.get("created_at") or 0.0))
-        return self._data_reply({"jobs": jobs, "count": len(jobs)})
-
-    def _find_fit_job(self, verb: str, path: str) -> Reply:
-        """Ask the fleet for one job id, owner-agnostic: jobs were routed by
-        method, but the ring may have moved since, so every worker is a
-        candidate; the first non-404 answer wins."""
-        reachable = 0
-        for worker_id in self._attempt_order(shard_key("__fits__", self.fingerprint)):
-            try:
-                status, raw, headers = self._forward(worker_id, verb, path, None)
-            except _BackendUnsafe as exc:
-                if verb == "DELETE":
-                    # the cancel may have landed; asking another worker would
-                    # just 404 and mask it — report retryable instead.
-                    return self._error_reply(503, _unavailable_payload(str(exc)))
-                continue
-            except _BackendError:
-                continue
-            self._mark_up(worker_id)
-            reachable += 1
-            if status != 404:
-                self._proxied.inc()
-                self._routed.inc(worker=worker_id)
-                headers[WORKER_HEADER] = worker_id
-                return Reply(status, raw, headers)
-        if not reachable:
-            return self._error_reply(
-                503, _unavailable_payload("no worker available to resolve the job")
-            )
-        job_id = path[len("/v1/fits/"):]
-        return self._error_reply(
-            404,
-            {
-                "error": "JobNotFoundError",
-                "code": CODE_JOB_NOT_FOUND,
-                "message": f"no fit job {job_id!r} on any worker",
-                "details": {"job_id": job_id},
-                "retryable": False,
-            },
-        )
 
     # -- trace search ------------------------------------------------------------
     def _list_traces(self, query: str = "") -> Reply:

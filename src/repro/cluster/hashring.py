@@ -1,7 +1,7 @@
 """Consistent hashing for shard routing.
 
 The gateway routes every request whose work is method-affine — expansions
-and fit jobs — by the key ``"<method>|<dataset fingerprint>"`` so that one
+and fits — by the key ``"<method>|<dataset fingerprint>"`` so that one
 worker owns each method's fitted expander and result cache.  A consistent
 hash ring gives that assignment two properties a plain ``hash(key) % N``
 cannot:

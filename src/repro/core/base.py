@@ -123,8 +123,9 @@ class Expander(ABC):
         Returns ``(kind, params)`` pairs the
         :class:`~repro.substrate.SubstrateProvider` resolves; the default is
         none.  Methods overriding this get substrate-aware persistence (the
-        artifact references the substrate instead of embedding it) and
-        phase-accurate fit progress (``fitting_substrates`` vs ``training``).
+        artifact references the substrate instead of embedding it), and a
+        traced cold fit shows the substrate fits (``fit_substrates``) apart
+        from the method's own training (``train``).
         """
         return []
 

@@ -94,18 +94,6 @@ class OverloadedError(ServiceUnavailableError):
             self.details = details
 
 
-class JobError(ServiceError):
-    """A background fit job cannot be submitted, queried, or completed."""
-
-
-class JobNotFoundError(JobError):
-    """No fit job exists under the requested job id."""
-
-
-class JobConflictError(JobError):
-    """A fit job for the same method is already queued or running."""
-
-
 class TransportError(ReproError):
     """An API client transport failed to reach the server (after retries)."""
 

@@ -1,22 +1,22 @@
 """Bounded admission with two priority lanes and early load-shedding.
 
-The controller guards the expensive part of a request (the uncached
-expand, which runs on the request's own thread) with ``max_concurrent``
-execution slots, so it is the one bound on how many expands run at once.
+The controller guards the expensive part of a request (an uncached
+expand or a fit, each run on the request's own thread) with
+``max_concurrent`` execution slots, so it is the one bound on how many run
+at once.
 Callers that cannot run immediately wait in one of two lanes:
 
 * ``interactive`` — online ``/v1/expand`` traffic; always served first;
-* ``batch`` — ``/v1/expand/batch`` fan-out items and fit jobs.
+* ``batch`` — ``/v1/expand/batch`` fan-out items and ``POST /v1/fits``.
 
 A freed slot goes to a waiting interactive caller before any batch
 caller, so a deep batch backlog cannot starve online traffic.  The queue
 is bounded: once ``queue_depth`` callers are already waiting, new
-sheddable arrivals are rejected immediately with a retryable
+arrivals are rejected immediately with a retryable
 :class:`~repro.exceptions.OverloadedError` (HTTP 503 + ``Retry-After``)
 instead of timing out slowly — overload turns into a cheap, early,
-well-typed signal the client's backoff understands.  Background fit jobs
-admit with ``shed=False``: they hold their place and wait, because a job
-the server accepted should run, not vanish under load.
+well-typed signal the client's backoff understands.  A fit admits and
+sheds like any batch item.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ class AdmissionController:
             self._shed_series = None
 
     @contextmanager
-    def admit(self, lane: str = "interactive", shed: bool = True):
+    def admit(self, lane: str = "interactive"):
         """``with admission.admit(lane):`` around the expensive section."""
-        self.acquire(lane, shed=shed)
+        self.acquire(lane)
         try:
             yield
         finally:
             self.release()
 
-    def acquire(self, lane: str = "interactive", shed: bool = True) -> None:
+    def acquire(self, lane: str = "interactive") -> None:
         if lane not in self._waiting:
             raise ValueError(f"unknown admission lane {lane!r}")
         with self._condition:
@@ -85,7 +85,7 @@ class AdmissionController:
                 self._grant_locked(lane)
                 return
             total_waiting = sum(self._waiting.values())
-            if shed and total_waiting >= self.queue_depth:
+            if total_waiting >= self.queue_depth:
                 self._record_shed_locked(lane)
                 raise OverloadedError(
                     f"admission queue full ({total_waiting} waiting, "
@@ -95,12 +95,9 @@ class AdmissionController:
                 )
             self._waiting[lane] += 1
             try:
-                remaining = self.timeout_seconds if shed else None
+                remaining = self.timeout_seconds
                 while not self._can_grant_locked(lane):
-                    if not shed:
-                        self._condition.wait()
-                        continue
-                    if remaining is not None and remaining <= 0.0:
+                    if remaining <= 0.0:
                         self._timeouts[lane] += 1
                         self._record_shed_locked(lane)
                         raise OverloadedError(

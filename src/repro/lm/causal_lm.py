@@ -189,17 +189,13 @@ class CausalEntityLM:
         self._fitted = False
 
     # -- fitting --------------------------------------------------------------
-    def fit(
-        self, corpus: Corpus, entities: list[Entity], progress=None
-    ) -> "CausalEntityLM":
+    def fit(self, corpus: Corpus, entities: list[Entity]) -> "CausalEntityLM":
         """(Continually pre-)train the LM.
 
         When ``config.further_pretrain`` is set, the n-gram LM ingests the
         corpus sentences and entity co-occurrence embeddings are fitted on it;
         otherwise only entity surface forms are available (a weak prior that
-        mirrors using LLaMA without the domain corpus).  ``progress`` (a
-        :class:`repro.obs.progress.ProgressReporter`, optional) receives
-        step fractions as the pre-training stages complete.
+        mirrors using LLaMA without the domain corpus).
         """
         name_sequences = [
             self._tokenizer.tokenize_entity_name(entity.name) for entity in entities
@@ -209,23 +205,13 @@ class CausalEntityLM:
                 self._tokenizer.tokenize(sentence.text) for sentence in corpus
             ]
             self._ngram.fit(sentence_sequences)
-            if progress is not None:
-                progress.step(0.3)
             self._ngram.fit(name_sequences)
-            if progress is not None:
-                progress.step(0.4)
             self._embeddings = CooccurrenceEmbeddings(
                 dim=self.config.embedding_dim, seed=self.config.seed
-            ).fit(
-                corpus,
-                entities,
-                progress=progress.subrange(0.4, 1.0) if progress is not None else None,
-            )
+            ).fit(corpus, entities)
         else:
             self._ngram.fit(name_sequences)
             self._embeddings = None
-        if progress is not None:
-            progress.step(1.0)
         self._bind(entities)
         self._fitted = True
         return self

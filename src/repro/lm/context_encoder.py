@@ -190,7 +190,6 @@ class ContextEncoder:
         entities: list[Entity],
         pretrained: CooccurrenceEmbeddings | None = None,
         train: bool = True,
-        progress=None,
     ) -> "ContextEncoder":
         """Fit the encoder on ``corpus`` restricted to ``entities``.
 
@@ -198,9 +197,7 @@ class ContextEncoder:
         analogue); when omitted, embeddings are trained from random
         initialisation which is markedly weaker.  ``train=False`` skips the
         entity-prediction task, which is the "- Entity prediction" ablation
-        of Table III.  ``progress`` (a
-        :class:`repro.obs.progress.ProgressReporter`, optional) receives
-        per-epoch step fractions while the training loop runs.
+        of Table III.
         """
         generator = self._rng.child("init").generator
         if pretrained is not None and pretrained.vocabulary is not None:
@@ -238,10 +235,8 @@ class ContextEncoder:
         self._trained = False
 
         if train and self.config.epochs > 0:
-            self._train(corpus, entities, progress=progress)
+            self._train(corpus, entities)
             self._trained = True
-        if progress is not None:
-            progress.step(1.0)
         return self
 
     def _training_examples(
@@ -259,16 +254,13 @@ class ContextEncoder:
             raise ModelError("corpus provides no training sentences for the entities")
         return np.stack(feature_rows), np.asarray(labels, dtype=np.int64)
 
-    def _train(self, corpus: Corpus, entities: list[Entity], progress=None) -> None:
+    def _train(self, corpus: Corpus, entities: list[Entity]) -> None:
         features, labels = self._training_examples(corpus, entities)
         optimizer = AdamOptimizer(self._params, learning_rate=self.config.learning_rate)
         rng = self._rng.child("train").generator
         num_examples = features.shape[0]
         batch_size = min(self.config.batch_size, num_examples)
-        num_batches = (num_examples + batch_size - 1) // batch_size
-        total_steps = self.config.epochs * num_batches
-        step = 0
-        for epoch in range(self.config.epochs):
+        for _epoch in range(self.config.epochs):
             order = rng.permutation(num_examples)
             for start in range(0, num_examples, batch_size):
                 batch_idx = order[start : start + batch_size]
@@ -288,13 +280,6 @@ class ContextEncoder:
                 optimizer.step(
                     {"W1": grad_w1, "b1": grad_b1, "W2": grad_w2, "b2": grad_b2}
                 )
-                step += 1
-                if progress is not None:
-                    progress.step(
-                        step / total_steps,
-                        epoch=epoch + 1,
-                        total_epochs=self.config.epochs,
-                    )
 
     # -- inference -------------------------------------------------------------------
     def _combine(self, pretrained_part: np.ndarray, hidden: np.ndarray) -> np.ndarray:

@@ -94,15 +94,8 @@ class CooccurrenceEmbeddings:
         self._entity_vectors: dict[int, np.ndarray] = {}
 
     # -- fitting ----------------------------------------------------------------
-    def fit(
-        self, corpus: Corpus, entities: list[Entity], progress=None
-    ) -> "CooccurrenceEmbeddings":
-        """Fit token and entity embeddings on ``corpus``.
-
-        ``progress`` (a :class:`repro.obs.progress.ProgressReporter`,
-        optional) receives step fractions as each fitting stage — token
-        counting, token SVD, entity counting, entity SVD — completes.
-        """
+    def fit(self, corpus: Corpus, entities: list[Entity]) -> "CooccurrenceEmbeddings":
+        """Fit token and entity embeddings on ``corpus``."""
         sentences = list(corpus)
         token_lists = [self._tokenizer.tokenize(s.text) for s in sentences]
         self.vocabulary = Vocabulary.from_token_lists(token_lists)
@@ -110,8 +103,7 @@ class CooccurrenceEmbeddings:
 
         # Token-token co-occurrence within a sliding window.
         token_counts: dict[tuple[int, int], float] = defaultdict(float)
-        report_every = max(1, len(token_lists) // 8)
-        for index, tokens in enumerate(token_lists):
+        for tokens in token_lists:
             ids = self.vocabulary.encode(tokens)
             for i, center in enumerate(ids):
                 lo = max(0, i - self.window)
@@ -120,22 +112,17 @@ class CooccurrenceEmbeddings:
                     if i == j:
                         continue
                     token_counts[(center, ids[j])] += 1.0 / (1.0 + abs(i - j))
-            if progress is not None and (index + 1) % report_every == 0:
-                progress.step(0.35 * (index + 1) / len(token_lists))
         token_matrix = np.zeros((vocab_size, vocab_size))
         for (a, b), count in token_counts.items():
             token_matrix[a, b] = count
         self.token_vectors = _truncated_svd(_ppmi(token_matrix), self.dim, self.seed)
-        if progress is not None:
-            progress.step(0.55)
 
         # Entity-context co-occurrence: counts of context tokens over all
         # sentences mentioning the entity (the entity's own name tokens are
         # excluded so the embedding reflects *context*, not the surface form).
         entity_rows: list[np.ndarray] = []
         entity_ids: list[int] = []
-        report_every = max(1, len(entities) // 8)
-        for index, entity in enumerate(entities):
+        for entity in entities:
             context_counts: Counter[int] = Counter()
             name_tokens = set(self._tokenizer.tokenize_entity_name(entity.name))
             for sentence in corpus.sentences_of(entity.entity_id):
@@ -148,8 +135,6 @@ class CooccurrenceEmbeddings:
                 row[token_id] = count
             entity_rows.append(row)
             entity_ids.append(entity.entity_id)
-            if progress is not None and (index + 1) % report_every == 0:
-                progress.step(0.55 + 0.3 * (index + 1) / len(entities))
 
         if entity_rows:
             entity_matrix = _ppmi(np.stack(entity_rows))
@@ -160,8 +145,6 @@ class CooccurrenceEmbeddings:
             self._entity_vectors = {
                 entity_id: entity_vectors[i] for i, entity_id in enumerate(entity_ids)
             }
-        if progress is not None:
-            progress.step(1.0)
         return self
 
     # -- access ---------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""repro.obs — unified telemetry: metrics, tracing, progress, usage.
+"""repro.obs — unified telemetry: metrics, tracing, usage.
 
 This package is the one place serving-layer counters live.  Components
 expose :class:`~repro.obs.metrics.MetricsRegistry` instruments instead of
 hand-rolled ``self._stats = {}`` dicts (a tier-1 lint test enforces this),
 per-request stage timings ride the :mod:`~repro.obs.trace` ContextVar,
 completed traces land in a searchable :class:`~repro.obs.traces.TraceCollector`
-ring, fit jobs report fractional progress through
-:class:`~repro.obs.progress.ProgressReporter`, and per-tenant
-compute-seconds accumulate in memory in a :class:`~repro.obs.usage.UsageMeter`
-for billing-grade accounting.
+ring (a cold fit's phases are spans too), and per-tenant compute-seconds
+accumulate in memory in a :class:`~repro.obs.usage.UsageMeter` for
+billing-grade accounting.
 
 Telemetry is pull-only: no process pushes metrics or spans anywhere, and
 none writes a telemetry file of its own.  Collectors scrape ``GET
@@ -29,7 +28,6 @@ from repro.obs.metrics import (
     merge_bucket_lists,
     percentile_from_buckets,
 )
-from repro.obs.progress import PHASE_WINDOWS, ProgressReporter, phase_window
 from repro.obs.slowlog import log_slow_query, slow_query_logger
 from repro.obs.trace import (
     TRACE_ID_HEADER,
@@ -64,7 +62,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MAX_TENANTS",
     "OVERFLOW_TENANT",
-    "PHASE_WINDOWS",
     "PROMETHEUS_CONTENT_TYPE",
     "TRACEPARENT_HEADER",
     "TRACE_ID_HEADER",
@@ -73,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProgressReporter",
     "Trace",
     "TraceCollector",
     "TraceContext",
@@ -91,7 +87,6 @@ __all__ = [
     "new_trace_id",
     "parse_traceparent",
     "percentile_from_buckets",
-    "phase_window",
     "propagation_scope",
     "request_scope",
     "slow_query_logger",

@@ -1,15 +1,15 @@
 """Terminal renderer for the fleet view (`repro cluster top`).
 
-Pure function from the gateway's fleet ``GET /v1/stats`` data and its
-``GET /v1/fits`` job list to a fixed-width table, so the CLI loop stays
-trivial and tests can golden-check the rendering without a terminal.  The
-gateway joins the fleet once, for ``/v1/stats``; fleet health, merged
-latency, per-worker rates and the tenant rollup are computed here.
+Pure function from the gateway's fleet ``GET /v1/stats`` data to a
+fixed-width table, so the CLI loop stays trivial (one read per refresh) and
+tests can golden-check the rendering without a terminal.  The gateway joins
+the fleet once, for ``/v1/stats``; fleet health, merged latency, per-worker
+rates and the tenant rollup are computed here.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.obs.metrics import merge_bucket_lists
 from repro.obs.usage import fleet_usage
@@ -45,29 +45,6 @@ def _hit_rate(hits, misses) -> float:
     return int(hits) / lookups if lookups else 0.0
 
 
-#: character cells in a fit-job progress bar.
-PROGRESS_BAR_WIDTH = 10
-
-
-def _fmt_job(job: Mapping) -> str:
-    """``method:phase`` plus a progress bar when the job reports one."""
-    text = f"{job.get('method', '?')}:{job.get('phase') or job.get('status', '?')}"
-    progress = job.get("progress")
-    if not isinstance(progress, dict):
-        return text
-    try:
-        fraction = min(max(float(progress.get("fraction")), 0.0), 1.0)
-    except (TypeError, ValueError):
-        return text
-    filled = int(round(fraction * PROGRESS_BAR_WIDTH))
-    bar = "=" * filled + "-" * (PROGRESS_BAR_WIDTH - filled)
-    text += f" [{bar}] {fraction * 100:.0f}%"
-    epoch, total = progress.get("epoch"), progress.get("total_epochs")
-    if epoch is not None and total is not None:
-        text += f" (ep {epoch}/{total})"
-    return text
-
-
 def _tenant_rows(stats: Mapping) -> list[tuple]:
     """``(tenant, requests, throttled, compute_seconds or None)`` rows: the
     gate's tenants on a gated fleet, otherwise every metered tenant."""
@@ -91,9 +68,8 @@ def _tenant_rows(stats: Mapping) -> list[tuple]:
     ]
 
 
-def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
-    """Render one refresh frame from the fleet ``/v1/stats`` data and the
-    ``/v1/fits`` jobs (each stamped with its ``worker_id``)."""
+def render_top(stats: Mapping) -> str:
+    """Render one refresh frame from the fleet ``/v1/stats`` data."""
     workers = stats.get("workers") or {}
     cluster = stats.get("cluster") or {}
     gateway = stats.get("gateway") or {}
@@ -155,15 +131,9 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
     lines.append(gateway_line)
     lines.append("")
 
-    fitted = {
-        worker_id: ",".join((worker.get("registry") or {}).get("fitted") or []) or "-"
-        for worker_id, worker in healthy.items()
-    }
-    # the FITTED column widens to the longest list; it is never cut.
-    width = max([18, *map(len, fitted.values())])
     header = (
         f"{'WORKER':<12} {'STATE':<6} {'REQS':>7} {'ERRS':>6} {'CACHE':>6} "
-        f"{'P50':>9} {'P99':>9} {'SUBS':>5} {'FITTED':<{width}} FIT JOBS"
+        f"{'P50':>9} {'P99':>9} {'SUBS':>5} FITTED"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -172,19 +142,13 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
         if worker is None:
             lines.append(
                 f"{worker_id:<12} {'DOWN':<6} {'-':>7} {'-':>6} {'-':>6} "
-                f"{'-':>9} {'-':>9} {'-':>5} {'-':<{width}} -"
+                f"{'-':>9} {'-':>9} {'-':>5} -"
             )
             continue
         service = worker.get("service") or {}
         cache = worker.get("cache") or {}
         registry = worker.get("registry") or {}
         worker_latency = service.get("latency_ms") or {}
-        job_text = " ".join(
-            _fmt_job(job)
-            for job in jobs
-            if job.get("worker_id") == worker_id
-            and job.get("status") in ("queued", "running")
-        ) or "-"
         lines.append(
             f"{worker_id:<12} {'up':<6} "
             f"{int(service.get('requests', 0)):>7} "
@@ -193,7 +157,7 @@ def render_top(stats: Mapping, jobs: Sequence[Mapping]) -> str:
             f"{_fmt_ms(worker_latency.get('p50')):>9} "
             f"{_fmt_ms(worker_latency.get('p99')):>9} "
             f"{int((registry.get('substrates') or {}).get('resident', 0)):>5} "
-            f"{fitted[worker_id]:<{width}} {job_text}"
+            f"{','.join(registry.get('fitted') or []) or '-'}"
         )
 
     tenants = _tenant_rows(stats)

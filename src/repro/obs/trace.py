@@ -1,4 +1,4 @@
-"""Lightweight request tracing for the expand hot path and fit jobs.
+"""Lightweight request tracing for the expand hot path and cold fits.
 
 A :class:`Trace` collects named spans (start offset + duration in
 milliseconds, relative to the trace's birth) for one request.  The active

@@ -9,8 +9,8 @@ requests may be 100x more expensive than another's:
   expander raises: the compute was spent);
 * cache hits are billed at cache cost — the time the lookup itself took —
   not at the cost of the execute they avoided;
-* fit jobs are billed to the tenant that requested them, for the fit's
-  full wall-time.
+* a ``POST /v1/fits`` is billed to the tenant that sent it, for the fit's
+  full wall-time (also when the fit raises).
 
 Totals live in memory only (bounded: tenants beyond ``max_tenants``
 aggregate under :data:`OVERFLOW_TENANT`, mirroring the metrics registry's
@@ -70,7 +70,7 @@ class UsageMeter:
     def charge_fit(
         self, tenant: str | None, compute_seconds: float, method: str | None = None
     ) -> None:
-        """Bill a fit job's wall-time to the tenant that requested it."""
+        """Bill a fit's wall-time to the tenant that requested it."""
         del method
         with self._lock:
             bucket = self._bucket_locked(tenant)

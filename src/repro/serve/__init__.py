@@ -21,7 +21,6 @@ Quickstart::
         print("serving on", server.url)
 """
 
-from repro.api.jobs import FitJob, JobManager
 from repro.api.options import ExpandOptions
 from repro.config import ServiceConfig
 from repro.serve.cache import ResultCache
@@ -47,6 +46,4 @@ __all__ = [
     "DEFAULT_FACTORIES",
     "ExpansionHTTPServer",
     "ExpansionService",
-    "FitJob",
-    "JobManager",
 ]

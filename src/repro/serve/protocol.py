@@ -283,8 +283,8 @@ class ExpandResponse:
 class MethodInfo:
     """One row of the ``/v1/methods`` listing.
 
-    Beyond the fit state, the row reports what a fit *job* for the method
-    would do: whether the method's state can be persisted at all
+    Beyond the fit state, the row reports what a fit of the method would
+    do: whether the method's state can be persisted at all
     (``supports_persistence`` / ``state_version``) and whether the attached
     store already holds an artifact for the current dataset fingerprint
     (``store_artifact``; ``None`` when no store is attached) — i.e. whether

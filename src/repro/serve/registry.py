@@ -56,8 +56,7 @@ from repro.exceptions import (
     UnknownMethodError,
 )
 from repro.genexpan import GenExpan
-from repro.obs import MetricsRegistry, ProgressReporter, span
-from repro.obs.progress import NULL_PROGRESS
+from repro.obs import MetricsRegistry, span
 from repro.retexpan import RetExpan
 from repro.store.fitlock import FitLock, FitLockCounters, single_payer
 from repro.substrate import SubstrateProvider
@@ -216,29 +215,34 @@ class ExpanderRegistry:
         except (StoreError, OSError):
             return False
 
-    def get(
-        self,
-        method: str,
-        progress: "Callable[[str], None] | ProgressReporter | None" = None,
-    ) -> Expander:
-        """The fitted expander for ``method``, fitting it on first use.
+    def get(self, method: str) -> Expander:
+        """The fitted expander for ``method``, fitting it on first use."""
+        return self._resident(method)[0]
 
-        ``progress`` (used by async fit jobs) receives the phase the
-        materialisation is in: ``restoring``, ``fitting_substrates``,
-        ``training``, or ``publishing``.  A cache hit reports nothing.
-        A plain ``Callable[[str], None]`` gets phases only; a
-        :class:`~repro.obs.progress.ProgressReporter` additionally receives
-        fractional step progress from the substrate training loops.
-        """
+    def fit(self, method: str, pin: bool = False) -> str:
+        """Make ``method`` resident exactly as an expand's :meth:`get`
+        does (pinned when ``pin`` is set) and say how this call got it:
+        ``already_fitted`` (resident, or made so by a concurrent caller this
+        one waited for), ``restored`` (from the store) or ``fitted``
+        (trained and published).  ``repro fit`` and ``POST /v1/fits`` both
+        report this outcome."""
+        outcome = self._resident(method)[1]
+        if pin:
+            with self._lock:
+                self._pinned.add(self._key(method))
+        return outcome
+
+    def _resident(self, method: str) -> tuple[Expander, str]:
+        """The expander for ``method`` and the :meth:`fit` outcome of
+        getting it."""
         self.ensure_known(method)
         key = self._key(method)
-        name = key[0]
         with self._lock:
             expander = self._entries.get(key)
             if expander is not None:
                 self._entries.move_to_end(key)
                 self._hits.inc()
-                return expander
+                return expander, "already_fitted"
             fit_lock = self._fit_locks.setdefault(key, threading.Lock())
         # Fit outside the registry lock so other methods stay servable, but
         # under the per-key lock so concurrent requests fit at most once.
@@ -248,66 +252,51 @@ class ExpanderRegistry:
                 if expander is not None:
                     self._entries.move_to_end(key)
                     self._hits.inc()
-                    return expander
-            expander = self._materialize(name, ProgressReporter.adapt(progress))
+                    return expander, "already_fitted"
+            expander, outcome = self._materialize(key[0])
             with self._lock:
                 self._entries[key] = expander
                 self._evict_locked()
-            return expander
+            return expander, outcome
 
-    def _materialize(self, name: str, progress: ProgressReporter) -> Expander:
+    def _materialize(self, name: str) -> tuple[Expander, str]:
         """Produce a fitted expander: restore from the store when possible,
         otherwise fit — with a cross-process fit lock electing one leader per
         ``(method, fingerprint)`` so a fleet sharing the store trains once."""
         expander = self._factories[name](self.resources)
-        progress.phase("restoring")
         with span("store_restore", method=name):
             if self._try_restore(name, expander):
-                return expander
+                return expander, "restored"
         lock = None
         if self.store is not None and expander.supports_persistence:
             lock = FitLock(self.store.root, name, self._fingerprint)
 
-        def restore_published() -> Expander | None:
+        def restore_published() -> tuple[Expander, str] | None:
             # A manifest-existence probe gates the checksum-verified restore,
             # so the plain cold-fit path stays a single restore miss.
             if self.artifact_available(name) and self._try_restore(name, expander):
-                return expander
+                return expander, "restored"
             return None
 
         return single_payer(
             lock,
             restore_published,
-            lambda: self._fit_and_publish(name, expander, progress),
+            lambda: self._fit_and_publish(name, expander),
             self._fit_lock,
             self.fit_lock_wait_seconds,
         )
 
-    def _fit_and_publish(
-        self,
-        name: str,
-        expander: Expander,
-        progress: ProgressReporter = NULL_PROGRESS,
-    ) -> Expander:
+    def _fit_and_publish(self, name: str, expander: Expander) -> tuple[Expander, str]:
         # Resolve the declared substrates first: a warm provider (another
         # resident method, or a persisted substrate artifact) makes the
-        # training phase below method-only work, and fit jobs can report
-        # the two phases separately.  Each dependency gets an equal slice of
-        # the ``fitting_substrates`` phase, so its training loop's step
-        # fractions land in the right portion of the overall bar.
+        # training span below method-only work, and a trace shows the two
+        # apart.
         dependencies = expander.substrate_dependencies()
         if dependencies:
-            progress.phase("fitting_substrates")
             provider = self.resources.provider
-            total = len(dependencies)
             with span("fit_substrates", method=name):
-                for index, (kind, params) in enumerate(dependencies):
-                    provider.get(
-                        kind,
-                        params,
-                        progress=progress.subrange(index / total, (index + 1) / total),
-                    )
-        progress.phase("training")
+                for kind, params in dependencies:
+                    provider.get(kind, params)
         started = time.perf_counter()
         with span("train", method=name):
             expander.fit(self.dataset)
@@ -315,10 +304,9 @@ class ExpanderRegistry:
         self._fits.inc()
         with self._lock:
             self._fit_seconds[name] = elapsed
-        progress.phase("publishing")
         with span("publish", method=name):
             self._write_through(name, expander)
-        return expander
+        return expander, "fitted"
 
     def _try_restore(self, name: str, expander: Expander) -> bool:
         """Restore ``expander`` from the artifact store; False means refit.
@@ -380,17 +368,6 @@ class ExpanderRegistry:
             self._evictions.inc()
 
     # -- pinning -----------------------------------------------------------------
-    def pin(
-        self,
-        method: str,
-        progress: "Callable[[str], None] | ProgressReporter | None" = None,
-    ) -> Expander:
-        """Fit (if needed) and exempt ``method`` from LRU eviction."""
-        expander = self.get(method, progress=progress)
-        with self._lock:
-            self._pinned.add(self._key(method))
-        return expander
-
     def unpin(self, method: str) -> None:
         with self._lock:
             self._pinned.discard(self._key(method))

@@ -6,8 +6,9 @@ serve thread, a prompt :meth:`~HttpFront.shutdown` that also severs live
 keep-alive connections, ``X-Request-Id`` handling (a valid inbound id is
 honored, anything else replaced), body reads under :data:`MAX_BODY_BYTES`,
 reply writing, and the JSON access log (one line per request, written just
-before the reply goes out).  A tier implements only
-:meth:`~HttpFront.respond`, turning a :class:`Request` into a :class:`Reply`.
+before the reply goes out; ``GET /v1/healthz`` probes are left out).  A tier
+implements only :meth:`~HttpFront.respond`, turning a :class:`Request` into a
+:class:`Reply`.
 
 :class:`ExpansionHTTPServer` is the worker tier: every ``/v1`` route of the
 shared dispatcher (:class:`repro.api.v1.ApiV1`) in the versioned envelope,
@@ -58,6 +59,9 @@ from repro.serve.service import ExpansionService
 
 #: request body size guard (1 MiB) against accidental or hostile payloads.
 MAX_BODY_BYTES = 1 << 20
+
+#: the liveness probe, which the access log leaves out.
+_HEALTHZ = ("GET", "/v1/healthz")
 
 #: the worker's structured access-log destination (one JSON document per line).
 access_logger = logging.getLogger("repro.serve.access")
@@ -321,7 +325,9 @@ class HttpFront:
         self.shutdown()
 
     def _log_access(self, request: Request, reply: Reply, started: float) -> None:
-        if self.access_log is None:
+        # Health probes (a worker pool's every 0.5 s) would bury the
+        # request lines, so they stay out of the log.
+        if self.access_log is None or (request.verb, request.path) == _HEALTHZ:
             return
         line = {
             "request_id": reply.headers[REQUEST_ID_HEADER],

@@ -12,9 +12,10 @@ Every expander ranks one query at a time, so an uncached expand simply runs
 inline; the optional :class:`~repro.gate.AdmissionController` is the one
 bound on how many run at once.
 
-Cold fits can also be warmed explicitly instead of stalling a first request:
-:meth:`start_fit` hands the method to a background :class:`JobManager`
-(``POST /v1/fits`` on the wire) and :meth:`fit_job` reports progress.
+Cold fits can also be paid explicitly instead of by a first request:
+:meth:`fit` (``POST /v1/fits`` on the wire) runs the same registry lookup
+an expand runs, on the calling thread, and returns once the method is
+resident.
 
 Telemetry is unified on one :class:`~repro.obs.MetricsRegistry` owned by the
 service (labelled with the dataset fingerprint) and shared with the cache,
@@ -34,9 +35,9 @@ from __future__ import annotations
 import random
 import threading
 import time
+from contextlib import nullcontext
 from typing import Callable, Mapping, Sequence
 
-from repro.api.jobs import FitJob, JobManager
 from repro.api.options import ExpandOptions
 from repro.config import ServiceConfig
 from repro.core.resources import SharedResources
@@ -151,9 +152,6 @@ class ExpansionService:
                 timeout_seconds=self.config.admission_timeout_seconds,
                 metrics=self.metrics,
             )
-        self.jobs = JobManager(
-            self.registry, admission=self.admission, usage=self.usage
-        )
         self._queries_by_id: dict[str, Query] = {
             q.query_id: q for q in dataset.queries
         }
@@ -437,33 +435,36 @@ class ExpansionService:
                     current_tenant(), time.perf_counter() - started, method=method
                 )
 
-    # -- warm-up / fit jobs ------------------------------------------------------------
+    # -- warm-up / fits ---------------------------------------------------------------
     def warm_up(self, methods: Sequence[str] = ("retexpan",)) -> None:
         """Fit and pin the given methods up front (e.g. at server start)."""
         for method in methods:
-            self.registry.pin(method)
+            self.registry.fit(method, pin=True)
 
-    def start_fit(self, method: str, pin: bool = False) -> FitJob:
-        """Enqueue an async fit (restore-or-train) and return immediately."""
+    def fit(self, method: str, pin: bool = False) -> dict:
+        """Make ``method`` resident (pinned when asked) and return
+        ``{method, outcome, seconds}``; ``POST /v1/fits`` on the wire.
+
+        It runs the registry lookup an expand runs, on the calling thread,
+        holding one batch-lane admission slot like a batch item (so under
+        load it sheds with the same retryable 503).  With metering on, its
+        wall time is billed to the caller's tenant, also when the fit
+        raises: the compute was spent.
+        """
         if self._closed:
             raise ServiceUnavailableError("service is shut down")
-        return self.jobs.submit(method, pin=pin)
-
-    def fit_job(self, job_id: str) -> FitJob:
-        """The tracked job for ``job_id``; raises :class:`JobNotFoundError`."""
-        return self.jobs.get(job_id)
-
-    def cancel_fit(self, job_id: str) -> FitJob:
-        """Cancel a *queued* fit job (``DELETE /v1/fits/<id>`` on the wire).
-
-        Raises :class:`JobNotFoundError` for unknown ids and
-        :class:`JobConflictError` (409) for jobs already running or finished.
-        """
-        return self.jobs.cancel(job_id)
-
-    def fit_jobs(self) -> list[FitJob]:
-        """All tracked fit jobs, most recent first."""
-        return self.jobs.list()
+        self.registry.ensure_known(method)
+        name = method.strip().lower()
+        slot = self.admission.admit("batch") if self.admission is not None else nullcontext()
+        with slot:
+            started = time.perf_counter()
+            try:
+                outcome = self.registry.fit(name, pin=pin)
+            finally:
+                seconds = time.perf_counter() - started
+                if self.usage is not None:
+                    self.usage.charge_fit(current_tenant(), seconds, method=name)
+        return {"method": name, "outcome": outcome, "seconds": seconds}
 
     # -- introspection -----------------------------------------------------------------
     def methods(self) -> list[MethodInfo]:
@@ -501,7 +502,6 @@ class ExpansionService:
             "service": service,
             "cache": self.cache.stats(),
             "registry": self.registry.stats(),
-            "jobs": self.jobs.stats(),
         }
         # gate/admission keys appear only when configured, so the default
         # stats payload (pinned by wire-shape tests) is unchanged.
@@ -519,11 +519,7 @@ class ExpansionService:
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self.jobs.shutdown()
+        self._closed = True
 
     def __enter__(self) -> "ExpansionService":
         return self

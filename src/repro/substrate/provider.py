@@ -348,7 +348,7 @@ class SubstrateProvider:
             return sum(1 for key in self._cache if key.kind == kind)
 
     # -- the one entry point -----------------------------------------------------
-    def get(self, kind: str, params: dict, resolver=None, progress=None) -> object:
+    def get(self, kind: str, params: dict, resolver=None) -> object:
         """The fitted substrate for ``(kind, params)``, built at most once.
 
         Resolution order: in-memory cache, then ``resolver`` (the
@@ -356,18 +356,12 @@ class SubstrateProvider:
         restored), then this provider's own store, then a fresh fit (under
         cross-process leader election when a store is attached).  Every path
         ends with the instance cached so all resident expanders share it.
-
-        ``progress`` (a :class:`repro.obs.progress.ProgressReporter`,
-        optional) receives fractional training progress when a cold fit is
-        paid; cache hits and restores complete it immediately.
         """
         key = self.key(kind, params)
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self._hits.inc()
-                if progress is not None:
-                    progress.step(1.0)
                 return cached
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
@@ -375,20 +369,16 @@ class SubstrateProvider:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._hits.inc()
-                    if progress is not None:
-                        progress.step(1.0)
                     return cached
-            instance = self._materialize(key, kind, params, resolver, progress)
+            instance = self._materialize(key, kind, params, resolver)
             with self._lock:
                 self._cache[key] = instance
                 self._resident.set(len(self._cache))
-            if progress is not None:
-                progress.step(1.0)
             return instance
 
     # -- materialisation ---------------------------------------------------------
     def _materialize(
-        self, key: SubstrateKey, kind: str, params: dict, resolver, progress=None
+        self, key: SubstrateKey, kind: str, params: dict, resolver
     ) -> object:
         if resolver is not None and resolver.has(kind, key.content_hash):
             # The substrate referenced by the artifact being restored; a
@@ -413,7 +403,7 @@ class SubstrateProvider:
         return single_payer(
             lock,
             lambda: self._try_restore_from_store(key, kind),
-            lambda: self._fit_and_publish(key, kind, params, progress),
+            lambda: self._fit_and_publish(key, kind, params),
             self._fit_lock,
             self.fit_lock_wait_seconds,
         )
@@ -444,12 +434,10 @@ class SubstrateProvider:
             self._restore_seconds[kind] = time.perf_counter() - started
         return instance
 
-    def _fit_and_publish(
-        self, key: SubstrateKey, kind: str, params: dict, progress=None
-    ) -> object:
+    def _fit_and_publish(self, key: SubstrateKey, kind: str, params: dict) -> object:
         started = time.perf_counter()
         with span("substrate_fit", kind=kind):
-            instance = self._fit_substrate(kind, params, progress)
+            instance = self._fit_substrate(kind, params)
         self._fits.inc()
         with self._lock:
             self._fit_seconds[kind] = time.perf_counter() - started
@@ -499,7 +487,7 @@ class SubstrateProvider:
         self._publishes.inc()
 
     # -- per-kind adapters -------------------------------------------------------
-    def _fit_substrate(self, kind: str, params: dict, progress=None) -> object:
+    def _fit_substrate(self, kind: str, params: dict) -> object:
         corpus = self.dataset.corpus
         entities = self.dataset.entities()
         if kind == COOCCURRENCE_EMBEDDINGS:
@@ -508,14 +496,10 @@ class SubstrateProvider:
                 window=int(params["window"]),
                 seed=int(params["seed"]),
                 entity_dim=int(params["entity_dim"]),
-            ).fit(corpus, entities, progress=progress)
+            ).fit(corpus, entities)
         if kind == ENTITY_REPRESENTATIONS:
-            # The encoder (training loop included) dominates this fit; the
-            # final representation pass is the small remainder.
             encoder = self.context_encoder(
-                EncoderConfig(**params["encoder"]),
-                trained=bool(params["trained"]),
-                progress=progress.subrange(0.0, 0.9) if progress is not None else None,
+                EncoderConfig(**params["encoder"]), trained=bool(params["trained"])
             )
             if params["trained"]:
                 return encoder.entity_representations(corpus, entities)
@@ -523,24 +507,18 @@ class SubstrateProvider:
                 corpus, entities, with_distributions=False
             )
         if kind == CAUSAL_LM:
-            return CausalEntityLM(CausalLMConfig(**params)).fit(
-                corpus, entities, progress=progress
-            )
+            return CausalEntityLM(CausalLMConfig(**params)).fit(corpus, entities)
         if kind == ANN_INDEX:
-            return self._fit_ann_index(params, progress)
+            return self._fit_ann_index(params)
         raise SubstrateError(f"unknown substrate kind {kind!r}")
 
-    def _fit_ann_index(self, params: dict, progress=None):
+    def _fit_ann_index(self, params: dict):
         """Partition the referenced substrate's vector map (resolving the
         source through :meth:`get`, so it is fitted/restored at most once)."""
         from repro.retrieval import CandidateMatrix, PartitionedIndex
 
         source = params["source"]
-        instance = self.get(
-            source["kind"],
-            source["params"],
-            progress=progress.subrange(0.0, 0.8) if progress is not None else None,
-        )
+        instance = self.get(source["kind"], source["params"])
         dim = params.get("dim")
         matrix = CandidateMatrix.from_vectors(
             vector_map(instance, params["field"]),
@@ -574,9 +552,7 @@ class SubstrateProvider:
             return PartitionedIndex.load(directory)
         raise SubstrateError(f"unknown substrate kind {kind!r}")
 
-    def context_encoder(
-        self, config: EncoderConfig, trained: bool = True, progress=None
-    ) -> ContextEncoder:
+    def context_encoder(self, config: EncoderConfig, trained: bool = True) -> ContextEncoder:
         """The (memory-only) masked-entity encoder for ``config``.
 
         Built at most once per ``(config, trained)`` and never persisted: it
@@ -587,20 +563,15 @@ class SubstrateProvider:
         with self._lock:
             encoder = self._encoders.get(cache_key)
             if encoder is not None:
-                if progress is not None:
-                    progress.step(1.0)
                 return encoder
         pretrained = self.get(
-            COOCCURRENCE_EMBEDDINGS,
-            cooccurrence_params_from_encoder(config),
-            progress=progress.subrange(0.0, 0.3) if progress is not None else None,
+            COOCCURRENCE_EMBEDDINGS, cooccurrence_params_from_encoder(config)
         )
         encoder = ContextEncoder(config).fit(
             self.dataset.corpus,
             self.dataset.entities(),
             pretrained=pretrained,
             train=trained,
-            progress=progress.subrange(0.3, 1.0) if progress is not None else None,
         )
         with self._lock:
             return self._encoders.setdefault(cache_key, encoder)

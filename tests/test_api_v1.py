@@ -1,8 +1,9 @@
 """Tests for the v1 protocol layer: envelopes, error taxonomy, options,
-pagination, and the async fit-job subsystem."""
+pagination, and the synchronous ``POST /v1/fits``."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -15,12 +16,11 @@ from repro.api import (
     exception_for_payload,
     new_request_id,
 )
-from repro.api.jobs import JobManager
 from repro.core.base import Expander
 from repro.exceptions import (
+    AuthenticationError,
     DatasetError,
-    JobConflictError,
-    JobNotFoundError,
+    RateLimitedError,
     ServiceError,
     ServiceUnavailableError,
     UnknownMethodError,
@@ -108,8 +108,8 @@ class TestErrorTaxonomy:
             (ServiceError("bad"), 400, "invalid_request", False),
             (UnknownMethodError("nope"), 404, "unknown_method", False),
             (DatasetError("missing"), 404, "not_found", False),
-            (JobNotFoundError("gone"), 404, "job_not_found", False),
-            (JobConflictError("busy"), 409, "conflict", False),
+            (AuthenticationError("who"), 401, "unauthenticated", False),
+            (RateLimitedError("slow down"), 429, "rate_limited", True),
             (ServiceUnavailableError("down"), 503, "unavailable", True),
             (RuntimeError("boom"), 500, "internal", True),
         ],
@@ -125,8 +125,8 @@ class TestErrorTaxonomy:
         for exc in (
             UnknownMethodError("nope"),
             DatasetError("missing"),
-            JobNotFoundError("gone"),
-            JobConflictError("busy"),
+            AuthenticationError("who"),
+            RateLimitedError("slow down"),
             ServiceUnavailableError("down"),
         ):
             _, payload = error_payload(exc)
@@ -135,11 +135,11 @@ class TestErrorTaxonomy:
             assert str(rebuilt) == str(exc)
 
     def test_details_survive_the_payload(self):
-        exc = JobConflictError("busy")
-        exc.details = {"job_id": "fit-1"}
+        exc = ServiceUnavailableError("busy")
+        exc.details = {"lane": "batch"}
         _, payload = error_payload(exc)
-        assert payload["details"] == {"job_id": "fit-1"}
-        assert exception_for_payload(payload).details == {"job_id": "fit-1"}
+        assert payload["details"] == {"lane": "batch"}
+        assert exception_for_payload(payload).details == {"lane": "batch"}
 
 
 class TestExpandOptions:
@@ -282,25 +282,22 @@ class TestBatchEndpoint:
 
 
 class TestFitJobs:
+    """``POST /v1/fits`` blocks until the method is resident."""
+
     def test_fit_job_lifecycle_and_warm_expand(self, tiny_dataset):
-        """Acceptance: POST /v1/fits is async; the later expand never fits."""
+        """Acceptance: the fit answers once it is done; the later expand
+        and a repeat fit pay no fit."""
         service, created = make_service(tiny_dataset, fit_delay=0.2)
         with service:
             dispatcher = apiv1.ApiV1(service)
-            started = time.perf_counter()
             result = dispatcher.dispatch("POST", "/v1/fits", {"method": "stub"})
-            submit_s = time.perf_counter() - started
-            assert result.status == 202
-            assert submit_s < 0.15  # returned before the 0.2 s fit finished
-            job = result.data["job"]
-            assert job["status"] in ("queued", "running")
-
-            final = service.jobs.wait(job["job_id"], timeout=10.0)
-            assert final.status == "succeeded"
-            assert final.outcome == "fitted"
+            assert result.status == 200
+            assert set(result.data) == {"method", "outcome", "seconds"}
+            assert result.data["method"] == "stub"
+            assert result.data["outcome"] == "fitted"
+            assert result.data["seconds"] >= 0.2
             assert created[0].fit_calls == 1
 
-            fits_before = service.stats()["registry"]["fits"]
             expand = dispatcher.dispatch(
                 "POST",
                 "/v1/expand",
@@ -308,26 +305,60 @@ class TestFitJobs:
             )
             assert expand.status == 200
             # the expand was served warm: no in-request fit happened.
-            assert service.stats()["registry"]["fits"] == fits_before == 1
-            assert created[0].fit_calls == 1
+            assert service.stats()["registry"]["fits"] == 1
 
-    def test_conflicting_fit_is_409_with_job_id(self, tiny_dataset):
-        service, _ = make_service(tiny_dataset, fit_delay=0.2)
+            again = dispatcher.dispatch("POST", "/v1/fits", {"method": "STUB "})
+            assert again.status == 200
+            assert again.data["method"] == "stub"
+            assert again.data["outcome"] == "already_fitted"
+            assert service.stats()["registry"]["fits"] == 1
+            assert len(created) == 1
+
+    def test_concurrent_fits_pay_one_fit(self, tiny_dataset):
+        """A fit arriving while the same method fits waits for it and
+        answers ``already_fitted``: one fit, never a conflict."""
+        service, created = make_service(tiny_dataset, fit_delay=0.3)
         with service:
             dispatcher = apiv1.ApiV1(service)
-            first = dispatcher.dispatch("POST", "/v1/fits", {"method": "stub"})
-            second = dispatcher.dispatch("POST", "/v1/fits", {"method": "stub"})
-            assert second.status == 409
-            assert second.error["code"] == "conflict"
-            assert second.error["details"]["job_id"] == first.data["job"]["job_id"]
-            service.jobs.wait(first.data["job"]["job_id"], timeout=10.0)
+            results = []
+
+            def fit() -> None:
+                results.append(dispatcher.dispatch("POST", "/v1/fits", {"method": "stub"}))
+
+            threads = [threading.Thread(target=fit) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert [result.status for result in results] == [200, 200]
+            outcomes = sorted(result.data["outcome"] for result in results)
+            assert outcomes == ["already_fitted", "fitted"]
+            assert len(created) == 1 and created[0].fit_calls == 1
 
     def test_unknown_method_and_job_are_404(self, api):
         dispatcher, _, _ = api
-        assert dispatcher.dispatch("POST", "/v1/fits", {"method": "nope"}).status == 404
-        missing = dispatcher.dispatch("GET", "/v1/fits/fit-does-not-exist")
-        assert missing.status == 404
-        assert missing.error["code"] == "job_not_found"
+        unknown = dispatcher.dispatch("POST", "/v1/fits", {"method": "nope"})
+        assert unknown.status == 404
+        assert unknown.error["code"] == "unknown_method"
+        # the fit-job routes are gone: plain enveloped route 404s.
+        for verb, path in (
+            ("GET", "/v1/fits"),
+            ("GET", "/v1/fits/fit-1-abc123"),
+            ("DELETE", "/v1/fits/fit-1-abc123"),
+        ):
+            assert not dispatcher.resolves(verb, path)
+            missing = dispatcher.dispatch(verb, path)
+            assert missing.status == 404
+            assert missing.error["code"] == "not_found"
+
+    def test_bad_fit_payloads_are_400(self, api):
+        dispatcher, _, created = api
+        for payload in (None, {}, {"method": ""}, {"method": "stub", "pin": 1},
+                        {"method": "stub", "wait": True}):
+            result = dispatcher.dispatch("POST", "/v1/fits", payload)
+            assert result.status == 400, payload
+            assert result.error["code"] == "invalid_request"
+        assert created == []
 
     def test_failed_fit_reports_the_taxonomy_error(self, tiny_dataset):
         def exploding(_resources):
@@ -338,52 +369,33 @@ class TestFitJobs:
             factories={"boom": exploding},
         )
         with service:
-            job = service.start_fit("boom")
-            final = service.jobs.wait(job.job_id, timeout=10.0)
-            assert final.status == "failed"
-            assert final.error["code"] == "internal"
-            assert "factory exploded" in final.error["message"]
+            result = apiv1.ApiV1(service).dispatch("POST", "/v1/fits", {"method": "boom"})
+            assert result.status == 500
+            assert result.error["code"] == "internal"
+            assert "factory exploded" in result.error["message"]
 
     def test_pinned_fit_survives_eviction_pressure(self, tiny_dataset):
         service, created = make_service(tiny_dataset)
         with service:
-            job = service.start_fit("stub", pin=True)
-            service.jobs.wait(job.job_id, timeout=10.0)
+            assert service.fit("stub", pin=True)["outcome"] == "fitted"
             assert "stub" in service.stats()["registry"]["pinned"]
+            service.registry.register("other", lambda _res: CountingExpander())
+            service.registry.capacity = 1
+            service.registry.register("third", lambda _res: CountingExpander())
+            service.registry.get("other")
+            service.registry.get("third")
+            # two unpinned methods contend for the one LRU slot; the pinned
+            # fit is exempt from eviction.
+            assert service.stats()["registry"]["evictions"] == 1
+            assert service.registry.is_fitted("stub")
+            assert service.fit("stub")["outcome"] == "already_fitted"
+            assert len(created) == 1
 
-    def test_jobs_listing_is_most_recent_first(self, tiny_dataset):
-        service, _ = make_service(tiny_dataset)
-        with service:
-            dispatcher = apiv1.ApiV1(service)
-            job = service.start_fit("stub")
-            service.jobs.wait(job.job_id, timeout=10.0)
-            listing = dispatcher.dispatch("GET", "/v1/fits")
-            assert listing.status == 200
-            assert listing.data["count"] == 1
-            assert listing.data["jobs"][0]["job_id"] == job.job_id
-
-    def test_shutdown_fails_queued_jobs(self, tiny_dataset):
-        service, _ = make_service(tiny_dataset, fit_delay=0.3)
-        running = service.start_fit("stub")
+    def test_fit_after_shutdown_is_unavailable(self, tiny_dataset):
+        service, created = make_service(tiny_dataset)
         service.close()
-        job = service.jobs.get(running.job_id)
-        # either it finished before shutdown joined, or it was failed as queued
-        assert job.status in ("succeeded", "failed", "running")
-        with pytest.raises(ServiceUnavailableError):
-            service.start_fit("stub")
-
-
-class TestJobManagerHistory:
-    def test_history_is_bounded_to_finished_jobs(self, tiny_dataset):
-        service, _ = make_service(tiny_dataset)
-        with service:
-            manager = JobManager(service.registry, history_limit=3)
-            job_ids = []
-            for _ in range(6):
-                job = manager.submit("stub")
-                manager.wait(job.job_id, timeout=10.0)
-                job_ids.append(job.job_id)
-            assert len(manager.list()) <= 4  # limit + the in-flight slot
-            with pytest.raises(JobNotFoundError):
-                manager.get(job_ids[0])
-            manager.shutdown()
+        result = apiv1.ApiV1(service).dispatch("POST", "/v1/fits", {"method": "stub"})
+        assert result.status == 503
+        assert result.error["code"] == "unavailable"
+        assert result.error["retryable"] is True
+        assert created == []

@@ -54,6 +54,32 @@ class TestParser:
         assert args.offset == 0
         assert args.limit is None
 
+    def test_query_takes_only_the_flags_it_uses(self, capsys):
+        """In-process ``query`` answers one request and exits, and ``--url``
+        mode ignores every service flag: of those, only ``--store`` is left."""
+        for flag, value in (
+            ("--keyfile", "/tmp/keys.json"),
+            ("--default-quota", "5"),
+            ("--admission-max-concurrent", "2"),
+            ("--admission-queue-depth", "4"),
+            ("--admission-timeout", "1"),
+            ("--trace-sample-rate", "1.0"),
+            ("--trace-buffer-size", "8"),
+            ("--trace-sample-seed", "3"),
+            ("--usage-metering", None),
+            ("--slow-query-ms", "25"),
+            ("--cache-capacity", "16"),
+            ("--cache-ttl", "5"),
+        ):
+            argv = ["query", flag] if value is None else ["query", flag, value]
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        args = build_parser().parse_args(["query", "--store", "./artifacts"])
+        assert args.store == "./artifacts"
+        assert build_parser().parse_args(["query"]).store is None
+
     def test_serve_access_log_flag(self):
         args = build_parser().parse_args(["serve", "--profile", "tiny", "--access-log"])
         assert args.access_log is True
@@ -62,8 +88,9 @@ class TestParser:
     def test_serve_telemetry_export_arguments(self, capsys):
         """No telemetry file flags remain: slow-query lines go to stderr and
         usage totals to /v1/stats, so each former file flag is a usage error
-        on every subcommand that takes the service flags."""
-        for command in (["serve"], ["cluster", "serve"], ["query"]):
+        on every subcommand that takes the service flags (``query`` takes
+        none of them but ``--store``)."""
+        for command in (["serve"], ["cluster", "serve"]):
             for flag, value in (
                 ("--usage-ledger", "/tmp/usage.jsonl"),
                 ("--usage-rollup-interval-seconds", "1"),
@@ -172,11 +199,14 @@ class TestCommands:
             ["build-dataset", "--profile", "tiny", "--seed", "7", "--output", str(dataset_dir)]
         ) == 0
         json_path = tmp_path / "response.json"
+        store_dir = tmp_path / "store"
         code = main(
             [
                 "query",
                 "--dataset",
                 str(dataset_dir),
+                "--store",
+                str(store_dir),
                 "--method",
                 "setexpan",
                 "--top-k",
@@ -186,6 +216,10 @@ class TestCommands:
             ]
         )
         assert code == 0
+        # --store reaches the in-process service: the fit was published.
+        from repro.store import ArtifactStore
+
+        assert [info.method for info in ArtifactStore(store_dir).ls()] == ["setexpan"]
         output = capsys.readouterr().out
         assert "setexpan on" in output
         payload = json.loads(json_path.read_text())

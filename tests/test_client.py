@@ -21,8 +21,6 @@ from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.exceptions import (
     DatasetError,
-    JobConflictError,
-    JobError,
     ServiceError,
     TransportError,
     UnknownMethodError,
@@ -58,8 +56,8 @@ def service(tiny_dataset):
         factories={
             "stub": lambda _resources: StubExpander(),
             "slowstub": lambda _resources: SlowFitExpander(),
-            # reserved for the conflict test: never fitted elsewhere, so its
-            # first fit job reliably outlives the conflicting submission.
+            # reserved for the concurrent-fit test: never fitted elsewhere,
+            # so its first fit reliably outlives the second caller's arrival.
             "slowstub2": lambda _resources: SlowFitExpander(),
         },
     )
@@ -166,25 +164,34 @@ class TestClientSurface:
         assert isinstance(results[1], UnknownMethodError)
 
     def test_fit_workflow_round_trip(self, client):
-        job = client.start_fit("slowstub")
-        assert job["status"] in ("queued", "running")
-        final = client.wait_for_fit(job["job_id"], timeout=30.0)
-        assert final["status"] == "succeeded"
-        assert final["outcome"] in ("fitted", "already_fitted")
-        assert any(j["job_id"] == job["job_id"] for j in client.fit_jobs())
+        # the service is shared by both transports: whichever runs first fits.
+        first = client.fit("slowstub")
+        assert first["method"] == "slowstub"
+        assert first["outcome"] in ("fitted", "already_fitted")
+        assert first["seconds"] >= 0.0
         # a second fit of a fitted method completes as a no-op
-        job2 = client.start_fit("slowstub")
-        assert client.wait_for_fit(job2["job_id"])["outcome"] == "already_fitted"
+        assert client.fit("slowstub", pin=True)["outcome"] == "already_fitted"
+        assert "slowstub" in client.stats()["registry"]["pinned"]
 
-    def test_conflicting_fits_raise_job_conflict(self, http_client, inproc_client):
-        # slowstub2 is fitted nowhere else, so its first job (0.2 s fit) is
-        # still active when the conflicting submission arrives.
-        first = inproc_client.start_fit("slowstub2")
-        try:
-            with pytest.raises(JobConflictError):
-                http_client.start_fit("slowstub2")
-        finally:
-            inproc_client.wait_for_fit(first["job_id"], timeout=30.0)
+    def test_concurrent_fits_share_one_fit(self, http_client, inproc_client):
+        # slowstub2 (a 0.2 s fit) is fitted nowhere else.  Whichever
+        # transport takes the per-method lock first fits; the other waits for
+        # it (or arrives after it) and pays nothing.
+        fits_before = inproc_client.stats()["registry"]["fits"]
+        results = {}
+        threads = [
+            threading.Thread(
+                target=lambda name=name, c=c: results.update({name: c.fit("slowstub2")})
+            )
+            for name, c in (("inproc", inproc_client), ("http", http_client))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        outcomes = sorted(result["outcome"] for result in results.values())
+        assert outcomes == ["already_fitted", "fitted"]
+        assert inproc_client.stats()["registry"]["fits"] == fits_before + 1
 
 
 class TestHttpErrorMapping:
@@ -201,12 +208,13 @@ class TestHttpErrorMapping:
         with pytest.raises(DatasetError):
             http_client.expand("stub", query_id="no-such-query")
 
-    def test_409_maps_to_job_conflict(self):
+    def test_unknown_error_code_maps_to_service_error(self):
         script = _FlakyScript([(409, _error_body("conflict", retryable=False))])
         transport, shutdown = script.start()
         try:
-            with pytest.raises(JobConflictError):
-                ExpansionClient(transport).start_fit("stub")
+            with pytest.raises(ServiceError) as exc:
+                ExpansionClient(transport).fit("stub")
+            assert type(exc.value) is ServiceError
             assert transport.attempts == 1
         finally:
             shutdown()
@@ -326,7 +334,7 @@ class TestHttpRetries:
 
     def test_post_is_not_replayed_after_connection_failure(self):
         """A POST that may have reached the server must not be re-sent blindly
-        (re-POSTing /v1/fits would duplicate the job and surface a 409)."""
+        (it may still be running there)."""
         transport = HttpTransport(
             "http://127.0.0.1:9",
             timeout=0.2,
@@ -418,66 +426,3 @@ class TestKeepAlive:
             assert transport.request("GET", "/v1/healthz")[0] == 200
         finally:
             transport.close()
-
-
-class TestFitCancellation:
-    """Satellite: DELETE /v1/fits/<id> for queued jobs, 409 otherwise."""
-
-    @pytest.fixture()
-    def cancel_client(self, tiny_dataset):
-        service = ExpansionService(
-            tiny_dataset,
-            config=ServiceConfig(port=0),
-            factories={
-                "slowx": lambda _resources: SlowFitExpander(),
-                "slowy": lambda _resources: SlowFitExpander(),
-            },
-        )
-        client = ExpansionClient.in_process(service)
-        yield client
-        service.close()
-
-    def test_cancel_queued_job(self, cancel_client):
-        running = cancel_client.start_fit("slowx")  # occupies the single worker
-        queued = cancel_client.start_fit("slowy")
-        cancelled = cancel_client.cancel_fit(queued["job_id"])
-        assert cancelled["status"] == "cancelled"
-        assert cancelled["finished_at"] is not None
-        assert cancel_client.fit_status(queued["job_id"])["status"] == "cancelled"
-        with pytest.raises(JobError):
-            cancel_client.wait_for_fit(queued["job_id"], timeout=5.0)
-        # the method slot is free again immediately after cancellation
-        resubmitted = cancel_client.start_fit("slowy")
-        assert resubmitted["job_id"] != queued["job_id"]
-        cancel_client.wait_for_fit(running["job_id"], timeout=30.0)
-        cancel_client.wait_for_fit(resubmitted["job_id"], timeout=30.0)
-
-    def test_cancel_running_or_finished_job_conflicts(self, cancel_client):
-        job = cancel_client.start_fit("slowx")
-        # the job leaves "queued" almost immediately (single worker, empty
-        # queue); poll until it does, then cancellation must conflict.
-        deadline = time.monotonic() + 10.0
-        while (
-            cancel_client.fit_status(job["job_id"])["status"] == "queued"
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        with pytest.raises(JobConflictError) as exc:
-            cancel_client.cancel_fit(job["job_id"])
-        assert exc.value.details["job_id"] == job["job_id"]
-        final = cancel_client.wait_for_fit(job["job_id"], timeout=30.0)
-        assert final["status"] == "succeeded"
-        with pytest.raises(JobConflictError):
-            cancel_client.cancel_fit(job["job_id"])
-
-    def test_cancel_unknown_job_is_not_found(self, cancel_client):
-        from repro.exceptions import JobNotFoundError
-
-        with pytest.raises(JobNotFoundError):
-            cancel_client.cancel_fit("fit-nope")
-
-    def test_cancel_over_http_maps_the_same_errors(self, http_client):
-        from repro.exceptions import JobNotFoundError
-
-        with pytest.raises(JobNotFoundError):
-            http_client.cancel_fit("fit-nope")

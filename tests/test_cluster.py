@@ -38,7 +38,7 @@ from repro.cluster import (
 )
 from repro.config import EncoderConfig, ServiceConfig
 from repro.core.base import Expander
-from repro.exceptions import JobConflictError, ServiceError
+from repro.exceptions import ServiceError
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.serve import ExpansionHTTPServer, ExpansionService
 from repro.serve.registry import ExpanderRegistry
@@ -62,7 +62,8 @@ pytestmark = pytest.mark.usefixtures("no_leaks")
 #: enough method names that a 2-worker ring deterministically owns some on
 #: each shard (the assignment is a pure function of ids + fingerprint).
 STUB_METHODS = tuple(f"stub{letter}" for letter in "abcdef")
-SLOW_METHODS = tuple(f"slow{letter}" for letter in "abcdef")
+#: a method whose fit takes 0.4 s, for the synchronous ``POST /v1/fits``.
+SLOW_METHOD = "slowa"
 
 
 class ShardStubExpander(Expander):
@@ -91,12 +92,7 @@ def stub_factories():
         method: (lambda _res, m=method: ShardStubExpander(m))
         for method in STUB_METHODS
     }
-    factories.update(
-        {
-            method: (lambda _res, m=method: SlowFitStub(m))
-            for method in SLOW_METHODS
-        }
-    )
+    factories[SLOW_METHOD] = lambda _res: SlowFitStub(SLOW_METHOD)
     return factories
 
 
@@ -591,34 +587,49 @@ class TestGatewayRouting:
         assert set(stats["workers"]) == {"worker-0", "worker-1"}
         assert stats["gateway"]["proxied"] >= 1
 
-    def test_fit_jobs_route_and_resolve_across_the_fleet(self, cluster):
-        gateway, _servers = cluster
-        with ExpansionClient.connect(gateway.url) as client:
-            job = client.start_fit(SLOW_METHODS[0])
-            final = client.wait_for_fit(job["job_id"], timeout=30.0)
-            assert final["status"] == "succeeded"
-            merged = client.fit_jobs()
-            mine = [j for j in merged if j["job_id"] == job["job_id"]]
-            assert mine and mine[0]["worker_id"] == gateway.owner(SLOW_METHODS[0])
+    def test_fit_routes_to_the_owning_worker(self, cluster, tiny_dataset):
+        """``POST /v1/fits`` blocks until the owner holds the method; the
+        expand that follows lands on the same worker and pays no fit."""
+        gateway, servers = cluster
+        method = SLOW_METHOD
+        owner = gateway.owner(method)
+        registry = servers[int(owner.split("-")[1])].service.registry
+        status, payload, headers = gateway_post(gateway, "/v1/fits", {"method": method})
+        assert status == 200
+        assert headers[WORKER_HEADER] == owner
+        assert payload["data"]["method"] == method
+        assert payload["data"]["outcome"] == "fitted"
+        assert payload["data"]["seconds"] >= 0.4
+        assert registry.is_fitted(method)
+        fits = registry.stats()["fits"]
+        status, _payload, headers = gateway_post(
+            gateway,
+            "/v1/expand",
+            {"method": method, "query_id": tiny_dataset.queries[0].query_id},
+        )
+        assert status == 200 and headers[WORKER_HEADER] == owner
+        assert registry.stats()["fits"] == fits
+        status, payload, _ = gateway_post(gateway, "/v1/fits", {"method": method})
+        assert status == 200 and payload["data"]["outcome"] == "already_fitted"
 
-    def test_cancel_through_the_gateway(self, cluster):
-        """DELETE /v1/fits/<id> routes like GET: cancel a queued job on the
-        owning worker; cancelling it again (now terminal) conflicts."""
-        gateway, _servers = cluster
-        by_owner: dict[str, list[str]] = {}
-        for method in SLOW_METHODS[1:]:  # [0] was fitted by an earlier test
-            by_owner.setdefault(gateway.owner(method), []).append(method)
-        same_shard = max(by_owner.values(), key=len)  # pigeonhole: >= 2 of 5
-        assert len(same_shard) >= 2, "need two methods on one shard"
-        running_method, queued_method = same_shard[:2]
-        with ExpansionClient.connect(gateway.url) as client:
-            running = client.start_fit(running_method)
-            queued = client.start_fit(queued_method)
-            cancelled = client.cancel_fit(queued["job_id"])
-            assert cancelled["status"] == "cancelled"
-            with pytest.raises(JobConflictError):
-                client.cancel_fit(queued["job_id"])
-            client.wait_for_fit(running["job_id"], timeout=30.0)
+    def test_fit_job_routes_are_404_on_gateway_and_workers(self, cluster):
+        """The fit-job routes are gone: the gateway and every worker answer
+        an enveloped 404 for them."""
+        gateway, servers = cluster
+        for base_url in (gateway.url, *(server.url for server in servers)):
+            for verb, path in (
+                ("GET", "/v1/fits"),
+                ("GET", "/v1/fits/fit-1-abc123"),
+                ("DELETE", "/v1/fits/fit-1-abc123"),
+            ):
+                request = urllib.request.Request(base_url + path, method=verb)
+                with pytest.raises(urllib.error.HTTPError) as error:
+                    urllib.request.urlopen(request, timeout=10)
+                assert error.value.code == 404, (base_url, verb, path)
+                body = json.loads(error.value.read())
+                assert body["api_version"] == "v1"
+                assert body["error"]["code"] == "not_found"
+                assert body["error"]["details"] == {"path": path}
 
 
 class TestGatewayFailover:

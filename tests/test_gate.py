@@ -310,25 +310,31 @@ class TestAdmission:
         assert stats["active"] == 0
         assert stats["admitted"] == {"interactive": 2, "batch": 1}
 
-    def test_unsheddable_callers_wait_out_the_queue(self):
-        controller = AdmissionController(
-            max_concurrent=1, queue_depth=0, timeout_seconds=0.01
+    def test_fits_admit_and_shed_like_batch_items(self, tiny_dataset):
+        """``POST /v1/fits`` holds one batch-lane slot while it runs, and a
+        full queue sheds it with the retryable overload error."""
+        service = ExpansionService(
+            tiny_dataset,
+            config=ServiceConfig(
+                admission_max_concurrent=1,
+                admission_queue_depth=0,
+                admission_timeout_seconds=0.01,
+            ),
+            factories={"stub": lambda _resources: StubExpander()},
         )
-        controller.acquire("batch")
-        done = threading.Event()
-
-        def fit_job():
-            # queue_depth=0 would shed instantly; shed=False holds its place.
-            with controller.admit("batch", shed=False):
-                done.set()
-
-        thread = threading.Thread(target=fit_job)
-        thread.start()
-        wait_until(lambda: controller.stats()["waiting"]["batch"] == 1)
-        assert not done.is_set()
-        controller.release()
-        thread.join(timeout=5.0)
-        assert done.is_set()
+        with service:
+            controller = service.admission
+            controller.acquire("interactive")  # the one slot is taken
+            with pytest.raises(OverloadedError) as shed:
+                service.fit("stub")
+            assert shed.value.details["lane"] == "batch"
+            assert not service.registry.is_fitted("stub")
+            controller.release()
+            assert service.fit("stub")["outcome"] == "fitted"
+            stats = controller.stats()
+        assert stats["shed"]["batch"] == 1
+        assert stats["admitted"]["batch"] == 1
+        assert stats["active"] == 0
 
     def test_unknown_lane_is_rejected(self):
         controller = AdmissionController(max_concurrent=1)

@@ -251,7 +251,7 @@ class TestNoisyNeighbor:
         assert gate["throttled"]["noisy"] >= 1
 
         # `cluster top` renders one row per tenant: TENANT REQS THROTTLED.
-        frame = render_top(body["data"], [])
+        frame = render_top(body["data"])
         rows = {
             fields[0]: (int(fields[1]), int(fields[2]))
             for fields in (line.split() for line in frame.splitlines())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 import urllib.error
 import urllib.request
 
@@ -50,17 +49,11 @@ class DashStubExpander(Expander):
         return ExpansionResult.from_scores(query.query_id, scored)
 
 
-class SlowFitStub(DashStubExpander):
-    def _fit(self, dataset):
-        time.sleep(0.5)
-
-
 def make_worker(dataset, **config_kwargs) -> ExpansionHTTPServer:
     factories = {
         method: (lambda _res, m=method: DashStubExpander(m))
         for method in STUB_METHODS
     }
-    factories["slowfit"] = lambda _res: SlowFitStub("slowfit")
     service = ExpansionService(
         dataset,
         config=ServiceConfig(port=0, **config_kwargs),
@@ -129,7 +122,7 @@ class TestDashboard:
 
         with ExpansionClient.connect(gateway.url) as client:
             stats = client.stats()
-            frame = render_top(stats, client.fit_jobs())
+            frame = render_top(stats)
         assert stats["cluster"]["requests"] >= 4
         assert set(stats["workers"]) == {"worker-0", "worker-1"}
         fitted_somewhere = [
@@ -146,32 +139,10 @@ class TestDashboard:
         servers[1].shutdown()
         with ExpansionClient.connect(gateway.url) as client:
             stats = client.stats()
-            frame = render_top(stats, client.fit_jobs())
+            frame = render_top(stats)
         assert stats["workers"]["worker-1"] == {"unreachable": True}
         assert "fleet DEGRADED (1/2 workers healthy)" in frame
         assert "worker-1" in frame and "DOWN" in frame
-
-    def test_dashboard_surfaces_live_fit_phases(self, fleet):
-        gateway, _servers = fleet
-        status, envelope, _ = http_post(
-            gateway.url + "/v1/fits", {"method": "slowfit"}
-        )
-        assert status == 202
-        deadline = time.monotonic() + 5.0
-        seen = None
-        with ExpansionClient.connect(gateway.url) as client:
-            while time.monotonic() < deadline:
-                jobs = client.fit_jobs()
-                if any(job["status"] in ("queued", "running") for job in jobs):
-                    seen = jobs
-                    frame = render_top(client.stats(), jobs)
-                    break
-                time.sleep(0.02)
-        assert seen, "the running fit never appeared on /v1/fits"
-        assert seen[0]["method"] == "slowfit"
-        assert seen[0]["worker_id"] == gateway.owner("slowfit")
-        assert "progress" in seen[0]
-        assert "slowfit:" in frame
 
     def test_dashboard_route_is_gone(self, fleet):
         gateway, _servers = fleet
@@ -263,30 +234,17 @@ class TestRenderTop:
             "worker-2": {"unreachable": True},
         },
     }
-    JOBS = [
-        {
-            "method": "probexpan", "status": "running", "phase": "training",
-            "progress": {"fraction": 0.42, "epoch": 3, "total_epochs": 8},
-            "worker_id": "worker-1",
-        },
-        {"method": "case", "status": "queued", "phase": None, "progress": None,
-         "worker_id": "worker-1"},
-        {"method": "cgexpan", "status": "succeeded", "phase": "done",
-         "progress": {"fraction": 1.0}, "worker_id": "worker-0"},
-        {"method": "setexpan", "status": "running", "phase": "restoring",
-         "progress": None, "worker_id": "worker-2"},
-    ]
     FRAME = """\
 repro cluster top — fleet DEGRADED (2/3 workers healthy)
 cluster: requests=40 errors=1 cache_hit=75% p50=2.1ms p90=5.0ms p99=5.0ms
 ann: queries=10 probes/q=2.5 shortlist/q=120
 gateway: proxied=47 failovers=1 backend_errors=2 sidelined=1 cache_hit=25%
 
-WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED                     FIT JOBS
--------------------------------------------------------------------------------------------------------
-worker-0     up          25      1    80%     1.5ms     4.9ms     3 retexpan,genexpan,setexpan -
-worker-1     up          15      0    67%    90.0ms     1.20s     0 -                          probexpan:training [====------] 42% (ep 3/8) case:queued
-worker-2     DOWN         -      -      -         -         -     - -                          -
+WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED
+--------------------------------------------------------------------------
+worker-0     up          25      1    80%     1.5ms     4.9ms     3 retexpan,genexpan,setexpan
+worker-1     up          15      0    67%    90.0ms     1.20s     0 -
+worker-2     DOWN         -      -      -         -         -     - -
 
 TENANT                       REQS  THROTTLED    COST(s)
 -------------------------------------------------------
@@ -295,11 +253,11 @@ beta                           12          4      0.042
 mallory                         0          9          -"""
 
     def test_golden_frame(self):
-        assert render_top(self.STATS, self.JOBS) == self.FRAME
+        assert render_top(self.STATS) == self.FRAME
 
     def test_open_fleet_rows_come_from_usage(self):
         stats = {key: value for key, value in self.STATS.items() if key != "gate"}
-        frame = render_top(stats, [])
+        frame = render_top(stats)
         tenants = frame.split("\n\n")[-1].splitlines()
         assert tenants[2:] == [
             "acme                           20          0      1.252",

@@ -89,7 +89,7 @@ class TestEndpoints:
     def test_stats_shape(self, server):
         status, payload = get(server, "/v1/stats")
         assert status == 200
-        assert set(payload["data"]) == {"service", "cache", "registry", "jobs"}
+        assert set(payload["data"]) == {"service", "cache", "registry"}
         assert payload["data"]["service"]["requests"] >= 1
 
     def test_concurrent_http_clients(self, server, tiny_dataset):
@@ -245,11 +245,11 @@ class TestV1Endpoints:
         assert row["state_version"] == 1
         assert row["store_artifact"] is None  # no store attached
 
-    def test_v1_stats_include_job_counters(self, server):
+    def test_v1_stats_carry_no_job_counters(self, server):
         status, payload = get(server, "/v1/stats")
         assert status == 200
-        assert {"service", "cache", "registry", "jobs"} <= set(payload["data"])
-        assert payload["data"]["jobs"]["submitted"] >= 0
+        assert {"service", "cache", "registry"} <= set(payload["data"])
+        assert "jobs" not in payload["data"]
 
     def test_post_to_unknown_or_get_only_v1_route_is_404_even_without_a_body(
         self, server
@@ -281,7 +281,8 @@ class TestV1Endpoints:
 
 
 def test_access_log_emits_structured_lines(tiny_dataset, caplog):
-    """Satellite: per-request JSON access logging behind ServiceConfig.access_log."""
+    """Per-request JSON access logging behind ServiceConfig.access_log;
+    health probes stay out of it."""
     service = ExpansionService(
         tiny_dataset,
         config=ServiceConfig(port=0, access_log=True),
@@ -298,16 +299,14 @@ def test_access_log_emits_structured_lines(tiny_dataset, caplog):
             )
     lines = [json.loads(record.getMessage()) for record in caplog.records
              if record.name == "repro.serve.access"]
-    assert len(lines) == 2
-    health, expand = lines
-    for line in lines:
-        assert set(line) == {
-            "request_id", "method", "route", "status", "latency_ms", "cached",
-        }
-        assert line["request_id"].startswith("req-")
-        assert line["status"] == 200
-        assert line["latency_ms"] >= 0.0
-    assert health["route"] == "/v1/healthz"
+    assert len(lines) == 1
+    (expand,) = lines
+    assert set(expand) == {
+        "request_id", "method", "route", "status", "latency_ms", "cached",
+    }
+    assert expand["request_id"].startswith("req-")
+    assert expand["status"] == 200
+    assert expand["latency_ms"] >= 0.0
     assert expand["route"] == "/v1/expand"
     assert expand["method"] == "POST"
     assert expand["cached"] is False

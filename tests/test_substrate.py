@@ -5,8 +5,8 @@ provider's fit-once/restore/write-through behaviour, content-addressed
 substrate artifacts in the store with method-manifest back-references,
 reference-aware GC (the regression satellite: GC never deletes a substrate a
 surviving method manifest references, and never strands an orphan), the
-fit-once acceptance criterion for embeddings-backed methods, and the
-per-phase fit-job progress satellite.
+fit-once acceptance criterion for embeddings-backed methods, and the trace
+spans a cold fit records phase by phase.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.exceptions import (
 from repro.lm.causal_lm import CausalEntityLM
 from repro.lm.context_encoder import ContextEncoder
 from repro.lm.embeddings import CooccurrenceEmbeddings
+from repro.obs import Trace, activate
 from repro.serve import ExpanderRegistry
 from repro.store import ArtifactStore
 from repro.substrate import (
@@ -340,38 +341,27 @@ class TestFitOnceAcceptance:
         assert sorted(label.split("/")[0] for label in references) == ["case", "cgexpan"]
 
 
-class TestFitJobPhases:
-    """Satellite: per-phase fit progress through the registry and job API."""
+class TestColdFitSpans:
+    """A cold fit's phases are trace spans; a restore records no fit span."""
 
-    def test_registry_reports_phases_in_order(self, tiny_dataset, tmp_path):
-        phases = []
-        registry = ExpanderRegistry(
-            tiny_dataset, store=ArtifactStore(tmp_path)
-        )
-        registry.get("cgexpan", progress=phases.append)
-        assert phases == ["restoring", "fitting_substrates", "training", "publishing"]
-        # A registry hit reports nothing.
-        registry.get("cgexpan", progress=phases.append)
-        assert phases == ["restoring", "fitting_substrates", "training", "publishing"]
+    PHASES = ("store_restore", "fit_substrates", "substrate_fit", "train", "publish")
 
-    def test_restore_path_stops_at_restoring(self, tiny_dataset, tmp_path):
+    def _span_names(self, registry, method: str) -> list[str]:
+        trace = Trace()
+        with activate(trace):
+            registry.get(method)
+        return [entry["name"] for entry in trace.to_list()]
+
+    def test_cold_fit_spans_in_start_order(self, tiny_dataset, tmp_path):
+        registry = ExpanderRegistry(tiny_dataset, store=ArtifactStore(tmp_path))
+        names = self._span_names(registry, "cgexpan")
+        assert [name for name in names if name in self.PHASES] == list(self.PHASES)
+        # A registry hit records no phase at all.
+        assert not set(self._span_names(registry, "cgexpan")) & set(self.PHASES)
+
+    def test_restore_records_no_fit_spans(self, tiny_dataset, tmp_path):
         store = ArtifactStore(tmp_path)
         ExpanderRegistry(tiny_dataset, store=store).get("cgexpan")
-        phases = []
-        fresh = ExpanderRegistry(tiny_dataset, store=store)
-        fresh.get("cgexpan", progress=phases.append)
-        assert phases == ["restoring"]
-
-    def test_fit_job_surfaces_phase(self, tiny_dataset):
-        from repro.serve import ExpansionService
-
-        with ExpansionService(tiny_dataset) as service:
-            job = service.start_fit("setexpan")
-            # The background worker may already be running: the phase is
-            # either still unset (queued) or one of the known phases.
-            assert job.phase in (None, "restoring", "training", "publishing")
-            finished = service.jobs.wait(job.job_id, timeout=120.0)
-            assert finished.status == "succeeded"
-            # SetExpan has no substrates: the last phase is the write-through.
-            assert finished.phase == "publishing"
-            assert finished.to_dict()["phase"] == "publishing"
+        names = self._span_names(ExpanderRegistry(tiny_dataset, store=store), "cgexpan")
+        assert "store_restore" in names
+        assert "fit_substrates" not in names and "train" not in names

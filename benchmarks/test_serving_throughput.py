@@ -159,22 +159,53 @@ def _measure_overhead(baseline, instrumented, request, repeats, rounds):
     return min(baseline_times), min(instrumented_times)
 
 
+def _repro_calls(function, *args):
+    """``function(*args)`` on this thread, as (Python ``call`` events into
+    repro code meanwhile, its result).  Only repro frames count: the socket
+    read under a request body is sometimes buffered and sometimes not, and
+    the stdlib differs across Python versions, while the repro call path of
+    a cached request is fixed."""
+    package = str(Path(repro.__file__).parent)
+    calls = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls[0], result
+
+
+#: Python calls into repro code that one cached in-process ``submit`` makes
+#: with metrics on beyond one with metrics off.  Measured 2: the trace
+#: collector's sampling coin flip and the request-id read of the latency
+#: histogram's exemplar.  The disabled registry's null instruments take the
+#: same calls as live ones, so what is counted is the work live metrics
+#: add: one more ``observe`` on the latency histogram per request reads 3.
+METRICS_CALL_CEILING = 2
+
+
 def test_metrics_overhead_guard(context):
-    """The repro.obs instrumentation tax on the cached hot path stays within
-    5% of a metrics-disabled service.
+    """The repro.obs instrumentation tax on the cached hot path, pinned as
+    work: a cached ``submit`` with metrics on may make at most
+    ``METRICS_CALL_CEILING`` Python calls into repro code beyond one with
+    metrics off.
 
     The instrumented service runs its production configuration — including
     exemplar capture on the request-latency histogram AND a trace collector
-    with sampling off — so the budget covers the per-request contextvar
+    with sampling off — so the count covers the per-request contextvar
     read the exemplars add plus the head-sampling coin flip: a worker with
     tracing wired up but the sampler turned down must serve cache hits at
     effectively untraced speed.
 
-    Both services run the same stub method.  Up to three measurement
-    attempts: noise only ever inflates the instrumented/baseline ratio, so
-    one attempt inside the budget is proof the code is inside the budget,
-    while a genuine regression (added microseconds on every request) fails
-    all three.
+    Both services run the same stub method.  A few microseconds of
+    instrumentation on a ~30 us request is within the noise of a wall-clock
+    ratio, so the count decides; a same-run timing is still printed and
+    must stay below 2x.
     """
     def make_service(metrics_enabled: bool) -> ExpansionService:
         service = ExpansionService(
@@ -198,36 +229,31 @@ def test_metrics_overhead_guard(context):
         query_id=context.dataset.queries[0].query_id,
         options=ExpandOptions(top_k=20),
     )
-    repeats, rounds, attempts = 100, 30, 3
+    repeats, rounds, counted = 100, 30, 20
     baseline = make_service(metrics_enabled=False)
     instrumented = make_service(metrics_enabled=True)
     with baseline, instrumented:
         for service in (baseline, instrumented):  # prime cache + warm the path
             _cached_pass_seconds(service, request, 50)
-        overheads = []
-        for attempt in range(attempts):
-            baseline_best, instrumented_best = _measure_overhead(
-                baseline, instrumented, request, repeats, rounds
-            )
-            overhead = instrumented_best / baseline_best - 1.0
-            overheads.append(overhead)
-            print(
-                f"\nmetrics overhead on the cached hot path "
-                f"(attempt {attempt + 1}): {overhead * 100.0:+.2f}% "
-                f"(no-op {baseline_best / repeats * 1e6:.1f} us/req, "
-                f"instrumented {instrumented_best / repeats * 1e6:.1f} us/req)"
-            )
-            # 5% relative budget plus ~1us/request of absolute grace: the
-            # guard is after regressions measured in added microseconds per
-            # request, not nanoseconds.
-            if instrumented_best <= baseline_best * 1.05 + repeats * 1.0e-6:
-                break
-        else:
-            raise AssertionError(
-                f"instrumentation overhead exceeded the 5% budget on all "
-                f"{attempts} attempts: "
-                + ", ".join(f"{o * 100.0:+.2f}%" for o in overheads)
-            )
+        off_calls = [_repro_calls(baseline.submit, request)[0] for _ in range(counted)]
+        on_calls = [_repro_calls(instrumented.submit, request)[0] for _ in range(counted)]
+        # a cached request's repro call path is fixed: one count per mode.
+        assert len(set(off_calls)) == 1 and len(set(on_calls)) == 1, (off_calls, on_calls)
+        metrics_calls = on_calls[0] - off_calls[0]
+        baseline_best, instrumented_best = _measure_overhead(
+            baseline, instrumented, request, repeats, rounds
+        )
+        print(
+            f"\nmetrics work on the cached hot path: {metrics_calls} Python calls "
+            f"per request (ceiling {METRICS_CALL_CEILING}; off {off_calls[0]}, "
+            f"on {on_calls[0]}); "
+            f"{(instrumented_best / baseline_best - 1.0) * 100.0:+.2f}% time "
+            f"(no-op {baseline_best / repeats * 1e6:.1f} us/req, "
+            f"instrumented {instrumented_best / repeats * 1e6:.1f} us/req)"
+        )
+        assert metrics_calls <= METRICS_CALL_CEILING
+        # loose same-run sanity: instrumentation never doubles a cached hit.
+        assert instrumented_best < 2.0 * baseline_best
         # only the instrumented service counted anything
         assert instrumented.stats()["cache"]["hits"] >= repeats * rounds
         assert baseline.stats()["cache"]["hits"] == 0
@@ -268,28 +294,15 @@ GATE_CALL_CEILING = 11
 
 
 def _count_respond_calls(server, send, requests: int) -> list[int]:
-    """Per-request Python ``call`` events into repro code on the thread
-    that runs ``respond()``.  Only repro frames count: the socket read
-    under a request body is sometimes buffered and sometimes not, and the
-    stdlib differs across Python versions, while the repro call path of a
-    cached request is fixed."""
-    package = str(Path(repro.__file__).parent)
+    """Per-request :func:`_repro_calls` on the thread that runs
+    ``respond()``."""
     counts: list[int] = []
     respond = server.respond
 
     def counted(request):
-        calls = [0]
-
-        def profile(frame, event, _arg):
-            if event == "call" and frame.f_code.co_filename.startswith(package):
-                calls[0] += 1
-
-        sys.setprofile(profile)
-        try:
-            return respond(request)
-        finally:
-            sys.setprofile(None)
-            counts.append(calls[0])
+        calls, reply = _repro_calls(respond, request)
+        counts.append(calls)
+        return reply
 
     server.respond = counted
     try:

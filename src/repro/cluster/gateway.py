@@ -193,7 +193,8 @@ class ClusterGateway(HttpFront):
             "repro_gateway_failovers_total", "Failover hops to another worker."
         )
         self._backend_errors = self.metrics.counter(
-            "repro_gateway_backend_errors_total", "Worker transport failures."
+            "repro_gateway_backend_errors_total",
+            "Worker transport failures of proxied client requests.",
         )
         self._no_backend = self.metrics.counter(
             "repro_gateway_no_backend_total",
@@ -301,7 +302,9 @@ class ClusterGateway(HttpFront):
         before the listening thread starts."""
         for worker_id in self._ring.nodes:
             try:
-                status, raw, _headers = self._forward(worker_id, "GET", "/v1/stats", None)
+                status, raw, _headers = self._forward(
+                    worker_id, "GET", "/v1/stats", None, proxied=False
+                )
             except _BackendError:
                 continue
             data = self._parse_envelope_data((status, raw)) or {}
@@ -442,12 +445,19 @@ class ClusterGateway(HttpFront):
 
     # -- proxying ----------------------------------------------------------------
     def _forward(
-        self, worker_id: str, verb: str, path: str, body: bytes | None
+        self,
+        worker_id: str,
+        verb: str,
+        path: str,
+        body: bytes | None,
+        proxied: bool = True,
     ) -> tuple[int, bytes, dict[str, str]]:
         """One proxy attempt to one worker over a pooled keep-alive
         connection; raises :class:`_BackendError` when the worker never got
         the request (sidelining it) or :class:`_BackendUnsafe` when it did
-        but no usable response arrived."""
+        but no usable response arrived.  Only a failed ``proxied`` (client)
+        request counts as a backend error; a fleet read (``proxied=False``)
+        just sidelines the worker."""
         headers = {"Accept": "application/json"}
         # Propagate the inbound request id so the worker's access log and
         # envelope carry the same correlation handle as the gateway's.
@@ -491,7 +501,7 @@ class ClusterGateway(HttpFront):
                     # request never reached it — retry on a fresh connection
                     # to the *same* worker before declaring it down.
                     continue
-                self._mark_down(worker_id)
+                self._mark_down(worker_id, counted=proxied)
                 raise _BackendError(
                     f"worker {worker_id!r} unreachable: {exc}"
                 ) from exc
@@ -501,7 +511,7 @@ class ClusterGateway(HttpFront):
                 raw = response.read()
             except (OSError, http.client.HTTPException) as exc:
                 connection.close()
-                self._mark_down(worker_id)
+                self._mark_down(worker_id, counted=proxied)
                 raise _BackendUnsafe(
                     f"worker {worker_id!r} dropped mid-response: {exc}"
                 ) from exc
@@ -599,11 +609,12 @@ class ClusterGateway(HttpFront):
         for connection in idle:
             connection.close()
 
-    def _mark_down(self, worker_id: str) -> None:
+    def _mark_down(self, worker_id: str, counted: bool) -> None:
         # pooled sockets to a worker that just failed are almost certainly
         # dead too; drop them so recovery probes start clean.
         self._flush_connections(worker_id)
-        self._backend_errors.inc()
+        if counted:
+            self._backend_errors.inc()
         with self._lock:
             self._down_until[worker_id] = (
                 time.monotonic() + self.config.failover_cooldown_seconds
@@ -851,13 +862,17 @@ class ClusterGateway(HttpFront):
     def _worker_scatter(
         self, verb: str, path: str
     ) -> dict[str, tuple[int, bytes] | None]:
-        """Call every worker concurrently; ``None`` marks an unreachable one."""
+        """Call every worker concurrently; ``None`` marks an unreachable one.
+        A fleet read is not client traffic: an unreachable worker is
+        sidelined but not counted in ``backend_errors``."""
         request_id = current_request_id()
 
         def run_one(worker_id: str) -> "tuple[int, bytes] | None":
             try:
                 with request_scope(request_id):
-                    status, raw, _headers = self._forward(worker_id, verb, path, None)
+                    status, raw, _headers = self._forward(
+                        worker_id, verb, path, None, proxied=False
+                    )
             except _BackendError:
                 return None
             self._mark_up(worker_id)

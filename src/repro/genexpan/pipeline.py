@@ -69,10 +69,15 @@ class GenExpan(Expander):
             self._reasoner = ChainOfThoughtReasoner(
                 dataset, self._resources.oracle(), mode=self.config.cot_mode
             )
+        prefix_tree = self._resources.prefix_tree()
+        if self.config.use_prefix_constraint:
+            # the decode tables are built here, on the fit and the restore
+            # path alike, so no request pays for them.
+            lm.prepare_decoding(prefix_tree)
         self._generator = IterativeGenerator(
             dataset=dataset,
             lm=lm,
-            prefix_tree=self._resources.prefix_tree(),
+            prefix_tree=prefix_tree,
             concept_matcher=concept_matcher,
             num_iterations=self.config.num_iterations,
             beam_width=self.config.beam_width,

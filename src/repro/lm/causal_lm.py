@@ -27,7 +27,7 @@ from repro.exceptions import ModelError
 from repro.kb.corpus import Corpus
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.retrieval import CandidateMatrix
-from repro.text.prefix_tree import PrefixTree
+from repro.text.prefix_tree import CompiledPrefixTree, PrefixTree
 from repro.text.tokenizer import WordTokenizer
 from repro.types import Entity
 from repro.utils.rng import RandomState
@@ -37,6 +37,14 @@ _EOS = "</s>"
 
 #: joins context tokens into one JSON key; the tokenizer never emits it.
 _CTX_SEPARATOR = "\x1f"
+
+#: a decode step rates a prefix by the best prompt affinity among the first
+#: this many names it can still become.
+_AFFINITY_FANOUT = 20
+
+#: the template of Eq. 8's selection prompt, ``f"{name}{_SIMILAR_SUFFIX}"``;
+#: its tokens never merge with the name's (the space splits them).
+_SIMILAR_SUFFIX = " is similar to"
 
 
 class NGramLanguageModel:
@@ -169,6 +177,89 @@ class NGramLanguageModel:
         return scored[:top_k]
 
 
+class TokenIdNGram:
+    """:class:`NGramLanguageModel`'s counts keyed by integer token ids.
+
+    Per order ``n`` there is a map from context (a tuple of ids) to row, a
+    sorted array of ``row * width + token`` keys with the counts aligned to
+    it, and the per-row totals.  :meth:`probabilities` scores many (context,
+    next token) pairs with a few array operations per order, using
+    :meth:`NGramLanguageModel.probability`'s operands in its order, so every
+    value is bitwise equal to the scalar call.
+    """
+
+    def __init__(self, ngram: NGramLanguageModel):
+        self.order = ngram.order
+        self.smoothing = ngram.smoothing
+        self.vocab_size = max(len(ngram._vocab), 1)
+        self.token_ids = {token: index for index, token in enumerate(sorted(ngram._vocab))}
+        #: the id of every token outside the vocabulary; no count holds it.
+        self.unknown_id = len(self.token_ids)
+        self._width = self.unknown_id + 1
+        token_id = self.token_ids.__getitem__
+        self._rows: list[dict[tuple[int, ...], int]] = []
+        self._keys: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        self._totals: list[np.ndarray] = []
+        for table, table_totals in zip(ngram._counts, ngram._totals):
+            rows: dict[tuple[int, ...], int] = {}
+            entry_rows: list[int] = []
+            entry_tokens: list[int] = []
+            counts: list[int] = []
+            for row, (context, counter) in enumerate(table.items()):
+                rows[tuple(map(token_id, context))] = row
+                entry_rows.extend([row] * len(counter))
+                entry_tokens.extend(map(token_id, counter))
+                counts.extend(counter.values())
+            keys = np.array(entry_rows, dtype=np.int64) * self._width + entry_tokens
+            by_key = np.argsort(keys, kind="stable")
+            # the trailing key exceeds every real one, so a lookup's slot is
+            # always in range; an unseen context (row -1) reads the
+            # trailing total.
+            self._rows.append(rows)
+            self._keys.append(np.append(keys[by_key], np.iinfo(np.int64).max))
+            self._counts.append(np.append(np.array(counts, dtype=np.int64)[by_key], 0))
+            self._totals.append(
+                np.array([table_totals[context] for context in table] + [0], dtype=np.int64)
+            )
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        unknown = self.unknown_id
+        return [self.token_ids.get(token, unknown) for token in tokens]
+
+    def probabilities(
+        self,
+        contexts: Sequence[tuple[int, ...]],
+        context_of: np.ndarray,
+        tokens: np.ndarray,
+    ) -> np.ndarray:
+        """The interpolated probability of ``tokens[i]`` after
+        ``contexts[context_of[i]]``, for every ``i``.
+
+        A context must keep at least the last ``order - 1`` ids of the full
+        context (all of it when it is shorter).  As in the scalar path, a
+        context shorter than ``n`` tokens matches no order-``n`` row, so that
+        order scores ``1 / V``; an unseen token has count 0.
+        """
+        smoothing, vocab_size = self.smoothing, self.vocab_size
+        probability = np.zeros(len(tokens))
+        weight_total = 0.0
+        for n in range(self.order):
+            rows_of = self._rows[n]
+            row = np.array(
+                [rows_of.get(ctx[len(ctx) - n :], -1) if len(ctx) >= n else -1 for ctx in contexts],
+                dtype=np.int64,
+            )[context_of]
+            key = row * self._width + tokens
+            slot = np.searchsorted(self._keys[n], key)
+            count = np.where(self._keys[n][slot] == key, self._counts[n][slot], 0)
+            seen = (count + smoothing) / (self._totals[n][row] + smoothing * vocab_size)
+            weight = float(n + 1)  # higher orders weigh more
+            probability += weight * np.where(row >= 0, seen, 1.0 / vocab_size)
+            weight_total += weight
+        return probability / weight_total
+
+
 class CausalEntityLM:
     """Entity-aware causal LM used by GenExpan."""
 
@@ -183,9 +274,18 @@ class CausalEntityLM:
         self._embeddings: CooccurrenceEmbeddings | None = None
         self._entities_by_id: dict[int, Entity] = {}
         self._name_tokens: dict[int, frozenset[str]] = {}
-        self._name_to_id: dict[str, int] = {}
-        #: the LM's embedded entities stacked once, for prompt affinities.
+        #: position of each entity (and of each name) in the
+        #: :meth:`prompt_affinities` vector.
+        self._entity_ids: list[int] = []
+        self._name_positions: dict[str, int] = {}
+        #: the LM's embedded entities stacked once, for prompt affinities,
+        #: with the vector positions of their rows and of everyone else.
         self._affinity_matrix = CandidateMatrix.from_vectors({})
+        self._embedded_positions = np.zeros(0, dtype=np.int64)
+        self._unembedded: list[tuple[int, int]] = []
+        #: the decode tables (see :meth:`prepare_decoding`).
+        self._token_ngram: TokenIdNGram | None = None
+        self._compiled_tree: tuple[PrefixTree, int, CompiledPrefixTree] | None = None
         self._fitted = False
 
     # -- fitting --------------------------------------------------------------
@@ -223,13 +323,27 @@ class CausalEntityLM:
             entity.entity_id: frozenset(self._tokenizer.tokenize_entity_name(entity.name))
             for entity in entities
         }
-        self._name_to_id = {
-            entity.name: entity_id for entity_id, entity in self._entities_by_id.items()
+        self._entity_ids = list(self._entities_by_id)
+        position = {entity_id: index for index, entity_id in enumerate(self._entity_ids)}
+        # a later entity of the same name wins, as in a name -> id dict.
+        self._name_positions = {
+            entity.name: position[entity_id]
+            for entity_id, entity in self._entities_by_id.items()
         }
         vectors = self._embeddings.entity_vectors() if self._embeddings is not None else {}
         self._affinity_matrix = CandidateMatrix.from_vectors(
             {eid: vectors[eid] for eid in self._entities_by_id if eid in vectors}
         )
+        self._embedded_positions = np.array(
+            [position[eid] for eid in self._affinity_matrix.ids], dtype=np.int64
+        )
+        self._unembedded = [
+            (position[eid], eid) for eid in self._entity_ids if eid not in self._affinity_matrix
+        ]
+        # the decode tables read the counts and positions above: rebuilt on
+        # first use after every bind.
+        self._token_ngram = None
+        self._compiled_tree = None
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -310,8 +424,14 @@ class CausalEntityLM:
             np.mean([self.entity_affinity(entity_id, pid) for pid in prompt_entity_ids])
         )
 
-    def prompt_affinities(self, prompt_entity_ids: Sequence[int]) -> dict[int, float]:
-        """:meth:`prompt_affinity` of every entity, computed as one product.
+    @property
+    def entity_ids(self) -> list[int]:
+        """The entity at each position of a :meth:`prompt_affinities` vector."""
+        return list(self._entity_ids)
+
+    def prompt_affinities(self, prompt_entity_ids: Sequence[int]) -> np.ndarray:
+        """:meth:`prompt_affinity` of every entity, computed as one product,
+        as a vector in :attr:`entity_ids` order.
 
         When every prompt entity has an embedding, the embedded entities
         take ``0.5 * (1 + M @ P.T)`` over the entity matrix stacked at
@@ -323,20 +443,20 @@ class CausalEntityLM:
         """
         self._require_fitted()
         if not prompt_entity_ids:
-            return dict.fromkeys(self._entities_by_id, 0.0)
+            return np.zeros(len(self._entity_ids))
         matrix, embeddings = self._affinity_matrix, self._embeddings
         # an empty matrix also means no embeddings (see ``_bind``)
         if not len(matrix) or not all(map(embeddings.has_entity, prompt_entity_ids)):
-            return {
-                entity_id: self.prompt_affinity(entity_id, prompt_entity_ids)
-                for entity_id in self._entities_by_id
-            }
+            return np.array(
+                [self.prompt_affinity(eid, prompt_entity_ids) for eid in self._entity_ids],
+                dtype=np.float64,
+            )
         prompt = np.stack([embeddings.entity_vector(pid) for pid in prompt_entity_ids])
         pairs = 0.5 * (1.0 + matrix.matrix @ prompt.T)
-        affinities = dict(zip(matrix.ids, pairs.mean(axis=1).tolist()))
-        for entity_id in self._entities_by_id:
-            if entity_id not in affinities:
-                affinities[entity_id] = self.prompt_affinity(entity_id, prompt_entity_ids)
+        affinities = np.empty(len(self._entity_ids))
+        affinities[self._embedded_positions] = pairs.mean(axis=1)
+        for position, entity_id in self._unembedded:
+            affinities[position] = self.prompt_affinity(entity_id, prompt_entity_ids)
         return affinities
 
     # -- scoring ---------------------------------------------------------------------
@@ -385,7 +505,7 @@ class CausalEntityLM:
         seed = self._entities_by_id.get(seed_id)
         if generated is None or seed is None:
             return 0.0
-        prompt = self._tokenizer.tokenize(f"{generated.name} is similar to")
+        prompt = self._tokenizer.tokenize(f"{generated.name}{_SIMILAR_SUFFIX}")
         seed_tokens = self._tokenizer.tokenize_entity_name(seed.name)
         if not seed_tokens:
             return 0.0
@@ -409,12 +529,18 @@ class CausalEntityLM:
         ``(prompt tail, seed)``; the per-pair affinity term and the
         seed-order summation are kept verbatim, so every returned mean is
         bitwise identical to averaging sequential
-        :meth:`conditional_similarity` calls.
+        :meth:`conditional_similarity` calls.  While the tail fits inside
+        the template's own tokens it is taken from them, without tokenizing
+        each name.
         """
         self._require_fitted()
         if not seed_ids:
             return {entity_id: 0.0 for entity_id in generated_ids}
         tail_len = max(self._ngram.order - 1, 0)
+        suffix = self._tokenizer.tokenize(_SIMILAR_SUFFIX)
+        fixed_tail = (
+            tuple(suffix[len(suffix) - tail_len :]) if tail_len <= len(suffix) else None
+        )
         seed_tokens: dict[int, list[str]] = {}
         for seed_id in seed_ids:
             seed = self._entities_by_id.get(seed_id)
@@ -431,8 +557,10 @@ class CausalEntityLM:
             if generated is None:
                 means[generated_id] = 0.0
                 continue
-            prompt = self._tokenizer.tokenize(f"{generated.name} is similar to")
-            tail = tuple(prompt[max(0, len(prompt) - tail_len):])
+            tail = fixed_tail
+            if tail is None:
+                prompt = self._tokenizer.tokenize(f"{generated.name}{_SIMILAR_SUFFIX}")
+                tail = tuple(prompt[max(0, len(prompt) - tail_len):])
             total = 0.0
             for seed_id in seed_ids:
                 tokens = seed_tokens[seed_id]
@@ -450,6 +578,28 @@ class CausalEntityLM:
         return means
 
     # -- generation ---------------------------------------------------------------------
+    def prepare_decoding(self, prefix_tree: PrefixTree) -> CompiledPrefixTree:
+        """Build the tables :meth:`generate_constrained` reads, once.
+
+        They are the n-gram counts keyed by integer token ids (once per
+        LM) and ``prefix_tree`` compiled against those ids and the
+        affinity positions (once per tree, rebuilt after an ``insert``).
+        GenExpan calls this when it binds, so no request pays for it.
+        """
+        self._require_fitted()
+        # benign races: two first decodes may both build, and either result
+        # serves.
+        if self._token_ngram is None:
+            self._token_ngram = TokenIdNGram(self._ngram)
+        cached = self._compiled_tree
+        if cached is None or cached[0] is not prefix_tree or cached[1] != prefix_tree.version:
+            ngram = self._token_ngram
+            compiled = prefix_tree.compile(
+                ngram.token_ids, ngram.unknown_id, self._name_positions, _AFFINITY_FANOUT
+            )
+            cached = self._compiled_tree = (prefix_tree, prefix_tree.version, compiled)
+        return cached[2]
+
     def generate_constrained(
         self,
         prompt_entity_ids: Sequence[int],
@@ -463,49 +613,63 @@ class CausalEntityLM:
         Returns up to ``beam_width`` (entity name, score) pairs.  Every
         returned name is guaranteed to be a candidate entity because decoding
         follows root-to-leaf paths of the prefix tree.
+
+        Each step scores all of its (beam, allowed token) pairs at once over
+        the tables of :meth:`prepare_decoding`.  A pair's token score is
+        ``w * log(max(best, 1e-6)) + (1 - w) * lm``: ``lm`` is the n-gram
+        log-probability of the token after the prompt and the beam's
+        prefix, and ``best`` is the highest prompt affinity among the first
+        ``_AFFINITY_FANOUT`` names the extended prefix can still become
+        (0.0 when there is none).
         """
         self._require_fitted()
         exclude_names = exclude_names or set()
-        context = self._prompt_tokens(prompt_entity_ids)
-        name_to_id = self._name_to_id
-        affinity = self.prompt_affinities(prompt_entity_ids)
+        tree = self.prepare_decoding(prefix_tree)
+        ngram = self._token_ngram
+        keep = ngram.order - 1  # context ids the n-gram can read
+        context = ngram.ids(self._prompt_tokens(prompt_entity_ids))
+        # position -1 of a ``reachable`` row reads the trailing 0.0.
+        affinity = np.append(self.prompt_affinities(prompt_entity_ids), 0.0)
+        w = self.config.affinity_weight
 
-        def token_score(prefix: list[str], token: str) -> float:
-            lm = self._ngram.logprob(context + prefix, token)
-            reachable = prefix_tree.entities_with_prefix(prefix + [token])
-            best_affinity = max(
-                (affinity[name_to_id[name]] for name in reachable[:20] if name in name_to_id),
-                default=0.0,
-            )
-            w = self.config.affinity_weight
-            return w * float(np.log(max(best_affinity, 1e-6))) + (1.0 - w) * lm
-
-        beams: list[tuple[list[str], float]] = [([], 0.0)]
+        nodes = np.zeros(1, dtype=np.int64)  # the root
+        scores = np.zeros(1)
+        tails = [tuple(context[max(0, len(context) - keep) :])]
+        length = 0  # every beam of a step is one token longer than the last
         completed: dict[str, float] = {}
-        for _ in range(max_length):
-            expansions: list[tuple[list[str], float]] = []
-            for prefix, score in beams:
-                allowed = prefix_tree.allowed_next(prefix)
-                entity_name = prefix_tree.entity_at(prefix)
+
+        def complete() -> None:
+            for node, score in zip(nodes.tolist(), scores.tolist()):
+                entity_name = tree.terminals[node]
                 if entity_name is not None and entity_name not in exclude_names:
-                    normalised = score / max(len(prefix), 1)
+                    normalised = score / max(length, 1)
                     if normalised > completed.get(entity_name, -np.inf):
                         completed[entity_name] = normalised
-                for token in allowed:
-                    expansions.append(
-                        (prefix + [token], score + token_score(prefix, token))
-                    )
-            if not expansions:
+
+        for _ in range(max_length):
+            complete()
+            starts = tree.child_offsets[nodes]
+            fanout = tree.child_offsets[nodes + 1] - starts
+            pairs = int(fanout.sum())
+            if not pairs:
                 break
-            expansions.sort(key=lambda item: -item[1] / max(len(item[0]), 1))
-            beams = expansions[: beam_width * 2]
+            # (beam, child) pairs beam by beam, children in token order.
+            beam = np.repeat(np.arange(len(nodes)), fanout)
+            child = np.arange(pairs) + np.repeat(starts - np.cumsum(fanout) + fanout, fanout)
+            tokens = tree.child_tokens[child]
+            children = tree.child_nodes[child]
+            lm = np.log(np.maximum(ngram.probabilities(tails, beam, tokens), 1e-12))
+            best = affinity[tree.reachable[children]].max(axis=1)
+            extended = scores[beam] + (w * np.log(np.maximum(best, 1e-6)) + (1.0 - w) * lm)
+            length += 1
+            kept = np.argsort(-extended / length, kind="stable")[: beam_width * 2]
+            nodes, scores = children[kept], extended[kept]
+            tails = [
+                (tails[b] + (token,))[max(0, len(tails[b]) + 1 - keep) :]
+                for b, token in zip(beam[kept].tolist(), tokens[kept].tolist())
+            ]
         # Flush any completed entities still sitting on the beam.
-        for prefix, score in beams:
-            entity_name = prefix_tree.entity_at(prefix)
-            if entity_name is not None and entity_name not in exclude_names:
-                normalised = score / max(len(prefix), 1)
-                if normalised > completed.get(entity_name, -np.inf):
-                    completed[entity_name] = normalised
+        complete()
         ranked = sorted(completed.items(), key=lambda item: (-item[1], item[0]))
         return ranked[:beam_width]
 

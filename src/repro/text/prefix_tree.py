@@ -6,16 +6,18 @@ set of tokens allowed next; a complete root-to-leaf path spells exactly one
 candidate entity.
 
 Every node keeps the sorted names reachable below it, updated along the
-inserted path, so the decoder's per-token "which entities can this prefix
-still become" lookup is a walk plus a list copy instead of a subtree search
-and sort.
+inserted path.  :meth:`PrefixTree.compile` lays the tree out as arrays (one
+row per node), which is what the batched beam search reads: a beam carries
+its node id, so no lookup walks from the root.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -27,12 +29,33 @@ class _Node:
     reachable: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class CompiledPrefixTree:
+    """A :class:`PrefixTree` as arrays, one row per node (the root is 0).
+
+    The children of node ``i`` are ``child_nodes[child_offsets[i]:
+    child_offsets[i + 1]]`` in sorted-token order, spelled by the token ids
+    ``child_tokens`` of the same slice.  ``terminals[i]`` is the name ending
+    at node ``i`` (or None), and ``reachable[i]`` holds the positions of the
+    first ``width`` names reachable from it that have one, padded with -1.
+    """
+
+    child_offsets: np.ndarray
+    child_nodes: np.ndarray
+    child_tokens: np.ndarray
+    terminals: list[str | None]
+    reachable: np.ndarray
+
+
 class PrefixTree:
     """A trie over tokenised entity names."""
 
     def __init__(self):
         self._root = _Node()
         self._size = 0
+        #: bumped by every :meth:`insert`, so a compiled copy keyed on this
+        #: tree can tell it went stale.
+        self.version = 0
 
     # -- construction --------------------------------------------------------
     def insert(self, tokens: Sequence[str], name: str) -> None:
@@ -52,6 +75,7 @@ class PrefixTree:
                 names = ancestor.reachable
                 del names[bisect_left(names, replaced)]
             insort(ancestor.reachable, name)
+        self.version += 1
 
     @classmethod
     def from_entities(
@@ -64,6 +88,44 @@ class PrefixTree:
             if tokens:
                 tree.insert(tokens, name)
         return tree
+
+    def compile(
+        self,
+        token_ids: Mapping[str, int],
+        unknown_id: int,
+        name_positions: Mapping[str, int],
+        width: int,
+    ) -> CompiledPrefixTree:
+        """This tree as a :class:`CompiledPrefixTree`.
+
+        Tokens map through ``token_ids`` (``unknown_id`` when absent); each
+        node's ``reachable`` row keeps, of its first ``width`` reachable
+        names, those in ``name_positions``, as their positions.
+        """
+        nodes = [self._root]
+        offsets = [0]
+        child_nodes: list[int] = []
+        child_tokens: list[int] = []
+        # breadth-first: a node's id is its index in ``nodes``.
+        for node in nodes:
+            for token in sorted(node.children):
+                child_nodes.append(len(nodes))
+                child_tokens.append(token_ids.get(token, unknown_id))
+                nodes.append(node.children[token])
+            offsets.append(len(child_nodes))
+        reachable = []
+        for node in nodes:
+            positions = [
+                name_positions[name] for name in node.reachable[:width] if name in name_positions
+            ]
+            reachable.append(positions + [-1] * (width - len(positions)))
+        return CompiledPrefixTree(
+            child_offsets=np.array(offsets, dtype=np.int64),
+            child_nodes=np.array(child_nodes, dtype=np.int64),
+            child_tokens=np.array(child_tokens, dtype=np.int64),
+            terminals=[node.terminal for node in nodes],
+            reachable=np.array(reachable, dtype=np.int64).reshape(len(nodes), width),
+        )
 
     # -- queries --------------------------------------------------------------
     def _walk(self, prefix: Sequence[str]) -> _Node | None:

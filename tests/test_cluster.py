@@ -719,6 +719,40 @@ class TestGatewayFailover:
         finally:
             gateway.shutdown()
 
+    def test_fleet_reads_do_not_count_as_backend_errors(self, tiny_dataset):
+        """``backend_errors`` counts failed client traffic only: a
+        ``/v1/stats`` read still reports the dead worker unreachable and
+        sidelines it, but leaves the counter where the proxied request put
+        it (a ``cluster top`` left open must not grow what it shows)."""
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            dead_url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        live = make_worker(tiny_dataset)
+        gateway = ClusterGateway(
+            [("live", live.url), ("dead", dead_url)],
+            config=ClusterConfig(failover_cooldown_seconds=0.2, proxy_timeout_seconds=30.0),
+            fingerprint=tiny_dataset.fingerprint(),
+            port=0,
+        ).start()
+        try:
+            method = next(m for m in STUB_METHODS if gateway.owner(m) == "dead")
+            status, _, headers = gateway_post(
+                gateway,
+                "/v1/expand",
+                {"method": method, "query_id": tiny_dataset.queries[0].query_id},
+            )
+            assert status == 200 and headers[WORKER_HEADER] == "live"
+            assert gateway.stats()["backend_errors"] == 1
+            for _ in range(3):
+                with urllib.request.urlopen(gateway.url + "/v1/stats", timeout=10) as response:
+                    data = json.loads(response.read())["data"]
+                assert data["workers"]["dead"] == {"unreachable": True}
+                assert data["gateway"]["sidelined"] == ["dead"]
+            assert gateway.stats()["backend_errors"] == 1
+        finally:
+            gateway.shutdown()
+            live.shutdown()
+
 
 def returns_within(call, timeout: float = 30.0) -> bool:
     """Whether ``call`` returns within ``timeout`` on a daemon thread (a

@@ -3,8 +3,8 @@
 An in-process cluster (thread-backed workers, real sockets) with two
 tenants: ``noisy`` floods the gateway past its small quota while ``calm``
 runs its normal traffic under a huge one.  The front door must keep the
-two apart — noisy gets accurate 429s without ever reaching the workers,
-calm's latency stays where it was when it had the fleet to itself.
+two apart — noisy gets accurate 429s without ever reaching the workers and
+no more requests than its bucket holds, calm loses no request to it.
 """
 
 from __future__ import annotations
@@ -199,48 +199,52 @@ class TestNoisyNeighbor:
             assert header - 1 < hint <= header
 
     def test_calm_tenant_latency_survives_the_flood(self, gated_cluster, tiny_dataset):
+        """Isolation, asserted as counts: while ``noisy`` floods past its
+        5:5 quota, every calm request answers 200, and the gate accepts no
+        more noisy requests than the bucket can hold (a burst of 5 plus 5
+        per second).  Calm's p99 with and without the flood is printed; a
+        loose same-run ratio only catches a gross slowdown."""
         gateway, _ = gated_cluster
         # warm the route + result cache so both passes measure the same path.
         run_calm_pass(gateway, tiny_dataset, count=5)
+        solo, solo_statuses = run_calm_pass(gateway, tiny_dataset)
+        assert all(status == 200 for status in solo_statuses)
 
-        last_error = None
-        for _attempt in range(3):  # latency on a shared box jitters; best of 3
-            solo, solo_statuses = run_calm_pass(gateway, tiny_dataset)
-            assert all(status == 200 for status in solo_statuses)
+        stop = threading.Event()
+        noisy_statuses: list[int] = []
 
-            stop = threading.Event()
-            rejected = [0]
+        def flood():
+            while not stop.is_set():
+                status, _, _ = call(gateway, "GET", "/v1/methods", api_key=NOISY_KEY)
+                noisy_statuses.append(status)
 
-            def flood():
-                while not stop.is_set():
-                    status, _, _ = call(
-                        gateway, "GET", "/v1/methods", api_key=NOISY_KEY
-                    )
-                    if status == 429:
-                        rejected[0] += 1
-
-            threads = [threading.Thread(target=flood) for _ in range(2)]
+        threads = [threading.Thread(target=flood) for _ in range(2)]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        try:
+            flooded, flood_statuses = run_calm_pass(gateway, tiny_dataset)
+        finally:
+            stop.set()
             for thread in threads:
-                thread.start()
-            try:
-                flooded, flood_statuses = run_calm_pass(gateway, tiny_dataset)
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=10.0)
-
-            try:
-                # the flood must not cost calm a single request...
-                assert all(status == 200 for status in flood_statuses)
-                # ...and the noisy tenant really was being turned away.
-                assert rejected[0] > 0
-                # p99 within 10% of the solo baseline, plus a small absolute
-                # grace: sub-millisecond baselines make a pure ratio absurd.
-                assert p99(flooded) <= p99(solo) * 1.10 + 0.050
-                return
-            except AssertionError as exc:
-                last_error = exc
-        raise last_error
+                thread.join(timeout=10.0)
+        elapsed = time.monotonic() - started
+        assert not any(thread.is_alive() for thread in threads)
+        accepted = noisy_statuses.count(200)
+        print(
+            f"\ncalm p99 {p99(solo) * 1e3:.2f} ms solo, {p99(flooded) * 1e3:.2f} ms "
+            f"flooded; noisy {accepted} accepted, "
+            f"{noisy_statuses.count(429)} refused in {elapsed:.2f} s"
+        )
+        # the flood must not cost calm a single request...
+        assert all(status == 200 for status in flood_statuses)
+        # ...noisy was turned away, and failed no other way...
+        assert 429 in noisy_statuses and set(noisy_statuses) <= {200, 429}
+        # ...and got no more than its bucket holds (+1 for the clock edge).
+        assert accepted <= 5 + 5 * elapsed + 1
+        # loose same-run sanity, with the old absolute grace for
+        # sub-millisecond baselines.
+        assert p99(flooded) < 2.0 * p99(solo) + 0.050
 
     def test_gate_counters_and_dashboard_rows(self, gated_cluster):
         gateway, _ = gated_cluster

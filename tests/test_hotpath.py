@@ -28,13 +28,16 @@ import pytest
 
 from repro.api.options import ExpandOptions
 from repro.baselines import CGExpan
+from repro.config import CausalLMConfig
 from repro.core import dense
 from repro.core.resources import SharedResources
 from repro.exceptions import ServiceError
+from repro.lm.causal_lm import CausalEntityLM
 from repro.retrieval import CandidateMatrix, PartitionedIndex
 from repro.serve import ExpanderRegistry
 from repro.store import ArtifactStore
 from repro.substrate import ANN_INDEX, COOCCURRENCE_EMBEDDINGS
+from repro.text.tokenizer import WordTokenizer
 from repro.utils.mathx import l2_normalize
 
 from test_cluster import make_gateway, make_worker
@@ -297,6 +300,48 @@ class TestBatchedConditionalSimilarity:
         assert lm.conditional_similarity_batch([ids[0]], []) == {ids[0]: 0.0}
         batched = lm.conditional_similarity_batch([10**9], ids[:2])
         assert batched[10**9] == 0.0
+
+    def test_order_5_reads_each_name_bitwise(self, tiny_dataset):
+        """An order-5 LM reads four prompt tokens, one more than the
+        "is similar to" template has, so its tail comes from each name.
+        Taught "X is similar to Y", the name before the template moves its
+        counts; the batch must still equal the sequential path bitwise."""
+        ids = tiny_dataset.entity_ids()
+        generated, seeds = ids[:25], ids[25:29]
+        lm = CausalEntityLM(CausalLMConfig(ngram_order=5, further_pretrain=False)).fit(
+            tiny_dataset.corpus, tiny_dataset.entities()
+        )
+        tokenizer = WordTokenizer()
+        names = {entity.entity_id: entity.name for entity in tiny_dataset.entities()}
+        lm._ngram.fit(
+            tokenizer.tokenize(f"{names[gid]} is similar to {names[sid]}")
+            for gid, sid in zip(generated[::2], seeds * 4)
+        )
+        batched = lm.conditional_similarity_batch(generated, seeds)
+        for gid in generated:
+            sequential = sum(
+                lm.conditional_similarity(gid, sid) for sid in seeds
+            ) / len(seeds)
+            assert batched[gid] == sequential, f"entity {gid} diverged"
+
+    @pytest.mark.parametrize("order, per_name", [(3, False), (4, False), (5, True)])
+    def test_template_tail_is_tokenized_once(self, tiny_dataset, monkeypatch, order, per_name):
+        """Work guard: up to order 4 the tail lies inside the template, so a
+        batch tokenizes the template once, not once per generated name."""
+        lm = CausalEntityLM(CausalLMConfig(ngram_order=order, further_pretrain=False)).fit(
+            tiny_dataset.corpus, tiny_dataset.entities()
+        )
+        ids = tiny_dataset.entity_ids()
+        generated, seeds = ids[:25], ids[25:29]
+        calls = []
+        tokenize = WordTokenizer.tokenize
+        monkeypatch.setattr(
+            WordTokenizer, "tokenize", lambda self, text: calls.append(text) or tokenize(self, text)
+        )
+        lm.conditional_similarity_batch(generated, seeds)
+        # the template, plus each seed name, plus each generated name
+        # when the tail reaches into it.
+        assert len(calls) == 1 + len(seeds) + (len(generated) if per_name else 0)
 
 
 # ---------------------------------------------------------------------------

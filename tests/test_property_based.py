@@ -110,6 +110,42 @@ class TestTextProperties:
             assert tree.is_complete(path)
         assert len(tree) == len(inserted)
 
+    @given(
+        names=st.lists(st.lists(tokens, min_size=1, max_size=4), min_size=1, max_size=30),
+        width=st.integers(min_value=1, max_value=4),
+    )
+    def test_compiled_prefix_tree_matches_the_walks(self, names, width):
+        tree = PrefixTree()
+        for i, path in enumerate(names):
+            tree.insert(path, f"entity-{i % 7}")
+        vocabulary = sorted({token for path in names for token in path})
+        token_ids = {token: index for index, token in enumerate(vocabulary[::2])}
+        entity_names = tree.entities_with_prefix([])
+        positions = {name: index for index, name in enumerate(entity_names) if index % 3}
+        compiled = tree.compile(token_ids, -5, positions, width)
+        offsets = compiled.child_offsets.tolist()
+        visited, stack = 0, [(0, [])]
+        while stack:
+            node, prefix = stack.pop()
+            visited += 1
+            assert compiled.terminals[node] == tree.entity_at(prefix)
+            allowed = tree.allowed_next(prefix)
+            span = slice(offsets[node], offsets[node + 1])
+            assert compiled.child_tokens[span].tolist() == [
+                token_ids.get(token, -5) for token in allowed
+            ]
+            expected = [
+                positions[name]
+                for name in tree.entities_with_prefix(prefix)[:width]
+                if name in positions
+            ]
+            assert compiled.reachable[node].tolist() == expected + [-1] * (width - len(expected))
+            stack.extend(
+                (child, prefix + [token])
+                for child, token in zip(compiled.child_nodes[span].tolist(), allowed)
+            )
+        assert visited == len(compiled.terminals)
+
     @given(text=st.text(max_size=200))
     def test_tokenizer_never_raises_and_lowercases(self, text):
         tokens = WordTokenizer().tokenize(text)

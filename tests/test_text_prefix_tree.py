@@ -87,3 +87,43 @@ class TestPrefixTree:
         for name in tree.entities_with_prefix([]):
             tokens = name.lower().split()
             assert tree.entity_at(tokens) == name
+
+
+class TestCompiledPrefixTree:
+    def test_rows_follow_the_tree(self):
+        # "wireless" has no token id; "Nuvia Telecom" has no position.
+        token_ids = {"mobile": 0, "nuvia": 1, "telecom": 2, "vexo": 3}
+        positions = {"Vexo Mobile": 10, "Nuvia": 11, "Vexo Wireless": 12}
+        compiled = build_tree().compile(token_ids, 99, positions, width=2)
+        offsets, nodes, tokens = (
+            compiled.child_offsets.tolist(),
+            compiled.child_nodes.tolist(),
+            compiled.child_tokens.tolist(),
+        )
+
+        def children(node):
+            span = slice(offsets[node], offsets[node + 1])
+            return list(zip(tokens[span], nodes[span]))
+
+        (nuvia_token, nuvia), (vexo_token, vexo) = children(0)
+        assert (nuvia_token, vexo_token) == (1, 3)
+        (mobile_token, mobile), (wireless_token, wireless) = children(vexo)
+        assert (mobile_token, wireless_token) == (0, 99)
+        ((telecom_token, telecom),) = children(nuvia)
+        assert telecom_token == 2
+        assert compiled.terminals[0] is None and compiled.terminals[vexo] is None
+        assert compiled.terminals[nuvia] == "Nuvia"
+        assert compiled.terminals[wireless] == "Vexo Wireless"
+        assert children(mobile) == children(telecom) == []
+        # the first two reachable names, those with a position, -1 padded
+        assert compiled.reachable[0].tolist() == [11, -1]  # Nuvia, Nuvia Telecom
+        assert compiled.reachable[vexo].tolist() == [10, 12]
+        assert compiled.reachable[telecom].tolist() == [-1, -1]
+
+    def test_insert_bumps_the_version(self):
+        tree = build_tree()
+        version = tree.version
+        tree.insert(["nuvia"], "Nuvia")  # even a re-insert may rename a path
+        assert tree.version == version + 1
+        tree.insert(["zeta"], "Zeta")
+        assert tree.version == version + 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs
 
@@ -67,16 +68,6 @@ class ApiV1:
         #: one-shot clients that never batch pay nothing).
         self._batch_pool: ThreadPoolExecutor | None = None
         self._batch_pool_lock = threading.Lock()
-        self._static_routes: dict[
-            tuple[str, str], Callable[[Mapping | None], ApiResult]
-        ] = {
-            ("GET", "/v1/healthz"): lambda _payload: self.healthz(),
-            ("GET", "/v1/methods"): lambda _payload: self.methods(),
-            ("GET", "/v1/stats"): lambda _payload: self.stats(),
-            ("POST", "/v1/expand"): self.expand,
-            ("POST", "/v1/expand/batch"): self.expand_batch,
-            ("POST", "/v1/fits"): self.fit,
-        }
 
     # -- dispatch ----------------------------------------------------------------
     def resolves(self, verb: str, path: str) -> bool:
@@ -112,9 +103,9 @@ class ApiV1:
     def _find(
         self, verb: str, path: str, query: str = ""
     ) -> "Callable[[Mapping | None], ApiResult] | None":
-        handler = self._static_routes.get((verb, path))
+        handler = _STATIC_ROUTES.get((verb, path))
         if handler is not None:
-            return handler
+            return partial(handler, self)
         if verb == "GET" and path == "/v1/traces":
             return lambda _payload: self.list_traces(query)
         if verb == "GET" and path.startswith("/v1/traces/"):
@@ -227,6 +218,20 @@ class ApiV1:
         if record is None:
             raise DatasetError(f"no kept trace {trace_id!r}")
         return ApiResult(status=200, data={"trace": record})
+
+
+#: ``(verb, path) -> handler(api, payload)``, one table for every
+#: dispatcher: handlers bound to ``self`` and kept on it would make each
+#: dispatcher a reference cycle, so a closed service would wait for the
+#: cyclic garbage collector instead of being freed at once.
+_STATIC_ROUTES: dict[tuple[str, str], Callable[[ApiV1, Mapping | None], ApiResult]] = {
+    ("GET", "/v1/healthz"): lambda api, _payload: api.healthz(),
+    ("GET", "/v1/methods"): lambda api, _payload: api.methods(),
+    ("GET", "/v1/stats"): lambda api, _payload: api.stats(),
+    ("POST", "/v1/expand"): ApiV1.expand,
+    ("POST", "/v1/expand/batch"): ApiV1.expand_batch,
+    ("POST", "/v1/fits"): ApiV1.fit,
+}
 
 
 def parse_trace_query(query: str) -> dict:

@@ -99,7 +99,7 @@ class UltraWikiBuilder:
         if self.config.hard_negatives_per_class <= 0 or not distractors:
             return set()
         rng = self._rng.child("hard_negatives")
-        bm25 = corpus.build_bm25(self._tokenizer)
+        bm25 = corpus.build_bm25()
         sentence_to_entity = {
             sentence.sentence_id: sentence.entity_ids[0] for sentence in corpus
         }

@@ -59,14 +59,11 @@ class ConceptMatcher:
         self._tokenizer = WordTokenizer()
         self._entity_tokens: dict[int, set[str]] = {}
         document_frequency: dict[str, int] = {}
+        corpus = dataset.corpus
         for entity in dataset.entities():
             tokens: set[str] = set()
-            for sentence in dataset.corpus.sentences_of(entity.entity_id):
-                tokens.update(
-                    t
-                    for t in self._tokenizer.tokenize(sentence.text)
-                    if t not in _STOPWORDS
-                )
+            for sentence in corpus.sentences_of(entity.entity_id):
+                tokens.update(t for t in corpus.tokens(sentence) if t not in _STOPWORDS)
             self._entity_tokens[entity.entity_id] = tokens
             for token in tokens:
                 document_frequency[token] = document_frequency.get(token, 0) + 1

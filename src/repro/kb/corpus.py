@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -11,6 +12,8 @@ from repro.text.bm25 import BM25Index
 from repro.text.tokenizer import MASK_TOKEN, WordTokenizer
 from repro.types import Sentence
 from repro.utils.iox import read_jsonl, write_jsonl
+
+_TOKENIZER = WordTokenizer()
 
 
 class Corpus:
@@ -22,11 +25,17 @@ class Corpus:
       (the paper aligns these through Wikipedia hyperlinks);
     * ``masked_text(sentence, entity)`` — the sentence with the entity
       mention replaced by ``[MASK]``, the input of the context encoder.
+
+    ``tokens(sentence)`` tokenizes each sentence's plain text once for every
+    model fitted on the corpus.
     """
 
     def __init__(self, sentences: Iterable[Sentence] = ()):
         self._sentences: dict[int, Sentence] = {}
         self._by_entity: dict[int, list[int]] = defaultdict(list)
+        #: sentence id -> its plain-text tokens.  Never invalidated: ``add``
+        #: refuses a known id and a ``Sentence`` is frozen.
+        self._tokens: dict[int, tuple[str, ...]] = {}
         for sentence in sentences:
             self.add(sentence)
 
@@ -59,6 +68,16 @@ class Corpus:
         """Number of sentences mentioning each entity."""
         return {entity_id: len(sids) for entity_id, sids in self._by_entity.items()}
 
+    def tokens(self, sentence: Sentence) -> tuple[str, ...]:
+        """The default :class:`WordTokenizer`'s tokens of one sentence of this
+        corpus, tokenized on first use and kept (the strings interned: the
+        vocabulary is small, the corpus large)."""
+        tokens = self._tokens.get(sentence.sentence_id)
+        if tokens is None:
+            tokens = tuple(map(sys.intern, _TOKENIZER.tokenize(sentence.text)))
+            self._tokens[sentence.sentence_id] = tokens
+        return tokens
+
     @staticmethod
     def masked_text(sentence: Sentence, entity_name: str) -> str:
         """The sentence text with ``entity_name`` replaced by ``[MASK]``.
@@ -72,12 +91,11 @@ class Corpus:
         return f"{MASK_TOKEN} {sentence.text}"
 
     # -- derived indexes -------------------------------------------------------
-    def build_bm25(self, tokenizer: WordTokenizer | None = None) -> BM25Index:
+    def build_bm25(self) -> BM25Index:
         """Build a BM25 index over all sentences."""
-        tokenizer = tokenizer or WordTokenizer()
         index = BM25Index()
         for sentence in self:
-            index.add_document(sentence.sentence_id, tokenizer.tokenize(sentence.text))
+            index.add_document(sentence.sentence_id, self.tokens(sentence))
         return index
 
     # -- persistence -----------------------------------------------------------

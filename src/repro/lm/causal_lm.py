@@ -124,12 +124,14 @@ class NGramLanguageModel:
 
         Counter insertion order is preserved (JSON objects round-trip key
         order) because ``next_token_candidates`` breaks count ties by it.
+        The vocabulary is a set, written sorted so that one fit always writes
+        the same bytes, whatever the process's string hash seed.
         """
         return {
             "order": self.order,
             "smoothing": self.smoothing,
             "total_tokens": self._total_tokens,
-            "vocab": list(self._vocab),
+            "vocab": sorted(self._vocab),
             "counts": [
                 {
                     _CTX_SEPARATOR.join(context): dict(counter)
@@ -301,10 +303,7 @@ class CausalEntityLM:
             self._tokenizer.tokenize_entity_name(entity.name) for entity in entities
         ]
         if self.config.further_pretrain:
-            sentence_sequences = [
-                self._tokenizer.tokenize(sentence.text) for sentence in corpus
-            ]
-            self._ngram.fit(sentence_sequences)
+            self._ngram.fit(corpus.tokens(sentence) for sentence in corpus)
             self._ngram.fit(name_sequences)
             self._embeddings = CooccurrenceEmbeddings(
                 dim=self.config.embedding_dim, seed=self.config.seed

@@ -28,12 +28,12 @@ from repro.config import EncoderConfig
 from repro.exceptions import ModelError
 from repro.kb.corpus import Corpus
 from repro.lm.embeddings import CooccurrenceEmbeddings
-from repro.lm.losses import label_smoothed_cross_entropy
+from repro.lm.losses import label_smoothed_gradient
 from repro.lm.optim import AdamOptimizer
 from repro.text.tokenizer import MASK_TOKEN, WordTokenizer
 from repro.text.vocab import Vocabulary
 from repro.types import Entity
-from repro.utils.mathx import l2_normalize, softmax
+from repro.utils.mathx import l2_normalize, softmax, softmax_inplace
 from repro.utils.rng import RandomState
 
 
@@ -156,7 +156,7 @@ class ContextEncoder:
         num_documents = 0
         for sentence in corpus:
             num_documents += 1
-            seen = {self.vocabulary.id_of(t) for t in self._tokenizer.tokenize(sentence.text)}
+            seen = {self.vocabulary.id_of(t) for t in corpus.tokens(sentence)}
             for token_id in seen:
                 document_frequency[token_id] += 1
         self._idf = np.log((1.0 + num_documents) / (1.0 + document_frequency))
@@ -210,10 +210,9 @@ class ContextEncoder:
                 pad = self.config.embedding_dim - vectors.shape[1]
                 self._token_embeddings = np.pad(vectors, ((0, 0), (0, pad)))
         else:
-            token_lists = [
-                self._tokenizer.tokenize(sentence.text) for sentence in corpus
-            ]
-            self.vocabulary = Vocabulary.from_token_lists(token_lists)
+            self.vocabulary = Vocabulary.from_token_lists(
+                corpus.tokens(sentence) for sentence in corpus
+            )
             self._token_embeddings = generator.normal(
                 0.0, 0.1, size=(len(self.vocabulary), self.config.embedding_dim)
             )
@@ -267,9 +266,11 @@ class ContextEncoder:
                 x = features[batch_idx]
                 y = labels[batch_idx]
                 hidden = self._forward_hidden(x)
-                logits = self._forward_logits(hidden)
-                _, grad_logits = label_smoothed_cross_entropy(
-                    logits, y, smoothing=self.config.label_smoothing
+                # the step needs only the gradient, never the loss.
+                grad_logits = label_smoothed_gradient(
+                    softmax_inplace(self._forward_logits(hidden), axis=1),
+                    y,
+                    self.config.label_smoothing,
                 )
                 grad_w2 = hidden.T @ grad_logits
                 grad_b2 = grad_logits.sum(axis=0)

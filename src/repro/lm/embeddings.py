@@ -13,7 +13,6 @@ counts over the corpus.  Two views are produced:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +64,36 @@ def _truncated_svd(matrix: np.ndarray, dim: int, seed: int) -> np.ndarray:
     return np.ascontiguousarray(vectors)
 
 
+def window_pair_counts(
+    id_lists: list[list[int]], vocab_size: int, window: int
+) -> np.ndarray:
+    """Token-token co-occurrence within a sliding window: each token adds
+    ``1 / (1 + distance)`` to its cell with every neighbour up to ``window``
+    positions away in its sentence.
+
+    The (centre, neighbour, weight) events are laid out in a loop's visiting
+    order (sentence, centre position, neighbour ascending), and ``np.add.at``
+    adds them unbuffered in that order, so each cell sums its terms in that
+    order from 0.0.
+    """
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    ids = np.fromiter(
+        (token_id for id_list in id_lists for token_id in id_list),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    neighbours = np.arange(len(ids))[:, None] + offsets
+    inside = (neighbours >= starts[:, None]) & (neighbours < ends[:, None])
+    centres = np.broadcast_to(ids[:, None], inside.shape)[inside]
+    weights = np.broadcast_to(1.0 / (1.0 + np.abs(offsets)), inside.shape)[inside]
+    counts = np.zeros(vocab_size * vocab_size)
+    np.add.at(counts, centres * vocab_size + ids[neighbours[inside]], weights)
+    return counts.reshape(vocab_size, vocab_size)
+
+
 class CooccurrenceEmbeddings:
     """PPMI-SVD embeddings for tokens and entities.
 
@@ -97,43 +126,32 @@ class CooccurrenceEmbeddings:
     def fit(self, corpus: Corpus, entities: list[Entity]) -> "CooccurrenceEmbeddings":
         """Fit token and entity embeddings on ``corpus``."""
         sentences = list(corpus)
-        token_lists = [self._tokenizer.tokenize(s.text) for s in sentences]
+        token_lists = [corpus.tokens(sentence) for sentence in sentences]
         self.vocabulary = Vocabulary.from_token_lists(token_lists)
         vocab_size = len(self.vocabulary)
-
-        # Token-token co-occurrence within a sliding window.
-        token_counts: dict[tuple[int, int], float] = defaultdict(float)
-        for tokens in token_lists:
-            ids = self.vocabulary.encode(tokens)
-            for i, center in enumerate(ids):
-                lo = max(0, i - self.window)
-                hi = min(len(ids), i + self.window + 1)
-                for j in range(lo, hi):
-                    if i == j:
-                        continue
-                    token_counts[(center, ids[j])] += 1.0 / (1.0 + abs(i - j))
-        token_matrix = np.zeros((vocab_size, vocab_size))
-        for (a, b), count in token_counts.items():
-            token_matrix[a, b] = count
+        id_lists = [self.vocabulary.encode(tokens) for tokens in token_lists]
+        token_matrix = window_pair_counts(id_lists, vocab_size, self.window)
         self.token_vectors = _truncated_svd(_ppmi(token_matrix), self.dim, self.seed)
 
         # Entity-context co-occurrence: counts of context tokens over all
         # sentences mentioning the entity (the entity's own name tokens are
         # excluded so the embedding reflects *context*, not the surface form).
+        # The vocabulary holds every corpus token under its own id, so
+        # leaving out the name's ids leaves out exactly the name's tokens.
+        ids_of = {sentence.sentence_id: ids for sentence, ids in zip(sentences, id_lists)}
         entity_rows: list[np.ndarray] = []
         entity_ids: list[int] = []
         for entity in entities:
-            context_counts: Counter[int] = Counter()
-            name_tokens = set(self._tokenizer.tokenize_entity_name(entity.name))
-            for sentence in corpus.sentences_of(entity.entity_id):
-                for token in self._tokenizer.tokenize(sentence.text):
-                    if token in name_tokens:
-                        continue
-                    context_counts[self.vocabulary.id_of(token)] += 1
-            row = np.zeros(vocab_size)
-            for token_id, count in context_counts.items():
-                row[token_id] = count
-            entity_rows.append(row)
+            name_ids = set(
+                self.vocabulary.encode(self._tokenizer.tokenize_entity_name(entity.name))
+            )
+            context = [
+                token_id
+                for sentence in corpus.sentences_of(entity.entity_id)
+                for token_id in ids_of[sentence.sentence_id]
+                if token_id not in name_ids
+            ]
+            entity_rows.append(np.bincount(context, minlength=vocab_size).astype(np.float64))
             entity_ids.append(entity.entity_id)
 
         if entity_rows:

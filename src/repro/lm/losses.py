@@ -53,8 +53,28 @@ def label_smoothed_cross_entropy(
 
     log_probs = np.log(np.clip(probs, 1e-12, 1.0))
     loss = float(-np.sum(smooth_target * log_probs) / batch)
-    grad = (probs - smooth_target) / batch
-    return loss, grad
+    return loss, label_smoothed_gradient(probs, targets, smoothing)
+
+
+def label_smoothed_gradient(
+    probs: np.ndarray, targets: np.ndarray, smoothing: float
+) -> np.ndarray:
+    """The gradient of :func:`label_smoothed_cross_entropy` with respect to
+    the logits, ``(probs - smooth_target) / batch``, written over ``probs``
+    (the softmax of the logits), which it returns.
+
+    The gold column subtracts ``1 - smoothing`` and every other column
+    ``smoothing / (num_classes - 1)``, as the smoothed target holds them, so
+    no target matrix is built.  A training step that does not read the loss
+    calls this alone.
+    """
+    batch, num_classes = probs.shape
+    rows = np.arange(batch)
+    gold = probs[rows, targets] - (1.0 - smoothing)
+    probs -= smoothing / max(num_classes - 1, 1)
+    probs[rows, targets] = gold
+    probs /= batch
+    return probs
 
 
 def info_nce_loss(

@@ -133,11 +133,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
     def version_string(self) -> str:
-        front: HttpFront = self.server.front  # type: ignore[attr-defined]
-        return f"{front.server_version} {self.sys_version}"
+        front: HttpFront | None = self.server.front  # type: ignore[attr-defined]
+        product = (front or HttpFront).server_version
+        return f"{product} {self.sys_version}"
 
     def _handle(self, verb: str) -> None:
-        front: HttpFront = self.server.front  # type: ignore[attr-defined]
+        front: HttpFront | None = self.server.front  # type: ignore[attr-defined]
+        if front is None:
+            # the front shut down after this connection was accepted: end it
+            # as shutdown ends the connections it severs, without a reply.
+            self.close_connection = True
+            return
         started = time.perf_counter()
         path, _, query = self.path.partition("?")
         # Honor a syntactically valid client-supplied X-Request-Id so one id
@@ -177,7 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         # The structured access log (or silence) replaces the default
         # per-request stderr chatter; opt back in with verbose=True.
-        if self.server.front.verbose:  # type: ignore[attr-defined]
+        front: HttpFront | None = self.server.front  # type: ignore[attr-defined]
+        if front is not None and front.verbose:
             super().log_message(format, *args)
 
 
@@ -316,6 +323,10 @@ class HttpFront:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._httpd.server_close()
+        # The server links back to its front; a stopped one lets go, so the
+        # stack it served is freed as soon as its owner drops it rather than
+        # at the next cyclic garbage collection.
+        self._httpd.front = None  # type: ignore[attr-defined]
         self._release()
 
     def __enter__(self):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.text.inverted_index import InvertedIndex
 
 
@@ -60,11 +62,30 @@ class BM25Index:
     def search(self, query_tokens: Sequence[str], top_k: int = 10) -> list[tuple[int, float]]:
         """Return the top-``top_k`` (doc_id, score) pairs for the query.
 
-        Only documents sharing at least one query token are scored.
+        Only documents sharing at least one query token are scored.  Every
+        query token, in query order and repeats included, adds ``score``'s
+        float expression over its postings into one totals vector, so each
+        total equals ``score`` bit for bit; ties rank by ascending doc id.
         """
-        candidates: set[int] = set()
+        index = self._index
+        doc_ids, doc_lengths = index.document_arrays()
+        avg_len = index.average_document_length or 1.0
+        k1, b = self.k1, self.b
+        totals = np.zeros(len(doc_ids))
+        hit = np.zeros(len(doc_ids), dtype=bool)
         for token in query_tokens:
-            candidates |= self._index.documents_containing(token)
-        scored = [(doc_id, self.score(query_tokens, doc_id)) for doc_id in candidates]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:top_k]
+            postings = index.postings(token)
+            if not postings:
+                continue
+            rows = np.searchsorted(
+                doc_ids, np.fromiter(postings.keys(), dtype=np.int64, count=len(postings))
+            )
+            tf = np.fromiter(postings.values(), dtype=np.float64, count=len(postings))
+            idf = self.idf(token)
+            denom = tf + k1 * (1.0 - b + b * doc_lengths[rows] / avg_len)
+            totals[rows] += idf * tf * (k1 + 1.0) / denom
+            hit[rows] = True
+        candidates = np.flatnonzero(hit)
+        ids, scores = doc_ids[candidates], totals[candidates]
+        order = np.lexsort((ids, -scores))[:top_k]
+        return [(int(doc_id), float(score)) for doc_id, score in zip(ids[order], scores[order])]

@@ -15,6 +15,8 @@ from collections import Counter, defaultdict
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 _NO_POSTINGS: Mapping[int, int] = MappingProxyType({})
 
 
@@ -70,6 +72,14 @@ class InvertedIndex:
 
     def document_length(self, doc_id: int) -> int:
         return self._doc_lengths.get(doc_id, 0)
+
+    def document_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every doc id, ascending, and its length (as float64)."""
+        count = len(self._doc_lengths)
+        ids = np.fromiter(self._doc_lengths.keys(), dtype=np.int64, count=count)
+        lengths = np.fromiter(self._doc_lengths.values(), dtype=np.float64, count=count)
+        order = np.argsort(ids, kind="stable")
+        return ids[order], lengths[order]
 
     @property
     def num_documents(self) -> int:

@@ -83,7 +83,9 @@ class Vocabulary:
             raise VocabularyError(f"unknown token id {token_id}") from exc
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        """:meth:`id_of` of every token."""
+        unknown = self._token_to_id[UNK_TOKEN]
+        return [self._token_to_id.get(token, unknown) for token in tokens]
 
     def decode(self, token_ids: Iterable[int]) -> list[str]:
         return [self.token_of(i) for i in token_ids]

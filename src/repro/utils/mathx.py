@@ -44,10 +44,16 @@ def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.n
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return softmax_inplace(np.array(x, dtype=np.float64), axis=axis)
+
+
+def softmax_inplace(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`softmax` written over the float64 array ``x``, which it returns:
+    the same operations on the same operands, without the temporaries."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

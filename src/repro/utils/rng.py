@@ -12,6 +12,7 @@ seed, in array arithmetic, bit for bit).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable
 
@@ -175,48 +176,49 @@ class RandomState:
     """A thin, seedable wrapper around :class:`numpy.random.Generator`.
 
     The wrapper exists so that library code never touches global numpy state
-    and so that child RNGs can be spawned with meaningful labels.
+    and so that child RNGs can be spawned with meaningful labels.  The
+    generator is built on the first draw: a state that only derives
+    ``child`` seeds never builds one.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
 
     def child(self, *labels: object) -> "RandomState":
         """Return a new :class:`RandomState` derived from this one."""
         return RandomState(derive_seed(self.seed, *labels))
 
-    @property
+    @functools.cached_property
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator."""
-        return self._rng
+        return np.random.default_rng(self.seed)
 
     # -- convenience proxies -------------------------------------------------
     def random(self) -> float:
-        return float(self._rng.random())
+        return float(self.generator.random())
 
     def integers(self, low: int, high: int | None = None) -> int:
-        return int(self._rng.integers(low, high))
+        return int(self.generator.integers(low, high))
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._rng.uniform(low, high))
+        return float(self.generator.uniform(low, high))
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._rng.normal(loc, scale, size)
+        return self.generator.normal(loc, scale, size)
 
     def choice(self, seq, size=None, replace: bool = True, p=None):
-        return self._rng.choice(seq, size=size, replace=replace, p=p)
+        return self.generator.choice(seq, size=size, replace=replace, p=p)
 
     def sample(self, seq, k: int) -> list:
         """Sample ``k`` distinct items from ``seq`` (like :func:`random.sample`)."""
         seq = list(seq)
         if k > len(seq):
             raise ValueError(f"cannot sample {k} items from a sequence of {len(seq)}")
-        idx = self._rng.choice(len(seq), size=k, replace=False)
+        idx = self.generator.choice(len(seq), size=k, replace=False)
         return [seq[int(i)] for i in idx]
 
     def shuffle(self, seq: list) -> list:
         """Return a shuffled copy of ``seq`` (the input is not modified)."""
         out = list(seq)
-        self._rng.shuffle(out)
+        self.generator.shuffle(out)
         return out

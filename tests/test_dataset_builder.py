@@ -1,5 +1,8 @@
 """Tests for the four-step dataset construction pipeline."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import DatasetConfig
@@ -97,3 +100,18 @@ class TestBuiltDataset:
         assert [e.name for e in other.entities()[:20]] != [
             e.name for e in tiny_dataset.entities()[:20]
         ]
+
+
+class TestGoldenFingerprints:
+    """The benchmark's datasets, built at its seed, have the fingerprints its
+    reference rankings were recorded on.  One reordered hard negative (the
+    BM25 mining) changes the corpus, and with it every ranking."""
+
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+    @pytest.mark.parametrize("profile", ["tiny", "small"])
+    def test_fingerprint_matches_the_benchmark_reference(self, profile):
+        reference = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
+        config = getattr(DatasetConfig, profile)(seed=reference["dataset_seed"])
+        dataset = build_dataset(config)
+        assert dataset.fingerprint() == reference["profiles"][profile]["fingerprint"]

@@ -10,21 +10,24 @@ worker and gateway down leaves no threads or sockets behind.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
 import socket
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from repro.client import ExpansionClient
 from repro.cluster import ClusterGateway
-from repro.config import ServiceConfig
+from repro.config import DatasetConfig, ServiceConfig
 from repro.core.base import Expander
+from repro.dataset.builder import build_dataset
 from repro.serve import ExpansionHTTPServer, ExpansionService
-from repro.serve.server import MAX_BODY_BYTES, _TrackingHTTPServer
+from repro.serve.server import MAX_BODY_BYTES, _Handler, _TrackingHTTPServer
 from repro.types import ExpansionResult
 
 #: every server a test here starts must be gone, threads and sockets, by
@@ -227,3 +230,52 @@ def test_shutdown_leaves_no_threads_or_sockets(tiny_dataset, process_snapshot):
     client.close()
     leftover_fds = process_snapshot.leftover_fds()
     assert not leftover_fds, leftover_fds
+
+
+def test_a_shut_down_stack_is_freed_without_the_cycle_collector():
+    """Shut down, a worker and a gateway hold no reference cycle through
+    their fronts or routes: dropping them frees the service and the dataset
+    by reference counting alone, with the cyclic collector off."""
+    dataset = build_dataset(DatasetConfig.tiny(seed=5))
+    gc.collect()
+    gc.disable()
+    try:
+        worker = make_worker(dataset)
+        gateway = make_gateway(dataset, worker)
+        with ExpansionClient.connect(gateway.url) as client:
+            client.expand("stub", query_id=dataset.queries[0].query_id, top_k=5)
+        service, dataset = weakref.ref(worker.service), weakref.ref(dataset)
+        gateway.shutdown()
+        worker.shutdown()
+        del worker, gateway
+        assert service() is None
+        assert dataset() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "request_line, reply",
+    [
+        (b"GET /v1/healthz HTTP/1.1", b""),  # ended without a reply, as severed
+        (b"PUT /v1/healthz HTTP/1.1", b"HTTP/1.1 501 "),  # http.server's own error
+    ],
+    ids=["GET", "PUT"],
+)
+def test_a_request_racing_shutdown_ends_cleanly(tiny_dataset, capsys, request_line, reply):
+    """A connection accepted just before shutdown, handled after it: the
+    stopped front has let go of its server, and the request still ends
+    without a traceback."""
+    worker = make_worker(tiny_dataset)
+    httpd = worker._httpd
+    worker.shutdown()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.create_connection(listener.getsockname()) as client:
+            accepted, address = listener.accept()
+            with accepted:
+                accepted.settimeout(10)
+                client.sendall(request_line + b"\r\nHost: x\r\nConnection: close\r\n\r\n")
+                _Handler(accepted, address, httpd)
+            received = client.recv(4096)
+    assert received.startswith(reply) and bool(received) == bool(reply), received[:40]
+    assert "Traceback" not in capsys.readouterr().err

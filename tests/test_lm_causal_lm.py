@@ -1,5 +1,11 @@
 """Tests for the n-gram LM and the causal entity LM (LLaMA substitute)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +67,32 @@ def prefix_tree(tiny_dataset):
     return PrefixTree.from_entities(
         (e.name for e in tiny_dataset.entities()), WordTokenizer()
     )
+
+
+_FIT_AND_WRITE = """
+import sys
+from repro.lm.causal_lm import NGramLanguageModel
+from repro.store.serialization import write_json_state
+model = NGramLanguageModel(order=3).fit(
+    [["the", "phone", "runs", "android"], ["a", "phone", "from", "europe"], ["zeta", "q"]]
+)
+write_json_state(sys.argv[1], model.to_state())
+"""
+
+
+def test_ngram_state_is_the_same_bytes_under_any_hash_seed(tmp_path):
+    """Two processes with different string hash seeds fit one n-gram and
+    write identical JSON (the vocabulary is a set: it is written sorted)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for hash_seed in ("1", "2"):
+        path = tmp_path / f"ngram-{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", _FIT_AND_WRITE, str(path)], env=env, check=True)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    vocab = json.loads(written[0])["vocab"]
+    assert vocab == sorted(vocab)
 
 
 class TestCausalEntityLM:

@@ -55,10 +55,11 @@ def test_a_probe_counts_calls(probes_module):
         index = BM25Index()
         index.add_document(1, ["a", "b"])
         index.search(["a"])
+        index.score(["a"], 1)
         RandomState(1).child("x")
     finally:
         probes.uninstall()
     assert probes.calls["text.bm25_search"] == 1
-    assert probes.calls["text.bm25_score"] == 1  # search still scores through score
+    assert probes.calls["text.bm25_score"] == 1  # search scores as arrays, not through score
     assert probes.calls["rng.child"] == 1
     assert len(probes.seconds["text.bm25_search"]) == 1

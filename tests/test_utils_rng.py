@@ -85,3 +85,26 @@ class TestRandomState:
 
     def test_generator_property(self):
         assert isinstance(RandomState(0).generator, np.random.Generator)
+
+    def test_generator_is_built_on_the_first_draw(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        leaf = RandomState(3).child("a").child("b", 1).child(2)
+        assert built == []
+        draws = [leaf.random(), leaf.integers(0, 100), leaf.uniform(), float(leaf.normal())]
+        assert built == [leaf.seed]
+        expected = default_rng(leaf.seed)
+        assert draws == [
+            expected.random(),
+            int(expected.integers(0, 100)),
+            expected.uniform(),
+            float(expected.normal()),
+        ]
+        assert leaf.generator is leaf.generator
+        assert built == [leaf.seed]

@@ -1,4 +1,4 @@
-"""Hot-path latency: ANN vs full scan, batched LM scoring, gateway cache.
+"""Hot-path latency: ANN vs full scan, batched LM scoring.
 
 Guards the hot-path mechanisms and prints their numbers (p50/p99
 per-query latency, queries/sec); ``perfbench/`` is the benchmark of record
@@ -15,9 +15,7 @@ for end-to-end speed.
   per-pair loop.  The guard is deterministic: the sequential loop walks the
   n-gram LM once per (candidate, seed) pair, the batch once per distinct
   (prompt tail, seed with a non-empty name) pair, with bitwise-identical
-  scores; a loose same-run check asks only that the batch is faster;
-* **gateway result cache** — a repeated request served from the gateway's
-  LRU against the proxied worker round trip over real sockets.
+  scores; a loose same-run check asks only that the batch is faster.
 """
 
 from __future__ import annotations
@@ -26,14 +24,7 @@ import time
 
 import numpy as np
 
-from repro.client import ExpansionClient
-from repro.cluster import ClusterConfig, ClusterGateway
-from repro.config import DatasetConfig, ServiceConfig
-from repro.core.base import Expander
-from repro.dataset.builder import build_dataset
 from repro.retrieval import CandidateMatrix, PartitionedIndex
-from repro.serve import ExpansionHTTPServer, ExpansionService
-from repro.types import ExpansionResult
 
 #: synthetic retrieval workload — a vocabulary well past every dataset
 #: profile, clustered the way entity representations cluster by class.
@@ -248,90 +239,3 @@ def test_batched_lm_scoring(benchmark, context, monkeypatch):
         f"loop {result['sequential_s']:.4f} s"
     )
 
-
-# ---------------------------------------------------------------------------
-# 3. gateway result cache round trip
-# ---------------------------------------------------------------------------
-
-GATEWAY_QUERY_BUDGET = 30
-
-
-class _Stub(Expander):
-    """A near-free deterministic expander so the numbers isolate the fabric."""
-
-    def __init__(self, salt: str):
-        super().__init__()
-        self.name = salt
-        self.salt = sum(ord(ch) for ch in salt)
-
-    def _expand(self, query, top_k):
-        scored = [
-            (eid, 1.0 / (1.0 + ((eid * 2654435761 + self.salt) % 4093)))
-            for eid in self.candidate_ids(query)
-        ]
-        return ExpansionResult.from_scores(query.query_id, scored)
-
-
-def run_gateway_cache_benchmark() -> dict:
-    dataset = build_dataset(DatasetConfig.tiny(seed=13))
-    methods = tuple(f"stub{letter}" for letter in "abcdef")
-    service = ExpansionService(
-        dataset,
-        config=ServiceConfig(port=0, cache_capacity=0),
-        factories={m: (lambda _res, m=m: _Stub(m)) for m in methods},
-    )
-    server = ExpansionHTTPServer(service, port=0).start()
-    gateway = ClusterGateway(
-        [("worker-0", server.url)],
-        config=ClusterConfig(
-            proxy_timeout_seconds=30.0,
-            gateway_cache_capacity=512,
-            gateway_cache_ttl_seconds=300.0,
-        ),
-        fingerprint=dataset.fingerprint(),
-        port=0,
-    ).start()
-    queries = [q.query_id for q in dataset.queries[:10]]
-    jobs = [
-        (methods[i % len(methods)], queries[i % len(queries)])
-        for i in range(GATEWAY_QUERY_BUDGET)
-    ]
-    try:
-        with ExpansionClient.connect(gateway.url) as client:
-            miss_times = []
-            for method, query_id in jobs:  # first pass fills the cache
-                started = time.perf_counter()
-                client.expand(method, query_id=query_id, top_k=20)
-                miss_times.append(time.perf_counter() - started)
-            hit_times = []
-            for method, query_id in jobs:
-                started = time.perf_counter()
-                result = client.expand(method, query_id=query_id, top_k=20)
-                hit_times.append(time.perf_counter() - started)
-                assert result.cached, "second pass must be a gateway hit"
-        cache_stats = gateway.stats()["cache"]
-    finally:
-        gateway.shutdown()
-        server.shutdown()
-    return {
-        "requests": len(jobs),
-        "proxied": _percentiles(miss_times),
-        "cache_hit": _percentiles(hit_times),
-        "speedup": sum(miss_times) / sum(hit_times),
-        "hits": cache_stats["hits"],
-    }
-
-
-def test_gateway_cache_round_trip(benchmark):
-    result = benchmark.pedantic(run_gateway_cache_benchmark, rounds=1, iterations=1)
-    print(
-        f"\ngateway round trip over {result['requests']} requests: "
-        f"proxied p50 {result['proxied']['p50_ms']:.2f} ms "
-        f"({result['proxied']['qps']:.0f} q/s), cache hit p50 "
-        f"{result['cache_hit']['p50_ms']:.2f} ms "
-        f"({result['cache_hit']['qps']:.0f} q/s, {result['speedup']:.1f}x)"
-    )
-    assert result["hits"] >= result["requests"]
-    # a hit skips the worker round trip entirely; it must not be slower.
-    assert sum(result["cache_hit"].values()) > 0
-    assert result["cache_hit"]["p50_ms"] <= result["proxied"]["p50_ms"]

@@ -35,7 +35,7 @@ writing Python:
 * ``cluster top`` — a ``top(1)``-style refreshing terminal view of a running
   gateway's fleet ``GET /v1/stats``: fleet health, per-shard traffic,
   error and latency rollups, cache hit rates, substrate and method
-  residency, and per-tenant requests and cost;
+  residency, and per-tenant requests and compute seconds;
 * ``query`` — submit one expansion request through the
   :class:`~repro.client.ExpansionClient` SDK and print the ranked entities:
   in-process by default, or against a running server with ``--url``.
@@ -65,9 +65,9 @@ appear under ``/v1/stats``.
 
 A serving process writes only to its terminal and its artifact store:
 ``--access-log`` and ``--slow-query-ms`` lines go to stderr (a ``cluster
-serve`` worker's stderr is the cluster terminal's), ``--usage-metering``
-totals are read from ``/v1/stats``, and ``store gc`` is the one way to
-collect stale artifacts.
+serve`` worker's stderr is the cluster terminal's), per-tenant usage is
+read from ``/v1/stats`` and ``/v1/metrics``, and ``store gc`` is the one
+way to collect stale artifacts.
 """
 
 from __future__ import annotations
@@ -193,7 +193,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         trace_sample_rate=args.trace_sample_rate,
         trace_buffer_size=args.trace_buffer_size,
         trace_sample_seed=args.trace_sample_seed,
-        usage_metering=args.usage_metering,
     )
     config.validate()
     return config
@@ -464,8 +463,6 @@ def worker_command(
         ]
         if getattr(args, "trace_sample_seed", None) is not None:
             command += ["--trace-sample-seed", str(args.trace_sample_seed)]
-    if getattr(args, "usage_metering", False):
-        command.append("--usage-metering")
     return tuple(command)
 
 
@@ -501,10 +498,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         gateway_access_log=getattr(args, "gateway_access_log", False),
         keyfile=getattr(args, "keyfile", None),
         default_quota=getattr(args, "default_quota", None),
-        gateway_cache_capacity=getattr(args, "gateway_cache_size", 0),
-        gateway_cache_ttl_seconds=getattr(
-            args, "gateway_cache_ttl", ClusterConfig.gateway_cache_ttl_seconds
-        ),
         service=service_config,
     )
     config.validate()
@@ -748,12 +741,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SEED",
         help="seed the sampling RNG for deterministic keep/drop decisions",
     )
-    parser.add_argument(
-        "--usage-metering",
-        action="store_true",
-        help="meter per-tenant compute-seconds (execute share, cache "
-        "lookups, fit wall-time); summary under /v1/stats 'usage'",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -897,16 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gateway-access-log", action="store_true",
         help="the gateway emits one structured JSON access-log line per "
         "request (workers keep their own --access-log)",
-    )
-    cluster_serve.add_argument(
-        "--gateway-cache-size", type=int, default=0, metavar="N",
-        help="entries in the gateway-side result cache (0 disables; hits "
-        "skip the worker round trip and carry X-Repro-Cache: gateway)",
-    )
-    cluster_serve.add_argument(
-        "--gateway-cache-ttl", type=float,
-        default=ClusterConfig.gateway_cache_ttl_seconds, metavar="SECONDS",
-        help="TTL for gateway-cached results (default 60s)",
     )
     cluster_serve.add_argument(
         "--startup-timeout", type=float, default=120.0,

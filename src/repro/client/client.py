@@ -24,7 +24,6 @@ from urllib.parse import urlencode
 from repro.api.errors import exception_for_payload
 from repro.api.options import ExpandOptions
 from repro.exceptions import ReproError, ServiceError, TransportError
-from repro.obs.usage import fleet_usage
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.client.transport import HttpTransport, InProcessTransport
 
@@ -179,15 +178,11 @@ class ExpansionClient:
         sampled out or already evicted."""
         return self._call("GET", f"/v1/traces/{trace_id}")["trace"]
 
-    def usage(self) -> dict | None:
-        """The server's per-tenant usage summary, or ``None`` when usage
-        metering is not enabled (the ``usage`` stats key is conditional).
-        Through a gateway it is the fleet's: every worker's tenants plus
-        the gateway cache's own, summed per tenant under ``tenants``."""
-        stats = self.stats()
-        if "workers" in stats and "gateway" in stats:
-            return fleet_usage(stats)
-        return stats.get("usage")
+    def usage(self) -> dict:
+        """The server's per-tenant usage (``{"tenants": {...}}``): a
+        worker's own, or through a gateway every worker's summed per
+        tenant."""
+        return self.stats()["usage"]
 
     # -- plumbing ----------------------------------------------------------------
     def _call(self, verb: str, path: str, payload: Mapping | None = None) -> dict:

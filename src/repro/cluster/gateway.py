@@ -74,7 +74,6 @@ from repro.obs import (
     MetricsRegistry,
     Trace,
     TraceCollector,
-    UsageMeter,
     activate,
     current_context,
     current_request_id,
@@ -87,16 +86,10 @@ from repro.obs import (
     span,
     tenant_scope,
 )
-from repro.serve.cache import ResultCache
-from repro.serve.protocol import ExpandRequest
 from repro.serve.server import HttpFront, Reply, Request
 
 #: header naming the worker that actually served a proxied response.
 WORKER_HEADER = "X-Repro-Worker"
-
-#: header stamped on responses the gateway served from its own result
-#: cache (no worker round trip; the value names the cache tier).
-CACHE_HEADER = "X-Repro-Cache"
 
 #: structured gateway access-log destination (one JSON document per line),
 #: enabled with ``ClusterConfig.gateway_access_log``.
@@ -232,23 +225,6 @@ class ClusterGateway(HttpFront):
                 ),
                 metrics=self.metrics,
             )
-        # Gateway-side result cache: repeated identical expand requests are
-        # answered here without a worker round trip.  Same discipline as the
-        # worker ResultCache (LRU + TTL, canonicalized request key) with two
-        # extra key components — the resolved tenant and the dataset
-        # fingerprint — so hits never cross tenants or outlive a dataset
-        # swap.  Hits are still billed (at lookup cost) via the gateway's
-        # own usage meter.
-        self.cache: ResultCache | None = None
-        self.usage: UsageMeter | None = None
-        if self.config.gateway_cache_capacity > 0:
-            self.cache = ResultCache(
-                capacity=self.config.gateway_cache_capacity,
-                ttl_seconds=self.config.gateway_cache_ttl_seconds,
-                metrics=self.metrics,
-                metric_prefix="repro_gateway_cache",
-            )
-            self.usage = UsageMeter()
         # The gateway keeps its own searchable ring of *joined* traces (its
         # span tree plus every worker fragment grafted under the proxy
         # hops), configured off the embedded per-worker service config so
@@ -709,63 +685,8 @@ class ClusterGateway(HttpFront):
         if trace is not None:
             # the collector's method filter keys off this annotation.
             trace.annotate(method=method.strip().lower())
-        cache_key = None
-        if self.cache is not None and path == "/v1/expand":
-            cache_key = self._expand_cache_key(payload)
-        if cache_key is not None:
-            lookup_started = time.perf_counter()
-            hit = self.cache.get(cache_key)
-            if hit is not None:
-                # A hit costs a dict copy, not a forward pass: bill the
-                # lookup wall-time, flagged as cached, so usage totals
-                # stay complete without inflating compute attribution.
-                if self.usage is not None:
-                    self.usage.charge_expand(
-                        current_tenant(),
-                        time.perf_counter() - lookup_started,
-                        method=method,
-                        cached=True,
-                    )
-                data = dict(hit)
-                data["cached"] = True
-                return self._data_reply(data, **{CACHE_HEADER: "gateway"})
-        key = shard_key(method, self.fingerprint)
-        reply = self._proxy_with_failover(key, verb, path, body)
-        if cache_key is not None and reply.status == 200:
-            data = self._parse_envelope_data((reply.status, reply.body))
-            if data is not None:
-                self.cache.put(cache_key, data)
-        return reply
-
-    def _expand_cache_key(self, payload: Mapping) -> tuple | None:
-        """The gateway cache key for one expand payload, or ``None`` when
-        the request must not be cached (cache opt-out, timings requested,
-        or a body the worker would reject anyway).
-
-        The key reuses :meth:`ExpandRequest.cache_key` canonicalization
-        (normalized method, sorted seeds, ``top_k``) and adds every
-        remaining tenant-visible response shaper — the gateway caches the
-        serialized response, so pagination and name resolution must key
-        too — plus the resolved tenant and the dataset fingerprint, which
-        scope hits to one tenant and one dataset generation."""
-        try:
-            request = ExpandRequest.from_dict(payload)
-            request.validate()
-        except ServiceError:
-            return None  # let the owning worker produce the error envelope
-        options = request.options
-        if not options.use_cache or options.include_timings:
-            return None
-        # top_k=None means "the worker's default"; 0 is an impossible
-        # explicit value, so it is a safe sentinel for that case.
-        resolved = options.top_k if options.top_k is not None else 0
-        return (
-            current_tenant() or "",
-            self.fingerprint,
-            request.cache_key(resolved),
-            options.offset,
-            options.limit,
-            options.return_names,
+        return self._proxy_with_failover(
+            shard_key(method, self.fingerprint), verb, path, body
         )
 
     def _forward_any(self, verb: str, path: str) -> Reply:
@@ -919,12 +840,13 @@ class ClusterGateway(HttpFront):
 
     def _aggregate_stats(self) -> Reply:
         """The fleet document: every worker's own ``/v1/stats`` (or
-        ``{"unreachable": true}``), their summed totals, and the gateway's
-        and gate's counters.  perfbench reads it, and ``repro cluster top``
-        renders it (:func:`repro.obs.top.render_top`)."""
+        ``{"unreachable": true}``), their summed totals and per-tenant usage,
+        and the gateway's and gate's counters.  perfbench reads it, and
+        ``repro cluster top`` renders it (:func:`repro.obs.top.render_top`)."""
         results = self._worker_scatter("GET", "/v1/stats")
         workers: dict[str, dict] = {}
         totals = {"requests": 0, "errors": 0, "cache_hits": 0, "cache_misses": 0}
+        usage: dict[str, dict] = {}
         for worker_id, result in results.items():
             data = self._parse_envelope_data(result)
             if data is None:
@@ -937,14 +859,25 @@ class ClusterGateway(HttpFront):
             totals["errors"] += int(service.get("errors", 0))
             totals["cache_hits"] += int(cache.get("hits", 0))
             totals["cache_misses"] += int(cache.get("misses", 0))
+            tenants = (data.get("usage") or {}).get("tenants") or {}
+            for tenant, bucket in tenants.items():
+                total = usage.setdefault(tenant, {})
+                for name, value in bucket.items():
+                    total[name] = total.get(name, 0) + value
         data = {
             "gateway": self.stats(),
             "cluster": totals,
             "workers": workers,
+            "usage": {
+                "tenants": {
+                    tenant: {name: round(value, 6) for name, value in usage[tenant].items()}
+                    for tenant in sorted(usage)
+                }
+            },
         }
         if self.gate is not None:
             # additive: only gated clusters grow this key, so the pinned
-            # {"gateway", "cluster", "workers"} default shape is unchanged.
+            # default shape is unchanged.
             data["gate"] = self.gate.stats()
         return self._data_reply(data)
 
@@ -1014,14 +947,10 @@ class ClusterGateway(HttpFront):
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> dict:
-        """The legacy stats dict (wire shape pinned), as a registry view.
-
-        The ``cache`` and ``usage`` keys are additive: they appear only when
-        the gateway result cache (and with it the meter that bills its hits)
-        is enabled, so the default shape is unchanged."""
+        """The legacy stats dict (wire shape pinned), as a registry view."""
         down_until = self._down_snapshot()
         now = time.monotonic()
-        merged = {
+        return {
             "workers": list(self._ring.nodes),
             "fingerprint": self.fingerprint,
             "virtual_nodes": self._ring.virtual_nodes,
@@ -1040,11 +969,6 @@ class ClusterGateway(HttpFront):
                 if now < until
             ),
         }
-        if self.cache is not None:
-            merged["cache"] = self.cache.stats()
-        if self.usage is not None:
-            merged["usage"] = self.usage.summary()
-        return merged
 
     # -- helpers -----------------------------------------------------------------
     @staticmethod
@@ -1057,10 +981,10 @@ class ClusterGateway(HttpFront):
             return None
 
     @staticmethod
-    def _data_reply(data: dict, **headers: str) -> Reply:
+    def _data_reply(data: dict) -> Reply:
         """A 200 success envelope under the current request id."""
         request_id = current_request_id() or new_request_id()
-        return Reply.envelope(200, success_envelope(request_id, data), **headers)
+        return Reply.envelope(200, success_envelope(request_id, data))
 
     @staticmethod
     def _error_reply(status: int, payload: dict) -> Reply:

@@ -374,10 +374,6 @@ class ServiceConfig:
     #: seed for the sampling RNG; ``None`` seeds from the OS.  A fixed seed
     #: makes the kept-trace sequence reproducible (tests, load replays).
     trace_sample_seed: int | None = None
-    #: meter per-tenant compute-seconds (execute wall-time, cache-hit
-    #: costs, fit wall-time) in memory; surfaced in ``/v1/stats``
-    #: and the COST column of ``repro cluster top``.
-    usage_metering: bool = False
 
     def validate(self) -> None:
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
@@ -470,13 +466,6 @@ class ClusterConfig:
     keyfile: str | None = None
     #: gateway-enforced default quota (``"RATE"`` or ``"RATE:BURST"``).
     default_quota: str | None = None
-    #: entries in the gateway-side expand result cache; ``0`` disables it
-    #: (every request is proxied, the seed behaviour).  Enabled, repeated
-    #: identical expand requests are answered at the gateway without a
-    #: worker round trip.
-    gateway_cache_capacity: int = 0
-    #: TTL of gateway-cached expand responses (``None`` = no expiry).
-    gateway_cache_ttl_seconds: float | None = 60.0
     #: per-worker serving parameters.
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
@@ -513,15 +502,6 @@ class ClusterConfig:
             from repro.gate.limiter import QuotaSpec
 
             QuotaSpec.parse(self.default_quota)  # raises ConfigurationError
-        if self.gateway_cache_capacity < 0:
-            raise ConfigurationError("gateway_cache_capacity must be non-negative")
-        if (
-            self.gateway_cache_ttl_seconds is not None
-            and self.gateway_cache_ttl_seconds <= 0
-        ):
-            raise ConfigurationError(
-                "gateway_cache_ttl_seconds must be positive or None"
-            )
         self.service.validate()
 
     def worker_port(self, index: int) -> int:

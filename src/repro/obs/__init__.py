@@ -1,20 +1,20 @@
-"""repro.obs — unified telemetry: metrics, tracing, usage.
+"""repro.obs — unified telemetry: metrics and tracing.
 
 This package is the one place serving-layer counters live.  Components
 expose :class:`~repro.obs.metrics.MetricsRegistry` instruments instead of
 hand-rolled ``self._stats = {}`` dicts (a tier-1 lint test enforces this),
-per-request stage timings ride the :mod:`~repro.obs.trace` ContextVar,
+per-request stage timings ride the :mod:`~repro.obs.trace` ContextVar, and
 completed traces land in a searchable :class:`~repro.obs.traces.TraceCollector`
-ring (a cold fit's phases are spans too), and per-tenant compute-seconds
-accumulate in memory in a :class:`~repro.obs.usage.UsageMeter` for
-billing-grade accounting.
+ring (a cold fit's phases are spans too).  Per-tenant usage is registry
+counters too: the service charges compute seconds, cache hits and fits to
+``repro_tenant_*`` families labelled ``tenant``.
 
 Telemetry is pull-only: no process pushes metrics or spans anywhere, and
 none writes a telemetry file of its own.  Collectors scrape ``GET
 /v1/metrics`` (the registry as Prometheus text, with exemplars), read kept
-traces from ``GET /v1/traces`` and per-tenant usage from ``GET /v1/stats``;
-access-log and slow-query lines go to loggers, which the CLI sends to
-stderr.
+traces from ``GET /v1/traces`` and per-tenant usage from the ``usage`` key
+of ``GET /v1/stats``; access-log and slow-query lines go to loggers, which
+the CLI sends to stderr.
 """
 
 from repro.obs.metrics import (
@@ -50,18 +50,9 @@ from repro.obs.trace import (
     tenant_scope,
 )
 from repro.obs.traces import TraceCollector
-from repro.obs.usage import (
-    ANONYMOUS_TENANT,
-    MAX_TENANTS,
-    OVERFLOW_TENANT,
-    UsageMeter,
-)
 
 __all__ = [
-    "ANONYMOUS_TENANT",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "MAX_TENANTS",
-    "OVERFLOW_TENANT",
     "PROMETHEUS_CONTENT_TYPE",
     "TRACEPARENT_HEADER",
     "TRACE_ID_HEADER",
@@ -73,7 +64,6 @@ __all__ = [
     "Trace",
     "TraceCollector",
     "TraceContext",
-    "UsageMeter",
     "activate",
     "current_context",
     "current_request_id",

@@ -3,8 +3,8 @@
 Pure function from the gateway's fleet ``GET /v1/stats`` data to a
 fixed-width table, so the CLI loop stays trivial (one read per refresh) and
 tests can golden-check the rendering without a terminal.  The gateway joins
-the fleet once, for ``/v1/stats``; fleet health, merged latency, per-worker
-rates and the tenant rollup are computed here.
+the fleet once, for ``/v1/stats``, and sums the workers' per-tenant usage
+there; fleet health, merged latency and per-worker rates are computed here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.obs.metrics import merge_bucket_lists
-from repro.obs.usage import fleet_usage
 
 
 def _fmt_ms(value) -> str:
@@ -47,8 +46,9 @@ def _hit_rate(hits, misses) -> float:
 
 def _tenant_rows(stats: Mapping) -> list[tuple]:
     """``(tenant, requests, throttled, compute_seconds or None)`` rows: the
-    gate's tenants on a gated fleet, otherwise every metered tenant."""
-    usage = (fleet_usage(stats) or {}).get("tenants") or {}
+    gate's tenants on a gated fleet, otherwise every tenant the fleet's
+    ``usage`` lists."""
+    usage = (stats.get("usage") or {}).get("tenants") or {}
     gate = stats.get("gate")
     if gate is None:
         return [
@@ -118,17 +118,13 @@ def render_top(stats: Mapping) -> str:
             f"probes/q={ann['probes'] / queries:.1f} "
             f"shortlist/q={ann['shortlisted'] / queries:.0f}"
         )
-    gateway_line = (
+    lines.append(
         "gateway: "
         f"proxied={gateway.get('proxied', 0)} "
         f"failovers={gateway.get('failovers', 0)} "
         f"backend_errors={gateway.get('backend_errors', 0)} "
         f"sidelined={len(gateway.get('sidelined', []) or [])}"
     )
-    gateway_cache = gateway.get("cache")
-    if isinstance(gateway_cache, dict):
-        gateway_line += f" cache_hit={_fmt_rate(gateway_cache.get('hit_rate'))}"
-    lines.append(gateway_line)
     lines.append("")
 
     header = (
@@ -163,7 +159,7 @@ def render_top(stats: Mapping) -> str:
     tenants = _tenant_rows(stats)
     if tenants:
         lines.append("")
-        # the COST column appears once any tenant has metered usage.
+        # the COST column appears once any tenant has been charged.
         with_cost = any(cost is not None for *_counts, cost in tenants)
         tenant_header = f"{'TENANT':<24} {'REQS':>8} {'THROTTLED':>10}"
         if with_cost:

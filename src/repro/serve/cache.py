@@ -34,14 +34,8 @@ class ResultCache:
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
-        metric_prefix: str = "repro_cache",
     ):
-        """``clock`` is injectable so tests can drive expiry deterministically.
-
-        ``metric_prefix`` names the metric family; a second cache tier on the
-        same registry (e.g. the cluster gateway's ``repro_gateway_cache``)
-        must not collide with the worker-side ``repro_cache`` series.
-        """
+        """``clock`` is injectable so tests can drive expiry deterministically."""
         self.capacity = capacity
         self.ttl_seconds = ttl_seconds
         self._clock = clock
@@ -50,20 +44,20 @@ class ResultCache:
         self._entries: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hits = self.metrics.counter(
-            f"{metric_prefix}_hits_total", "Result-cache lookups served from cache."
+            "repro_cache_hits_total", "Result-cache lookups served from cache."
         )
         self._misses = self.metrics.counter(
-            f"{metric_prefix}_misses_total", "Result-cache lookups that missed."
+            "repro_cache_misses_total", "Result-cache lookups that missed."
         )
         self._evictions = self.metrics.counter(
-            f"{metric_prefix}_evictions_total",
+            "repro_cache_evictions_total",
             "Entries evicted by the LRU capacity bound.",
         )
         self._expirations = self.metrics.counter(
-            f"{metric_prefix}_expirations_total", "Entries dropped past their TTL."
+            "repro_cache_expirations_total", "Entries dropped past their TTL."
         )
         self._size = self.metrics.gauge(
-            f"{metric_prefix}_size", "Entries currently resident in the result cache."
+            "repro_cache_size", "Entries currently resident in the result cache."
         )
         # hot-path handles: every lookup touches one of these.
         self._hits_series = self._hits.labels()

@@ -109,8 +109,8 @@ class Reply:
     log_fields: dict = field(default_factory=dict)
 
     @classmethod
-    def envelope(cls, status: int, envelope: dict, **headers: str) -> "Reply":
-        return cls(status, json.dumps(envelope).encode("utf-8"), dict(headers))
+    def envelope(cls, status: int, envelope: dict) -> "Reply":
+        return cls(status, json.dumps(envelope).encode("utf-8"))
 
 
 class _Handler(BaseHTTPRequestHandler):

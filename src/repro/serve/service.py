@@ -20,7 +20,9 @@ resident.
 Telemetry is unified on one :class:`~repro.obs.MetricsRegistry` owned by the
 service (labelled with the dataset fingerprint) and shared with the cache,
 registry, and substrate provider; :meth:`stats` is a wire-compatible
-view over it, and the same registry renders ``GET /v1/metrics``.  Requests
+view over it, and the same registry renders ``GET /v1/metrics``.  Per-tenant
+usage (compute seconds, cache hits, fits) is a set of counter families on
+that registry, read back as the ``usage`` key of :meth:`stats`.  Requests
 that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
 carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
 come back on the response and land in the slow-query log.
@@ -36,19 +38,24 @@ import random
 import threading
 import time
 from contextlib import nullcontext
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.api.options import ExpandOptions
 from repro.config import ServiceConfig
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import DatasetError, ServiceUnavailableError
-from repro.gate import AdmissionController, Gate, QuotaSpec, TenantDirectory
+from repro.gate import (
+    ANONYMOUS_TENANT,
+    AdmissionController,
+    Gate,
+    QuotaSpec,
+    TenantDirectory,
+)
 from repro.obs import (
     MetricsRegistry,
     Trace,
     TraceCollector,
-    UsageMeter,
     activate,
     current_request_id,
     current_tenant,
@@ -61,6 +68,18 @@ from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.serve.registry import ExpanderFactory, ExpanderRegistry
 from repro.store import ArtifactStore
 from repro.types import ExpansionResult, Query
+
+
+class _TenantSeries(NamedTuple):
+    """One entry per tenant-labelled counter family of the service: the
+    families themselves, or one tenant's bound series of each."""
+
+    requests: Any
+    errors: Any
+    compute_seconds: Any
+    cache_hits: Any
+    fits: Any
+    fit_seconds: Any
 
 
 class ExpansionService:
@@ -107,11 +126,6 @@ class ExpansionService:
             ttl_seconds=self.config.cache_ttl_seconds,
             clock=clock,
             metrics=self.metrics,
-        )
-        # Billing-grade per-tenant metering: each uncached expand bills its
-        # execute wall time to the caller's tenant.
-        self.usage: UsageMeter | None = (
-            UsageMeter() if self.config.usage_metering else None
         )
         # Searchable ring of completed traces (GET /v1/traces).  None means
         # tracing is off entirely; rate 0.0 installs the collector but keeps
@@ -176,13 +190,30 @@ class ExpansionService:
             exemplars=True,
         )
         # hot-path handles: label resolution paid once, not per request.
-        self._requests_series = self._requests.labels()
-        self._errors_series = self._errors.labels()
         self._latency_by_method: dict = {}
-        # per-tenant bound series, created on a tenant's first request; the
-        # registry's MAX_SERIES_PER_FAMILY cap bounds the cardinality.
-        self._requests_by_tenant: dict = {}
-        self._errors_by_tenant: dict = {}
+        # Usage: an uncached expand is charged its execute wall time (also
+        # when the expander raises), a cache hit the lookup's own time, a fit
+        # its wall time.  A tenant's series of every family here are bound
+        # together on its first request or fit, so the registry's
+        # MAX_SERIES_PER_FAMILY cap keeps or drops a tenant in all of them
+        # at once; unkeyed traffic takes the unlabeled series.
+        self._tenant_families = _TenantSeries(
+            requests=self._requests,
+            errors=self._errors,
+            compute_seconds=self.metrics.counter(
+                "repro_tenant_compute_seconds_total",
+                "Compute seconds charged per tenant (execute, cache lookup, fit).",
+            ),
+            cache_hits=self.metrics.counter(
+                "repro_tenant_cache_hits_total",
+                "Expand requests per tenant answered from the result cache.",
+            ),
+            fits=self.metrics.counter("repro_tenant_fits_total", "Fits requested per tenant."),
+            fit_seconds=self.metrics.counter(
+                "repro_tenant_fit_seconds_total", "Fit wall time per tenant."
+            ),
+        )
+        self._series_by_tenant: dict = {}
         #: serial for adhoc query ids; must stay exact even with metrics off.
         self._adhoc_serial = 0
         self._closed = False
@@ -266,28 +297,24 @@ class ExpansionService:
         )
 
     def _count_request(self, error: bool = False) -> None:
-        """Count one request, labelled by tenant when the front door
-        resolved one; anonymous traffic keeps the unlabeled fast path."""
-        tenant = current_tenant()
-        if tenant is None:
-            self._requests_series.inc()
-            if error:
-                self._errors_series.inc()
-            return
-        series = self._requests_by_tenant.get(tenant)
-        if series is None:
-            # benign race: both losers bind the same series, one wins.
-            series = self._requests_by_tenant.setdefault(
-                tenant, self._requests.labels(tenant=tenant)
-            )
-        series.inc()
+        """Count one request under the caller's tenant."""
+        series = self._tenant_series(current_tenant())
+        series.requests.inc()
         if error:
-            errors = self._errors_by_tenant.get(tenant)
-            if errors is None:
-                errors = self._errors_by_tenant.setdefault(
-                    tenant, self._errors.labels(tenant=tenant)
-                )
-            errors.inc()
+            series.errors.inc()
+
+    def _tenant_series(self, tenant: str | None) -> _TenantSeries:
+        """The tenant's bound series of every tenant-labelled family, bound
+        on its first request or fit."""
+        series = self._series_by_tenant.get(tenant)
+        if series is None:
+            labels = {} if tenant is None else {"tenant": tenant}
+            # benign race: both losers bind the same series, one wins.
+            series = self._series_by_tenant.setdefault(
+                tenant,
+                _TenantSeries(*(family.labels(**labels) for family in self._tenant_families)),
+            )
+        return series
 
     def _submit(
         self,
@@ -311,15 +338,10 @@ class ExpansionService:
             with span("cache_lookup"):
                 cached = self.cache.get(key)
             if cached is not None:
-                if self.usage is not None:
-                    # cache hits bill at lookup cost, not at the compute
-                    # cost the cache saved — that's the point of caching.
-                    self.usage.charge_expand(
-                        current_tenant(),
-                        time.perf_counter() - lookup_started,
-                        method=method,
-                        cached=True,
-                    )
+                # a hit costs the lookup, not the execute the cache saved.
+                series = self._tenant_series(current_tenant())
+                series.cache_hits.inc()
+                series.compute_seconds.inc(time.perf_counter() - lookup_started)
                 return self._respond(
                     method, cached, options, top_k, True, started, trace
                 )
@@ -422,18 +444,17 @@ class ExpansionService:
         )
 
     def _execute(self, method: str, query: Query, top_k: int) -> ExpansionResult:
-        """Run one uncached expand on the calling thread.  With metering on,
-        its wall time is billed to the caller's tenant, also when the
-        expander raises: the compute was spent."""
+        """Run one uncached expand on the calling thread.  Its wall time is
+        charged to the caller's tenant, also when the expander raises: the
+        compute was spent."""
         started = time.perf_counter()
         try:
             with span("execute", method=method):
                 return self.registry.get(method).expand(query, top_k)
         finally:
-            if self.usage is not None:
-                self.usage.charge_expand(
-                    current_tenant(), time.perf_counter() - started, method=method
-                )
+            self._tenant_series(current_tenant()).compute_seconds.inc(
+                time.perf_counter() - started
+            )
 
     # -- warm-up / fits ---------------------------------------------------------------
     def warm_up(self, methods: Sequence[str] = ("retexpan",)) -> None:
@@ -447,9 +468,9 @@ class ExpansionService:
 
         It runs the registry lookup an expand runs, on the calling thread,
         holding one batch-lane admission slot like a batch item (so under
-        load it sheds with the same retryable 503).  With metering on, its
-        wall time is billed to the caller's tenant, also when the fit
-        raises: the compute was spent.
+        load it sheds with the same retryable 503).  Its wall time is charged
+        to the caller's tenant, also when the fit raises: the compute was
+        spent.
         """
         if self._closed:
             raise ServiceUnavailableError("service is shut down")
@@ -462,8 +483,10 @@ class ExpansionService:
                 outcome = self.registry.fit(name, pin=pin)
             finally:
                 seconds = time.perf_counter() - started
-                if self.usage is not None:
-                    self.usage.charge_fit(current_tenant(), seconds, method=name)
+                series = self._tenant_series(current_tenant())
+                series.fits.inc()
+                series.fit_seconds.inc(seconds)
+                series.compute_seconds.inc(seconds)
         return {"method": name, "outcome": outcome, "seconds": seconds}
 
     # -- introspection -----------------------------------------------------------------
@@ -502,6 +525,7 @@ class ExpansionService:
             "service": service,
             "cache": self.cache.stats(),
             "registry": self.registry.stats(),
+            "usage": self._usage_stats(),
         }
         # gate/admission keys appear only when configured, so the default
         # stats payload (pinned by wire-shape tests) is unchanged.
@@ -513,9 +537,28 @@ class ExpansionService:
             merged["store"] = self.store.stats()
         if self.traces is not None:
             merged["traces"] = self.traces.stats()
-        if self.usage is not None:
-            merged["usage"] = self.usage.stats()
         return merged
+
+    def _usage_stats(self) -> dict:
+        """Per-tenant usage read back from the counters: one row per tenant
+        seen so far, unkeyed traffic under ``anonymous``."""
+        families = self._tenant_families
+        tenants: dict[str, dict] = {}
+        for key, seconds in families.compute_seconds.series().items():
+            labels = dict(key)
+            row = tenants.setdefault(
+                labels.get("tenant", ANONYMOUS_TENANT),
+                {"requests": 0, "cache_hits": 0, "fits": 0,
+                 "compute_seconds": 0.0, "fit_seconds": 0.0},
+            )
+            row["requests"] += int(families.requests.value(**labels))
+            row["cache_hits"] += int(families.cache_hits.value(**labels))
+            row["fits"] += int(families.fits.value(**labels))
+            row["compute_seconds"] = round(row["compute_seconds"] + seconds, 6)
+            row["fit_seconds"] = round(
+                row["fit_seconds"] + families.fit_seconds.value(**labels), 6
+            )
+        return {"tenants": {tenant: tenants[tenant] for tenant in sorted(tenants)}}
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:

@@ -45,11 +45,13 @@ def write_json_state(path: str | Path, payload: dict) -> None:
 
     Counter-like payloads (n-gram counts) depend on insertion order for
     deterministic tie-breaking after a round-trip, so keys are *not* sorted.
+    ``json.dumps`` encodes in C (``json.dump`` always takes the pure-Python
+    encoder) and gives the same bytes, written in one call.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, separators=(",", ":"))
+        handle.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
 
 
 def read_json_state(path: str | Path) -> dict:

@@ -89,16 +89,21 @@ class TestParser:
         """No telemetry file flags remain: slow-query lines go to stderr and
         usage totals to /v1/stats, so each former file flag is a usage error
         on every subcommand that takes the service flags (``query`` takes
-        none of them but ``--store``)."""
+        none of them but ``--store``).  Usage is always metered and the
+        gateway keeps no result cache, so their switches are gone too."""
         for command in (["serve"], ["cluster", "serve"]):
             for flag, value in (
                 ("--usage-ledger", "/tmp/usage.jsonl"),
                 ("--usage-rollup-interval-seconds", "1"),
                 ("--slow-query-log", "/tmp/slow.jsonl"),
                 ("--slow-query-max-bytes", "4096"),
+                ("--usage-metering", None),
+                ("--gateway-cache-size", "64"),
+                ("--gateway-cache-ttl", "60"),
             ):
+                argv = [*command, flag] if value is None else [*command, flag, value]
                 with pytest.raises(SystemExit) as excinfo:
-                    build_parser().parse_args([*command, flag, value])
+                    build_parser().parse_args(argv)
                 assert excinfo.value.code == 2
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         args = build_parser().parse_args(["serve", "--slow-query-ms", "25"])

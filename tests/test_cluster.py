@@ -459,6 +459,25 @@ class TestGatewayRouting:
                 owners.add(headers.get(WORKER_HEADER))
             assert owners == {gateway.owner(method)}
 
+    def test_repeat_expand_is_proxied_every_time(self, cluster, tiny_dataset):
+        """The gateway keeps no results: a repeat goes to the owner again
+        and is answered from that worker's result cache."""
+        gateway, servers = cluster
+        method = STUB_METHODS[0]
+        owner = gateway.owner(method)
+        cache = servers[int(owner.split("-")[1])].service.cache
+        body = {
+            "method": method,
+            "query_id": tiny_dataset.queries[1].query_id,
+            "options": {"top_k": 13},
+        }
+        proxied, hits = gateway.stats()["proxied"], cache.stats()["hits"]
+        replies = [gateway_post(gateway, "/v1/expand", body) for _ in range(2)]
+        assert [headers[WORKER_HEADER] for _s, _p, headers in replies] == [owner] * 2
+        assert [payload["data"]["cached"] for _s, payload, _h in replies] == [False, True]
+        assert gateway.stats()["proxied"] == proxied + 2
+        assert cache.stats()["hits"] == hits + 1
+
     def test_both_shards_receive_traffic(self, cluster):
         gateway, _servers = cluster
         assert {gateway.owner(method) for method in STUB_METHODS} == {
@@ -582,7 +601,7 @@ class TestGatewayRouting:
         }
         with urllib.request.urlopen(gateway.url + "/v1/stats", timeout=10) as response:
             stats = json.loads(response.read())["data"]
-        assert set(stats) == {"gateway", "cluster", "workers"}
+        assert set(stats) == {"gateway", "cluster", "workers", "usage"}
         assert stats["cluster"]["requests"] >= 1
         assert set(stats["workers"]) == {"worker-0", "worker-1"}
         assert stats["gateway"]["proxied"] >= 1

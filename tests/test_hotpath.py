@@ -1,6 +1,6 @@
-"""Hot-path query compute tests (ANN retrieval, batched scoring, gateway cache).
+"""Hot-path query compute tests (ANN retrieval, batched scoring).
 
-Covers the three legs of the hot-path work:
+Covers the legs of the hot-path work:
 
 * the pure-numpy partitioned ANN index (:mod:`repro.retrieval`): build /
   probe / persistence, the MIPS lift for un-normalized vectors, shortlist
@@ -12,9 +12,7 @@ Covers the three legs of the hot-path work:
   is evicted and refitted, never served;
 * batched LM conditional-similarity scoring (GenExpan): one memoised batch
   must reproduce the sequential per-pair means bitwise;
-* the gateway-side result cache: hit/miss behaviour over real sockets,
-  the ``X-Repro-Cache`` header, usage billing of hits, and the tenant /
-  fingerprint scoping of keys.
+* the retired per-request retrieval knobs, refused on both serving tiers.
 """
 
 from __future__ import annotations
@@ -349,41 +347,10 @@ class TestBatchedConditionalSimilarity:
 # ---------------------------------------------------------------------------
 
 
-class TestRetrievalOptionsWireShape:
-    def test_retrieval_knobs_are_unknown_options(self, cached_cluster, tiny_dataset):
-        """Vocabulary size alone picks the retrieval path: a per-request
-        knob is an unknown options field, in the parser and on the wire of
-        both tiers."""
-        gateway, servers = cached_cluster
-        for field, value in (("ann", "on"), ("nprobe", 4)):
-            with pytest.raises(ServiceError, match="unknown options fields"):
-                ExpandOptions.from_dict({field: value})
-            body = {
-                "method": "stuba",
-                "query_id": tiny_dataset.queries[0].query_id,
-                "options": {"top_k": 5, field: value},
-            }
-            for front in (servers[0], gateway):
-                with pytest.raises(urllib.error.HTTPError) as refused:
-                    _post(front, body)
-                assert refused.value.code == 400
-                error = json.loads(refused.value.read())["error"]
-                assert error["code"] == "invalid_request"
-                assert "unknown options fields" in error["message"]
-
-
-# ---------------------------------------------------------------------------
-# gateway result cache
-# ---------------------------------------------------------------------------
-
-
 @pytest.fixture(scope="module")
-def cached_cluster(tiny_dataset):
+def cluster(tiny_dataset):
     servers = [make_worker(tiny_dataset) for _ in range(2)]
-    gateway = make_gateway(
-        tiny_dataset, servers, gateway_cache_capacity=64,
-        gateway_cache_ttl_seconds=300.0,
-    )
+    gateway = make_gateway(tiny_dataset, servers)
     yield gateway, servers
     gateway.shutdown()
     for server in servers:
@@ -400,109 +367,25 @@ def _post(server, payload):
         return response.status, json.loads(response.read()), dict(response.headers)
 
 
-class TestGatewayCache:
-    def test_repeat_request_is_served_from_the_gateway(
-        self, cached_cluster, tiny_dataset
-    ):
-        gateway, _servers = cached_cluster
-        body = {
-            "method": "stuba",
-            "query_id": tiny_dataset.queries[0].query_id,
-            "options": {"top_k": 7},
-        }
-        status, first, headers = _post(gateway, body)
-        assert status == 200
-        assert "X-Repro-Cache" not in headers, "first request is a miss"
-        assert headers.get("X-Repro-Worker")
-        status, second, headers = _post(gateway, body)
-        assert status == 200
-        assert headers.get("X-Repro-Cache") == "gateway"
-        assert "X-Repro-Worker" not in headers, "a hit never leaves the gateway"
-        assert second["data"]["cached"] is True
-        assert second["data"]["ranking"] == first["data"]["ranking"]
-        stats = gateway.stats()["cache"]
-        assert stats["hits"] >= 1
+class TestRetrievalOptionsWireShape:
+    def test_retrieval_knobs_are_unknown_options(self, cluster, tiny_dataset):
+        """Vocabulary size alone picks the retrieval path: a per-request
+        knob is an unknown options field, in the parser and on the wire of
+        both tiers."""
+        gateway, servers = cluster
+        for field, value in (("ann", "on"), ("nprobe", 4)):
+            with pytest.raises(ServiceError, match="unknown options fields"):
+                ExpandOptions.from_dict({field: value})
+            body = {
+                "method": "stuba",
+                "query_id": tiny_dataset.queries[0].query_id,
+                "options": {"top_k": 5, field: value},
+            }
+            for front in (servers[0], gateway):
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    _post(front, body)
+                assert refused.value.code == 400
+                error = json.loads(refused.value.read())["error"]
+                assert error["code"] == "invalid_request"
+                assert "unknown options fields" in error["message"]
 
-    def test_hits_are_billed_at_lookup_cost(self, cached_cluster, tiny_dataset):
-        gateway, _servers = cached_cluster
-        body = {
-            "method": "stubb",
-            "query_id": tiny_dataset.queries[1].query_id,
-            "options": {"top_k": 5},
-        }
-        _post(gateway, body)
-        before = gateway.usage.summary()["tenants"]
-        _post(gateway, body)
-        after = gateway.usage.summary()["tenants"]
-        hits_before = sum(b["cache_hits"] for b in before.values()) if before else 0
-        hits_after = sum(b["cache_hits"] for b in after.values())
-        assert hits_after == hits_before + 1
-
-    def test_use_cache_false_bypasses_the_gateway_cache(
-        self, cached_cluster, tiny_dataset
-    ):
-        gateway, _servers = cached_cluster
-        body = {
-            "method": "stubc",
-            "query_id": tiny_dataset.queries[2].query_id,
-            "options": {"top_k": 5, "use_cache": False},
-        }
-        for _ in range(2):
-            status, _payload, headers = _post(gateway, body)
-            assert status == 200
-            assert "X-Repro-Cache" not in headers
-            assert headers.get("X-Repro-Worker")
-
-    def test_key_scopes_tenant_and_fingerprint(self, cached_cluster, tiny_dataset):
-        """Unit-level: the key embeds the resolved tenant and the dataset
-        fingerprint, so hits can never cross either boundary."""
-        from repro.obs import tenant_scope
-
-        gateway, _servers = cached_cluster
-        payload = {
-            "method": "stuba",
-            "query_id": tiny_dataset.queries[0].query_id,
-            "options": {"top_k": 7},
-        }
-        anonymous = gateway._expand_cache_key(payload)
-        with tenant_scope("acme"):
-            tenant_key = gateway._expand_cache_key(payload)
-        assert anonymous != tenant_key
-        original = gateway.fingerprint
-        try:
-            gateway.fingerprint = "other-dataset"
-            assert gateway._expand_cache_key(payload) != anonymous
-        finally:
-            gateway.fingerprint = original
-
-    def test_uncacheable_payloads_return_no_key(self, cached_cluster):
-        gateway, _servers = cached_cluster
-        assert gateway._expand_cache_key({"method": ""}) is None
-        assert (
-            gateway._expand_cache_key(
-                {"method": "stuba", "query_id": "q", "options": {"use_cache": False}}
-            )
-            is None
-        )
-        assert (
-            gateway._expand_cache_key(
-                {
-                    "method": "stuba",
-                    "query_id": "q",
-                    "options": {"include_timings": True},
-                }
-            )
-            is None
-        )
-
-    def test_cache_disabled_by_default(self, tiny_dataset):
-        from repro.cluster import ClusterGateway
-
-        gateway = ClusterGateway(
-            [("w0", "http://127.0.0.1:1")], fingerprint="fp", port=0
-        ).start()
-        try:
-            assert gateway.cache is None
-            assert "cache" not in gateway.stats()
-        finally:
-            gateway.shutdown()

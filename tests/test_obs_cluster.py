@@ -164,15 +164,19 @@ class TestRenderTop:
             "failovers": 1,
             "backend_errors": 2,
             "sidelined": ["worker-2"],
-            "cache": {"hit_rate": 0.25},
-            "usage": {
-                "tenants": {
-                    "acme": {
-                        "requests": 0, "cache_hits": 3, "fits": 0,
-                        "compute_seconds": 0.002, "fit_seconds": 0.0,
-                    }
-                }
-            },
+        },
+        # the workers' usage rows summed per tenant by the gateway.
+        "usage": {
+            "tenants": {
+                "acme": {
+                    "requests": 20, "cache_hits": 5, "fits": 1,
+                    "compute_seconds": 1.25, "fit_seconds": 1.0,
+                },
+                "beta": {
+                    "requests": 8, "cache_hits": 0, "fits": 0,
+                    "compute_seconds": 0.0421, "fit_seconds": 0.0,
+                },
+            }
         },
         "gate": {
             "requests": {"acme": 30, "beta": 12},
@@ -238,7 +242,7 @@ class TestRenderTop:
 repro cluster top — fleet DEGRADED (2/3 workers healthy)
 cluster: requests=40 errors=1 cache_hit=75% p50=2.1ms p90=5.0ms p99=5.0ms
 ann: queries=10 probes/q=2.5 shortlist/q=120
-gateway: proxied=47 failovers=1 backend_errors=2 sidelined=1 cache_hit=25%
+gateway: proxied=47 failovers=1 backend_errors=2 sidelined=1
 
 WORKER       STATE     REQS   ERRS  CACHE       P50       P99  SUBS FITTED
 --------------------------------------------------------------------------
@@ -248,7 +252,7 @@ worker-2     DOWN         -      -      -         -         -     - -
 
 TENANT                       REQS  THROTTLED    COST(s)
 -------------------------------------------------------
-acme                           30          0      1.252
+acme                           30          0      1.250
 beta                           12          4      0.042
 mallory                         0          9          -"""
 
@@ -260,7 +264,7 @@ mallory                         0          9          -"""
         frame = render_top(stats)
         tenants = frame.split("\n\n")[-1].splitlines()
         assert tenants[2:] == [
-            "acme                           20          0      1.252",
+            "acme                           20          0      1.250",
             "beta                            8          0      0.042",
         ]
 

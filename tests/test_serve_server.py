@@ -89,7 +89,7 @@ class TestEndpoints:
     def test_stats_shape(self, server):
         status, payload = get(server, "/v1/stats")
         assert status == 200
-        assert set(payload["data"]) == {"service", "cache", "registry"}
+        assert set(payload["data"]) == {"service", "cache", "registry", "usage"}
         assert payload["data"]["service"]["requests"] >= 1
 
     def test_concurrent_http_clients(self, server, tiny_dataset):

@@ -250,16 +250,12 @@ class TestInlineExecution:
             assert response.query_id == query.query_id
 
     def test_failed_expand_is_billed_to_the_caller(self, tiny_dataset):
-        service, _ = make_service(
-            tiny_dataset,
-            config=ServiceConfig(usage_metering=True),
-            expander_class=FailingExpander,
-        )
+        service, _ = make_service(tiny_dataset, expander_class=FailingExpander)
         with service:
             with tenant_scope("acme"):
                 with pytest.raises(ExpansionError, match="stub expander failed"):
                     service.submit(uncached(tiny_dataset.queries[0].query_id))
-            bill = service.usage.summary()["tenants"]["acme"]
+            bill = service.stats()["usage"]["tenants"]["acme"]
         assert bill["requests"] == 1
         assert bill["compute_seconds"] > 0.0
 

@@ -127,6 +127,25 @@ class TestSerializationHelpers:
         with pytest.raises(ArtifactCorruptError):
             load_vector_map(tmp_path, "absent")
 
+    def test_json_state_bytes_match_json_dump(self, tmp_path):
+        """One ``json.dumps`` write gives the bytes ``json.dump`` streamed:
+        non-ASCII keys, the n-gram context separator, floats, and nested
+        dicts in insertion order."""
+        payload = {
+            "vocab": {"Zürich": 3, "東京": 1, "a": 2},
+            "counts": {"the\x1fcity": {"of": 4, "is": 1}, "\x1f": {"": 0}},
+            "floats": [0.1, -2.5e-12, 1e300, 3.0, 1 / 3],
+            "nested": {"z": {"y": {"x": [1, {"b": 2, "a": 1}]}}, "a": None},
+            "flags": [True, False],
+        }
+        path = tmp_path / "state.json"
+        write_json_state(path, payload)
+        expected = tmp_path / "expected.json"
+        with expected.open("w", encoding="utf-8") as handle:
+            json.dump(payload, handle, ensure_ascii=False, separators=(",", ":"))
+        assert path.read_bytes() == expected.read_bytes()
+        assert list(json.loads(path.read_text(encoding="utf-8"))) == list(payload)
+
     def test_count_table_roundtrip_preserves_insertion_order(self, tmp_path):
         table = {"b": {"z": 1, "a": 2}, "a": {"q": 3}}
         save_count_table(tmp_path / "counts.json", table)

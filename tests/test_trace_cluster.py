@@ -238,10 +238,7 @@ class TestClusterUsageMetering:
     def test_usage_rolls_up_into_dashboard_and_cost_column(
         self, tiny_dataset
     ):
-        servers = [
-            make_worker(tiny_dataset, usage_metering=True),
-            make_worker(tiny_dataset, usage_metering=True),
-        ]
+        servers = [make_worker(tiny_dataset), make_worker(tiny_dataset)]
         gateway = make_gateway(tiny_dataset, servers)
         try:
             query_id = tiny_dataset.queries[0].query_id
@@ -254,8 +251,8 @@ class TestClusterUsageMetering:
             status, body, _ = http_get(gateway.url + "/v1/stats")
             assert status == 200
             data = json.loads(body)["data"]
-            # each worker meters the expands it served; no gateway cache,
-            # so no gateway meter either.
+            # each worker meters the expands it served; the gateway only
+            # sums them.
             assert "usage" not in data["gateway"]
             served = [
                 worker["usage"]["tenants"]["anonymous"]
@@ -279,69 +276,61 @@ class TestClusterUsageMetering:
                 server.shutdown()
 
     def test_client_usage_sums_the_fleet(self, tiny_dataset):
-        servers = [
-            make_worker(tiny_dataset, usage_metering=True),
-            make_worker(tiny_dataset, usage_metering=True),
-        ]
-        gateway = make_gateway(tiny_dataset, servers, gateway_cache_capacity=16)
+        servers = [make_worker(tiny_dataset), make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
         try:
             query_id = tiny_dataset.queries[0].query_id
-            for method in STUB_METHODS[:4]:
+            # the six stub methods cover both shards.
+            for method in (*STUB_METHODS, STUB_METHODS[0]):
                 status, _envelope, _ = http_post(
                     gateway.url + "/v1/expand",
                     {"method": method, "query_id": query_id},
                 )
                 assert status == 200
-            # a repeat is answered by the gateway cache, billed by its meter.
-            status, _envelope, headers = http_post(
-                gateway.url + "/v1/expand",
-                {"method": STUB_METHODS[0], "query_id": query_id},
-            )
-            assert headers["X-Repro-Cache"] == "gateway"
             with ExpansionClient.connect(gateway.url) as client:
+                stats = client.stats()
                 usage = client.usage()
-            assert usage is not None
+            assert usage == stats["usage"]
             anonymous = usage["tenants"]["anonymous"]
-            # 4 expands the workers served plus the one the gateway did.
-            assert anonymous["requests"] == 5
+            # 7 expands, the repeat answered from its worker's cache.
+            assert anonymous["requests"] == 7
             assert anonymous["cache_hits"] == 1
-            worker_seconds = sum(
-                server.service.usage.summary()["tenants"]["anonymous"]["compute_seconds"]
-                for server in servers
-                if server.service.usage.summary()["tenants"]
-            )
-            # plus the gateway's lookup cost; each summary rounds to 1 µs.
-            assert anonymous["compute_seconds"] >= worker_seconds - 2e-6
+            # the gateway's top-level usage is the two workers' rows summed.
+            rows = [
+                worker["usage"]["tenants"]["anonymous"]
+                for worker in stats["workers"].values()
+            ]
+            assert len(rows) == 2 and all(row["requests"] for row in rows)
+            for field, value in anonymous.items():
+                assert value == pytest.approx(sum(row[field] for row in rows), abs=1e-6)
             with ExpansionClient.connect(servers[0].url) as client:
-                assert set(client.usage()) == {
-                    "tenants", "tracked", "max_tenants", "dropped"
-                }
+                assert set(client.usage()) == {"tenants"}
         finally:
             gateway.shutdown()
             for server in servers:
                 server.shutdown()
 
-    def test_client_usage_is_none_when_nothing_meters(self, tiny_dataset):
+    def test_client_usage_is_empty_before_any_traffic(self, tiny_dataset):
         servers = [make_worker(tiny_dataset)]
         gateway = make_gateway(tiny_dataset, servers)
         try:
             with ExpansionClient.connect(gateway.url) as client:
-                assert client.usage() is None
+                assert client.usage() == {"tenants": {}}
         finally:
             gateway.shutdown()
             for server in servers:
                 server.shutdown()
 
     def test_fit_jobs_bill_the_requesting_tenant(self, tiny_dataset):
-        servers = [make_worker(tiny_dataset, usage_metering=True)]
+        servers = [make_worker(tiny_dataset)]
         gateway = make_gateway(tiny_dataset, servers)
         try:
             status, envelope, _ = http_post(
                 gateway.url + "/v1/fits", {"method": STUB_METHODS[0]}
             )
             assert status == 200
-            # billed before the reply left the worker: no polling needed.
-            usage = servers[0].service.usage.summary()["tenants"]["anonymous"]
+            # charged before the reply left the worker: no polling needed.
+            usage = servers[0].service.stats()["usage"]["tenants"]["anonymous"]
             assert usage["fits"] == 1
             assert usage["fit_seconds"] == pytest.approx(envelope["data"]["seconds"], abs=1e-6)
             assert usage["compute_seconds"] >= usage["fit_seconds"]

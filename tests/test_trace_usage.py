@@ -1,14 +1,15 @@
 """Tests for distributed-trace identity, the searchable trace store, and
-billing-grade usage metering.
+per-tenant usage metering.
 
 Covers the W3C-style ``traceparent`` round trip, span-id disambiguation of
 duplicate sibling names (while the pinned ``debug.timings`` wire shape stays
 id-free), :class:`TraceCollector` semantics (head sampling determinism under
 a seeded RNG, always-keep for slow/errored requests, eviction, the query
-surface, and concurrent offer/query under fan-out), :class:`UsageMeter`
-semantics (cache-cost billing, fit attribution, the tenant cardinality cap),
-and the worker HTTP surface (``/v1/traces``, trace-id response headers,
-access-log correlation).
+surface, and concurrent offer/query under fan-out), usage metering on the
+service's ``repro_tenant_*`` counters (cache-cost charging, fit attribution,
+``/v1/metrics`` and ``/v1/stats`` agreeing, the series cap), and the worker
+HTTP surface (``/v1/traces``, trace-id response headers, access-log
+correlation).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -25,19 +27,18 @@ import pytest
 from repro.config import ServiceConfig
 from repro.core.base import Expander
 from repro.exceptions import DatasetError, ServiceError
+from repro.gate import ANONYMOUS_TENANT, TENANT_HEADER
 from repro.obs import (
-    ANONYMOUS_TENANT,
-    OVERFLOW_TENANT,
     Trace,
     TraceCollector,
     TraceContext,
-    UsageMeter,
     activate,
     format_traceparent,
     parse_traceparent,
     span,
     tenant_scope,
 )
+from repro.obs.metrics import MAX_SERIES_PER_FAMILY
 from repro.serve import (
     ExpandOptions,
     ExpandRequest,
@@ -305,29 +306,125 @@ class TestTraceCollector:
 
 
 # ---------------------------------------------------------------------------
-# UsageMeter
+# usage metering (repro_tenant_* counters)
 # ---------------------------------------------------------------------------
+
+_USAGE_SERIES = {
+    "repro_service_requests_total": "requests",
+    "repro_tenant_cache_hits_total": "cache_hits",
+    "repro_tenant_fits_total": "fits",
+    "repro_tenant_compute_seconds_total": "compute_seconds",
+    "repro_tenant_fit_seconds_total": "fit_seconds",
+}
+
+
+def _tenant_series(metrics_text: str, tenant: str) -> dict:
+    """The usage fields of one tenant's series in Prometheus text."""
+    values = {}
+    for line in metrics_text.splitlines():
+        name, _, rest = line.partition("{")
+        if name in _USAGE_SERIES and f'tenant="{tenant}"' in rest:
+            values[_USAGE_SERIES[name]] = float(rest.rsplit(" ", 1)[1])
+    return values
 
 
 class TestUsageMeter:
-    def test_unkeyed_traffic_bills_to_the_anonymous_tenant(self):
-        meter = UsageMeter()
-        meter.charge_expand(None, 0.5)
-        assert meter.summary()["tenants"][ANONYMOUS_TENANT]["compute_seconds"] == 0.5
+    def test_unkeyed_traffic_bills_to_the_anonymous_tenant(self, tiny_dataset):
+        service = make_service(tiny_dataset)
+        with service:
+            service.submit(
+                ExpandRequest(method="stub", query_id=tiny_dataset.queries[0].query_id)
+            )
+            usage = service.stats()["usage"]["tenants"]
+            metrics = service.metrics.render_prometheus()
+        assert list(usage) == [ANONYMOUS_TENANT]
+        assert usage[ANONYMOUS_TENANT]["requests"] == 1
+        assert usage[ANONYMOUS_TENANT]["compute_seconds"] > 0.0
+        # unkeyed traffic takes the unlabeled series, as requests do.
+        assert "tenant=" not in next(
+            line for line in metrics.splitlines()
+            if line.startswith("repro_tenant_compute_seconds_total{")
+        )
 
-    def test_tenant_cardinality_cap_overflows_to_one_bucket(self):
-        meter = UsageMeter(max_tenants=4)
-        for index in range(10):
-            meter.charge_expand(f"tenant-{index}", 1.0)
-        summary = meter.summary()
-        # 4 real tenants plus the overflow bucket itself.
-        assert summary["tracked"] == 5
-        assert summary["dropped"] == 6  # tenants 4..9 aggregated
-        overflow = summary["tenants"][OVERFLOW_TENANT]
-        # nothing is lost: the overflow bucket absorbs the excess seconds.
-        total = sum(b["compute_seconds"] for b in summary["tenants"].values())
-        assert total == pytest.approx(10.0)
-        assert overflow["compute_seconds"] > 0.0
+    def test_metrics_and_stats_agree_per_tenant(self, tiny_dataset):
+        """One miss, one cache hit and one fit under tenant ``alpha`` read
+        the same in ``/v1/metrics`` and in ``/v1/stats`` ``usage``."""
+        server = ExpansionHTTPServer(make_service(tiny_dataset), port=0).start()
+        tenant = {TENANT_HEADER: "alpha"}
+        body = {"method": "stub", "query_id": tiny_dataset.queries[0].query_id}
+        try:
+            for _ in range(2):
+                status, _envelope, _ = http_post(server.url + "/v1/expand", body, tenant)
+                assert status == 200
+            status, fit, _ = http_post(server.url + "/v1/fits", {"method": "stub"}, tenant)
+            assert status == 200
+            status, stats, _ = http_get(server.url + "/v1/stats")
+            assert status == 200
+            status, metrics, _ = http_get(server.url + "/v1/metrics")
+            assert status == 200
+        finally:
+            server.shutdown()
+        alpha = json.loads(stats)["data"]["usage"]["tenants"]["alpha"]
+        assert {key: alpha[key] for key in ("requests", "cache_hits", "fits")} == {
+            "requests": 2, "cache_hits": 1, "fits": 1,
+        }
+        assert alpha["fit_seconds"] == pytest.approx(fit["data"]["seconds"], abs=1e-6)
+        assert alpha["compute_seconds"] > alpha["fit_seconds"]
+        series = _tenant_series(metrics.decode("utf-8"), "alpha")
+        assert set(series) == set(alpha)
+        for field, value in series.items():
+            assert alpha[field] == pytest.approx(value, abs=1e-6), field
+
+    def test_concurrent_charges_are_not_lost(self, tiny_dataset):
+        """Eight request threads on two cores, four tenants bound on their
+        first charge under contention: every request and cache hit lands."""
+        service = make_service(tiny_dataset)
+        query_id = tiny_dataset.queries[0].query_id
+        interval = sys.getswitchinterval()
+        errors: list[BaseException] = []
+
+        def sender(index: int) -> None:
+            try:
+                with tenant_scope(f"tenant-{index % 4}"):
+                    for _ in range(50):
+                        service.submit(ExpandRequest(method="stub", query_id=query_id))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sender, args=(i,)) for i in range(8)]
+        with service:
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            usage = service.stats()["usage"]["tenants"]
+        assert {tenant: row["requests"] for tenant, row in usage.items()} == {
+            f"tenant-{index}": 100 for index in range(4)
+        }
+        hits = sum(row["cache_hits"] for row in usage.values())
+        assert hits == service.cache.stats()["hits"] >= 400 - 8
+
+    def test_tenant_cardinality_cap_drops_and_counts(self, tiny_dataset):
+        """Past the registry's per-family series cap a tenant's charges are
+        dropped and counted on the family, never raised."""
+        service = make_service(tiny_dataset)
+        query_id = tiny_dataset.queries[0].query_id
+        with service:
+            for index in range(MAX_SERIES_PER_FAMILY + 1):
+                with tenant_scope(f"tenant-{index:02d}"):
+                    service.submit(ExpandRequest(method="stub", query_id=query_id))
+            usage = service.stats()["usage"]["tenants"]
+        for name in ("repro_service_requests_total", "repro_tenant_compute_seconds_total"):
+            assert service.metrics.counter(name).dropped_series == 1, name
+        # the families keep and drop the same tenants.
+        assert sorted(usage) == [f"tenant-{index:02d}" for index in range(MAX_SERIES_PER_FAMILY)]
+        assert all(row["requests"] == 1 for row in usage.values())
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +470,15 @@ class TestServiceIntegration:
             assert len(kept) == 1
             assert kept[0]["kept"] == "error"
 
-    def test_stats_omit_traces_and_usage_when_disabled(self, tiny_dataset):
+    def test_stats_omit_traces_when_disabled(self, tiny_dataset):
         service = make_service(tiny_dataset)
         with service:
             stats = service.stats()
         assert "traces" not in stats
-        assert "usage" not in stats
+        assert stats["usage"] == {"tenants": {}}
 
     def test_usage_meters_expands_cache_hits_and_fits(self, tiny_dataset):
-        service = make_service(tiny_dataset, usage_metering=True)
+        service = make_service(tiny_dataset)
         query_id = tiny_dataset.queries[0].query_id
         with service:
             with tenant_scope("acme"):
@@ -493,9 +590,7 @@ class TestClientAccessors:
     def test_traces_and_usage_through_the_in_process_client(self, tiny_dataset):
         from repro.client import ExpansionClient
 
-        service = make_service(
-            tiny_dataset, trace_sample_rate=1.0, usage_metering=True
-        )
+        service = make_service(tiny_dataset, trace_sample_rate=1.0)
         with service:
             client = ExpansionClient.in_process(service)
             client.expand("stub", query_id=tiny_dataset.queries[0].query_id)
@@ -504,17 +599,17 @@ class TestClientAccessors:
             tree = client.trace(rows[0]["trace_id"])
             assert tree["trace_id"] == rows[0]["trace_id"]
             assert tree["spans"]
-            usage = client.usage()
-            assert usage is not None and usage["tenants"]
+            assert client.usage() == service.stats()["usage"]
+            assert client.usage()["tenants"][ANONYMOUS_TENANT]["requests"] == 1
             with pytest.raises(DatasetError):
                 client.trace("ab" * 16)
 
-    def test_usage_is_none_when_metering_is_off(self, tiny_dataset):
+    def test_traces_raise_when_tracing_is_off(self, tiny_dataset):
         from repro.client import ExpansionClient
 
         service = make_service(tiny_dataset)
         with service:
             client = ExpansionClient.in_process(service)
-            assert client.usage() is None
+            assert client.usage() == {"tenants": {}}
             with pytest.raises(ServiceError):
                 client.traces()

@@ -29,7 +29,7 @@ SERVING_QUERY_BUDGET = 20
 def run_serving_benchmark(context, num_queries: int = SERVING_QUERY_BUDGET) -> dict:
     service = ExpansionService(
         context.dataset,
-        config=ServiceConfig(cache_ttl_seconds=None),
+        config=ServiceConfig(),
         resources=context.resources,
     )
     with service:
@@ -211,7 +211,6 @@ def test_metrics_overhead_guard(context):
         service = ExpansionService(
             context.dataset,
             config=ServiceConfig(
-                cache_ttl_seconds=None,
                 metrics_enabled=metrics_enabled,
                 # sampling-off tracing rides on the instrumented side: the
                 # collector is installed but keeps nothing, which is the
@@ -346,7 +345,6 @@ def test_gate_overhead_guard(context, tmp_path):
         service = ExpansionService(
             context.dataset,
             config=ServiceConfig(
-                cache_ttl_seconds=None,
                 port=0,
                 keyfile=str(keyfile) if gated else None,
             ),

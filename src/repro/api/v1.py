@@ -17,7 +17,7 @@ Routes::
     GET  /v1/stats           merged service/cache/registry counters
     POST /v1/expand          one ExpandRequest (v1 wire shape, paginated)
     POST /v1/expand/batch    {"requests": [...]} -> per-item response or error
-    POST /v1/fits            {"method", "pin"?} -> blocks until the method is
+    POST /v1/fits            {"method"} -> blocks until the method is
                              resident -> {method, outcome, seconds}
     GET  /v1/traces          search kept traces (?tenant=&method=
                                &min_duration_ms=&error=&limit=)
@@ -189,16 +189,13 @@ class ApiV1:
     def fit(self, payload: Mapping | None) -> ApiResult:
         if not isinstance(payload, Mapping):
             raise ServiceError("fit payload must be a JSON object")
-        unknown = set(payload) - {"method", "pin"}
+        unknown = set(payload) - {"method"}
         if unknown:
             raise ServiceError(f"unknown fit fields: {sorted(unknown)}")
         method = payload.get("method")
         if not isinstance(method, str) or not method.strip():
             raise ServiceError("fit payload must name a method")
-        pin = payload.get("pin", False)
-        if not isinstance(pin, bool):
-            raise ServiceError("pin must be a boolean")
-        return ApiResult(status=200, data=self.service.fit(method, pin=pin))
+        return ApiResult(status=200, data=self.service.fit(method))
 
     # -- trace search ------------------------------------------------------------
     def _collector(self):

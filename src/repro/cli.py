@@ -21,10 +21,11 @@ writing Python:
 * ``serve`` — start the online expansion service (:mod:`repro.serve`): the
   versioned v1 JSON/HTTP API (``/v1/expand``, ``/v1/expand/batch``,
   ``/v1/methods``, ``/v1/stats``, ``/v1/healthz``, and ``/v1/fits``, which
-  blocks until a method is resident) with a lazily-fitted expander registry,
-  result caching, and optional admission control; with ``--store`` fits
-  restore from / persist to disk and ``--access-log`` emits one structured
-  JSON line per request;
+  blocks until a method is resident) over an expander registry that fits
+  each method once, on first use or ``--warm``, and keeps it for the life of
+  the process, with an LRU result cache and optional admission control;
+  with ``--store`` fits restore from / persist to disk and ``--access-log``
+  emits one structured JSON line per request;
 * ``cluster serve`` — the horizontally scaled deployment
   (:mod:`repro.cluster`): N ``serve`` worker subprocesses (health-checked,
   restarted with backoff) behind a routing gateway that consistent-hashes
@@ -177,9 +178,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
     """The worker config of ``serve`` / ``cluster serve`` arguments."""
     config = ServiceConfig(
         cache_capacity=args.cache_capacity,
-        # only the literal 0 means "disable expiry"; negatives reach
-        # validate() and are rejected there.
-        cache_ttl_seconds=None if args.cache_ttl == 0 else args.cache_ttl,
         host=args.host,
         port=args.port,
         store_dir=args.store,
@@ -432,8 +430,6 @@ def worker_command(
         str(port),
         "--cache-capacity",
         str(args.cache_capacity),
-        "--cache-ttl",
-        str(args.cache_ttl),
     ]
     if args.store:
         command += ["--store", args.store]
@@ -659,12 +655,6 @@ def _add_dataset_source_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-capacity", type=int, default=ServiceConfig.cache_capacity)
     parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=ServiceConfig.cache_ttl_seconds,
-        help="result TTL in seconds; 0 disables expiry",
-    )
-    parser.add_argument(
         "--store",
         default=None,
         metavar="DIR",
@@ -837,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=[],
         metavar="METHOD",
-        help="methods to fit and pin before accepting traffic (e.g. retexpan)",
+        help="methods to fit before accepting traffic (e.g. retexpan); every "
+        "method is fitted once and kept for the life of the process",
     )
     serve.add_argument(
         "--access-log",
@@ -874,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_serve.add_argument(
         "--warm", nargs="*", default=[], metavar="METHOD",
-        help="methods each worker fits and pins before accepting traffic",
+        help="methods each worker fits before accepting traffic; a worker "
+        "keeps every method it fits for its whole life",
     )
     cluster_serve.add_argument(
         "--access-log", action="store_true",

@@ -6,7 +6,7 @@
     client = ExpansionClient.connect("http://127.0.0.1:8080")   # HTTP
     client = ExpansionClient.in_process(service)                # same process
 
-    client.fit("genexpan", pin=True)      # blocks until resident
+    client.fit("genexpan")                # blocks until resident
     response = client.expand("genexpan", query_id="q-...", top_k=20)
 
 Server-side failures arrive as the structured taxonomy and are re-raised as
@@ -125,12 +125,13 @@ class ExpansionClient:
         return results
 
     # -- fits --------------------------------------------------------------------
-    def fit(self, method: str, pin: bool = False) -> dict:
-        """Make ``method`` resident on the server (pinned when asked); blocks
-        until it is and returns ``{method, outcome, seconds}``, ``outcome``
-        being ``already_fitted``, ``restored`` or ``fitted``.  Over HTTP the
-        client's ``timeout`` must exceed the fit time."""
-        return self._call("POST", "/v1/fits", {"method": method, "pin": pin})
+    def fit(self, method: str) -> dict:
+        """Make ``method`` resident on the server; blocks until it is and
+        returns ``{method, outcome, seconds}``, ``outcome`` being
+        ``already_fitted``, ``restored`` or ``fitted``.  A server keeps a
+        fitted method for as long as it runs.  Over HTTP the client's
+        ``timeout`` must exceed the fit time."""
+        return self._call("POST", "/v1/fits", {"method": method})
 
     # -- introspection -----------------------------------------------------------
     def methods(self) -> list[MethodInfo]:

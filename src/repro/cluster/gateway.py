@@ -33,7 +33,6 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,22 +46,19 @@ from repro.api.envelope import (
     success_envelope,
 )
 from repro.api.errors import (
-    CODE_INVALID_REQUEST,
     CODE_NOT_FOUND,
-    CODE_UNAVAILABLE,
     error_payload,
     route_not_found_payload,
 )
 from repro.api.v1 import MAX_BATCH_REQUESTS, parse_trace_query
 from repro.cluster.hashring import HashRing, shard_key
 from repro.config import ClusterConfig
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ReproError, ServiceError, ServiceUnavailableError
 from repro.gate import (
     API_KEY_HEADER,
     TENANT_HEADER,
     Gate,
-    QuotaSpec,
-    TenantDirectory,
+    gate_for,
     operation_for,
     retry_after_header,
 )
@@ -85,6 +81,7 @@ from repro.obs import (
     request_scope,
     span,
     tenant_scope,
+    trace_collector_for,
 )
 from repro.serve.server import HttpFront, Reply, Request
 
@@ -103,26 +100,6 @@ _GATE_EXEMPT = {("GET", "/v1/healthz"), ("GET", "/v1/metrics")}
 #: read each ``repro cluster top`` refresh makes, so a watched fleet's
 #: trace ring keeps only real traffic.
 _UNTRACED = _GATE_EXEMPT | {("GET", "/v1/stats")}
-
-
-def _unavailable_payload(message: str) -> dict:
-    return {
-        "error": "ServiceUnavailableError",
-        "code": CODE_UNAVAILABLE,
-        "message": message,
-        "details": {},
-        "retryable": True,
-    }
-
-
-def _invalid_payload(message: str) -> dict:
-    return {
-        "error": "ServiceError",
-        "code": CODE_INVALID_REQUEST,
-        "message": message,
-        "details": {},
-        "retryable": False,
-    }
 
 
 class _BackendError(Exception):
@@ -211,37 +188,12 @@ class ClusterGateway(HttpFront):
         # The cluster's front door: auth + quotas enforced once, here, so
         # workers behind the gateway stay open and merely trust the
         # forwarded tenant header for metric attribution.
-        self.gate: Gate | None = None
-        if self.config.keyfile is not None or self.config.default_quota is not None:
-            directory = None
-            if self.config.keyfile is not None:
-                directory = TenantDirectory(self.config.keyfile)
-            self.gate = Gate(
-                directory=directory,
-                default_quota=(
-                    None
-                    if self.config.default_quota is None
-                    else QuotaSpec.parse(self.config.default_quota)
-                ),
-                metrics=self.metrics,
-            )
+        self.gate: Gate | None = gate_for(self.config, self.metrics)
         # The gateway keeps its own searchable ring of *joined* traces (its
         # span tree plus every worker fragment grafted under the proxy
         # hops), configured off the embedded per-worker service config so
         # one knob traces the whole tier.
-        service_cfg = self.config.service
-        self.traces: TraceCollector | None = None
-        if service_cfg.trace_sample_rate is not None:
-            self.traces = TraceCollector(
-                capacity=service_cfg.trace_buffer_size,
-                sample_rate=service_cfg.trace_sample_rate,
-                slow_ms=service_cfg.slow_query_ms,
-                rng=(
-                    random.Random(service_cfg.trace_sample_seed)
-                    if service_cfg.trace_sample_seed is not None
-                    else None
-                ),
-            )
+        self.traces: TraceCollector | None = trace_collector_for(self.config.service)
         self._conn_pool_size = 8
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self._urls)),
@@ -649,7 +601,7 @@ class ClusterGateway(HttpFront):
                     # slow in-request fit): replaying it on another node
                     # would duplicate the work, so surface a retryable
                     # error and let the *client's* policy decide.
-                    return self._error_reply(503, _unavailable_payload(str(exc)))
+                    return self._error_reply(*error_payload(ServiceUnavailableError(str(exc))))
                 last_error = exc
                 self._failovers.inc()
                 continue
@@ -664,23 +616,20 @@ class ClusterGateway(HttpFront):
             return Reply(status, raw, headers)
         self._no_backend.inc()
         return self._error_reply(
-            503,
-            _unavailable_payload(
-                f"no worker available for this request ({last_error})"
-            ),
+            *error_payload(
+                ServiceUnavailableError(f"no worker available for this request ({last_error})")
+            )
         )
 
     def _route_by_method(self, verb: str, path: str, body: bytes | None) -> Reply:
         payload = self._parse_json(body)
         if not isinstance(payload, Mapping):
             return self._error_reply(
-                400, _invalid_payload("request body must be a JSON object")
+                *error_payload(ServiceError("request body must be a JSON object"))
             )
         method = payload.get("method")
         if not isinstance(method, str) or not method.strip():
-            return self._error_reply(
-                400, _invalid_payload("request must name a method")
-            )
+            return self._error_reply(*error_payload(ServiceError("request must name a method")))
         trace = current_trace()
         if trace is not None:
             # the collector's method filter keys off this annotation.
@@ -699,19 +648,20 @@ class ClusterGateway(HttpFront):
         payload = self._parse_json(body)
         if not isinstance(payload, Mapping):
             return self._error_reply(
-                400, _invalid_payload("batch payload must be a JSON object")
+                *error_payload(ServiceError("batch payload must be a JSON object"))
             )
         items = payload.get("requests")
         if not isinstance(items, list) or not items:
             return self._error_reply(
-                400, _invalid_payload('batch payload needs a non-empty "requests" array')
+                *error_payload(ServiceError('batch payload needs a non-empty "requests" array'))
             )
         if len(items) > MAX_BATCH_REQUESTS:
             return self._error_reply(
-                400,
-                _invalid_payload(
-                    f"batch size {len(items)} exceeds the limit of {MAX_BATCH_REQUESTS}"
-                ),
+                *error_payload(
+                    ServiceError(
+                        f"batch size {len(items)} exceeds the limit of {MAX_BATCH_REQUESTS}"
+                    )
+                )
             )
 
         # Partition the items by owning shard; malformed items fail in place
@@ -721,9 +671,9 @@ class ClusterGateway(HttpFront):
         for index, item in enumerate(items):
             if not isinstance(item, Mapping) or not isinstance(item.get("method"), str):
                 slots[index] = {
-                    "error": _invalid_payload(
-                        f"requests[{index}] must be an object naming a method"
-                    )
+                    "error": error_payload(
+                        ServiceError(f"requests[{index}] must be an object naming a method")
+                    )[1]
                 }
                 continue
             key = shard_key(item["method"], self.fingerprint)
@@ -776,7 +726,9 @@ class ClusterGateway(HttpFront):
         if isinstance(envelope, dict):
             error = envelope.get("error")
         if not isinstance(error, dict):
-            error = _unavailable_payload("shard failed while serving this batch")
+            error = error_payload(
+                ServiceUnavailableError("shard failed while serving this batch")
+            )[1]
         return [{"error": error} for _ in range(expected)]
 
     # -- aggregation -------------------------------------------------------------
@@ -833,7 +785,7 @@ class ClusterGateway(HttpFront):
             "total_workers": len(workers),
         }
         if status >= 400:
-            payload = _unavailable_payload("no healthy workers")
+            payload = error_payload(ServiceUnavailableError("no healthy workers"))[1]
             payload["details"] = data
             return self._error_reply(status, payload)
         return self._data_reply(data)
@@ -899,15 +851,14 @@ class ClusterGateway(HttpFront):
         reachable directly on each worker's ``/v1/traces``)."""
         if self.traces is None:
             return self._error_reply(
-                400,
-                _invalid_payload(
-                    "tracing is not enabled on the gateway (set trace_sample_rate)"
-                ),
+                *error_payload(
+                    ServiceError("tracing is not enabled on the gateway (set trace_sample_rate)")
+                )
             )
         try:
             filters = parse_trace_query(query)
         except ServiceError as exc:
-            return self._error_reply(400, _invalid_payload(str(exc)))
+            return self._error_reply(*error_payload(exc))
         rows = self.traces.query(**filters)
         return self._data_reply({"traces": rows, "count": len(rows)})
 

@@ -5,9 +5,8 @@ subprocesses, but any command that answers ``GET /v1/healthz`` works).  Each
 worker is described by a :class:`WorkerSpec` — a stable id, the URL it will
 listen on, and the argv to spawn it — and managed through its lifecycle:
 
-* **start**: every spec is spawned (staggered so N workers don't slam the
-  machine with N simultaneous dataset loads) and polled on ``/v1/healthz``
-  until it answers;
+* **start**: every spec is spawned at once, then polled on
+  ``/v1/healthz`` until it answers;
 * **monitor**: a background thread probes each worker every
   ``health_interval``; a worker whose process exited, or that failed
   ``unhealthy_threshold`` consecutive probes, is declared down, terminated
@@ -115,7 +114,6 @@ class WorkerPool:
         restart_backoff: float = 0.5,
         restart_backoff_max: float = 30.0,
         restart_stagger: float = 0.25,
-        spawn_stagger: float = 0.0,
     ):
         if not specs:
             raise ServiceError("a worker pool needs at least one WorkerSpec")
@@ -128,7 +126,6 @@ class WorkerPool:
         self.restart_backoff = restart_backoff
         self.restart_backoff_max = restart_backoff_max
         self.restart_stagger = restart_stagger
-        self.spawn_stagger = spawn_stagger
         self._lock = threading.Lock()
         self._workers = [
             _Managed(spec=spec, index=index) for index, spec in enumerate(specs)
@@ -150,8 +147,6 @@ class WorkerPool:
             self._startup_timeout = timeout
         for worker in self._workers:
             self._spawn(worker)
-            if self.spawn_stagger > 0 and worker.index < len(self._workers) - 1:
-                time.sleep(self.spawn_stagger)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-cluster-monitor", daemon=True
         )

@@ -310,13 +310,8 @@ class EvaluationConfig:
 class ServiceConfig:
     """Parameters of the online expansion service (:mod:`repro.serve`)."""
 
-    #: maximum number of fitted expanders kept in the registry (LRU-evicted;
-    #: pinned expanders are never evicted and do not count toward the limit).
-    registry_capacity: int = 8
-    #: maximum number of cached expansion results.
+    #: maximum number of cached expansion results (LRU-evicted).
     cache_capacity: int = 1024
-    #: result time-to-live in seconds; ``None`` disables expiry.
-    cache_ttl_seconds: float | None = 300.0
     #: ranked-list size used when a request does not specify ``top_k``.
     default_top_k: int = 100
     #: bind address of the HTTP server.
@@ -382,12 +377,8 @@ class ServiceConfig:
             raise ConfigurationError("store_dir must be a non-empty path or None")
         if self.fit_lock_wait_seconds <= 0:
             raise ConfigurationError("fit_lock_wait_seconds must be positive")
-        if self.registry_capacity < 1:
-            raise ConfigurationError("registry_capacity must be >= 1")
         if self.cache_capacity < 0:
             raise ConfigurationError("cache_capacity must be non-negative")
-        if self.cache_ttl_seconds is not None and self.cache_ttl_seconds <= 0:
-            raise ConfigurationError("cache_ttl_seconds must be positive or None")
         if self.default_top_k < 1:
             raise ConfigurationError("default_top_k must be >= 1")
         if not 0 <= self.port <= 65535:

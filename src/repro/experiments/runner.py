@@ -148,21 +148,6 @@ class ExperimentContext:
             self._reports[key] = evaluator.evaluate(expander)
         return self._reports[key]
 
-    def evaluate_expander(
-        self,
-        expander: Expander,
-        max_queries: int | None = None,
-        query_filter: Callable[[Query], bool] | None = None,
-        filter_key: str = "",
-    ) -> EvaluationReport:
-        """Evaluate an already-constructed expander (no caching)."""
-        if not expander.is_fitted:
-            expander.fit(self.dataset)
-        evaluator = self.evaluator(
-            max_queries=max_queries, query_filter=query_filter, filter_key=filter_key
-        )
-        return evaluator.evaluate(expander)
-
     # -- query grouping helpers -------------------------------------------------------------
     def attribute_equality_of(self, query: Query) -> str:
         """"same" when A_pos and A_neg constrain the same attributes, else "diff"."""

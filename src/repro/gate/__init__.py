@@ -24,6 +24,7 @@ from repro.gate.auth import (
     API_KEY_HEADER,
     TENANT_HEADER,
     Gate,
+    gate_for,
     operation_for,
     retry_after_header,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "TenantDirectory",
     "TENANT_HEADER",
     "TokenBucket",
+    "gate_for",
     "hash_key",
     "is_valid_tenant_id",
     "operation_for",

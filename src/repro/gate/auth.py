@@ -22,15 +22,20 @@ from __future__ import annotations
 import math
 import threading
 import time
+from typing import TYPE_CHECKING
 
 from repro.exceptions import AuthenticationError, RateLimitedError
 from repro.gate.limiter import QuotaSpec, RateLimiter
 from repro.gate.tenants import ANONYMOUS_TENANT, Tenant, TenantDirectory
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import ClusterConfig, ServiceConfig
+
 __all__ = [
     "API_KEY_HEADER",
     "Gate",
     "TENANT_HEADER",
+    "gate_for",
     "operation_for",
     "retry_after_header",
 ]
@@ -175,3 +180,18 @@ class Gate:
         if self.directory is not None:
             payload["directory"] = self.directory.stats()
         return payload
+
+
+def gate_for(config: ServiceConfig | ClusterConfig, metrics) -> Gate | None:
+    """The front door a worker's or a gateway's ``keyfile`` and
+    ``default_quota`` describe, counting on ``metrics``; ``None`` when
+    neither is set, so the server stays open and carries no gate state."""
+    if config.keyfile is None and config.default_quota is None:
+        return None
+    return Gate(
+        directory=None if config.keyfile is None else TenantDirectory(config.keyfile),
+        default_quota=(
+            None if config.default_quota is None else QuotaSpec.parse(config.default_quota)
+        ),
+        metrics=metrics,
+    )

@@ -482,17 +482,6 @@ class CausalEntityLM:
         context = self._prompt_tokens(prompt_entity_ids)
         return self._ngram.sequence_logprob(tokens, context) / len(tokens)
 
-    def score_entity_given_prompt(
-        self, entity_id: int, prompt_entity_ids: Sequence[int]
-    ) -> float:
-        """Blended generation score used during constrained decoding."""
-        affinity = self.prompt_affinity(entity_id, prompt_entity_ids)
-        lm_logprob = self.entity_logprob(entity_id, prompt_entity_ids)
-        # Map the length-normalised log-prob to a bounded scale before blending.
-        lm_component = float(np.exp(lm_logprob))
-        w = self.config.affinity_weight
-        return w * affinity + (1.0 - w) * lm_component
-
     def conditional_similarity(self, generated_id: int, seed_id: int) -> float:
         """``P(seed | "{generated} is similar to")`` with geometric-mean length norm.
 

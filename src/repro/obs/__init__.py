@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
     merge_bucket_lists,
     percentile_from_buckets,
 )
@@ -45,11 +44,12 @@ from repro.obs.trace import (
     new_trace_id,
     parse_traceparent,
     propagation_scope,
+    recorded_activations,
     request_scope,
     span,
     tenant_scope,
 )
-from repro.obs.traces import TraceCollector
+from repro.obs.traces import TraceCollector, trace_collector_for
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
@@ -69,7 +69,6 @@ __all__ = [
     "current_request_id",
     "current_tenant",
     "current_trace",
-    "default_registry",
     "format_traceparent",
     "log_slow_query",
     "merge_bucket_lists",
@@ -78,8 +77,10 @@ __all__ = [
     "parse_traceparent",
     "percentile_from_buckets",
     "propagation_scope",
+    "recorded_activations",
     "request_scope",
     "slow_query_logger",
     "span",
     "tenant_scope",
+    "trace_collector_for",
 ]

@@ -260,16 +260,6 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
 
-    def set_max(self, value: float, **labels: str) -> None:
-        """Keep the maximum ever observed (atomic read-compare-set)."""
-        with self._lock:
-            key = self._slot(labels)
-            if key is None:
-                return
-            current = self._series.get(key)
-            if current is None or value > current:
-                self._series[key] = float(value)
-
 
 class Histogram(_Instrument):
     """A fixed-bucket distribution; percentiles derive from the buckets."""
@@ -482,9 +472,6 @@ class _NullInstrument:
     def set(self, value: float, **labels: str) -> None:
         pass
 
-    def set_max(self, value: float, **labels: str) -> None:
-        pass
-
     def observe(self, value: float, **labels: str) -> None:
         pass
 
@@ -514,30 +501,6 @@ class _NullInstrument:
 
 
 _NULL_INSTRUMENT = _NullInstrument()
-
-
-class _Timer:
-    """Context manager observing elapsed milliseconds into a histogram."""
-
-    __slots__ = ("_histogram", "_labels", "_started", "elapsed_ms")
-
-    def __init__(self, histogram, labels: Mapping[str, str]):
-        self._histogram = histogram
-        self._labels = dict(labels)
-        self._started = 0.0
-        self.elapsed_ms = 0.0
-
-    def __enter__(self) -> "_Timer":
-        import time
-
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        import time
-
-        self.elapsed_ms = (time.perf_counter() - self._started) * 1000.0
-        self._histogram.observe(self.elapsed_ms, **self._labels)
 
 
 class MetricsRegistry:
@@ -590,11 +553,6 @@ class MetricsRegistry:
                     f"metric {name!r} is already registered as a {family.kind}"
                 )
             return family
-
-    def timed(self, name: str, help_text: str = "", **labels: str) -> _Timer:
-        """``with registry.timed("repro_stage_ms", stage="x"): ...`` observes
-        the block's wall time (ms) into the named histogram."""
-        return _Timer(self.histogram(name, help_text), labels)
 
     def _family(self, cls, name: str, help_text: str):
         if not self.enabled:
@@ -662,29 +620,7 @@ class MetricsRegistry:
             lines.append(f"{family.name}_sum{labels} {_format_value(series_sum)}")
             lines.append(f"{family.name}_count{labels} {series_count}")
 
-    def snapshot(self) -> dict:
-        """Debug view: family name -> {label tuple -> value} (counters/gauges)."""
-        result: dict[str, dict] = {}
-        for family in self.families():
-            if isinstance(family, Histogram):
-                result[family.name] = family.merged()
-            else:
-                result[family.name] = {
-                    _render_labels(key) or "": value
-                    for key, value in family.series().items()
-                }
-        return result
-
 
 def _check_name(name: str) -> None:
     if not name or set(name.lower()) - _VALID_NAME_CHARS or name[0].isdigit():
         raise ValueError(f"invalid metric name {name!r}")
-
-
-#: the process-global default registry (components may also own private ones).
-_default_registry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry, for code without a service to hang off."""
-    return _default_registry

@@ -60,6 +60,9 @@ _TRACE: contextvars.ContextVar["Trace | None"] = contextvars.ContextVar(
 _PROPAGATION: contextvars.ContextVar["TraceContext | None"] = contextvars.ContextVar(
     "repro_obs_trace_context", default=None
 )
+_ACTIVATED: contextvars.ContextVar["list[Trace] | None"] = contextvars.ContextVar(
+    "repro_obs_activated_traces", default=None
+)
 _REQUEST_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_obs_request_id", default=None
 )
@@ -304,12 +307,39 @@ def current_context() -> TraceContext | None:
 
 @contextlib.contextmanager
 def activate(trace: Trace | None):
-    """Make ``trace`` the active trace for the calling context."""
+    """Make ``trace`` the active trace for the calling context (and record
+    it in an enclosing :class:`recorded_activations` scope)."""
+    if trace is not None:
+        recorded = _ACTIVATED.get()
+        if recorded is not None:
+            recorded.append(trace)
     token = _TRACE.set(trace)
     try:
         yield trace
     finally:
         _TRACE.reset(token)
+
+
+class recorded_activations:  # noqa: N801 - context-manager used like a function
+    """Collect, in order, every trace :func:`activate` makes active in the
+    calling context while the scope is open.
+
+    A layer that hands a request down learns this way which trace the
+    request ran under, even when a layer below decided whether to trace it
+    and opened the trace itself: the worker's HTTP front reads the trace id
+    for its reply header from here.  A plain class, not
+    ``@contextmanager``, because it wraps every request.
+    """
+
+    __slots__ = ("_recorded", "_token")
+
+    def __enter__(self) -> list[Trace]:
+        self._recorded: list[Trace] = []
+        self._token = _ACTIVATED.set(self._recorded)
+        return self._recorded
+
+    def __exit__(self, *_exc_info) -> None:
+        _ACTIVATED.reset(self._token)
 
 
 class propagation_scope:  # noqa: N801 - context-manager used like a function

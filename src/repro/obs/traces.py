@@ -22,8 +22,12 @@ import random
 import threading
 import time
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 from repro.obs.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import ServiceConfig
 
 #: bound on one query() response, whatever ``limit`` the caller asked for.
 MAX_QUERY_LIMIT = 200
@@ -166,3 +170,24 @@ class TraceCollector:
                 "discarded": self._discarded,
                 "evicted": self._evicted,
             }
+
+
+def trace_collector_for(config: ServiceConfig) -> TraceCollector | None:
+    """The collector a worker's (or, from its embedded worker config, a
+    gateway's) ``trace_*`` fields and ``slow_query_ms`` describe.
+
+    ``None`` when ``trace_sample_rate`` is ``None``: tracing is off.  A rate
+    of 0.0 installs the collector with head sampling off, so it keeps only
+    slow and errored traces."""
+    if config.trace_sample_rate is None:
+        return None
+    return TraceCollector(
+        capacity=config.trace_buffer_size,
+        sample_rate=config.trace_sample_rate,
+        slow_ms=config.slow_query_ms,
+        rng=(
+            random.Random(config.trace_sample_seed)
+            if config.trace_sample_seed is not None
+            else None
+        ),
+    )

@@ -1,47 +1,35 @@
-"""A thread-safe LRU + TTL cache for expansion results.
+"""A thread-safe LRU cache for expansion results.
 
 Repeated queries dominate realistic expansion traffic (the same seed sets
 get re-issued by pollers, retries, and pagination), so the service caches
-``(method, query, top_k) -> ExpansionResult`` with two independent bounds:
+``(method, query, top_k) -> ExpansionResult``.  Least-recently-used entries
+are evicted once the cache holds ``capacity`` of them.  Nothing else
+expires an entry: a worker fits each method once and keeps it, so a cached
+ranking stays the ranking that method gives for as long as the worker runs.
 
-* **capacity** — least-recently-used entries are evicted once the cache is
-  full, and
-* **TTL** — entries older than ``ttl_seconds`` are treated as misses and
-  dropped, so long-lived services pick up refitted models eventually.
-
-All operations are O(1) under a single lock; hit/miss/eviction/expiry
-counters live on a :class:`~repro.obs.MetricsRegistry` (a private one by
-default, the owning service's when injected) and :meth:`stats` stays a
-wire-compatible view over them for the ``/stats`` endpoint.
+All operations are O(1) under a single lock; hit/miss/eviction counters
+live on a :class:`~repro.obs.MetricsRegistry` (a private one by default, the
+owning service's when injected) and :meth:`stats` is the cache's
+``/v1/stats`` section, a view over them.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.obs import MetricsRegistry
 
 
 class ResultCache:
-    """Bounded LRU cache with optional per-entry time-to-live."""
+    """Bounded LRU cache of expansion results."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        metrics: MetricsRegistry | None = None,
-    ):
-        """``clock`` is injectable so tests can drive expiry deterministically."""
+    def __init__(self, capacity: int = 1024, metrics: MetricsRegistry | None = None):
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
-        #: key -> (value, insertion timestamp); order is recency (newest last).
-        self._entries: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
+        #: key -> value; order is recency (newest last).
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hits = self.metrics.counter(
             "repro_cache_hits_total", "Result-cache lookups served from cache."
@@ -53,9 +41,6 @@ class ResultCache:
             "repro_cache_evictions_total",
             "Entries evicted by the LRU capacity bound.",
         )
-        self._expirations = self.metrics.counter(
-            "repro_cache_expirations_total", "Entries dropped past their TTL."
-        )
         self._size = self.metrics.gauge(
             "repro_cache_size", "Entries currently resident in the result cache."
         )
@@ -63,21 +48,13 @@ class ResultCache:
         self._hits_series = self._hits.labels()
         self._misses_series = self._misses.labels()
         self._evictions_series = self._evictions.labels()
-        self._expirations_series = self._expirations.labels()
         self._size_series = self._size.labels()
 
     def get(self, key: Hashable) -> Any | None:
-        """The cached value, or ``None`` on a miss or an expired entry."""
+        """The cached value, or ``None`` on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses_series.inc()
-                return None
-            value, stored_at = entry
-            if self._expired(stored_at):
-                del self._entries[key]
-                self._size_series.set(len(self._entries))
-                self._expirations_series.inc()
+            value = self._entries.get(key)
+            if value is None:
                 self._misses_series.inc()
                 return None
             self._entries.move_to_end(key)
@@ -91,7 +68,7 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions_series.inc()
@@ -102,17 +79,12 @@ class ResultCache:
             self._entries.clear()
             self._size.set(0)
 
-    def _expired(self, stored_at: float) -> bool:
-        return self.ttl_seconds is not None and (
-            self._clock() - stored_at > self.ttl_seconds
-        )
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """The legacy counter dict, now a view over the metrics registry."""
+        """The cache's ``/v1/stats`` section, a view over its counters."""
         with self._lock:
             size = len(self._entries)
         hits = int(self._hits.total())
@@ -121,10 +93,8 @@ class ResultCache:
         return {
             "size": size,
             "capacity": self.capacity,
-            "ttl_seconds": self.ttl_seconds,
             "hits": hits,
             "misses": misses,
             "hit_rate": (hits / total) if total else 0.0,
             "evictions": int(self._evictions.total()),
-            "expirations": int(self._expirations.total()),
         }

@@ -1,17 +1,18 @@
-"""Lazily-fitted, shared expanders for the serving layer.
+"""Fitted expanders for the serving layer, each fitted once per worker.
 
 ``Expander.fit`` is by far the most expensive step of every method (training
 the context encoder, continued pre-training of the causal LM, ...), so an
 online service must amortise it: the :class:`ExpanderRegistry` fits each
-named method **at most once per dataset** and hands the same fitted instance
-to every request.
+named method **once** and hands the same fitted instance to every request
+for the life of the process.
 
-Entries are keyed by ``(method, dataset.fingerprint())`` so a registry can
-outlive dataset reloads without serving a model trained on stale data.
-Fitting is guarded by a per-key lock: when N requests race for an unfitted
-method, one fits while the other N-1 block, and nobody fits twice.  A small
-LRU bound keeps memory in check; frequently-used methods can be pinned to
-exempt them from eviction.
+A registry serves the one dataset it was built with, so its map is keyed by
+method name alone; a worker that needs another dataset is a new process.
+Fitting is guarded by a per-method lock: when N requests race for an
+unfitted method, one fits while the other N-1 block, and nobody fits twice.
+Nothing is evicted: a worker serves a handful of methods (seven by
+default), and an evicted one would only be fitted again on its next
+request.
 
 With an :class:`~repro.store.ArtifactStore` attached, fits also become
 durable: a registry miss first tries to *restore* the fitted state from disk
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.baselines import CGExpan, CaSE, GPT4Expander, ProbExpan, SetExpan
@@ -51,7 +51,6 @@ from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import (
     ArtifactNotFoundError,
     ArtifactVersionError,
-    ServiceError,
     StoreError,
     UnknownMethodError,
 )
@@ -79,14 +78,13 @@ DEFAULT_FACTORIES: dict[str, ExpanderFactory] = {
 
 
 class ExpanderRegistry:
-    """Fits and pins named expanders against one dataset."""
+    """Fits each named expander once against one dataset and keeps it."""
 
     def __init__(
         self,
         dataset: UltraWikiDataset,
         resources: SharedResources | None = None,
         factories: Mapping[str, ExpanderFactory] | None = None,
-        capacity: int = 8,
         store: "ArtifactStore | None" = None,
         fit_lock_wait_seconds: float = 600.0,
         metrics: MetricsRegistry | None = None,
@@ -94,8 +92,6 @@ class ExpanderRegistry:
         """With a ``store``, every cold fit first elects a cross-process
         leader (a lock file in the store directory), so sibling workers
         sharing the store pay each fit once."""
-        if capacity < 1:
-            raise ServiceError("registry capacity must be >= 1")
         self.dataset = dataset
         # The pool's substrate provider shares the registry's store and its
         # fit-lock wait budget, so substrate fits restore from (and write
@@ -113,7 +109,6 @@ class ExpanderRegistry:
         elif store is not None:
             resources.provider.attach_store(store)
         self.resources = resources
-        self.capacity = capacity
         self.store = store
         self.fit_lock_wait_seconds = fit_lock_wait_seconds
         self._factories = dict(
@@ -121,19 +116,15 @@ class ExpanderRegistry:
         )
         self._fingerprint = dataset.fingerprint()
         self._lock = threading.Lock()
-        #: (method, fingerprint) -> fitted expander, in recency order.
-        self._entries: OrderedDict[tuple[str, str], Expander] = OrderedDict()
-        self._pinned: set[tuple[str, str]] = set()
-        self._fit_locks: dict[tuple[str, str], threading.Lock] = {}
+        #: method -> its fitted expander, kept for the life of the registry.
+        self._entries: dict[str, Expander] = {}
+        self._fit_locks: dict[str, threading.Lock] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._fits = self.metrics.counter(
             "repro_registry_fits_total", "Expander fits paid by this process."
         )
         self._hits = self.metrics.counter(
             "repro_registry_hits_total", "Registry lookups served a resident expander."
-        )
-        self._evictions = self.metrics.counter(
-            "repro_registry_evictions_total", "Fitted expanders dropped from the LRU."
         )
         #: artifact-store traffic counters (all zero when no store is attached).
         self._restore_hits = self.metrics.counter(
@@ -168,16 +159,17 @@ class ExpanderRegistry:
             return self._key(method) in self._entries
 
     def peek(self, method: str) -> Expander | None:
-        """The fitted expander if present, without fitting or touching LRU order."""
+        """The fitted expander if present, without fitting it."""
         with self._lock:
             return self._entries.get(self._key(method))
 
-    def _key(self, method: str) -> tuple[str, str]:
-        return (method.strip().lower(), self._fingerprint)
+    @staticmethod
+    def _key(method: str) -> str:
+        return method.strip().lower()
 
     def ensure_known(self, method: str) -> None:
         """Raise :class:`UnknownMethodError` unless ``method`` is servable."""
-        if self._key(method)[0] not in self._factories:
+        if self._key(method) not in self._factories:
             raise UnknownMethodError(
                 f"unknown method {method!r}; available: {self.methods()}"
             )
@@ -190,7 +182,7 @@ class ExpanderRegistry:
         trains models — and cached for subsequent ``/v1/methods`` calls.
         """
         self.ensure_known(method)
-        name = self._key(method)[0]
+        name = self._key(method)
         with self._lock:
             cached = self._descriptions.get(name)
             if cached is not None:
@@ -209,7 +201,7 @@ class ExpanderRegistry:
         dataset fingerprint; ``None`` when no store is attached."""
         if self.store is None:
             return None
-        name = self._key(method)[0]
+        name = self._key(method)
         try:
             return self.store.contains(name, self._fingerprint)
         except (StoreError, OSError):
@@ -219,44 +211,36 @@ class ExpanderRegistry:
         """The fitted expander for ``method``, fitting it on first use."""
         return self._resident(method)[0]
 
-    def fit(self, method: str, pin: bool = False) -> str:
+    def fit(self, method: str) -> str:
         """Make ``method`` resident exactly as an expand's :meth:`get`
-        does (pinned when ``pin`` is set) and say how this call got it:
-        ``already_fitted`` (resident, or made so by a concurrent caller this
-        one waited for), ``restored`` (from the store) or ``fitted``
-        (trained and published).  ``repro fit`` and ``POST /v1/fits`` both
-        report this outcome."""
-        outcome = self._resident(method)[1]
-        if pin:
-            with self._lock:
-                self._pinned.add(self._key(method))
-        return outcome
+        does and say how this call got it: ``already_fitted`` (resident, or
+        made so by a concurrent caller this one waited for), ``restored``
+        (from the store) or ``fitted`` (trained and published).  ``repro
+        fit`` and ``POST /v1/fits`` both report this outcome."""
+        return self._resident(method)[1]
 
     def _resident(self, method: str) -> tuple[Expander, str]:
         """The expander for ``method`` and the :meth:`fit` outcome of
         getting it."""
         self.ensure_known(method)
-        key = self._key(method)
+        name = self._key(method)
         with self._lock:
-            expander = self._entries.get(key)
+            expander = self._entries.get(name)
             if expander is not None:
-                self._entries.move_to_end(key)
                 self._hits.inc()
                 return expander, "already_fitted"
-            fit_lock = self._fit_locks.setdefault(key, threading.Lock())
+            fit_lock = self._fit_locks.setdefault(name, threading.Lock())
         # Fit outside the registry lock so other methods stay servable, but
-        # under the per-key lock so concurrent requests fit at most once.
+        # under the per-method lock so concurrent requests fit at most once.
         with fit_lock:
             with self._lock:
-                expander = self._entries.get(key)
+                expander = self._entries.get(name)
                 if expander is not None:
-                    self._entries.move_to_end(key)
                     self._hits.inc()
                     return expander, "already_fitted"
-            expander, outcome = self._materialize(key[0])
+            expander, outcome = self._materialize(name)
             with self._lock:
-                self._entries[key] = expander
-                self._evict_locked()
+                self._entries[name] = expander
             return expander, outcome
 
     def _materialize(self, name: str) -> tuple[Expander, str]:
@@ -360,51 +344,17 @@ class ExpanderRegistry:
             return
         self._write_throughs.inc()
 
-    def _evict_locked(self) -> None:
-        unpinned = [k for k in self._entries if k not in self._pinned]
-        while len(unpinned) > self.capacity:
-            victim = unpinned.pop(0)
-            del self._entries[victim]
-            self._evictions.inc()
-
-    # -- pinning -----------------------------------------------------------------
-    def unpin(self, method: str) -> None:
-        with self._lock:
-            self._pinned.discard(self._key(method))
-            self._evict_locked()
-
-    # -- maintenance ---------------------------------------------------------------
-    def register(self, method: str, factory: ExpanderFactory) -> None:
-        """Add (or replace) a method factory, e.g. a custom ablation variant."""
-        with self._lock:
-            self._factories[method.strip().lower()] = factory
-
-    def evict(self, method: str) -> bool:
-        """Drop a fitted expander explicitly; returns True when one existed."""
-        key = self._key(method)
-        with self._lock:
-            self._pinned.discard(key)
-            if key in self._entries:
-                del self._entries[key]
-                self._evictions.inc()
-                return True
-            return False
-
     def stats(self) -> dict:
-        """The legacy stats dict (wire shape pinned), as a registry view."""
+        """The registry's ``/v1/stats`` section, a view over its counters."""
         with self._lock:
-            fitted = sorted(k[0] for k in self._entries)
-            pinned = sorted(k[0] for k in self._pinned)
+            fitted = sorted(self._entries)
             fit_seconds = dict(self._fit_seconds)
             restore_seconds = dict(self._restore_seconds)
         return {
             "fitted": fitted,
-            "pinned": pinned,
-            "capacity": self.capacity,
             "dataset_fingerprint": self._fingerprint,
             "fits": int(self._fits.total()),
             "hits": int(self._hits.total()),
-            "evictions": int(self._evictions.total()),
             "fit_seconds": fit_seconds,
             "restore_seconds": restore_seconds,
             "store": {

@@ -52,6 +52,7 @@ from repro.obs import (
     Trace,
     activate,
     parse_traceparent,
+    recorded_activations,
     request_scope,
     tenant_scope,
 )
@@ -408,31 +409,28 @@ class ExpansionHTTPServer(HttpFront):
             if is_valid_tenant_id(hint):
                 tenant = hint
 
-        # Trace continuation/creation: a gateway hop carries a sampled
-        # ``traceparent`` we must continue under the same trace_id; a
-        # front-line worker makes its own head-sampling decision (or traces
-        # anyway when a slow-query threshold might want the spans).
+        # A gateway hop carries a sampled ``traceparent``: the worker
+        # continues that trace under the same trace_id.  Anything else is
+        # traced, or not, by the service's own decision for an expand (one
+        # head-sampling flip per expand, taken in ExpansionService.submit);
+        # no other route is traced.
         context = parse_traceparent(request.headers.get(TRACEPARENT_HEADER))
-        collector = self.service.traces
-        trace: Trace | None = None
+        remote: Trace | None = None
         if context is not None and context.sampled:
-            trace = Trace(
+            remote = Trace(
                 request_id=request.request_id,
                 trace_id=context.trace_id,
                 parent_span_id=context.span_id,
             )
-            trace.sampled = True
-        elif collector is not None:
-            sampled = collector.sample()
-            if sampled or collector.slow_ms is not None:
-                trace = Trace(request_id=request.request_id)
-                trace.sampled = sampled
+            remote.sampled = True
 
         # The resolved tenant (and trace) ride contextvars through dispatch
-        # so deeper layers (spans, metric labels) can recover them unplumbed.
-        with tenant_scope(tenant):
-            if trace is not None:
-                with activate(trace):
+        # so deeper layers (spans, metric labels) can recover them unplumbed;
+        # the trace the request ran under, wherever it was opened, is
+        # recorded for the reply's header.
+        with tenant_scope(tenant), recorded_activations() as activated:
+            if remote is not None:
+                with activate(remote):
                     result = gate_error or self._dispatch(request)
             else:
                 result = gate_error or self._dispatch(request)
@@ -442,15 +440,15 @@ class ExpansionHTTPServer(HttpFront):
             # integral delta-seconds, rounded up (RFC 9110); the exact float
             # rides in the error payload's details.retry_after.
             headers["Retry-After"] = retry_after_header(retry_after)
-        if trace is not None:
-            headers[TRACE_ID_HEADER] = trace.trace_id
-            if context is not None:
-                # remote hop: return this worker's span fragment so the
-                # gateway can graft it into its joined trace.
-                headers[TRACE_SPANS_HEADER] = json.dumps(
-                    {"trace_id": trace.trace_id, "spans": trace.to_span_dicts()},
-                    separators=(",", ":"),
-                )
+        if activated:
+            headers[TRACE_ID_HEADER] = activated[0].trace_id
+        if remote is not None:
+            # remote hop: return this worker's span fragment so the gateway
+            # can graft it into its joined trace.
+            headers[TRACE_SPANS_HEADER] = json.dumps(
+                {"trace_id": remote.trace_id, "spans": remote.to_span_dicts()},
+                separators=(",", ":"),
+            )
         return Reply(
             result.status,
             json.dumps(apiv1.render_v1_body(result, request.request_id)).encode("utf-8"),

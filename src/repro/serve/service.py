@@ -5,7 +5,7 @@ SDK's in-process transport, and tests all talk to.  One ``submit`` call is
 one request, served start to finish on the calling thread; the hot path is::
 
     request -> validate -> resolve query -> result cache? -> admission slot?
-            -> ExpanderRegistry (lazy one-time fit) -> expand -> cache
+            -> ExpanderRegistry (fitted once, on first use) -> expand -> cache
             -> paginate / resolve names (ExpandOptions)
 
 Every expander ranks one query at a time, so an uncached expand simply runs
@@ -25,7 +25,9 @@ usage (compute seconds, cache hits, fits) is a set of counter families on
 that registry, read back as the ``usage`` key of :meth:`stats`.  Requests
 that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
 carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
-come back on the response and land in the slow-query log.
+come back on the response and land in the slow-query log.  With a trace
+collector installed, :meth:`~ExpansionService.submit` also flips the one
+head-sampling coin of each expand, whichever transport delivered it.
 
 The service writes no telemetry file: telemetry is read over HTTP or from
 its loggers, the only files it writes are fits published to the artifact
@@ -34,7 +36,6 @@ store, and store GC is ``repro store gc``'s job, run out of process.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from contextlib import nullcontext
@@ -45,13 +46,7 @@ from repro.config import ServiceConfig
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import DatasetError, ServiceUnavailableError
-from repro.gate import (
-    ANONYMOUS_TENANT,
-    AdmissionController,
-    Gate,
-    QuotaSpec,
-    TenantDirectory,
-)
+from repro.gate import ANONYMOUS_TENANT, AdmissionController, Gate, gate_for
 from repro.obs import (
     MetricsRegistry,
     Trace,
@@ -62,12 +57,19 @@ from repro.obs import (
     current_trace,
     log_slow_query,
     span,
+    trace_collector_for,
 )
+from repro.obs.metrics import MAX_SERIES_PER_FAMILY
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.serve.registry import ExpanderFactory, ExpanderRegistry
 from repro.store import ArtifactStore
 from repro.types import ExpansionResult, Query
+
+
+#: the key under which a service keeps the one shared entry of no-op handles
+#: for every tenant past a family's series cap (see ``_bounded_handle``).
+_OVERFLOW = object()
 
 
 class _TenantSeries(NamedTuple):
@@ -91,14 +93,12 @@ class ExpansionService:
         config: ServiceConfig | None = None,
         resources: SharedResources | None = None,
         factories: Mapping[str, ExpanderFactory] | None = None,
-        clock: Callable[[], float] = time.monotonic,
         store: ArtifactStore | None = None,
     ):
         """``resources`` lets callers share already-fitted substrates (e.g.
-        an :class:`ExperimentContext`); ``clock`` feeds the TTL cache and is
-        injectable for deterministic expiry tests.  ``store`` (or
-        ``config.store_dir``) attaches the persistent artifact store so fits
-        survive restarts and are shared across worker processes."""
+        an :class:`ExperimentContext`).  ``store`` (or ``config.store_dir``)
+        attaches the persistent artifact store so fits survive restarts and
+        are shared across worker processes."""
         self.config = config or ServiceConfig()
         self.config.validate()
         self.dataset = dataset
@@ -116,48 +116,17 @@ class ExpansionService:
             dataset,
             resources=resources,
             factories=factories,
-            capacity=self.config.registry_capacity,
             store=store,
             fit_lock_wait_seconds=self.config.fit_lock_wait_seconds,
             metrics=self.metrics,
         )
-        self.cache = ResultCache(
-            capacity=self.config.cache_capacity,
-            ttl_seconds=self.config.cache_ttl_seconds,
-            clock=clock,
-            metrics=self.metrics,
-        )
-        # Searchable ring of completed traces (GET /v1/traces).  None means
-        # tracing is off entirely; rate 0.0 installs the collector but keeps
-        # only slow/errored traces (head sampling disabled).
-        self.traces: TraceCollector | None = None
-        if self.config.trace_sample_rate is not None:
-            self.traces = TraceCollector(
-                capacity=self.config.trace_buffer_size,
-                sample_rate=self.config.trace_sample_rate,
-                slow_ms=self.config.slow_query_ms,
-                rng=(
-                    random.Random(self.config.trace_sample_seed)
-                    if self.config.trace_sample_seed is not None
-                    else None
-                ),
-            )
+        self.cache = ResultCache(capacity=self.config.cache_capacity, metrics=self.metrics)
+        # Searchable ring of completed traces (GET /v1/traces); None when
+        # tracing is off.
+        self.traces: TraceCollector | None = trace_collector_for(self.config)
         # The front door (repro.gate): built only when configured, so a
         # plain service carries zero gate state and stays fully open.
-        self.gate: Gate | None = None
-        if self.config.keyfile is not None or self.config.default_quota is not None:
-            directory = None
-            if self.config.keyfile is not None:
-                directory = TenantDirectory(self.config.keyfile)
-            self.gate = Gate(
-                directory=directory,
-                default_quota=(
-                    None
-                    if self.config.default_quota is None
-                    else QuotaSpec.parse(self.config.default_quota)
-                ),
-                metrics=self.metrics,
-            )
+        self.gate: Gate | None = gate_for(self.config, self.metrics)
         self.admission: AdmissionController | None = None
         if self.config.admission_max_concurrent is not None:
             self.admission = AdmissionController(
@@ -189,7 +158,8 @@ class ExpansionService:
             "End-to-end expand latency (cached and uncached).",
             exemplars=True,
         )
-        # hot-path handles: label resolution paid once, not per request.
+        # hot-path handles: label resolution paid once, not per request
+        # (keyed by method, or by (method, tenant); see _bounded_handle).
         self._latency_by_method: dict = {}
         # Usage: an uncached expand is charged its execute wall time (also
         # when the expander raises), a cache hit the lookup's own time, a fit
@@ -230,9 +200,10 @@ class ExpansionService:
         # A trace is only built when someone will read it (the response's
         # debug block, the slow-query log, or the trace collector); the
         # untraced hot path pays one ContextVar read per span site, plus a
-        # single rate check when a collector is installed.  The HTTP server
-        # may already have activated a trace (remote traceparent or its own
-        # sampling decision); reuse it instead of shadowing it.
+        # single rate check when a collector is installed.  This is the one
+        # head-sampling coin flip of an expand, over HTTP or in process.  The
+        # HTTP front may already have activated the trace a gateway hop
+        # asked it to continue; reuse it instead of shadowing it.
         trace: Trace | None = current_trace()
         owns = False
         if trace is None:
@@ -309,10 +280,12 @@ class ExpansionService:
         series = self._series_by_tenant.get(tenant)
         if series is None:
             labels = {} if tenant is None else {"tenant": tenant}
-            # benign race: both losers bind the same series, one wins.
-            series = self._series_by_tenant.setdefault(
+            series = _bounded_handle(
+                self._series_by_tenant,
                 tenant,
-                _TenantSeries(*(family.labels(**labels) for family in self._tenant_families)),
+                lambda: _TenantSeries(
+                    *(family.labels(**labels) for family in self._tenant_families)
+                ),
             )
         return series
 
@@ -377,9 +350,8 @@ class ExpansionService:
             labels = {"method": method}
             if tenant is not None:
                 labels["tenant"] = tenant
-            # benign race: both losers bind the same series, one wins the slot.
-            observer = self._latency_by_method.setdefault(
-                key, self._latency.labels(**labels)
+            observer = _bounded_handle(
+                self._latency_by_method, key, lambda: self._latency.labels(**labels)
             )
         observer.observe(latency_ms)
         timings = None
@@ -458,13 +430,13 @@ class ExpansionService:
 
     # -- warm-up / fits ---------------------------------------------------------------
     def warm_up(self, methods: Sequence[str] = ("retexpan",)) -> None:
-        """Fit and pin the given methods up front (e.g. at server start)."""
+        """Fit the given methods up front (e.g. at server start)."""
         for method in methods:
-            self.registry.fit(method, pin=True)
+            self.registry.fit(method)
 
-    def fit(self, method: str, pin: bool = False) -> dict:
-        """Make ``method`` resident (pinned when asked) and return
-        ``{method, outcome, seconds}``; ``POST /v1/fits`` on the wire.
+    def fit(self, method: str) -> dict:
+        """Make ``method`` resident and return ``{method, outcome,
+        seconds}``; ``POST /v1/fits`` on the wire.
 
         It runs the registry lookup an expand runs, on the calling thread,
         holding one batch-lane admission slot like a batch item (so under
@@ -480,7 +452,7 @@ class ExpansionService:
         with slot:
             started = time.perf_counter()
             try:
-                outcome = self.registry.fit(name, pin=pin)
+                outcome = self.registry.fit(name)
             finally:
                 seconds = time.perf_counter() - started
                 series = self._tenant_series(current_tenant())
@@ -570,3 +542,21 @@ class ExpansionService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+
+def _bounded_handle(handles: dict, key, bind: Callable[[], Any]) -> Any:
+    """The handle of a ``key`` that ``handles`` does not hold yet: bound by
+    ``bind()`` and kept under ``key`` for its later lookups.
+
+    Only these dicts bind series of their families, so a dict holding
+    MAX_SERIES_PER_FAMILY keys means families that refuse new series.  The
+    first newcomer past that binds anyway (each family counts it in its
+    ``dropped_series``) and its no-op handles become one shared overflow
+    entry, handed to every later newcomer: any caller may name a new
+    tenant, so a dict holds at most the cap's keys plus that entry."""
+    handle = handles.get(_OVERFLOW)
+    if handle is None:
+        handle = bind()
+        # benign race: both losers bind the same series, one wins the slot.
+        full = len(handles) >= MAX_SERIES_PER_FAMILY
+        handle = handles.setdefault(_OVERFLOW if full else key, handle)
+    return handle

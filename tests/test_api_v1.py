@@ -353,8 +353,11 @@ class TestFitJobs:
 
     def test_bad_fit_payloads_are_400(self, api):
         dispatcher, _, created = api
-        for payload in (None, {}, {"method": ""}, {"method": "stub", "pin": 1},
-                        {"method": "stub", "wait": True}):
+        # ``pin`` is gone with the registry's eviction: a worker keeps every
+        # fit, so a request that still sends it is refused like any other
+        # unknown field.
+        for payload in (None, {}, {"method": ""}, {"method": "stub", "pin": True},
+                        {"method": "stub", "pin": False}, {"method": "stub", "wait": True}):
             result = dispatcher.dispatch("POST", "/v1/fits", payload)
             assert result.status == 400, payload
             assert result.error["code"] == "invalid_request"
@@ -373,23 +376,6 @@ class TestFitJobs:
             assert result.status == 500
             assert result.error["code"] == "internal"
             assert "factory exploded" in result.error["message"]
-
-    def test_pinned_fit_survives_eviction_pressure(self, tiny_dataset):
-        service, created = make_service(tiny_dataset)
-        with service:
-            assert service.fit("stub", pin=True)["outcome"] == "fitted"
-            assert "stub" in service.stats()["registry"]["pinned"]
-            service.registry.register("other", lambda _res: CountingExpander())
-            service.registry.capacity = 1
-            service.registry.register("third", lambda _res: CountingExpander())
-            service.registry.get("other")
-            service.registry.get("third")
-            # two unpinned methods contend for the one LRU slot; the pinned
-            # fit is exempt from eviction.
-            assert service.stats()["registry"]["evictions"] == 1
-            assert service.registry.is_fitted("stub")
-            assert service.fit("stub")["outcome"] == "already_fitted"
-            assert len(created) == 1
 
     def test_fit_after_shutdown_is_unavailable(self, tiny_dataset):
         service, created = make_service(tiny_dataset)

@@ -89,8 +89,9 @@ class TestParser:
         """No telemetry file flags remain: slow-query lines go to stderr and
         usage totals to /v1/stats, so each former file flag is a usage error
         on every subcommand that takes the service flags (``query`` takes
-        none of them but ``--store``).  Usage is always metered and the
-        gateway keeps no result cache, so their switches are gone too."""
+        none of them but ``--store``).  Usage is always metered, the
+        gateway keeps no result cache, and a worker's cached results never
+        expire, so their switches are gone too."""
         for command in (["serve"], ["cluster", "serve"]):
             for flag, value in (
                 ("--usage-ledger", "/tmp/usage.jsonl"),
@@ -100,6 +101,7 @@ class TestParser:
                 ("--usage-metering", None),
                 ("--gateway-cache-size", "64"),
                 ("--gateway-cache-ttl", "60"),
+                ("--cache-ttl", "5"),
             ):
                 argv = [*command, flag] if value is None else [*command, flag, value]
                 with pytest.raises(SystemExit) as excinfo:

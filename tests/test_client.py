@@ -170,8 +170,8 @@ class TestClientSurface:
         assert first["outcome"] in ("fitted", "already_fitted")
         assert first["seconds"] >= 0.0
         # a second fit of a fitted method completes as a no-op
-        assert client.fit("slowstub", pin=True)["outcome"] == "already_fitted"
-        assert "slowstub" in client.stats()["registry"]["pinned"]
+        assert client.fit("slowstub")["outcome"] == "already_fitted"
+        assert "slowstub" in client.stats()["registry"]["fitted"]
 
     def test_concurrent_fits_share_one_fit(self, http_client, inproc_client):
         # slowstub2 (a 0.2 s fit) is fitted nowhere else.  Whichever

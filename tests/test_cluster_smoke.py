@@ -151,7 +151,7 @@ def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
         [
             "cluster", "serve", "--dataset", dataset_dir,
             "--worker-host", "127.0.0.2",
-            "--cache-capacity", "7", "--cache-ttl", "12.5",
+            "--cache-capacity", "7",
             "--store", str(tmp_path / "store"),
             "--warm", "setexpan", "retexpan",
             "--access-log",

@@ -108,9 +108,6 @@ class TestCountersAndGauges:
         gauge.set(5)
         gauge.dec(2)
         assert gauge.value() == 3
-        gauge.set_max(10)
-        gauge.set_max(7)  # lower: ignored
-        assert gauge.value() == 10
 
     def test_family_type_conflict_is_an_error(self):
         registry = MetricsRegistry()

@@ -77,13 +77,13 @@ class FailingExpander(CountingExpander):
 def make_service(
     dataset,
     config=None,
-    clock=time.monotonic,
     fit_delay=0.0,
     expand_delay=0.0,
     expander_class=CountingExpander,
+    methods=("stub", "stub2"),
 ):
-    """A service whose only methods are two independent stub expanders."""
-    created: dict[str, list[CountingExpander]] = {"stub": [], "stub2": []}
+    """A service whose only methods are independent stub expanders."""
+    created: dict[str, list[CountingExpander]] = {name: [] for name in methods}
 
     def factory_for(name):
         def factory(_resources):
@@ -96,8 +96,7 @@ def make_service(
     service = ExpansionService(
         dataset,
         config=config,
-        factories={"stub": factory_for("stub"), "stub2": factory_for("stub2")},
-        clock=clock,
+        factories={name: factory_for(name) for name in methods},
     )
     return service, created
 
@@ -134,28 +133,28 @@ class TestRegistryReuse:
                 service.submit(ExpandRequest(method="stub", query_id=query.query_id))
         assert len(created["stub"]) == 1
 
-    def test_registry_evicts_lru_and_refits_on_return(self, tiny_dataset):
-        config = ServiceConfig(registry_capacity=1)
-        service, created = make_service(tiny_dataset, config=config)
+    def test_every_method_is_fitted_once_for_the_life_of_the_service(self, tiny_dataset):
+        """Ten methods, each expanded twice and fitted once: every one is
+        fitted once and served by that one expander ever after; nothing is
+        evicted."""
+        names = [f"stub{index}" for index in range(10)]
+        service, created = make_service(tiny_dataset, methods=names)
         query_id = tiny_dataset.queries[0].query_id
         with service:
-            service.submit(ExpandRequest(method="stub", query_id=query_id, options=ExpandOptions(use_cache=False)))
-            service.submit(ExpandRequest(method="stub2", query_id=query_id, options=ExpandOptions(use_cache=False)))
-            service.submit(ExpandRequest(method="stub", query_id=query_id, options=ExpandOptions(use_cache=False)))
-        stats = service.stats()["registry"]
-        assert stats["evictions"] >= 1
-        assert len(created["stub"]) == 2  # evicted, then lazily refitted
-
-    def test_pinned_expander_survives_eviction_pressure(self, tiny_dataset):
-        config = ServiceConfig(registry_capacity=1)
-        service, created = make_service(tiny_dataset, config=config)
-        query_id = tiny_dataset.queries[0].query_id
-        with service:
-            service.warm_up(["stub"])
-            service.submit(ExpandRequest(method="stub2", query_id=query_id, options=ExpandOptions(use_cache=False)))
-            service.submit(ExpandRequest(method="stub", query_id=query_id, options=ExpandOptions(use_cache=False)))
-        assert len(created["stub"]) == 1
-        assert "stub" in service.stats()["registry"]["pinned"]
+            for _ in range(2):
+                for name in names:
+                    service.submit(
+                        ExpandRequest(
+                            method=name, query_id=query_id, options=ExpandOptions(use_cache=False)
+                        )
+                    )
+            outcomes = [service.fit(name)["outcome"] for name in names]
+        assert outcomes == ["already_fitted"] * len(names)
+        assert {name: len(built) for name, built in created.items()} == dict.fromkeys(names, 1)
+        assert all(built[0].fit_calls == 1 and built[0].expand_calls == 2 for built in created.values())
+        registry = service.stats()["registry"]
+        assert registry["fits"] == len(names)
+        assert registry["fitted"] == sorted(names)
 
 
 class TestResultCache:
@@ -200,19 +199,6 @@ class TestResultCache:
             assert service.submit(request).cached is False
             assert service.submit(request).cached is False
         assert created["stub"][0].expand_calls == 2
-
-    def test_ttl_expiry_recomputes(self, tiny_dataset):
-        now = [0.0]
-        config = ServiceConfig(cache_ttl_seconds=10.0)
-        service, _ = make_service(tiny_dataset, config=config, clock=lambda: now[0])
-        request = ExpandRequest(method="stub", query_id=tiny_dataset.queries[0].query_id)
-        with service:
-            service.submit(request)
-            now[0] = 5.0
-            assert service.submit(request).cached is True
-            now[0] = 20.1
-            assert service.submit(request).cached is False
-        assert service.stats()["cache"]["expirations"] == 1
 
     def test_lru_eviction_is_counted(self):
         cache = ResultCache(capacity=2)

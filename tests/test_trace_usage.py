@@ -426,6 +426,44 @@ class TestUsageMeter:
         assert sorted(usage) == [f"tenant-{index:02d}" for index in range(MAX_SERIES_PER_FAMILY)]
         assert all(row["requests"] == 1 for row in usage.values())
 
+    def test_tenant_handles_stop_at_the_cap(self, tiny_dataset):
+        """Any caller may name a new tenant, so the service's per-tenant
+        handle dicts stop growing at the series cap: 1,000 names leave at
+        most the cap's entries plus one shared overflow entry, and the
+        tenants under the cap are charged exactly as on a service that
+        never saw the other 936."""
+        query_id = tiny_dataset.queries[0].query_id
+        names = [f"tenant-{index:04d}" for index in range(1000)]
+        kept = names[:MAX_SERIES_PER_FAMILY]
+
+        def serve(tenants):
+            service = make_service(tiny_dataset)
+            with service:
+                # every tenant once, then the kept ones again (cache hits).
+                for tenant in [*tenants, *kept]:
+                    with tenant_scope(tenant):
+                        service.submit(ExpandRequest(method="stub", query_id=query_id))
+            return service
+
+        crowded, reference = serve(names), serve(kept)
+        assert len(crowded._series_by_tenant) <= MAX_SERIES_PER_FAMILY + 1
+        assert len(crowded._latency_by_method) <= MAX_SERIES_PER_FAMILY + 1
+        requests = crowded.metrics.counter("repro_service_requests_total")
+        assert len(requests.series()) == MAX_SERIES_PER_FAMILY
+
+        def counts(service):
+            usage = service.stats()["usage"]["tenants"]
+            latency = service.metrics.histogram("repro_request_latency_ms")
+            return {
+                tenant: (row["requests"], row["cache_hits"], row["fits"],
+                         latency.count(method="stub", tenant=tenant))
+                for tenant, row in usage.items()
+            }
+
+        assert sorted(counts(crowded)) == kept
+        assert counts(crowded) == counts(reference)
+        assert counts(reference)[kept[1]] == (2, 2, 0, 2)
+
 
 # ---------------------------------------------------------------------------
 # service integration: tracing + metering through the serving path
@@ -557,6 +595,54 @@ class TestWorkerTraceSurface:
         fragment = json.loads(headers["X-Repro-Trace"])
         assert fragment["trace_id"] == upstream.trace_id
         assert any(entry["name"] == "execute" for entry in fragment["spans"])
+
+    @pytest.mark.parametrize("rate", [0.25, 0.5])
+    def test_one_sampling_flip_per_expand_over_http(self, tiny_dataset, rate):
+        """An expand over HTTP flips the head-sampling coin once, as in
+        process: the same seed and request count keep the same traces, and
+        each kept trace's id is on its reply."""
+        query_id = tiny_dataset.queries[0].query_id
+        requests = 200
+        config = dict(
+            trace_sample_rate=rate,
+            trace_sample_seed=7,
+            trace_buffer_size=requests,
+            cache_capacity=0,
+        )
+        in_process = make_service(tiny_dataset, **config)
+        with in_process:
+            for _ in range(requests):
+                in_process.submit(ExpandRequest(method="stub", query_id=query_id))
+            expected = in_process.traces.stats()
+        server = ExpansionHTTPServer(make_service(tiny_dataset, **config), port=0).start()
+        try:
+            replied = set()
+            for _ in range(requests):
+                status, _envelope, headers = http_post(
+                    server.url + "/v1/expand", {"method": "stub", "query_id": query_id}
+                )
+                assert status == 200
+                if "X-Repro-Trace-Id" in headers:
+                    replied.add(headers["X-Repro-Trace-Id"])
+            collector = server.service.traces
+            stats = collector.stats()
+            kept = {row["trace_id"] for row in collector.query(limit=requests)}
+        finally:
+            server.shutdown()
+        assert 0 < expected["kept"] < requests
+        assert (stats["sampled"], stats["kept"]) == (expected["sampled"], expected["kept"])
+        assert kept == replied and len(kept) == stats["kept"]
+
+    def test_probes_and_stats_reads_flip_no_coin(self, server):
+        """Only an expand is traced: health probes and stats reads leave
+        the sampler untouched, even at rate 1.0."""
+        for path, times in (("/v1/healthz", 10), ("/v1/stats", 5)):
+            for _ in range(times):
+                status, _body, headers = http_get(server.url + path)
+                assert status == 200
+                assert "X-Repro-Trace-Id" not in headers
+        traces = server.service.traces.stats()
+        assert (traces["sampled"], traces["kept"]) == (0, 0)
 
     def test_unknown_trace_id_is_404_and_disabled_tracing_is_400(
         self, server, tiny_dataset

@@ -1,17 +1,15 @@
-"""Gateway overhead and scatter-gather throughput over a 2-worker cluster.
+"""Gateway overhead over a 2-worker cluster.
 
 Measures what the routing layer costs: the same deterministic expansion is
 driven (a) straight at one worker over HTTP and (b) through the gateway in
 front of two workers — the delta is pure gateway overhead (one extra proxy
-hop, ring lookup, header copy).  A second pass measures batch scatter-gather
-throughput, where the gateway fans one wire request out to both shards
-concurrently.
+hop, ring lookup, header copy).
 
 The timings are printed, not asserted: a wall-clock bound on a shared
 machine decides nothing.  What is asserted is the gateway's work, counted
 by test-local wrappers on its connection factory and its proxy call: one
-keep-alive connection per worker for all sequential traffic, one forward
-per request, and at most one new connection per scattered sub-batch.
+keep-alive connection per worker for all sequential traffic, and one
+forward per request.
 
 The workers serve a cheap deterministic stub expander over the tiny dataset
 so the numbers isolate the *serving fabric* — registry fits and model
@@ -71,19 +69,18 @@ def run_gateway_benchmark(num_queries: int = GATEWAY_QUERY_BUDGET) -> dict:
         fingerprint=dataset.fingerprint(),
         port=0,
     ).start()
-    # (pass, worker_id) per gateway->worker connection opened, and
-    # (pass, path) per proxy call; list.append is safe from scatter threads.
-    opened: list[tuple[str, str]] = []
-    forwarded: list[tuple[str, str]] = []
-    current = ["routed"]
+    # the worker of each gateway->worker connection opened, and the path
+    # of each proxy call.
+    opened: list[str] = []
+    forwarded: list[str] = []
     fresh_connection, forward = gateway._fresh_worker_connection, gateway._forward
 
     def counting_fresh_connection(worker_id):
-        opened.append((current[0], worker_id))
+        opened.append(worker_id)
         return fresh_connection(worker_id)
 
     def counting_forward(worker_id, verb, path, body):
-        forwarded.append((current[0], path))
+        forwarded.append(path)
         return forward(worker_id, verb, path, body)
 
     gateway._fresh_worker_connection = counting_fresh_connection
@@ -108,32 +105,17 @@ def run_gateway_benchmark(num_queries: int = GATEWAY_QUERY_BUDGET) -> dict:
             for method, query_id in jobs:
                 gateway_client.expand(method, query_id=query_id, top_k=20, use_cache=False)
             routed_s = time.perf_counter() - started
-
-            batch = [
-                {
-                    "method": method,
-                    "query_id": query_id,
-                    "options": {"top_k": 20, "use_cache": False},
-                }
-                for method, query_id in jobs
-            ]
-            current[0] = "batch"
-            started = time.perf_counter()
-            results = gateway_client.expand_batch(batch)
-            batch_s = time.perf_counter() - started
         gateway_stats = gateway.stats()
     finally:
         gateway.shutdown()
         for server in servers:
             server.shutdown()
-    assert all(not isinstance(result, Exception) for result in results)
     return {
         "num_queries": num_queries,
         "direct_s": direct_s,
         "routed_s": routed_s,
         "direct_qps": num_queries / direct_s,
         "routed_qps": num_queries / routed_s,
-        "batch_qps": num_queries / batch_s,
         "overhead_ms": (routed_s - direct_s) / num_queries * 1000.0,
         "gateway_stats": gateway_stats,
         "opened": opened,
@@ -147,8 +129,7 @@ def test_gateway_routing_overhead(benchmark):
         f"\ngateway fabric over {result['num_queries']} requests: "
         f"direct {result['direct_qps']:.1f} q/s, "
         f"routed {result['routed_qps']:.1f} q/s "
-        f"({result['overhead_ms']:+.2f} ms/request), "
-        f"scatter-gather batch {result['batch_qps']:.1f} items/s; "
+        f"({result['overhead_ms']:+.2f} ms/request); "
         f"{len(result['opened'])} gateway->worker connections opened"
     )
     stats = result["gateway_stats"]
@@ -159,17 +140,8 @@ def test_gateway_routing_overhead(benchmark):
     assert stats["no_backend_available"] == 0
     # the warm-up and every sequential expand rode one keep-alive
     # connection per worker, one forward each.
-    routed_opened = [worker for phase, worker in result["opened"] if phase == "routed"]
-    assert sorted(routed_opened) == sorted(stats["workers"])
-    routed_paths = [path for phase, path in result["forwarded"] if phase == "routed"]
-    assert routed_paths == ["/v1/expand"] * (num_queries + 1)
-    # the batch went out as one sub-batch per method's shard key, each
-    # forwarded once, and concurrent legs opened at most one connection each.
-    batch_paths = [path for phase, path in result["forwarded"] if phase == "batch"]
-    assert batch_paths == ["/v1/expand/batch"] * len(METHODS)
-    batch_opened = [worker for phase, worker in result["opened"] if phase == "batch"]
-    assert len(batch_opened) <= len(batch_paths)
-    assert stats["proxied"] == num_queries + 1 + len(METHODS)
-    assert stats["requests"] == num_queries + 2
+    assert sorted(result["opened"]) == sorted(stats["workers"])
+    assert result["forwarded"] == ["/v1/expand"] * (num_queries + 1)
+    assert stats["proxied"] == stats["requests"] == num_queries + 1
     # a loose same-run sanity bound only (measured ratio: 1.1-1.6x).
     assert result["routed_s"] < 10 * result["direct_s"]

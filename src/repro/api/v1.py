@@ -16,7 +16,6 @@ Routes::
     GET  /v1/methods         servable methods + persistence/artifact state
     GET  /v1/stats           merged service/cache/registry counters
     POST /v1/expand          one ExpandRequest (v1 wire shape, paginated)
-    POST /v1/expand/batch    {"requests": [...]} -> per-item response or error
     POST /v1/fits            {"method"} -> blocks until the method is
                              resident -> {method, outcome, seconds}
     GET  /v1/traces          search kept traces (?tenant=&method=
@@ -26,8 +25,6 @@ Routes::
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Mapping
@@ -36,17 +33,8 @@ from urllib.parse import parse_qs
 from repro.api.envelope import error_envelope, success_envelope
 from repro.api.errors import error_payload, route_not_found_payload
 from repro.exceptions import DatasetError, ServiceError
-from repro.obs import current_tenant, span, tenant_scope
 from repro.serve.protocol import ExpandRequest
 from repro.utils.iox import to_jsonable
-
-#: hard cap on ``/v1/expand/batch`` fan-out per HTTP request.
-MAX_BATCH_REQUESTS = 64
-
-#: threads used to push a batch's items through the service concurrently,
-#: so one slow item (a cold fit, a long decode) does not hold up the rest.
-_BATCH_CONCURRENCY = 8
-
 
 @dataclass
 class ApiResult:
@@ -64,10 +52,6 @@ class ApiV1:
 
     def __init__(self, service):
         self.service = service
-        #: long-lived pool for batch fan-out (created on first batch call, so
-        #: one-shot clients that never batch pay nothing).
-        self._batch_pool: ThreadPoolExecutor | None = None
-        self._batch_pool_lock = threading.Lock()
 
     # -- dispatch ----------------------------------------------------------------
     def resolves(self, verb: str, path: str) -> bool:
@@ -129,63 +113,6 @@ class ApiV1:
         response = self.service.submit(request)
         return ApiResult(status=200, data=response, cached=response.cached)
 
-    def expand_batch(self, payload: Mapping | None) -> ApiResult:
-        if not isinstance(payload, Mapping):
-            raise ServiceError("batch payload must be a JSON object")
-        items = payload.get("requests")
-        if not isinstance(items, (list, tuple)) or not items:
-            raise ServiceError('batch payload needs a non-empty "requests" array')
-        if len(items) > MAX_BATCH_REQUESTS:
-            raise ServiceError(
-                f"batch size {len(items)} exceeds the limit of {MAX_BATCH_REQUESTS}"
-            )
-
-        # ContextVars don't cross the pool boundary: capture the tenant here
-        # and re-bind it on each worker thread so per-item metrics and
-        # admission attribution stay with the caller's tenant.
-        tenant = current_tenant()
-
-        def run_one(item) -> dict:
-            try:
-                with tenant_scope(tenant):
-                    # fan-out items ride the batch lane so a big batch cannot
-                    # starve concurrent interactive expands under admission.
-                    response = self.service.submit(
-                        ExpandRequest.from_dict(item), lane="batch"
-                    )
-            except Exception as exc:  # noqa: BLE001 - reported per item
-                _, error = error_payload(exc)
-                return {"error": error}
-            return {"response": response.to_v1_dict()}
-
-        # Items run concurrently so a cache hit never waits behind a miss;
-        # admission (batch lane) still bounds how many expand at once.  The
-        # span lives on the handler thread: per-item traces cannot share the
-        # caller's Trace across the pool, but the fan-out's wall time still
-        # shows up in a gateway-joined tree.
-        with span("expand_batch", items=len(items)):
-            results = list(self._pool().map(run_one, items))
-        return ApiResult(
-            status=200, data={"responses": results, "count": len(results)}
-        )
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._batch_pool_lock:
-            if self._batch_pool is None:
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=_BATCH_CONCURRENCY,
-                    thread_name_prefix="repro-api-batch",
-                )
-            return self._batch_pool
-
-    def close(self) -> None:
-        """Release the batch pool (owned by whoever owns this dispatcher —
-        the HTTP server or a client transport)."""
-        with self._batch_pool_lock:
-            pool, self._batch_pool = self._batch_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
     def fit(self, payload: Mapping | None) -> ApiResult:
         if not isinstance(payload, Mapping):
             raise ServiceError("fit payload must be a JSON object")
@@ -226,7 +153,6 @@ _STATIC_ROUTES: dict[tuple[str, str], Callable[[ApiV1, Mapping | None], ApiResul
     ("GET", "/v1/methods"): lambda api, _payload: api.methods(),
     ("GET", "/v1/stats"): lambda api, _payload: api.stats(),
     ("POST", "/v1/expand"): ApiV1.expand,
-    ("POST", "/v1/expand/batch"): ApiV1.expand_batch,
     ("POST", "/v1/fits"): ApiV1.fit,
 }
 

@@ -19,7 +19,7 @@ writing Python:
   ``gc`` is reference-aware (a substrate is never collected while a method
   manifest references it, orphans are);
 * ``serve`` — start the online expansion service (:mod:`repro.serve`): the
-  versioned v1 JSON/HTTP API (``/v1/expand``, ``/v1/expand/batch``,
+  versioned v1 JSON/HTTP API (``/v1/expand``, one query per request,
   ``/v1/methods``, ``/v1/stats``, ``/v1/healthz``, and ``/v1/fits``, which
   blocks until a method is resident) over an expander registry that fits
   each method once, on first use or ``--warm``, and keeps it for the life of
@@ -29,7 +29,7 @@ writing Python:
 * ``cluster serve`` — the horizontally scaled deployment
   (:mod:`repro.cluster`): N ``serve`` worker subprocesses (health-checked,
   restarted with backoff) behind a routing gateway that consistent-hashes
-  method-affine traffic across them, scatter-gathers batches, aggregates
+  method-affine traffic across them, aggregates
   ``/v1/stats``/``/v1/healthz``, and fails over when a worker dies; with a
   shared ``--store`` the cross-process fit lock makes every cold fit
   single-payer across the fleet;
@@ -380,8 +380,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.address
     print(f"Serving expansion API v1 on http://{host}:{port}")
     print(
-        "  endpoints: POST /v1/expand · POST /v1/expand/batch · "
-        "POST /v1/fits"
+        "  endpoints: POST /v1/expand · POST /v1/fits"
     )
     print(
         "             GET /v1/methods · GET /v1/stats · GET /v1/metrics · "
@@ -510,15 +509,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         )
         for index in range(config.num_workers)
     ]
-    pool = WorkerPool(
-        specs,
-        health_interval=config.health_interval_seconds,
-        health_timeout=config.health_timeout_seconds,
-        unhealthy_threshold=config.unhealthy_threshold,
-        restart_backoff=config.restart_backoff_seconds,
-        restart_backoff_max=config.restart_backoff_max_seconds,
-        restart_stagger=config.restart_stagger_seconds,
-    )
+    pool = WorkerPool(specs)
     print(f"Starting {config.num_workers} worker(s) ...")
     _install_sigterm_handler()
     try:
@@ -534,7 +525,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         print(f"Gateway serving expansion API v1 on http://{host}:{port}")
         print(
             f"  routing: consistent hash of (method, {fingerprint}) over "
-            f"{config.num_workers} shard(s); batches scatter-gather"
+            f"{config.num_workers} shard(s)"
         )
         print(
             "  /v1/stats and /v1/healthz aggregate the whole fleet; "
@@ -691,7 +682,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="cap concurrent expansions per worker; excess requests queue "
-        "in two priority lanes (interactive preempts batch) and shed "
+        "in two priority lanes (interactive expands preempt fits) and shed "
         "with a retryable 503 past --admission-queue-depth",
     )
     parser.add_argument(

@@ -23,7 +23,7 @@ from urllib.parse import urlencode
 
 from repro.api.errors import exception_for_payload
 from repro.api.options import ExpandOptions
-from repro.exceptions import ReproError, ServiceError, TransportError
+from repro.exceptions import ServiceError, TransportError
 from repro.serve.protocol import ExpandRequest, ExpandResponse, MethodInfo
 from repro.client.transport import HttpTransport, InProcessTransport
 
@@ -102,27 +102,6 @@ class ExpansionClient:
         """Expand a pre-built :class:`ExpandRequest` (protocol-level callers)."""
         data = self._call("POST", "/v1/expand", request.to_v1_dict())
         return ExpandResponse.from_v1_dict(data)
-
-    def expand_batch(
-        self, requests: Sequence[ExpandRequest | Mapping]
-    ) -> list[ExpandResponse | ReproError]:
-        """Expand several requests in one round trip.
-
-        Items fail independently: each slot holds either the
-        :class:`ExpandResponse` or the mapped exception for that request.
-        """
-        wire_requests = [
-            request.to_v1_dict() if isinstance(request, ExpandRequest) else dict(request)
-            for request in requests
-        ]
-        data = self._call("POST", "/v1/expand/batch", {"requests": wire_requests})
-        results: list[ExpandResponse | ReproError] = []
-        for slot in data["responses"]:
-            if "response" in slot:
-                results.append(ExpandResponse.from_v1_dict(slot["response"]))
-            else:
-                results.append(exception_for_payload(slot["error"]))
-        return results
 
     # -- fits --------------------------------------------------------------------
     def fit(self, method: str) -> dict:

@@ -73,11 +73,6 @@ class InProcessTransport:
             result = self._api.dispatch(verb, path, payload)
         return result.status, apiv1.render_v1_body(result, request_id)
 
-    def close(self) -> None:
-        """Release the dispatcher's batch pool (the service itself is not
-        owned by the transport and stays open)."""
-        self._api.close()
-
 
 class HttpTransport:
     """Speaks the v1 protocol over pooled keep-alive HTTP connections."""
@@ -89,15 +84,13 @@ class HttpTransport:
         max_retries: int = 2,
         backoff_seconds: float = 0.1,
         sleep: Callable[[float], None] = time.sleep,
-        keep_alive: bool = True,
         max_idle_connections: int = 4,
         api_key: str | None = None,
     ):
         """``max_retries`` counts *additional* attempts after the first;
         ``sleep`` is injectable so tests can skip the real backoff.
-        ``keep_alive=False`` opens one connection per request (the pre-pool
-        behaviour); ``max_idle_connections`` bounds the idle pool so a burst
-        of concurrent callers cannot accumulate sockets forever.
+        ``max_idle_connections`` bounds the idle pool so a burst of
+        concurrent callers cannot accumulate sockets forever.
         ``api_key`` is sent as the ``X-Api-Key`` header on every request
         (required when the server runs a keyfile without anonymous access)."""
         if max_retries < 0:
@@ -113,7 +106,6 @@ class HttpTransport:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
-        self.keep_alive = keep_alive
         self.max_idle_connections = max(0, max_idle_connections)
         self.api_key = api_key
         self._sleep = sleep
@@ -224,7 +216,7 @@ class HttpTransport:
                 raise
             status = response.status
             retry_after = response.getheader("Retry-After")
-            if not response.will_close and self.keep_alive:
+            if not response.will_close:
                 self._checkin(connection)
             else:
                 connection.close()
@@ -234,10 +226,9 @@ class HttpTransport:
     # -- connection pool ---------------------------------------------------------
     def _checkout(self) -> tuple[http.client.HTTPConnection, bool]:
         """An idle pooled connection (reused=True) or a fresh one."""
-        if self.keep_alive:
-            with self._pool_lock:
-                if self._idle:
-                    return self._idle.pop(), True
+        with self._pool_lock:
+            if self._idle:
+                return self._idle.pop(), True
         return self._fresh_connection(), False
 
     def _fresh_connection(self) -> http.client.HTTPConnection:

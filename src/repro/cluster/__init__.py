@@ -7,9 +7,9 @@
   backoff when they crash or stop answering;
 * :class:`ClusterGateway` fronts the fleet with the same v1 wire protocol a
   single server speaks: method-affine traffic is consistent-hashed to one
-  worker (hot registries/caches per shard), batches scatter-gather across
-  shards with per-item error isolation, ``/v1/stats`` and ``/v1/healthz``
-  aggregate the fleet, and a down worker fails over to the next ring node;
+  worker (hot registries/caches per shard), ``/v1/stats`` and
+  ``/v1/healthz`` aggregate the fleet, and a down worker fails over to the
+  next ring node;
 * :class:`HashRing` is the deterministic routing fabric both use;
 * the cross-process fit lock lives with the store
   (:class:`repro.store.FitLock`) so N workers sharing one artifact store pay

@@ -14,11 +14,9 @@ jobs:
   for its shard instead of every worker paying every fit; responses are
   proxied byte-for-byte (the worker's envelope, ``request_id`` and all),
   which is what makes gateway answers identical to single-process answers;
-* **scatter-gather** — ``POST /v1/expand/batch`` splits the items by shard,
-  fans the sub-batches out to their owners concurrently, and reassembles the
-  per-item responses in request order with per-item error isolation (a dead
-  shard fails only its own items); ``GET /v1/stats`` and ``GET /v1/healthz``
-  aggregate every worker plus the gateway's own counters;
+* **fleet reads** — ``GET /v1/stats`` and ``GET /v1/healthz`` scatter to
+  every worker concurrently and aggregate their answers with the gateway's
+  own counters;
 * **failover** — a worker that fails at the transport level is sidelined
   for ``failover_cooldown_seconds`` and the request is retried on the next
   node of the consistent-hash ring, so killing a worker mid-traffic costs a
@@ -50,7 +48,7 @@ from repro.api.errors import (
     error_payload,
     route_not_found_payload,
 )
-from repro.api.v1 import MAX_BATCH_REQUESTS, parse_trace_query
+from repro.api.v1 import parse_trace_query
 from repro.cluster.hashring import HashRing, shard_key
 from repro.config import ClusterConfig
 from repro.exceptions import ReproError, ServiceError, ServiceUnavailableError
@@ -70,6 +68,7 @@ from repro.obs import (
     MetricsRegistry,
     Trace,
     TraceCollector,
+    TraceContext,
     activate,
     current_context,
     current_request_id,
@@ -77,6 +76,7 @@ from repro.obs import (
     current_trace,
     format_traceparent,
     new_span_id,
+    new_trace_id,
     propagation_scope,
     request_scope,
     span,
@@ -277,8 +277,11 @@ class ClusterGateway(HttpFront):
                 status, payload = error_payload(exc)
                 return self._error_reply(status, payload)
         # Head-sampling for the joined gateway trace; trace-search and
-        # observability routes never trace themselves.
+        # observability routes never trace themselves.  This is the request's
+        # one coin flip across both tiers: every proxy hop forwards the
+        # verdict in its ``traceparent``, so no worker flips its own.
         trace: Trace | None = None
+        verdict: TraceContext | None = None
         if (
             self.traces is not None
             and (verb, path) not in _UNTRACED
@@ -288,11 +291,18 @@ class ClusterGateway(HttpFront):
             if sampled or self.traces.slow_ms is not None:
                 trace = Trace(request_id=current_request_id())
                 trace.sampled = sampled
+            else:
+                # the coin lost and nothing reads a trace: the hops still
+                # carry the verdict (``-00``) under fresh ids.
+                verdict = TraceContext(new_trace_id(), new_span_id(), sampled=False)
         started = time.perf_counter()
         try:
             with tenant_scope(tenant):
                 if trace is not None:
                     with activate(trace), span("gateway", route=path, verb=verb):
+                        reply = self._route(verb, path, body, query)
+                elif verdict is not None:
+                    with propagation_scope(verdict):
                         reply = self._route(verb, path, body, query)
                 else:
                     reply = self._route(verb, path, body, query)
@@ -361,8 +371,6 @@ class ClusterGateway(HttpFront):
             return self._route_by_method(verb, path, body)
         if (verb, path) == ("POST", "/v1/fits"):
             return self._route_by_method(verb, path, body)
-        if (verb, path) == ("POST", "/v1/expand/batch"):
-            return self._scatter_batch(body)
         if (verb, path) == ("GET", "/v1/traces"):
             return self._list_traces(query)
         if verb == "GET" and path.startswith("/v1/traces/"):
@@ -397,12 +405,12 @@ class ClusterGateway(HttpFront):
         tenant = current_tenant()
         if tenant:
             headers[TENANT_HEADER] = tenant
-        # W3C-style trace continuation: the worker continues our trace_id
-        # and returns its span fragment for grafting.  current_context()
-        # also resolves the propagation-scope contextvar, so scatter legs
-        # running on pool threads still carry the handler's context.
+        # W3C-style trace continuation: the hop carries this request's
+        # sampling verdict, and a worker that continues our trace_id returns
+        # its span fragment for grafting.  Fleet reads run on pool threads,
+        # where no context is bound, and carry none.
         context = current_context()
-        if context is not None and context.sampled:
+        if context is not None:
             headers[TRACEPARENT_HEADER] = format_traceparent(context)
         if body is not None:
             headers["Content-Type"] = "application/json"
@@ -468,19 +476,17 @@ class ClusterGateway(HttpFront):
 
     @staticmethod
     def _record_hop(
-        context,
+        context: TraceContext | None,
         worker_id: str,
         path: str,
         sent_at: float,
         fragment: str | None,
     ) -> None:
         """Stamp one proxy span onto the routed trace and graft the worker's
-        returned span fragment under it.  Thread-safe: scatter legs call
-        this from pool threads, so only the locked Trace mutators are used
-        (never the single-threaded span stack)."""
-        if context is None or context.trace is None:
+        returned span fragment under it."""
+        trace = current_trace()
+        if trace is None:
             return
-        trace = context.trace
         now = time.perf_counter()
         start_ms = (sent_at - trace.t0) * 1000.0
         proxy_id = new_span_id()
@@ -642,94 +648,6 @@ class ClusterGateway(HttpFront):
         """Forward to any worker (healthy first) — used for fleet-uniform
         answers like ``/v1/methods``."""
         return self._proxy_with_failover(shard_key("__any__", self.fingerprint), verb, path, None)
-
-    # -- scatter-gather ----------------------------------------------------------
-    def _scatter_batch(self, body: bytes | None) -> Reply:
-        payload = self._parse_json(body)
-        if not isinstance(payload, Mapping):
-            return self._error_reply(
-                *error_payload(ServiceError("batch payload must be a JSON object"))
-            )
-        items = payload.get("requests")
-        if not isinstance(items, list) or not items:
-            return self._error_reply(
-                *error_payload(ServiceError('batch payload needs a non-empty "requests" array'))
-            )
-        if len(items) > MAX_BATCH_REQUESTS:
-            return self._error_reply(
-                *error_payload(
-                    ServiceError(
-                        f"batch size {len(items)} exceeds the limit of {MAX_BATCH_REQUESTS}"
-                    )
-                )
-            )
-
-        # Partition the items by owning shard; malformed items fail in place
-        # without consuming a proxy call.
-        slots: list[dict | None] = [None] * len(items)
-        groups: dict[str, list[int]] = {}
-        for index, item in enumerate(items):
-            if not isinstance(item, Mapping) or not isinstance(item.get("method"), str):
-                slots[index] = {
-                    "error": error_payload(
-                        ServiceError(f"requests[{index}] must be an object naming a method")
-                    )[1]
-                }
-                continue
-            key = shard_key(item["method"], self.fingerprint)
-            groups.setdefault(key, []).append(index)
-
-        # contextvars do not follow work into pool threads: capture the
-        # request id (and resolved tenant, and trace context) here and
-        # re-bind them inside each scatter leg so forwarding, attribution,
-        # and span grafting stay correct.  The legs share the handler's
-        # Trace only through its thread-safe mutators via the context.
-        request_id = current_request_id()
-        tenant = current_tenant()
-        trace_context = current_context()
-
-        def run_group(key: str, indices: list[int]) -> None:
-            sub_batch = json.dumps(
-                {"requests": [items[i] for i in indices]}
-            ).encode("utf-8")
-            with request_scope(request_id), tenant_scope(tenant), propagation_scope(
-                trace_context
-            ):
-                reply = self._proxy_with_failover(
-                    key, "POST", "/v1/expand/batch", sub_batch
-                )
-            sub_slots = self._batch_slots(reply, len(indices))
-            for slot_index, item_index in enumerate(indices):
-                slots[item_index] = sub_slots[slot_index]
-
-        futures = [
-            self._scatter_pool.submit(run_group, key, indices)
-            for key, indices in groups.items()
-        ]
-        for future in futures:
-            future.result()
-        return self._data_reply({"responses": slots, "count": len(slots)})
-
-    @staticmethod
-    def _batch_slots(reply: Reply, expected: int) -> list[dict]:
-        """Unwrap one worker's batch envelope into per-item slots, degrading
-        a shard-level failure into per-item errors (isolation)."""
-        try:
-            envelope = json.loads(reply.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            envelope = None
-        if isinstance(envelope, dict) and reply.status == 200:
-            responses = (envelope.get("data") or {}).get("responses")
-            if isinstance(responses, list) and len(responses) == expected:
-                return responses
-        error = None
-        if isinstance(envelope, dict):
-            error = envelope.get("error")
-        if not isinstance(error, dict):
-            error = error_payload(
-                ServiceUnavailableError("shard failed while serving this batch")
-            )[1]
-        return [{"error": error} for _ in range(expected)]
 
     # -- aggregation -------------------------------------------------------------
     def _worker_scatter(

@@ -415,8 +415,10 @@ class ClusterConfig:
     serve`` processes: workers listen on consecutive ports starting at
     ``worker_base_port``, the gateway consistent-hashes method-affine
     traffic across them, and the pool restarts crashed workers with
-    exponential backoff.  Per-worker serving behaviour (cache, admission,
-    store) lives on the embedded :class:`ServiceConfig`.
+    exponential backoff (probe and backoff timings are
+    :class:`~repro.cluster.WorkerPool`'s own defaults).  Per-worker serving
+    behaviour (cache, admission, store) lives on the embedded
+    :class:`ServiceConfig`.
     """
 
     #: number of serving worker processes behind the gateway.
@@ -431,22 +433,11 @@ class ClusterConfig:
     gateway_port: int = 8080
     #: virtual nodes per worker on the consistent-hash ring.
     virtual_nodes: int = 64
-    #: seconds between worker health probes.
-    health_interval_seconds: float = 0.5
-    #: per-probe (and per-proxy-connect) health timeout.
-    health_timeout_seconds: float = 2.0
-    #: consecutive failed probes before a live worker is recycled.
-    unhealthy_threshold: int = 3
-    #: base / ceiling of the exponential restart backoff.
-    restart_backoff_seconds: float = 0.5
-    restart_backoff_max_seconds: float = 30.0
-    #: extra per-worker delay so simultaneous crashes restart staggered.
-    restart_stagger_seconds: float = 0.25
     #: how long the gateway sidelines a worker after a failed proxy attempt
     #: before routing traffic at it again.
     failover_cooldown_seconds: float = 1.0
     #: socket timeout for gateway -> worker proxy calls (covers in-request
-    #: cold fits, hence much larger than the health timeout).
+    #: cold fits, hence much larger than the pool's health timeout).
     proxy_timeout_seconds: float = 120.0
     #: emit one structured JSON access-log line per gateway request on the
     #: ``repro.cluster.access`` logger (mirrors ``ServiceConfig.access_log``).
@@ -471,18 +462,6 @@ class ClusterConfig:
             raise ConfigurationError("gateway_port must be in [0, 65535]")
         if self.virtual_nodes < 1:
             raise ConfigurationError("virtual_nodes must be >= 1")
-        if self.health_interval_seconds <= 0 or self.health_timeout_seconds <= 0:
-            raise ConfigurationError("health intervals must be positive")
-        if self.unhealthy_threshold < 1:
-            raise ConfigurationError("unhealthy_threshold must be >= 1")
-        if self.restart_backoff_seconds <= 0:
-            raise ConfigurationError("restart_backoff_seconds must be positive")
-        if self.restart_backoff_max_seconds < self.restart_backoff_seconds:
-            raise ConfigurationError(
-                "restart_backoff_max_seconds must be >= restart_backoff_seconds"
-            )
-        if self.restart_stagger_seconds < 0:
-            raise ConfigurationError("restart_stagger_seconds must be non-negative")
         if self.failover_cooldown_seconds < 0:
             raise ConfigurationError("failover_cooldown_seconds must be non-negative")
         if self.proxy_timeout_seconds <= 0:

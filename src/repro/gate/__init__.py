@@ -9,8 +9,9 @@ Three layers stand between a socket and the serving hot path:
   token buckets (steady rate + burst, monotonic-clock refill), surfaced
   as 429 + ``Retry-After`` through the ``rate_limited`` taxonomy code;
 * :mod:`~repro.gate.admission` — a bounded admission queue per worker
-  with two priority lanes (interactive ``/v1/expand`` preempts batch and
-  fit traffic) and early load-shedding (retryable 503) past a watermark.
+  with two priority lanes (interactive ``/v1/expand`` preempts
+  ``/v1/fits``, the batch lane) and early load-shedding (retryable 503)
+  past a watermark.
 
 :class:`~repro.gate.auth.Gate` composes the first two into the single
 ``check(api_key, operation)`` call the HTTP server and cluster gateway

@@ -7,16 +7,15 @@ at once.
 Callers that cannot run immediately wait in one of two lanes:
 
 * ``interactive`` — online ``/v1/expand`` traffic; always served first;
-* ``batch`` — ``/v1/expand/batch`` fan-out items and ``POST /v1/fits``.
+* ``batch`` — ``POST /v1/fits``, which can hold a slot for seconds.
 
 A freed slot goes to a waiting interactive caller before any batch
-caller, so a deep batch backlog cannot starve online traffic.  The queue
+caller, so a backlog of fits cannot starve online traffic.  The queue
 is bounded: once ``queue_depth`` callers are already waiting, new
 arrivals are rejected immediately with a retryable
 :class:`~repro.exceptions.OverloadedError` (HTTP 503 + ``Retry-After``)
 instead of timing out slowly — overload turns into a cheap, early,
-well-typed signal the client's backoff understands.  A fit admits and
-sheds like any batch item.
+well-typed signal the client's backoff understands.
 """
 
 from __future__ import annotations

@@ -26,7 +26,14 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import AuthenticationError, RateLimitedError
 from repro.gate.limiter import QuotaSpec, RateLimiter
-from repro.gate.tenants import ANONYMOUS_TENANT, Tenant, TenantDirectory
+from repro.gate.tenants import (
+    ANONYMOUS_TENANT,
+    OPERATION_EXPAND,
+    OPERATION_FIT,
+    OPERATION_READ,
+    Tenant,
+    TenantDirectory,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig, ServiceConfig
@@ -47,20 +54,11 @@ API_KEY_HEADER = "X-Api-Key"
 #: re-authenticate, mirroring ``X-Repro-Worker``).
 TENANT_HEADER = "X-Repro-Tenant"
 
-#: Operation names used for per-(tenant, method) quotas; coarse on
-#: purpose — quotas distinguish traffic classes, not individual routes.
-OPERATION_EXPAND = "expand"
-OPERATION_EXPAND_BATCH = "expand_batch"
-OPERATION_FIT = "fit"
-OPERATION_READ = "read"
-
 
 def operation_for(verb: str, path: str) -> str:
     """Classify a request into the quota operation it charges."""
     if path == "/v1/expand":
         return OPERATION_EXPAND
-    if path == "/v1/expand/batch":
-        return OPERATION_EXPAND_BATCH
     if path.startswith("/v1/fits") and verb == "POST":
         return OPERATION_FIT
     return OPERATION_READ

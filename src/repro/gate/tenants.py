@@ -12,6 +12,9 @@ The keyfile is JSON::
       ]
     }
 
+A ``method_quotas`` key must name an operation class (:data:`OPERATIONS`):
+a typo fails the load instead of silently never throttling.
+
 Keys never live in memory as plaintext past load time: a ``key`` entry is
 hashed immediately and only the SHA-256 digest is kept.  The directory
 re-stats the file at most once per ``reload_interval_seconds`` and swaps
@@ -44,6 +47,15 @@ __all__ = [
 #: (and to all callers when no keyfile is configured at all).
 ANONYMOUS_TENANT = "anonymous"
 
+#: Operation classes a request charges (see
+#: :func:`repro.gate.auth.operation_for`) and a ``method_quotas`` key may
+#: name; coarse on purpose — quotas distinguish traffic classes, not
+#: individual routes.
+OPERATION_EXPAND = "expand"
+OPERATION_FIT = "fit"
+OPERATION_READ = "read"
+OPERATIONS = (OPERATION_EXPAND, OPERATION_FIT, OPERATION_READ)
+
 MAX_TENANT_ID_LENGTH = 64
 _TENANT_ID_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
@@ -72,10 +84,20 @@ class Tenant:
     quota: QuotaSpec | None = None
     method_quotas: dict[str, QuotaSpec] = field(default_factory=dict)
 
-    def method_quota(self, operation: str | None) -> QuotaSpec | None:
-        if operation is None:
-            return None
-        return self.method_quotas.get(operation)
+
+def _parse_method_quotas(raw, where: str) -> dict[str, QuotaSpec]:
+    """``where``'s ``method_quotas`` object, each key an operation class."""
+    if not raw:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}.method_quotas must be an object")
+    unknown = sorted(set(raw) - set(OPERATIONS))
+    if unknown:
+        raise ConfigurationError(
+            f"{where}.method_quotas names unknown operations {unknown} "
+            f"(expected {', '.join(OPERATIONS)})"
+        )
+    return {op: QuotaSpec.parse(spec) for op, spec in raw.items()}
 
 
 def _parse_tenant_entry(entry, index: int) -> tuple[str, Tenant]:
@@ -102,15 +124,12 @@ def _parse_tenant_entry(entry, index: int) -> tuple[str, Tenant]:
     else:
         raise ConfigurationError(f"tenants[{index}] needs a 'key' or 'key_sha256'")
     quota = entry.get("quota")
-    method_quotas = entry.get("method_quotas") or {}
-    if not isinstance(method_quotas, dict):
-        raise ConfigurationError(f"tenants[{index}].method_quotas must be an object")
     tenant = Tenant(
         tenant_id=tenant_id,
         quota=None if quota is None else QuotaSpec.parse(quota),
-        method_quotas={
-            str(op): QuotaSpec.parse(spec) for op, spec in method_quotas.items()
-        },
+        method_quotas=_parse_method_quotas(
+            entry.get("method_quotas"), f"tenants[{index}]"
+        ),
     )
     return digest, tenant
 
@@ -147,7 +166,6 @@ def _parse_keyfile(text: str) -> tuple[dict[str, Tenant], Tenant | None]:
         unknown = set(anonymous) - {"quota", "method_quotas"}
         if unknown:
             raise ConfigurationError(f"unknown anonymous keys: {sorted(unknown)}")
-        method_quotas = anonymous.get("method_quotas") or {}
         anonymous_tenant = Tenant(
             tenant_id=ANONYMOUS_TENANT,
             quota=(
@@ -155,9 +173,9 @@ def _parse_keyfile(text: str) -> tuple[dict[str, Tenant], Tenant | None]:
                 if anonymous.get("quota") is None
                 else QuotaSpec.parse(anonymous["quota"])
             ),
-            method_quotas={
-                str(op): QuotaSpec.parse(spec) for op, spec in method_quotas.items()
-            },
+            method_quotas=_parse_method_quotas(
+                anonymous.get("method_quotas"), "anonymous"
+            ),
         )
     return table, anonymous_tenant
 

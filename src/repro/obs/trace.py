@@ -15,19 +15,18 @@ spans in one request) stay unambiguous.  The legacy name-based ``parent``
 attribute is kept alongside because the ``debug.timings`` wire shape is
 pinned.  :func:`format_traceparent` / :func:`parse_traceparent` serialize
 the identity as a ``traceparent`` header (``00-<trace>-<span>-<flags>``),
-and :class:`propagation_scope` carries a captured :class:`TraceContext`
-across thread-pool boundaries where activating the trace itself would be
-unsafe (``_stack`` is single-threaded; see below).
+whose flags carry the head-sampling verdict from the gateway to a worker.
+:class:`propagation_scope` binds a :class:`TraceContext` where no trace
+runs, so a verdict reaches the next hop (the gateway's lost coin) or the
+sampler (a worker's unsampled inbound hop) without building a trace.
 
-Threading rules (load-bearing — gateway fan-out depends on them):
+Threading rules:
 
 * ``Trace._stack`` (the open-span chain used for parent/child nesting) is
   only touched by the thread that activated the trace; it is *not*
   shared across threads.
-* ``add_span`` and ``graft_remote`` take the trace's lock, so a fan-out
-  thread holding a captured :class:`TraceContext` may stamp spans onto the
-  caller's trace — but only before the caller reads it back, which it
-  does as soon as the fan-out it waits on completes.
+* The span list and annotations are guarded by the trace's lock, so a
+  trace may be read from another thread while it is still being written.
 
 The same module carries the request-id ContextVar: the HTTP handler (or
 in-process transport) enters :func:`request_scope` around dispatch so any
@@ -82,18 +81,12 @@ def new_span_id() -> str:
 
 
 class TraceContext(NamedTuple):
-    """The propagatable identity of one point in a trace.
-
-    ``trace`` is a local-only carrier (never serialized): fan-out code that
-    captured the context can keep stamping spans onto the originating trace
-    from worker threads via the thread-safe ``add_span``/``graft_remote``
-    surface.
-    """
+    """The propagatable identity of one point in a trace; ``sampled`` is
+    the head-sampling verdict the ``traceparent`` flags carry."""
 
     trace_id: str
     span_id: str
     sampled: bool = True
-    trace: "Trace | None" = None
 
 
 def format_traceparent(context: TraceContext) -> str:
@@ -210,9 +203,10 @@ class Trace:
         return self._stack[-1][1] if self._stack else self.span_id
 
     def context(self) -> TraceContext:
-        """The propagatable identity at the current nesting point
-        (activating thread only — captures ``open_span_id``)."""
-        return TraceContext(self.trace_id, self.open_span_id(), True, self)
+        """The propagatable identity at the current nesting point, with
+        this trace's own sampling verdict (activating thread only —
+        captures ``open_span_id``)."""
+        return TraceContext(self.trace_id, self.open_span_id(), self.sampled)
 
     def annotate(self, **attributes) -> None:
         """Attach trace-level attributes (e.g. the routed method) read back
@@ -298,7 +292,7 @@ def current_trace() -> Trace | None:
 def current_context() -> TraceContext | None:
     """The propagatable trace identity for the calling context: the active
     trace's live nesting point when one is activated here, else whatever a
-    :class:`propagation_scope` bound (fan-out worker threads)."""
+    :class:`propagation_scope` bound (a hop's verdict with no trace)."""
     trace = _TRACE.get()
     if trace is not None:
         return trace.context()
@@ -343,14 +337,15 @@ class recorded_activations:  # noqa: N801 - context-manager used like a function
 
 
 class propagation_scope:  # noqa: N801 - context-manager used like a function
-    """Bind a captured :class:`TraceContext` for the calling context.
+    """Bind a :class:`TraceContext` for the calling context, with no trace
+    to record spans on: a hop's head-sampling verdict.
 
-    Fan-out code (gateway scatter legs, batch items) captures
-    :func:`current_context` on the request thread and enters this scope on
-    the worker thread — the trace itself is *not* activated there, so the
-    single-threaded ``_stack`` invariant holds, but forwarding code can
-    still build a ``traceparent`` and graft remote spans through the
-    context's thread-safe ``trace`` reference.
+    The gateway binds an unsampled context of fresh ids when its coin lost
+    and it built no trace, so its proxy hops still forward ``-00``.  A
+    worker binds the unsampled context a hop arrived with, so the
+    sampler (:meth:`~repro.obs.traces.TraceCollector.sample`) flips no coin
+    of its own, and a trace the worker opens anyway (``include_timings``,
+    a slow-query threshold) continues the hop's trace_id.
     """
 
     __slots__ = ("_context", "_token")
@@ -372,12 +367,12 @@ def span(name: str, **meta):
 
     Nesting is inferred from the activating thread's open-span stack, so
 
-        with span("batch"):
+        with span("admission"):
             with span("execute"): ...
 
-    records ``execute`` with ``parent="batch"`` — and, since every open
+    records ``execute`` with ``parent="admission"`` — and, since every open
     span is assigned a ``span_id`` on entry, with ``parent_id`` pointing at
-    that *specific* ``batch`` span, which keeps duplicate sibling names
+    that *specific* ``admission`` span, which keeps duplicate sibling names
     unambiguous.
     """
     trace = _TRACE.get()
@@ -431,9 +426,8 @@ class tenant_scope:  # noqa: N801 - context-manager used like a function
     admits a request, next to :func:`request_scope` — so per-tenant metric
     labels, access-log attribution, and worker forwarding all read it via
     :func:`current_tenant` without plumbing.  ContextVars do not cross
-    thread-pool boundaries; fan-out code (batch items, gateway scatter)
-    must capture the tenant and re-enter this scope on the worker thread,
-    exactly as it already re-binds the request id.
+    thread-pool boundaries: work handed to a pool thread sees no tenant
+    unless it re-enters this scope there.
 
     A plain class, not ``@contextmanager``: this sits on the per-request
     hot path and the generator protocol costs ~1us per entry that a

@@ -3,7 +3,8 @@
 :class:`TraceCollector` is the worker- and gateway-side backing store for
 ``GET /v1/traces``: a bounded ring buffer of finished request traces with
 **head sampling** (a coin flip per request against ``sample_rate``, taken
-before the trace is built so a rate of 0.0 keeps the hot path trace-free)
+before the trace is built so a rate of 0.0 keeps the hot path trace-free,
+and once per request across both tiers)
 plus **always-keep** rules — a trace that exists anyway (slow-query
 tracing, ``include_timings``) is retained when the request ran slower than
 the slow threshold or errored, regardless of the sampling verdict.
@@ -24,7 +25,7 @@ import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.obs.trace import Trace
+from repro.obs.trace import _PROPAGATION, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ServiceConfig
@@ -59,8 +60,13 @@ class TraceCollector:
     # -- head sampling ---------------------------------------------------------------
     def sample(self) -> bool:
         """One head-sampling coin flip.  Deterministic under a seeded RNG:
-        the k-th call returns the same verdict for the same seed and rate."""
-        if self.sample_rate <= 0.0:
+        the k-th call returns the same verdict for the same seed and rate.
+
+        A request whose hop arrived with an unsampled ``traceparent`` (a
+        bound :class:`~repro.obs.trace.propagation_scope`) flips no coin:
+        the upstream tier took this request's one flip.  The check reads
+        the ContextVar directly, so it adds no Python call."""
+        if self.sample_rate <= 0.0 or _PROPAGATION.get() is not None:
             return False
         if self.sample_rate >= 1.0:
             with self._lock:

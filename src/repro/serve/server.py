@@ -52,6 +52,7 @@ from repro.obs import (
     Trace,
     activate,
     parse_traceparent,
+    propagation_scope,
     recorded_activations,
     request_scope,
     tenant_scope,
@@ -182,11 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(reply.body)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # The structured access log (or silence) replaces the default
-        # per-request stderr chatter; opt back in with verbose=True.
-        front: HttpFront | None = self.server.front  # type: ignore[attr-defined]
-        if front is not None and front.verbose:
-            super().log_message(format, *args)
+        """Silent: the structured access log (or nothing) replaces
+        http.server's per-request stderr lines."""
 
 
 def stop_serve_loop(httpd: ThreadingHTTPServer) -> None:
@@ -267,14 +265,11 @@ class HttpFront:
         host: str,
         port: int,
         access_log: logging.Logger | None = None,
-        verbose: bool = False,
     ):
         self._httpd = _TrackingHTTPServer((host, port), _Handler)
         self._httpd.front = self  # type: ignore[attr-defined]
         #: where access-log lines go; ``None`` keeps the access log off.
         self.access_log = access_log
-        #: keep http.server's own per-request stderr lines.
-        self.verbose = verbose
         self._thread: threading.Thread | None = None
         self._serving = False
 
@@ -365,13 +360,11 @@ class ExpansionHTTPServer(HttpFront):
         service: ExpansionService,
         host: str | None = None,
         port: int | None = None,
-        verbose: bool = False,
     ):
         super().__init__(
             host if host is not None else service.config.host,
             port if port is not None else service.config.port,
             access_log=access_logger if service.config.access_log else None,
-            verbose=verbose,
         )
         self.service = service
         self.api = apiv1.ApiV1(service)
@@ -409,11 +402,11 @@ class ExpansionHTTPServer(HttpFront):
             if is_valid_tenant_id(hint):
                 tenant = hint
 
-        # A gateway hop carries a sampled ``traceparent``: the worker
-        # continues that trace under the same trace_id.  Anything else is
-        # traced, or not, by the service's own decision for an expand (one
-        # head-sampling flip per expand, taken in ExpansionService.submit);
-        # no other route is traced.
+        # A gateway hop's ``traceparent`` carries the request's one sampling
+        # verdict: a sampled hop is continued under its trace_id, and an
+        # unsampled one is bound so the service flips no coin of its own.
+        # Without one, an expand is traced, or not, by the service's own
+        # flip (ExpansionService.submit); no other route is traced.
         context = parse_traceparent(request.headers.get(TRACEPARENT_HEADER))
         remote: Trace | None = None
         if context is not None and context.sampled:
@@ -432,6 +425,9 @@ class ExpansionHTTPServer(HttpFront):
             if remote is not None:
                 with activate(remote):
                     result = gate_error or self._dispatch(request)
+            elif context is not None:
+                with propagation_scope(context):
+                    result = gate_error or self._dispatch(request)
             else:
                 result = gate_error or self._dispatch(request)
         headers: dict[str, str] = {}
@@ -441,14 +437,15 @@ class ExpansionHTTPServer(HttpFront):
             # rides in the error payload's details.retry_after.
             headers["Retry-After"] = retry_after_header(retry_after)
         if activated:
-            headers[TRACE_ID_HEADER] = activated[0].trace_id
-        if remote is not None:
-            # remote hop: return this worker's span fragment so the gateway
-            # can graft it into its joined trace.
-            headers[TRACE_SPANS_HEADER] = json.dumps(
-                {"trace_id": remote.trace_id, "spans": remote.to_span_dicts()},
-                separators=(",", ":"),
-            )
+            trace = activated[0]
+            headers[TRACE_ID_HEADER] = trace.trace_id
+            if context is not None and trace.trace_id == context.trace_id:
+                # a continued hop: return this worker's span fragment so the
+                # gateway can graft it into its joined trace.
+                headers[TRACE_SPANS_HEADER] = json.dumps(
+                    {"trace_id": trace.trace_id, "spans": trace.to_span_dicts()},
+                    separators=(",", ":"),
+                )
         return Reply(
             result.status,
             json.dumps(apiv1.render_v1_body(result, request.request_id)).encode("utf-8"),
@@ -474,7 +471,6 @@ class ExpansionHTTPServer(HttpFront):
         return self.api.dispatch(verb, path, payload, query=request.query)
 
     def _release(self) -> None:
-        self.api.close()
         self.service.close()
 
 

@@ -27,7 +27,8 @@ that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
 carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
 come back on the response and land in the slow-query log.  With a trace
 collector installed, :meth:`~ExpansionService.submit` also flips the one
-head-sampling coin of each expand, whichever transport delivered it.
+head-sampling coin of each expand, whichever transport delivered it, unless
+a gateway hop already carried the verdict in its ``traceparent``.
 
 The service writes no telemetry file: telemetry is read over HTTP or from
 its loggers, the only files it writes are fits published to the artifact
@@ -52,6 +53,7 @@ from repro.obs import (
     Trace,
     TraceCollector,
     activate,
+    current_context,
     current_request_id,
     current_tenant,
     current_trace,
@@ -189,21 +191,18 @@ class ExpansionService:
         self._closed = False
 
     # -- request path ----------------------------------------------------------------
-    def submit(self, request: ExpandRequest, lane: str = "interactive") -> ExpandResponse:
-        """Serve one request synchronously; raises a ReproError on bad input.
-
-        ``lane`` picks the admission-control priority: ``"interactive"``
-        for online expands, ``"batch"`` for fan-out items riding behind
-        them.  With no admission controller configured it is ignored.
-        """
+    def submit(self, request: ExpandRequest) -> ExpandResponse:
+        """Serve one request synchronously; raises a ReproError on bad input."""
         started = time.perf_counter()
         # A trace is only built when someone will read it (the response's
         # debug block, the slow-query log, or the trace collector); the
         # untraced hot path pays one ContextVar read per span site, plus a
         # single rate check when a collector is installed.  This is the one
-        # head-sampling coin flip of an expand, over HTTP or in process.  The
-        # HTTP front may already have activated the trace a gateway hop
-        # asked it to continue; reuse it instead of shadowing it.
+        # head-sampling coin flip of an expand, over HTTP or in process,
+        # unless a gateway hop carried the verdict: the HTTP front then
+        # either activated the sampled trace to continue (reused here, not
+        # shadowed) or bound the unsampled hop, whose trace_id a trace built
+        # here continues.
         trace: Trace | None = current_trace()
         owns = False
         if trace is None:
@@ -213,15 +212,20 @@ class ExpansionService:
                 or request.options.include_timings
                 or self.config.slow_query_ms is not None
             ):
-                trace = Trace(request_id=current_request_id())
+                hop = current_context()
+                trace = Trace(
+                    request_id=current_request_id(),
+                    trace_id=hop.trace_id if hop is not None else None,
+                    parent_span_id=hop.span_id if hop is not None else None,
+                )
                 trace.sampled = sampled
                 owns = True
         try:
             if owns:
                 with activate(trace):
-                    response = self._submit(request, started, trace, lane)
+                    response = self._submit(request, started, trace)
             else:
-                response = self._submit(request, started, trace, lane)
+                response = self._submit(request, started, trace)
         except BaseException as exc:
             self._count_request(error=True)
             latency_ms = (time.perf_counter() - started) * 1000.0
@@ -294,7 +298,6 @@ class ExpansionService:
         request: ExpandRequest,
         started: float,
         trace: Trace | None = None,
-        lane: str = "interactive",
     ) -> ExpandResponse:
         if self._closed:
             raise ServiceUnavailableError("service is shut down")
@@ -319,11 +322,11 @@ class ExpansionService:
                     method, cached, options, top_k, True, started, trace
                 )
 
-        with span("batch", method=method):
+        with span("admission", method=method):
             if self.admission is not None:
                 # cache hits returned above never touch admission — only the
                 # expensive registry/expand section competes for slots.
-                with self.admission.admit(lane):
+                with self.admission.admit("interactive"):
                     result = self._execute(method, query, top_k)
             else:
                 result = self._execute(method, query, top_k)
@@ -439,8 +442,8 @@ class ExpansionService:
         seconds}``; ``POST /v1/fits`` on the wire.
 
         It runs the registry lookup an expand runs, on the calling thread,
-        holding one batch-lane admission slot like a batch item (so under
-        load it sheds with the same retryable 503).  Its wall time is charged
+        holding one batch-lane admission slot behind interactive expands
+        (so under load it sheds with the same retryable 503).  Its wall time is charged
         to the caller's tenant, also when the fit raises: the compute was
         spent.
         """

@@ -255,32 +255,6 @@ class TestPagination:
         assert rows and all(set(row) == {"entity_id", "score"} for row in rows)
 
 
-class TestBatchEndpoint:
-    def test_items_fail_independently(self, api, tiny_dataset):
-        dispatcher, _, _ = api
-        qid = tiny_dataset.queries[0].query_id
-        result = dispatcher.dispatch(
-            "POST",
-            "/v1/expand/batch",
-            {
-                "requests": [
-                    {"method": "stub", "query_id": qid, "options": {"top_k": 5}},
-                    {"method": "nope", "query_id": qid},
-                ]
-            },
-        )
-        assert result.status == 200
-        first, second = result.data["responses"]
-        assert len(first["response"]["ranking"]) == 5
-        assert second["error"]["code"] == "unknown_method"
-
-    def test_empty_and_oversized_batches_are_rejected(self, api):
-        dispatcher, _, _ = api
-        assert dispatcher.dispatch("POST", "/v1/expand/batch", {"requests": []}).status == 400
-        too_many = {"requests": [{"method": "stub"}] * (apiv1.MAX_BATCH_REQUESTS + 1)}
-        assert dispatcher.dispatch("POST", "/v1/expand/batch", too_many).status == 400
-
-
 class TestFitJobs:
     """``POST /v1/fits`` blocks until the method is resident."""
 

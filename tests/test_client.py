@@ -25,7 +25,7 @@ from repro.exceptions import (
     TransportError,
     UnknownMethodError,
 )
-from repro.serve import ExpandOptions, ExpandRequest, ExpansionHTTPServer, ExpansionService
+from repro.serve import ExpandOptions, ExpansionHTTPServer, ExpansionService
 from repro.serve.server import stop_serve_loop
 from repro.types import ExpansionResult
 
@@ -150,18 +150,17 @@ class TestClientSurface:
         assert response.names_resolved is False
         assert all(item.name is None for item in response.ranking)
 
-    def test_expand_batch_mixes_successes_and_errors(self, client, tiny_dataset):
+    def test_retired_batch_route_is_an_enveloped_404(self, client, tiny_dataset):
+        """``POST /v1/expand/batch`` is gone: a worker and the in-process
+        transport answer it like any unknown route."""
         qid = tiny_dataset.queries[0].query_id
-        results = client.expand_batch(
-            [
-                ExpandRequest(
-                    method="stub", query_id=qid, options=ExpandOptions(top_k=5)
-                ),
-                {"method": "nope", "query_id": qid},
-            ]
+        status, body = client.transport.request(
+            "POST", "/v1/expand/batch", {"requests": [{"method": "stub", "query_id": qid}]}
         )
-        assert len(results[0].ranking) == 5
-        assert isinstance(results[1], UnknownMethodError)
+        assert status == 404
+        assert body["api_version"] == "v1"
+        assert body["error"]["code"] == "not_found"
+        assert body["error"]["details"] == {"path": "/v1/expand/batch"}
 
     def test_fit_workflow_round_trip(self, client):
         # the service is shared by both transports: whichever runs first fits.
@@ -400,16 +399,6 @@ class TestKeepAlive:
             assert status == 200
             assert body["data"] == {"status": "ok"}
             assert transport.stale_reconnects == 1
-        finally:
-            transport.close()
-
-    def test_keep_alive_can_be_disabled(self, server):
-        transport = HttpTransport(server.url, timeout=10.0, keep_alive=False)
-        try:
-            for _ in range(2):
-                assert transport.request("GET", "/v1/healthz")[0] == 200
-            assert transport.connections_opened == 2
-            assert transport._idle == []
         finally:
             transport.close()
 

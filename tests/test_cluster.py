@@ -2,7 +2,7 @@
 
 The gateway tests run against *thread-backed* workers (real
 :class:`ExpansionHTTPServer` instances on ephemeral ports) so routing,
-failover, and scatter-gather are exercised over real sockets without
+failover, and fleet reads are exercised over real sockets without
 subprocess startup cost; the subprocess path is covered by
 ``tests/test_cluster_smoke.py``.  The fit-lock tests simulate two worker
 processes with two independent registries (or substrate providers) sharing
@@ -522,72 +522,6 @@ class TestGatewayRouting:
             assert len(response.ranking) == 7
             methods = {info.method for info in client.methods()}
             assert set(STUB_METHODS) <= methods
-
-    def test_batch_scatter_gather_parity_and_error_isolation(
-        self, cluster, tiny_dataset
-    ):
-        gateway, _servers = cluster
-        queries = tiny_dataset.queries[:4]
-        items = [
-            {
-                "method": STUB_METHODS[i % 3],
-                "query_id": query.query_id,
-                "options": {"top_k": 10, "use_cache": False},
-            }
-            for i, query in enumerate(queries)
-        ]
-        items.insert(2, {"method": "nope", "query_id": queries[0].query_id})
-        status, payload, _ = gateway_post(
-            gateway, "/v1/expand/batch", {"requests": items}
-        )
-        assert status == 200
-        slots = payload["data"]["responses"]
-        assert payload["data"]["count"] == len(items) == len(slots)
-        assert slots[2]["error"]["code"] == "unknown_method"
-
-        # per-item parity with a single-process service
-        single = ExpansionService(
-            tiny_dataset,
-            config=ServiceConfig(port=0),
-            factories=stub_factories(),
-        )
-        try:
-            client = ExpansionClient.in_process(single)
-            for slot, item in zip(slots, items):
-                if "error" in slot:
-                    continue
-                reference = client.expand(
-                    item["method"],
-                    query_id=item["query_id"],
-                    top_k=10,
-                    use_cache=False,
-                )
-                assert slot["response"]["ranking"] == [
-                    {"entity_id": v.entity_id, "name": v.name, "score": v.score}
-                    for v in reference.ranking
-                ]
-        finally:
-            single.close()
-
-    def test_malformed_batch_items_fail_in_place(self, cluster, tiny_dataset):
-        gateway, _servers = cluster
-        status, payload, _ = gateway_post(
-            gateway,
-            "/v1/expand/batch",
-            {
-                "requests": [
-                    "not-an-object",
-                    {
-                        "method": STUB_METHODS[0],
-                        "query_id": tiny_dataset.queries[0].query_id,
-                    },
-                ]
-            },
-        )
-        assert status == 200
-        slots = payload["data"]["responses"]
-        assert slots[0]["error"]["code"] == "invalid_request"
-        assert "response" in slots[1]
 
     def test_aggregated_healthz_and_stats(self, cluster):
         gateway, _servers = cluster

@@ -178,8 +178,7 @@ class TestTenantDirectory:
         assert acme.quota == QuotaSpec(rate=10.0, burst=20.0)
         beta = directory.resolve("other")
         assert beta.tenant_id == "beta"
-        assert beta.method_quota("fit") == QuotaSpec(rate=1.0, burst=1.0)
-        assert beta.method_quota("expand") is None
+        assert beta.method_quotas == {"fit": QuotaSpec(rate=1.0, burst=1.0)}
         assert directory.resolve("wrong") is None
         assert directory.resolve(None) is None  # no anonymous entry
         assert not directory.allows_anonymous
@@ -215,6 +214,56 @@ class TestTenantDirectory:
             and directory.stats()["reload_errors"] >= 1
         )
         assert directory.resolve("a").tenant_id == "acme"
+
+    @pytest.mark.parametrize(
+        "holder, quotas, match",
+        [
+            ("tenant", {"fit": "1:1", "expand_batch": "10:20"}, "expand_batch"),
+            ("anonymous", {"fit": "1:1", "expand_batch": "10:20"}, "expand_batch"),
+            ("anonymous", ["fit"], "must be an object"),
+        ],
+    )
+    def test_bad_method_quotas_fail_the_boot(self, tmp_path, holder, quotas, match):
+        """A ``method_quotas`` key must name an operation class (expand,
+        fit, read): the retired ``expand_batch``, like a typo, would never
+        throttle anything.  The anonymous entry is checked like a tenant's."""
+        path = tmp_path / "keys.json"
+        payload = {"tenants": [{"tenant": "acme", "key": "a"}]}
+        if holder == "tenant":
+            payload["tenants"][0]["method_quotas"] = quotas
+        else:
+            payload["anonymous"] = {"method_quotas": quotas}
+        write_keyfile(path, payload)
+        with pytest.raises(ConfigurationError, match=match):
+            TenantDirectory(str(path))
+
+    def test_unknown_method_quota_key_on_reload_keeps_the_last_good_table(
+        self, tmp_path
+    ):
+        path = tmp_path / "keys.json"
+        valid = {"expand": "5:5", "fit": "1:1", "read": "9:9"}
+        write_keyfile(
+            path, {"tenants": [{"tenant": "acme", "key": "a", "method_quotas": valid}]}
+        )
+        directory = TenantDirectory(str(path), reload_interval_seconds=0.0)
+        write_keyfile(
+            path,
+            {
+                "anonymous": {"method_quotas": {"expnad": "1:1"}},
+                "tenants": [{"tenant": "newco", "key": "b"}],
+            },
+        )
+        wait_until(
+            lambda: directory.resolve("a") is not None
+            and directory.stats()["reload_errors"] >= 1
+        )
+        stats = directory.stats()
+        assert (stats["reloads"], stats["reload_errors"]) == (0, 1)
+        assert directory.resolve("a").method_quotas == {
+            op: QuotaSpec.parse(spec) for op, spec in valid.items()
+        }
+        assert directory.resolve("b") is None
+        assert directory.resolve(None) is None
 
     def test_bad_keyfile_at_boot_raises(self, tmp_path):
         path = tmp_path / "keys.json"
@@ -347,7 +396,7 @@ class TestHelpers:
     def test_operation_classification(self):
         assert operation_for("POST", "/v1/expand") == "expand"
         assert operation_for("POST", "/expand") == "read"
-        assert operation_for("POST", "/v1/expand/batch") == "expand_batch"
+        assert operation_for("POST", "/v1/expand/batch") == "read"  # retired route
         assert operation_for("POST", "/v1/fits") == "fit"
         assert operation_for("GET", "/v1/fits") == "read"
         assert operation_for("GET", "/v1/stats") == "read"

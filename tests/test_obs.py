@@ -317,10 +317,10 @@ class TestServiceTimings:
         assert response.timings is not None
         names = [entry["name"] for entry in response.timings]
         assert "cache_lookup" in names
-        assert "batch" in names
+        assert "admission" in names
         assert "expand" in names
         parents = {entry["name"]: entry.get("parent") for entry in response.timings}
-        assert parents["execute"] == "batch"
+        assert parents["execute"] == "admission"
         assert parents["expand"] == "execute"
         # top-level stage spans must fit inside the end-to-end latency
         # (tolerance: timings round to µs and the clock reads differ).
@@ -361,7 +361,7 @@ class TestServiceTimings:
         assert entry["query_id"] == query_id
         assert entry["latency_ms"] >= 0.0
         assert entry["threshold_ms"] == 0.0
-        assert any(s["name"] == "batch" for s in entry["spans"])
+        assert any(s["name"] == "admission" for s in entry["spans"])
 
     def test_fast_queries_stay_out_of_the_slow_log(self, tiny_dataset, caplog):
         service = make_service(tiny_dataset, slow_query_ms=1e9)

@@ -355,29 +355,3 @@ class TestRequestIdCorrelation:
         assert status == 200
         assert envelope["request_id"].startswith("req-")
         assert headers["X-Request-Id"] == envelope["request_id"]
-
-    def test_scattered_batches_carry_the_client_id_to_every_shard(
-        self, fleet, tiny_dataset, caplog
-    ):
-        gateway, _servers = fleet
-        query_id = tiny_dataset.queries[0].query_id
-        client_id = "batch-correlate-7"
-        requests = [
-            {"method": method, "query_id": query_id} for method in STUB_METHODS
-        ]
-        with caplog.at_level(logging.INFO, logger="repro.serve.access"):
-            status, envelope, _ = http_post(
-                gateway.url + "/v1/expand/batch",
-                {"requests": requests},
-                headers={"X-Request-Id": client_id},
-            )
-            worker_lines = _log_lines(caplog, "repro.serve.access")
-        assert status == 200
-        assert envelope["request_id"] == client_id
-        batch_lines = [
-            line
-            for line in worker_lines
-            if line.get("route") == "/v1/expand/batch"
-        ]
-        assert batch_lines, "no worker served a sub-batch?"
-        assert all(line["request_id"] == client_id for line in batch_lines)

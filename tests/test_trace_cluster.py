@@ -234,6 +234,84 @@ class TestJoinedTraces:
         assert payload["details"]["trace_id"] == "ab" * 16
 
 
+class TestOneSamplingVerdict:
+    """The gateway flips a request's one head-sampling coin and every proxy
+    hop forwards the verdict in its ``traceparent``; a worker continues a
+    sampled hop and flips no coin of its own for an unsampled one."""
+
+    @pytest.mark.parametrize("slow_query_ms", [None, 10000.0])
+    def test_workers_flip_no_coin_behind_a_tracing_gateway(
+        self, tiny_dataset, slow_query_ms
+    ):
+        """At 0.25 and seed 7 on both tiers, 200 uncached expands trace only
+        what the gateway sampled, with or without a slow threshold (10 s: a
+        slow-only gateway trace forwards ``-00``, not ``-01``)."""
+        requests = 200
+        tracing = dict(
+            trace_sample_rate=0.25,
+            trace_sample_seed=7,
+            trace_buffer_size=requests,
+            slow_query_ms=slow_query_ms,
+        )
+        servers = [
+            make_worker(tiny_dataset, cache_capacity=0, **tracing) for _ in range(2)
+        ]
+        gateway = make_gateway(tiny_dataset, servers, service=ServiceConfig(**tracing))
+        try:
+            query_id = tiny_dataset.queries[0].query_id
+            for index in range(requests):
+                status, _envelope, _ = http_post(
+                    gateway.url + "/v1/expand",
+                    # the six stub methods cover both shards.
+                    {"method": STUB_METHODS[index % 6], "query_id": query_id},
+                )
+                assert status == 200
+            gateway_kept = {row["trace_id"] for row in gateway.traces.query(limit=requests)}
+            worker_rows = [
+                row for server in servers for row in server.service.traces.query(limit=requests)
+            ]
+            worker_stats = [server.service.stats() for server in servers]
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+        assert 0 < gateway.traces.stats()["sampled"] == len(gateway_kept) < requests
+        assert all(stats["service"]["requests"] > 0 for stats in worker_stats)
+        assert [stats["traces"]["sampled"] for stats in worker_stats] == [0, 0]
+        worker_kept = {row["trace_id"] for row in worker_rows}
+        assert worker_kept <= gateway_kept
+        # each sampled request's worker continued the gateway's trace.
+        assert worker_kept == gateway_kept
+        assert {row["kept"] for row in worker_rows} == {"sampled"}
+
+    def test_a_slow_only_gateway_trace_joins_the_worker_fragment(self, tiny_dataset):
+        """With sampling off and every request slow, both tiers keep each
+        expand as ``slow`` under one trace id, and the gateway's tree holds
+        the worker's stages: an unsampled hop is continued when the worker
+        traces it anyway."""
+        tracing = dict(trace_sample_rate=0.0, slow_query_ms=0.0)
+        servers = [make_worker(tiny_dataset, **tracing)]
+        gateway = make_gateway(tiny_dataset, servers, service=ServiceConfig(**tracing))
+        try:
+            status, _envelope, headers = http_post(
+                gateway.url + "/v1/expand",
+                {"method": STUB_METHODS[0], "query_id": tiny_dataset.queries[0].query_id},
+            )
+            assert status == 200
+            trace_id = headers["X-Repro-Trace-Id"]
+            joined = gateway.traces.get(trace_id)
+            fragment = servers[0].service.traces.get(trace_id)
+            worker_traces = servers[0].service.traces.stats()
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+        assert joined["kept"] == "slow" and fragment["kept"] == "slow"
+        assert worker_traces["sampled"] == 0 and worker_traces["stored"] == 1
+        names = {entry["name"] for entry in joined["spans"]}
+        assert {"gateway", "proxy", "admission", "execute"} <= names
+
+
 class TestClusterUsageMetering:
     def test_usage_rolls_up_into_dashboard_and_cost_column(
         self, tiny_dataset

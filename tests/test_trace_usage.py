@@ -100,11 +100,12 @@ def http_post(url: str, payload: dict, headers: dict | None = None):
 class TestTraceparent:
     def test_round_trip(self):
         trace = Trace()
+        trace.sampled = True
         context = trace.context()
         header = format_traceparent(context)
         assert header == f"00-{trace.trace_id}-{trace.span_id}-01"
         parsed = parse_traceparent(header)
-        assert parsed == TraceContext(trace.trace_id, trace.span_id, True, None)
+        assert parsed == TraceContext(trace.trace_id, trace.span_id, True)
 
     def test_unsampled_flag_round_trips(self):
         header = format_traceparent(
@@ -487,7 +488,7 @@ class TestServiceIntegration:
             assert record["kept"] == "sampled"
             full = service.traces.get(record["trace_id"])
             names = {entry["name"] for entry in full["spans"]}
-            assert {"cache_lookup", "batch", "execute"} <= names
+            assert {"cache_lookup", "admission", "execute"} <= names
             stats = service.stats()
             assert stats["traces"]["kept"] == 1
 
@@ -584,6 +585,7 @@ class TestWorkerTraceSurface:
     ):
         query_id = tiny_dataset.queries[0].query_id
         upstream = Trace()
+        upstream.sampled = True
         header = format_traceparent(upstream.context())
         status, _envelope, headers = http_post(
             server.url + "/v1/expand",

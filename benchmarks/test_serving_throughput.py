@@ -181,12 +181,12 @@ def _repro_calls(function, *args):
 
 
 #: Python calls into repro code that one cached in-process ``submit`` makes
-#: with metrics on beyond one with metrics off.  Measured 2: the trace
-#: collector's sampling coin flip and the request-id read of the latency
-#: histogram's exemplar.  The disabled registry's null instruments take the
-#: same calls as live ones, so what is counted is the work live metrics
-#: add: one more ``observe`` on the latency histogram per request reads 3.
-METRICS_CALL_CEILING = 2
+#: with metrics on beyond one with metrics off.  Measured 1 (off 47, on 48):
+#: the request-id read of the latency histogram's exemplar.  The disabled
+#: registry's null instruments take the same calls as live ones, so what is
+#: counted is the work live metrics add: one more ``observe`` on the
+#: latency histogram per request reads 2.
+METRICS_CALL_CEILING = 1
 
 
 def test_metrics_overhead_guard(context):
@@ -195,12 +195,11 @@ def test_metrics_overhead_guard(context):
     ``METRICS_CALL_CEILING`` Python calls into repro code beyond one with
     metrics off.
 
-    The instrumented service runs its production configuration — including
-    exemplar capture on the request-latency histogram AND a trace collector
-    with sampling off — so the count covers the per-request contextvar
-    read the exemplars add plus the head-sampling coin flip: a worker with
-    tracing wired up but the sampler turned down must serve cache hits at
-    effectively untraced speed.
+    The instrumented service runs its production configuration, exemplar
+    capture on the request-latency histogram included, so the count covers
+    the per-request contextvar read the exemplars add.  Neither service
+    builds a trace: a cached request that asks for no timings, on a service
+    with no slow-query threshold, runs untraced.
 
     Both services run the same stub method.  A few microseconds of
     instrumentation on a ~30 us request is within the noise of a wall-clock
@@ -210,14 +209,7 @@ def test_metrics_overhead_guard(context):
     def make_service(metrics_enabled: bool) -> ExpansionService:
         service = ExpansionService(
             context.dataset,
-            config=ServiceConfig(
-                metrics_enabled=metrics_enabled,
-                # sampling-off tracing rides on the instrumented side: the
-                # collector is installed but keeps nothing, which is the
-                # production shape for a worker with tracing wired up and
-                # the sampler turned down.
-                trace_sample_rate=0.0 if metrics_enabled else None,
-            ),
+            config=ServiceConfig(metrics_enabled=metrics_enabled),
             factories={"bench-stub": lambda _res: _BenchStubExpander()},
         )
         service.warm_up(["bench-stub"])
@@ -260,12 +252,6 @@ def test_metrics_overhead_guard(context):
         # exemplar capture was on for every instrumented observation.
         latency = instrumented.metrics.histogram("repro_request_latency_ms")
         assert latency.exemplars is True
-        # the trace collector was live the whole run but sampled everything
-        # out — proof the measured path took the per-request rate check.
-        trace_stats = instrumented.stats()["traces"]
-        assert trace_stats["sample_rate"] == 0.0
-        assert trace_stats["stored"] == 0
-        assert trace_stats["kept"] == 0
 
 
 class _HttpCaller:
@@ -284,11 +270,12 @@ class _HttpCaller:
 
 #: Python calls into repro code that one gated cached ``/v1/expand`` makes
 #: beyond an open one: the front door's per-request work, as a count.
-#: Measured 11: operation_for, Gate.check/_resolve/_count, the directory's
-#: resolve/_maybe_reload/hash_key, the limiter's check/_bucket/try_acquire/
-#: _refill_locked and the per-tenant counter's inc, minus the open worker's
-#: tenant-hint check.  Any added per-request gate call (a second hash_key, a
-#: reload check that stats the keyfile) trips it.
+#: Measured 11 (open 79, gated 90): operation_for, Gate.check/_resolve/
+#: _count, the directory's resolve/_maybe_reload/hash_key, the limiter's
+#: check/_bucket/try_acquire/_refill_locked and the per-tenant counter's
+#: inc, minus the open worker's tenant-hint check.  Any added per-request
+#: gate call (a second hash_key, a reload check that stats the keyfile)
+#: trips it.
 GATE_CALL_CEILING = 11
 
 

@@ -188,9 +188,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         admission_max_concurrent=args.admission_max_concurrent,
         admission_queue_depth=args.admission_queue_depth,
         admission_timeout_seconds=args.admission_timeout,
-        trace_sample_rate=args.trace_sample_rate,
-        trace_buffer_size=args.trace_buffer_size,
-        trace_sample_seed=args.trace_sample_seed,
     )
     config.validate()
     return config
@@ -449,15 +446,6 @@ def worker_command(
             "--admission-timeout",
             str(args.admission_timeout),
         ]
-    if getattr(args, "trace_sample_rate", None) is not None:
-        command += [
-            "--trace-sample-rate",
-            str(args.trace_sample_rate),
-            "--trace-buffer-size",
-            str(args.trace_buffer_size),
-        ]
-        if getattr(args, "trace_sample_seed", None) is not None:
-            command += ["--trace-sample-seed", str(args.trace_sample_seed)]
     return tuple(command)
 
 
@@ -479,11 +467,9 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         print(f"  saved shared dataset to {dataset_dir}")
     fingerprint = dataset.fingerprint()
 
-    # Tenancy is enforced once, at the gateway: workers run open behind it,
-    # so the keyfile and default quota are stripped from the worker config.
-    service_config = _service_config(args)
-    service_config.keyfile = None
-    service_config.default_quota = None
+    # Workers take their settings from their command line (worker_command);
+    # checking them here fails a bad inherited flag before any worker starts.
+    _service_config(args)
     config = ClusterConfig(
         num_workers=args.workers,
         worker_host=args.worker_host,
@@ -493,7 +479,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         gateway_access_log=getattr(args, "gateway_access_log", False),
         keyfile=getattr(args, "keyfile", None),
         default_quota=getattr(args, "default_quota", None),
-        service=service_config,
     )
     config.validate()
     if config.gateway_access_log:
@@ -698,29 +683,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         default=ServiceConfig.admission_timeout_seconds,
         metavar="SECONDS",
         help="longest a sheddable request waits for an admission slot",
-    )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="enable the trace collector, head-sampling this fraction of "
-        "requests (0.0 keeps only slow/errored traces, 1.0 keeps all); "
-        "kept traces are searchable at GET /v1/traces",
-    )
-    parser.add_argument(
-        "--trace-buffer-size",
-        type=int,
-        default=ServiceConfig.trace_buffer_size,
-        metavar="N",
-        help="kept traces retained in memory (oldest evicted first)",
-    )
-    parser.add_argument(
-        "--trace-sample-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="seed the sampling RNG for deterministic keep/drop decisions",
     )
 
 

@@ -19,7 +19,6 @@ transport behaves identically on the other.
 from __future__ import annotations
 
 from typing import Mapping, Sequence
-from urllib.parse import urlencode
 
 from repro.api.errors import exception_for_payload
 from repro.api.options import ExpandOptions
@@ -122,41 +121,6 @@ class ExpansionClient:
 
     def healthz(self) -> dict:
         return self._call("GET", "/v1/healthz")
-
-    # -- traces & usage ----------------------------------------------------------
-    def traces(
-        self,
-        tenant: str | None = None,
-        method: str | None = None,
-        min_duration_ms: float | None = None,
-        error: bool | None = None,
-        limit: int | None = None,
-    ) -> list[dict]:
-        """Search the server's kept traces (``GET /v1/traces``): newest
-        first, spans elided.  Requires ``trace_sample_rate`` on the server
-        (400 otherwise)."""
-        params: dict = {}
-        if tenant is not None:
-            params["tenant"] = tenant
-        if method is not None:
-            params["method"] = method
-        if min_duration_ms is not None:
-            params["min_duration_ms"] = min_duration_ms
-        if error is not None:
-            params["error"] = "true" if error else "false"
-        if limit is not None:
-            params["limit"] = limit
-        path = "/v1/traces"
-        if params:
-            path += "?" + urlencode(params)
-        return self._call("GET", path)["traces"]
-
-    def trace(self, trace_id: str) -> dict:
-        """One kept trace with its full span tree (``GET
-        /v1/traces/<id>``); against a gateway this is the joined
-        gateway+worker tree.  Raises :class:`DatasetError` when the id was
-        sampled out or already evicted."""
-        return self._call("GET", f"/v1/traces/{trace_id}")["trace"]
 
     def usage(self) -> dict:
         """The server's per-tenant usage (``{"tenants": {...}}``): a

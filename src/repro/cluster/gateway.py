@@ -43,12 +43,7 @@ from repro.api.envelope import (
     new_request_id,
     success_envelope,
 )
-from repro.api.errors import (
-    CODE_NOT_FOUND,
-    error_payload,
-    route_not_found_payload,
-)
-from repro.api.v1 import parse_trace_query
+from repro.api.errors import error_payload, route_not_found_payload
 from repro.cluster.hashring import HashRing, shard_key
 from repro.config import ClusterConfig
 from repro.exceptions import ReproError, ServiceError, ServiceUnavailableError
@@ -62,26 +57,11 @@ from repro.gate import (
 )
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
-    TRACE_ID_HEADER,
-    TRACE_SPANS_HEADER,
-    TRACEPARENT_HEADER,
     MetricsRegistry,
-    Trace,
-    TraceCollector,
-    TraceContext,
-    activate,
-    current_context,
     current_request_id,
     current_tenant,
-    current_trace,
-    format_traceparent,
-    new_span_id,
-    new_trace_id,
-    propagation_scope,
     request_scope,
-    span,
     tenant_scope,
-    trace_collector_for,
 )
 from repro.serve.server import HttpFront, Reply, Request
 
@@ -95,11 +75,6 @@ gateway_access_logger = logging.getLogger("repro.cluster.access")
 #: routes the front-door gate never charges: liveness probes (a throttled
 #: fleet must not look dead) and metrics scrapes (observability is free).
 _GATE_EXEMPT = {("GET", "/v1/healthz"), ("GET", "/v1/metrics")}
-
-#: routes the gateway never traces: the gate-exempt ones, plus the one
-#: read each ``repro cluster top`` refresh makes, so a watched fleet's
-#: trace ring keeps only real traffic.
-_UNTRACED = _GATE_EXEMPT | {("GET", "/v1/stats")}
 
 
 class _BackendError(Exception):
@@ -189,11 +164,6 @@ class ClusterGateway(HttpFront):
         # workers behind the gateway stay open and merely trust the
         # forwarded tenant header for metric attribution.
         self.gate: Gate | None = gate_for(self.config, self.metrics)
-        # The gateway keeps its own searchable ring of *joined* traces (its
-        # span tree plus every worker fragment grafted under the proxy
-        # hops), configured off the embedded per-worker service config so
-        # one knob traces the whole tier.
-        self.traces: TraceCollector | None = trace_collector_for(self.config.service)
         self._conn_pool_size = 8
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self._urls)),
@@ -253,7 +223,6 @@ class ClusterGateway(HttpFront):
                 request.verb,
                 request.path,
                 body,
-                request.query,
                 api_key=request.header(API_KEY_HEADER),
             )
         reply.log_fields["worker"] = reply.headers.get(WORKER_HEADER)
@@ -264,7 +233,6 @@ class ClusterGateway(HttpFront):
         verb: str,
         path: str,
         body: bytes | None,
-        query: str = "",
         api_key: str | None = None,
     ) -> Reply:
         """Serve one gateway request; never raises."""
@@ -276,43 +244,10 @@ class ClusterGateway(HttpFront):
             except ReproError as exc:
                 status, payload = error_payload(exc)
                 return self._error_reply(status, payload)
-        # Head-sampling for the joined gateway trace; trace-search and
-        # observability routes never trace themselves.  This is the request's
-        # one coin flip across both tiers: every proxy hop forwards the
-        # verdict in its ``traceparent``, so no worker flips its own.
-        trace: Trace | None = None
-        verdict: TraceContext | None = None
-        if (
-            self.traces is not None
-            and (verb, path) not in _UNTRACED
-            and not path.startswith("/v1/traces")
-        ):
-            sampled = self.traces.sample()
-            if sampled or self.traces.slow_ms is not None:
-                trace = Trace(request_id=current_request_id())
-                trace.sampled = sampled
-            else:
-                # the coin lost and nothing reads a trace: the hops still
-                # carry the verdict (``-00``) under fresh ids.
-                verdict = TraceContext(new_trace_id(), new_span_id(), sampled=False)
-        started = time.perf_counter()
         try:
             with tenant_scope(tenant):
-                if trace is not None:
-                    with activate(trace), span("gateway", route=path, verb=verb):
-                        reply = self._route(verb, path, body, query)
-                elif verdict is not None:
-                    with propagation_scope(verdict):
-                        reply = self._route(verb, path, body, query)
-                else:
-                    reply = self._route(verb, path, body, query)
+                return self._route(verb, path, body)
         except Exception as exc:  # noqa: BLE001 - rendered as a 500 envelope
-            self._finish_trace(
-                trace,
-                (time.perf_counter() - started) * 1000.0,
-                tenant,
-                error=type(exc).__name__,
-            )
             return self._error_reply(
                 500,
                 {
@@ -323,38 +258,8 @@ class ClusterGateway(HttpFront):
                     "retryable": True,
                 },
             )
-        self._finish_trace(
-            trace,
-            (time.perf_counter() - started) * 1000.0,
-            tenant,
-            error=f"http_{reply.status}" if reply.status >= 500 else None,
-        )
-        if trace is not None:
-            reply.headers[TRACE_ID_HEADER] = trace.trace_id
-        return reply
 
-    def _finish_trace(
-        self,
-        trace: Trace | None,
-        duration_ms: float,
-        tenant: str | None,
-        error: str | None = None,
-    ) -> None:
-        """Offer the joined request trace to the gateway's collector."""
-        if trace is None or self.traces is None:
-            return
-        self.traces.offer(
-            trace,
-            duration_ms=duration_ms,
-            method=trace.annotations().get("method"),
-            tenant=tenant,
-            error=error,
-            sampled=trace.sampled,
-        )
-
-    def _route(
-        self, verb: str, path: str, body: bytes | None, query: str = ""
-    ) -> Reply:
+    def _route(self, verb: str, path: str, body: bytes | None) -> Reply:
         if (verb, path) == ("GET", "/v1/healthz"):
             return self._aggregate_health()
         if (verb, path) == ("GET", "/v1/stats"):
@@ -371,12 +276,6 @@ class ClusterGateway(HttpFront):
             return self._route_by_method(verb, path, body)
         if (verb, path) == ("POST", "/v1/fits"):
             return self._route_by_method(verb, path, body)
-        if (verb, path) == ("GET", "/v1/traces"):
-            return self._list_traces(query)
-        if verb == "GET" and path.startswith("/v1/traces/"):
-            trace_id = path[len("/v1/traces/"):]
-            if trace_id and "/" not in trace_id:
-                return self._find_trace(trace_id)
         return self._error_reply(404, route_not_found_payload(path))
 
     # -- proxying ----------------------------------------------------------------
@@ -405,16 +304,8 @@ class ClusterGateway(HttpFront):
         tenant = current_tenant()
         if tenant:
             headers[TENANT_HEADER] = tenant
-        # W3C-style trace continuation: the hop carries this request's
-        # sampling verdict, and a worker that continues our trace_id returns
-        # its span fragment for grafting.  Fleet reads run on pool threads,
-        # where no context is bound, and carry none.
-        context = current_context()
-        if context is not None:
-            headers[TRACEPARENT_HEADER] = format_traceparent(context)
         if body is not None:
             headers["Content-Type"] = "application/json"
-        sent_at = time.perf_counter()
         for replay in (False, True):
             if replay:
                 connection, reused = self._fresh_worker_connection(worker_id), False
@@ -460,56 +351,12 @@ class ClusterGateway(HttpFront):
             retry_after = response.getheader("Retry-After")
             if retry_after:
                 passthrough["Retry-After"] = retry_after
-            self._record_hop(
-                context,
-                worker_id,
-                path,
-                sent_at,
-                response.getheader(TRACE_SPANS_HEADER),
-            )
             if response.will_close:
                 connection.close()
             else:
                 self._conn_checkin(worker_id, connection)
             return response.status, raw, passthrough
         raise _BackendError(f"worker {worker_id!r} unreachable")  # pragma: no cover
-
-    @staticmethod
-    def _record_hop(
-        context: TraceContext | None,
-        worker_id: str,
-        path: str,
-        sent_at: float,
-        fragment: str | None,
-    ) -> None:
-        """Stamp one proxy span onto the routed trace and graft the worker's
-        returned span fragment under it."""
-        trace = current_trace()
-        if trace is None:
-            return
-        now = time.perf_counter()
-        start_ms = (sent_at - trace.t0) * 1000.0
-        proxy_id = new_span_id()
-        trace.add_span(
-            "proxy",
-            start_ms,
-            (now - sent_at) * 1000.0,
-            parent="gateway",
-            parent_id=context.span_id,
-            span_id=proxy_id,
-            worker=worker_id,
-            path=path,
-        )
-        if not fragment:
-            return
-        try:
-            spans = json.loads(fragment).get("spans")
-        except (ValueError, AttributeError):
-            return
-        if isinstance(spans, list):
-            trace.graft_remote(
-                spans, base_ms=start_ms, parent="proxy", parent_id=proxy_id
-            )
 
     # -- gateway->worker connection pool -----------------------------------------
     def _fresh_worker_connection(self, worker_id: str) -> http.client.HTTPConnection:
@@ -636,10 +483,6 @@ class ClusterGateway(HttpFront):
         method = payload.get("method")
         if not isinstance(method, str) or not method.strip():
             return self._error_reply(*error_payload(ServiceError("request must name a method")))
-        trace = current_trace()
-        if trace is not None:
-            # the collector's method filter keys off this annotation.
-            trace.annotate(method=method.strip().lower())
         return self._proxy_with_failover(
             shard_key(method, self.fingerprint), verb, path, body
         )
@@ -762,57 +605,6 @@ class ClusterGateway(HttpFront):
         except (UnicodeDecodeError, ValueError, AttributeError):
             return None
         return data if isinstance(data, dict) else None
-
-    # -- trace search ------------------------------------------------------------
-    def _list_traces(self, query: str = "") -> Reply:
-        """Search the gateway's own joined-trace ring (worker rings stay
-        reachable directly on each worker's ``/v1/traces``)."""
-        if self.traces is None:
-            return self._error_reply(
-                *error_payload(
-                    ServiceError("tracing is not enabled on the gateway (set trace_sample_rate)")
-                )
-            )
-        try:
-            filters = parse_trace_query(query)
-        except ServiceError as exc:
-            return self._error_reply(*error_payload(exc))
-        rows = self.traces.query(**filters)
-        return self._data_reply({"traces": rows, "count": len(rows)})
-
-    def _find_trace(self, trace_id: str) -> Reply:
-        """The gateway's joined trace when it kept one; otherwise ask every
-        worker (front-line traffic may be traced worker-side only).  The
-        first non-miss answer wins."""
-        if self.traces is not None:
-            record = self.traces.get(trace_id)
-            if record is not None:
-                return self._data_reply({"trace": record})
-        path = f"/v1/traces/{trace_id}"
-        for worker_id in self._attempt_order(
-            shard_key("__traces__", self.fingerprint)
-        ):
-            try:
-                status, raw, headers = self._forward(worker_id, "GET", path, None)
-            except _BackendError:
-                continue
-            self._mark_up(worker_id)
-            if status not in (400, 404):
-                # 404: the worker never kept it; 400: worker tracing is off.
-                self._proxied.inc()
-                self._routed.inc(worker=worker_id)
-                headers[WORKER_HEADER] = worker_id
-                return Reply(status, raw, headers)
-        return self._error_reply(
-            404,
-            {
-                "error": "NotFound",
-                "code": CODE_NOT_FOUND,
-                "message": f"no kept trace {trace_id!r}",
-                "details": {"trace_id": trace_id},
-                "retryable": False,
-            },
-        )
 
     # -- introspection -----------------------------------------------------------
     def stats(self) -> dict:

@@ -357,18 +357,6 @@ class ServiceConfig:
     admission_queue_depth: int = 32
     #: longest a sheddable request waits for a slot before a 503.
     admission_timeout_seconds: float = 10.0
-    #: head-sampling probability for the trace collector: each request
-    #: flips one coin at this rate; sampled requests get a full span tree
-    #: stored in the in-memory trace ring (``GET /v1/traces``).  ``0.0``
-    #: installs the collector with sampling off (slow/errored traces are
-    #: still kept when slow-query tracing produces them); ``None`` disables
-    #: the collector entirely.
-    trace_sample_rate: float | None = None
-    #: capacity of the in-memory ring of kept traces.
-    trace_buffer_size: int = 256
-    #: seed for the sampling RNG; ``None`` seeds from the OS.  A fixed seed
-    #: makes the kept-trace sequence reproducible (tests, load replays).
-    trace_sample_seed: int | None = None
 
     def validate(self) -> None:
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
@@ -397,12 +385,6 @@ class ServiceConfig:
             )
         if self.admission_queue_depth < 0:
             raise ConfigurationError("admission_queue_depth must be non-negative")
-        if self.trace_sample_rate is not None and not (
-            0.0 <= self.trace_sample_rate <= 1.0
-        ):
-            raise ConfigurationError("trace_sample_rate must be in [0, 1] or None")
-        if self.trace_buffer_size < 1:
-            raise ConfigurationError("trace_buffer_size must be >= 1")
         if self.admission_timeout_seconds <= 0:
             raise ConfigurationError("admission_timeout_seconds must be positive")
 
@@ -417,8 +399,9 @@ class ClusterConfig:
     traffic across them, and the pool restarts crashed workers with
     exponential backoff (probe and backoff timings are
     :class:`~repro.cluster.WorkerPool`'s own defaults).  Per-worker serving
-    behaviour (cache, admission, store) lives on the embedded
-    :class:`ServiceConfig`.
+    behaviour (cache, admission, store) is each worker's own
+    :class:`ServiceConfig`, which ``repro cluster serve`` hands a worker as
+    ``repro serve`` flags on its command line.
     """
 
     #: number of serving worker processes behind the gateway.
@@ -448,8 +431,6 @@ class ClusterConfig:
     keyfile: str | None = None
     #: gateway-enforced default quota (``"RATE"`` or ``"RATE:BURST"``).
     default_quota: str | None = None
-    #: per-worker serving parameters.
-    service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def validate(self) -> None:
         if self.num_workers < 1:
@@ -472,7 +453,6 @@ class ClusterConfig:
             from repro.gate.limiter import QuotaSpec
 
             QuotaSpec.parse(self.default_quota)  # raises ConfigurationError
-        self.service.validate()
 
     def worker_port(self, index: int) -> int:
         return self.worker_base_port + index

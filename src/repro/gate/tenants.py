@@ -253,12 +253,6 @@ class TenantDirectory:
     def allows_anonymous(self) -> bool:
         return self._anonymous is not None
 
-    def tenant_ids(self) -> list[str]:
-        ids = sorted({tenant.tenant_id for tenant in self._table.values()})
-        if self._anonymous is not None:
-            ids.append(self._anonymous.tenant_id)
-        return ids
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -1,12 +1,13 @@
 """Slow-query log: JSON lines for expand requests over a latency threshold.
 
 Enabled by ``ServiceConfig.slow_query_ms``; each emitted line carries the
-request id, method, query id, end-to-end latency, cache disposition, and
-the per-stage spans of the request's trace — enough to answer "where did
-this slow expand spend its time?" from the log alone.  The ``request_id``
-on each line matches the OpenMetrics exemplars ``/v1/metrics`` renders on
-the latency histogram buckets, so a fat p99 bucket joins straight to the
-span tree that caused it.
+request id, the tenant (when the front door resolved one), method, query
+id, end-to-end latency, cache disposition, and the per-stage spans of the
+request's trace — enough to answer "where did this slow expand spend its
+time?" from the log alone.  The ``request_id`` on each line matches the
+gateway's and the worker's access-log lines and the OpenMetrics exemplars
+``/v1/metrics`` renders on the latency histogram buckets, so a fat p99
+bucket joins straight to the span tree that caused it.
 
 Lines go to the ``repro.obs.slowlog`` logger and nowhere else: ``repro
 serve`` sends that logger to stderr, and ``repro cluster serve`` workers
@@ -30,7 +31,7 @@ def log_slow_query(
     latency_ms: float,
     threshold_ms: float,
     cached: bool,
-    trace_id: str | None = None,
+    tenant: str | None = None,
     spans: list[dict] | None = None,
     error: str | None = None,
 ) -> None:
@@ -43,9 +44,8 @@ def log_slow_query(
         "threshold_ms": threshold_ms,
         "cached": cached,
     }
-    if trace_id is not None:
-        # joins this line to its stored trace (GET /v1/traces/<trace_id>).
-        payload["trace_id"] = trace_id
+    if tenant is not None:
+        payload["tenant"] = tenant
     if error is not None:
         payload["error"] = error
     if spans:

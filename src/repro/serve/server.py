@@ -44,19 +44,7 @@ from repro.gate import (
     operation_for,
     retry_after_header,
 )
-from repro.obs import (
-    PROMETHEUS_CONTENT_TYPE,
-    TRACE_ID_HEADER,
-    TRACE_SPANS_HEADER,
-    TRACEPARENT_HEADER,
-    Trace,
-    activate,
-    parse_traceparent,
-    propagation_scope,
-    recorded_activations,
-    request_scope,
-    tenant_scope,
-)
+from repro.obs import PROMETHEUS_CONTENT_TYPE, request_scope, tenant_scope
 from repro.serve.service import ExpansionService
 
 #: request body size guard (1 MiB) against accidental or hostile payloads.
@@ -76,7 +64,6 @@ class Request:
     verb: str
     #: the path without its query string or trailing slash.
     path: str
-    query: str
     #: the client's ``X-Request-Id`` when valid, else a fresh id.
     request_id: str
     headers: Message
@@ -147,7 +134,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         started = time.perf_counter()
-        path, _, query = self.path.partition("?")
+        path = self.path.partition("?")[0]
         # Honor a syntactically valid client-supplied X-Request-Id so one id
         # correlates gateway log, worker log, and envelope; replace anything
         # malformed rather than echoing hostile bytes into logs and headers.
@@ -155,7 +142,6 @@ class _Handler(BaseHTTPRequestHandler):
         request = Request(
             verb=verb,
             path=path.rstrip("/") or "/",
-            query=query,
             request_id=inbound if is_valid_request_id(inbound) else new_request_id(),
             headers=self.headers,
             rfile=self.rfile,
@@ -344,11 +330,6 @@ class HttpFront:
             "latency_ms": round((time.perf_counter() - started) * 1000.0, 3),
             **reply.log_fields,
         }
-        # only stamped on traced requests, keeping the untraced line's
-        # exact key set (pinned by wire-shape tests) unchanged.
-        trace_id = reply.headers.get(TRACE_ID_HEADER)
-        if trace_id is not None:
-            line["trace_id"] = trace_id
         self.access_log.info("%s", json.dumps(line, sort_keys=True))
 
 
@@ -402,50 +383,16 @@ class ExpansionHTTPServer(HttpFront):
             if is_valid_tenant_id(hint):
                 tenant = hint
 
-        # A gateway hop's ``traceparent`` carries the request's one sampling
-        # verdict: a sampled hop is continued under its trace_id, and an
-        # unsampled one is bound so the service flips no coin of its own.
-        # Without one, an expand is traced, or not, by the service's own
-        # flip (ExpansionService.submit); no other route is traced.
-        context = parse_traceparent(request.headers.get(TRACEPARENT_HEADER))
-        remote: Trace | None = None
-        if context is not None and context.sampled:
-            remote = Trace(
-                request_id=request.request_id,
-                trace_id=context.trace_id,
-                parent_span_id=context.span_id,
-            )
-            remote.sampled = True
-
-        # The resolved tenant (and trace) ride contextvars through dispatch
-        # so deeper layers (spans, metric labels) can recover them unplumbed;
-        # the trace the request ran under, wherever it was opened, is
-        # recorded for the reply's header.
-        with tenant_scope(tenant), recorded_activations() as activated:
-            if remote is not None:
-                with activate(remote):
-                    result = gate_error or self._dispatch(request)
-            elif context is not None:
-                with propagation_scope(context):
-                    result = gate_error or self._dispatch(request)
-            else:
-                result = gate_error or self._dispatch(request)
+        # The resolved tenant rides a contextvar through dispatch so deeper
+        # layers (metric labels, the slow-query log) recover it unplumbed.
+        with tenant_scope(tenant):
+            result = gate_error or self._dispatch(request)
         headers: dict[str, str] = {}
         retry_after = ((result.error or {}).get("details") or {}).get("retry_after")
         if retry_after is not None:
             # integral delta-seconds, rounded up (RFC 9110); the exact float
             # rides in the error payload's details.retry_after.
             headers["Retry-After"] = retry_after_header(retry_after)
-        if activated:
-            trace = activated[0]
-            headers[TRACE_ID_HEADER] = trace.trace_id
-            if context is not None and trace.trace_id == context.trace_id:
-                # a continued hop: return this worker's span fragment so the
-                # gateway can graft it into its joined trace.
-                headers[TRACE_SPANS_HEADER] = json.dumps(
-                    {"trace_id": trace.trace_id, "spans": trace.to_span_dicts()},
-                    separators=(",", ":"),
-                )
         return Reply(
             result.status,
             json.dumps(apiv1.render_v1_body(result, request.request_id)).encode("utf-8"),
@@ -468,7 +415,7 @@ class ExpansionHTTPServer(HttpFront):
             except ReproError as exc:
                 status, error = error_payload(exc)
                 return apiv1.ApiResult(status=status, error=error)
-        return self.api.dispatch(verb, path, payload, query=request.query)
+        return self.api.dispatch(verb, path, payload)
 
     def _release(self) -> None:
         self.service.close()

@@ -22,13 +22,12 @@ service (labelled with the dataset fingerprint) and shared with the cache,
 registry, and substrate provider; :meth:`stats` is a wire-compatible
 view over it, and the same registry renders ``GET /v1/metrics``.  Per-tenant
 usage (compute seconds, cache hits, fits) is a set of counter families on
-that registry, read back as the ``usage`` key of :meth:`stats`.  Requests
-that ask for ``include_timings`` (or cross ``ServiceConfig.slow_query_ms``)
-carry a :class:`~repro.obs.Trace` through the hot path, so per-stage timings
-come back on the response and land in the slow-query log.  With a trace
-collector installed, :meth:`~ExpansionService.submit` also flips the one
-head-sampling coin of each expand, whichever transport delivered it, unless
-a gateway hop already carried the verdict in its ``traceparent``.
+that registry, read back as the ``usage`` key of :meth:`stats`.  A request
+carries a :class:`~repro.obs.Trace` through the hot path exactly when
+something reads it: it asks for ``include_timings`` (the spans come back on
+the response) or the service logs slow queries
+(``ServiceConfig.slow_query_ms``; the spans of a request over the threshold
+land on its slow-query line).  Any other request runs with no trace.
 
 The service writes no telemetry file: telemetry is read over HTTP or from
 its loggers, the only files it writes are fits published to the artifact
@@ -51,15 +50,11 @@ from repro.gate import ANONYMOUS_TENANT, AdmissionController, Gate, gate_for
 from repro.obs import (
     MetricsRegistry,
     Trace,
-    TraceCollector,
     activate,
-    current_context,
     current_request_id,
     current_tenant,
-    current_trace,
     log_slow_query,
     span,
-    trace_collector_for,
 )
 from repro.obs.metrics import MAX_SERIES_PER_FAMILY
 from repro.serve.cache import ResultCache
@@ -123,9 +118,6 @@ class ExpansionService:
             metrics=self.metrics,
         )
         self.cache = ResultCache(capacity=self.config.cache_capacity, metrics=self.metrics)
-        # Searchable ring of completed traces (GET /v1/traces); None when
-        # tracing is off.
-        self.traces: TraceCollector | None = trace_collector_for(self.config)
         # The front door (repro.gate): built only when configured, so a
         # plain service carries zero gate state and stays fully open.
         self.gate: Gate | None = gate_for(self.config, self.metrics)
@@ -195,49 +187,25 @@ class ExpansionService:
         """Serve one request synchronously; raises a ReproError on bad input."""
         started = time.perf_counter()
         # A trace is only built when someone will read it (the response's
-        # debug block, the slow-query log, or the trace collector); the
-        # untraced hot path pays one ContextVar read per span site, plus a
-        # single rate check when a collector is installed.  This is the one
-        # head-sampling coin flip of an expand, over HTTP or in process,
-        # unless a gateway hop carried the verdict: the HTTP front then
-        # either activated the sampled trace to continue (reused here, not
-        # shadowed) or bound the unsampled hop, whose trace_id a trace built
-        # here continues.
-        trace: Trace | None = current_trace()
-        owns = False
-        if trace is None:
-            sampled = self.traces.sample() if self.traces is not None else False
-            if (
-                sampled
-                or request.options.include_timings
-                or self.config.slow_query_ms is not None
-            ):
-                hop = current_context()
-                trace = Trace(
-                    request_id=current_request_id(),
-                    trace_id=hop.trace_id if hop is not None else None,
-                    parent_span_id=hop.span_id if hop is not None else None,
-                )
-                trace.sampled = sampled
-                owns = True
+        # debug block or the slow-query log); the untraced hot path pays
+        # one ContextVar read per span site.
+        trace: Trace | None = None
+        if request.options.include_timings or self.config.slow_query_ms is not None:
+            trace = Trace(request_id=current_request_id())
         try:
-            if owns:
+            if trace is not None:
                 with activate(trace):
                     response = self._submit(request, started, trace)
             else:
                 response = self._submit(request, started, trace)
         except BaseException as exc:
             self._count_request(error=True)
-            latency_ms = (time.perf_counter() - started) * 1000.0
             self._log_if_slow(
                 trace,
                 request,
-                latency_ms=latency_ms,
+                latency_ms=(time.perf_counter() - started) * 1000.0,
                 cached=False,
                 error=type(exc).__name__,
-            )
-            self._offer_trace(
-                trace, request, latency_ms, error=type(exc).__name__
             )
             raise
         self._count_request()
@@ -248,28 +216,7 @@ class ExpansionService:
             cached=response.cached,
             query_id=response.query_id,
         )
-        self._offer_trace(trace, request, response.latency_ms)
         return response
-
-    def _offer_trace(
-        self,
-        trace: Trace | None,
-        request: ExpandRequest,
-        latency_ms: float,
-        error: str | None = None,
-    ) -> None:
-        """Hand a completed request trace to the collector (which applies
-        its keep rules: head-sampled, slow, or errored)."""
-        if trace is None or self.traces is None:
-            return
-        self.traces.offer(
-            trace,
-            duration_ms=latency_ms,
-            method=request.method,
-            tenant=current_tenant(),
-            error=error,
-            sampled=trace.sampled,
-        )
 
     def _count_request(self, error: bool = False) -> None:
         """Count one request under the caller's tenant."""
@@ -383,18 +330,17 @@ class ExpansionService:
         threshold = self.config.slow_query_ms
         if threshold is None or latency_ms < threshold:
             return
+        # with a threshold set, submit traced this request.
         log_slow_query(
-            request_id=(
-                trace.request_id if trace is not None else current_request_id()
-            ),
+            request_id=trace.request_id,
             method=request.method,
             query_id=query_id if query_id is not None else request.query_id,
             latency_ms=latency_ms,
             threshold_ms=threshold,
             cached=cached,
-            spans=trace.to_list() if trace is not None else None,
+            tenant=current_tenant(),
+            spans=trace.to_list(),
             error=error,
-            trace_id=trace.trace_id if trace is not None else None,
         )
 
     def _resolve_query(self, request: ExpandRequest) -> Query:
@@ -510,8 +456,6 @@ class ExpansionService:
             merged["admission"] = self.admission.stats()
         if self.store is not None:
             merged["store"] = self.store.stats()
-        if self.traces is not None:
-            merged["traces"] = self.traces.stats()
         return merged
 
     def _usage_stats(self) -> dict:

@@ -90,8 +90,9 @@ class TestParser:
         usage totals to /v1/stats, so each former file flag is a usage error
         on every subcommand that takes the service flags (``query`` takes
         none of them but ``--store``).  Usage is always metered, the
-        gateway keeps no result cache, and a worker's cached results never
-        expire, so their switches are gone too."""
+        gateway keeps no result cache, a worker's cached results never
+        expire, and no process keeps a ring of sampled traces, so their
+        switches are gone too."""
         for command in (["serve"], ["cluster", "serve"]):
             for flag, value in (
                 ("--usage-ledger", "/tmp/usage.jsonl"),
@@ -102,6 +103,9 @@ class TestParser:
                 ("--gateway-cache-size", "64"),
                 ("--gateway-cache-ttl", "60"),
                 ("--cache-ttl", "5"),
+                ("--trace-sample-rate", "1.0"),
+                ("--trace-buffer-size", "8"),
+                ("--trace-sample-seed", "3"),
             ):
                 argv = [*command, flag] if value is None else [*command, flag, value]
                 with pytest.raises(SystemExit) as excinfo:

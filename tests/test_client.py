@@ -150,17 +150,25 @@ class TestClientSurface:
         assert response.names_resolved is False
         assert all(item.name is None for item in response.ranking)
 
-    def test_retired_batch_route_is_an_enveloped_404(self, client, tiny_dataset):
-        """``POST /v1/expand/batch`` is gone: a worker and the in-process
-        transport answer it like any unknown route."""
-        qid = tiny_dataset.queries[0].query_id
-        status, body = client.transport.request(
-            "POST", "/v1/expand/batch", {"requests": [{"method": "stub", "query_id": qid}]}
-        )
+    @pytest.mark.parametrize(
+        "verb, path, payload",
+        [
+            # N expands are N requests.
+            ("POST", "/v1/expand/batch", {"requests": [{"method": "stub"}]}),
+            # a request's spans go to its reply or its slow-query line.
+            ("GET", "/v1/traces", None),
+            ("GET", "/v1/traces/" + "ab" * 16, None),
+        ],
+        ids=["batch", "traces", "trace-by-id"],
+    )
+    def test_retired_routes_are_enveloped_404s(self, client, verb, path, payload):
+        """The batch and trace-search routes are gone: a worker and the
+        in-process transport answer them like any unknown route."""
+        status, body = client.transport.request(verb, path, payload)
         assert status == 404
         assert body["api_version"] == "v1"
         assert body["error"]["code"] == "not_found"
-        assert body["error"]["details"] == {"path": "/v1/expand/batch"}
+        assert body["error"]["details"] == {"path": path}
 
     def test_fit_workflow_round_trip(self, client):
         # the service is shared by both transports: whichever runs first fits.

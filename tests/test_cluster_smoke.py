@@ -149,8 +149,6 @@ def test_worker_command_points_at_this_interpreter(dataset_dir, tmp_path):
             "--keyfile", str(tmp_path / "keys.json"), "--default-quota", "5:10",
             "--admission-max-concurrent", "3", "--admission-queue-depth", "5",
             "--admission-timeout", "2.5",
-            "--trace-sample-rate", "0.25", "--trace-buffer-size", "64",
-            "--trace-sample-seed", "9",
         ]
     )
     command = worker_command(dataset_dir, cluster_args.worker_host, 8123, cluster_args)

@@ -151,6 +151,9 @@ class TestHttpContract:
             ("GET", "/healthz"),
             ("POST", "/expand"),
             ("POST", "/v1/expand/batch"),  # retired: N expands are N requests
+            # retired: a request's spans go to its reply or its slow-query line
+            ("GET", "/v1/traces"),
+            ("GET", "/v1/traces/" + "ab" * 16),
         ],
     )
     def test_unknown_route_is_an_enveloped_404(self, front, verb, path):
@@ -158,7 +161,23 @@ class TestHttpContract:
         assert status == 404
         assert payload["api_version"] == "v1"
         assert payload["error"]["code"] == "not_found"
+        assert payload["error"]["details"] == {"path": path}
         assert headers["X-Request-Id"] == payload["request_id"]
+
+    def test_an_inbound_traceparent_is_ignored(self, front, tiny_dataset):
+        """A sampled W3C ``traceparent`` neither traces the request nor
+        changes its reply: no trace id or span fragment comes back."""
+        body = json.dumps(
+            {"method": "stub", "query_id": tiny_dataset.queries[0].query_id}
+        )
+        traceparent = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+        status, headers, payload = call(
+            front, "POST", "/v1/expand", body=body, headers={"traceparent": traceparent}
+        )
+        assert status == 200
+        assert payload["data"]["ranking"]
+        assert "debug" not in payload["data"]
+        assert not {"X-Repro-Trace-Id", "X-Repro-Trace"} & set(headers)
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -30,6 +30,7 @@ from repro.obs import (
     current_trace,
     merge_bucket_lists,
     span,
+    tenant_scope,
 )
 from repro.obs.metrics import MAX_SERIES_PER_FAMILY
 from repro.serve import (
@@ -362,6 +363,29 @@ class TestServiceTimings:
         assert entry["latency_ms"] >= 0.0
         assert entry["threshold_ms"] == 0.0
         assert any(s["name"] == "admission" for s in entry["spans"])
+
+    def test_slow_query_line_names_the_tenant(self, tiny_dataset, caplog):
+        """A slow request's line names the tenant the front door resolved,
+        so one tenant's slow requests are found from the log alone; a
+        request without a tenant has no ``tenant`` key, and no line carries
+        a trace id."""
+        service = make_service(tiny_dataset, slow_query_ms=0.0)
+        query_id = tiny_dataset.queries[0].query_id
+        with caplog.at_level(logging.WARNING, logger="repro.obs.slowlog"):
+            with service:
+                with tenant_scope("acme"):
+                    service.submit(ExpandRequest(method="stub", query_id=query_id))
+                service.submit(ExpandRequest(method="stub", query_id=query_id))
+        keyed, unkeyed = [
+            json.loads(record.message)
+            for record in caplog.records
+            if record.name == "repro.obs.slowlog"
+        ]
+        assert keyed["tenant"] == "acme"
+        assert "tenant" not in unkeyed
+        assert "trace_id" not in keyed and "trace_id" not in unkeyed
+        names = {entry["name"] for entry in keyed["spans"]}
+        assert {"cache_lookup", "admission", "execute", "expand"} <= names
 
     def test_fast_queries_stay_out_of_the_slow_log(self, tiny_dataset, caplog):
         service = make_service(tiny_dataset, slow_query_ms=1e9)

@@ -1,6 +1,6 @@
 """Fleet-level observability tests: the fleet /v1/stats and its
-``repro cluster top`` rendering, gateway /v1/metrics, and end-to-end
-request-id correlation.
+``repro cluster top`` rendering, gateway /v1/metrics, end-to-end
+request-id correlation, and per-tenant usage summed across the fleet.
 
 Thread-backed workers (real :class:`ExpansionHTTPServer` instances on
 ephemeral ports) behind a real :class:`ClusterGateway`, as in
@@ -355,3 +355,109 @@ class TestRequestIdCorrelation:
         assert status == 200
         assert envelope["request_id"].startswith("req-")
         assert headers["X-Request-Id"] == envelope["request_id"]
+
+
+class TestClusterUsageMetering:
+    def test_usage_rolls_up_into_dashboard_and_cost_column(
+        self, tiny_dataset
+    ):
+        servers = [make_worker(tiny_dataset), make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
+        try:
+            query_id = tiny_dataset.queries[0].query_id
+            for method in STUB_METHODS[:4]:
+                status, _envelope, _ = http_post(
+                    gateway.url + "/v1/expand",
+                    {"method": method, "query_id": query_id},
+                )
+                assert status == 200
+            status, body, _ = http_get(gateway.url + "/v1/stats")
+            assert status == 200
+            data = json.loads(body)["data"]
+            # each worker meters the expands it served; the gateway only
+            # sums them.
+            assert "usage" not in data["gateway"]
+            served = [
+                worker["usage"]["tenants"]["anonymous"]
+                for worker in data["workers"].values()
+                if worker["usage"]["tenants"]
+            ]
+            assert sum(bucket["requests"] for bucket in served) == 4
+            # without a gate, the metered tenants give the cost column a
+            # home, and `cluster top` renders it.
+            frame = render_top(data)
+            assert "COST(s)" in frame
+            row = next(line for line in frame.splitlines() if line.startswith("anonymous"))
+            _tenant, requests, throttled, cost = row.split()
+            assert (requests, throttled) == ("4", "0")
+            assert float(cost) == pytest.approx(
+                sum(bucket["compute_seconds"] for bucket in served), abs=1e-3
+            )
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    def test_client_usage_sums_the_fleet(self, tiny_dataset):
+        servers = [make_worker(tiny_dataset), make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
+        try:
+            query_id = tiny_dataset.queries[0].query_id
+            # the six stub methods cover both shards.
+            for method in (*STUB_METHODS, STUB_METHODS[0]):
+                status, _envelope, _ = http_post(
+                    gateway.url + "/v1/expand",
+                    {"method": method, "query_id": query_id},
+                )
+                assert status == 200
+            with ExpansionClient.connect(gateway.url) as client:
+                stats = client.stats()
+                usage = client.usage()
+            assert usage == stats["usage"]
+            anonymous = usage["tenants"]["anonymous"]
+            # 7 expands, the repeat answered from its worker's cache.
+            assert anonymous["requests"] == 7
+            assert anonymous["cache_hits"] == 1
+            # the gateway's top-level usage is the two workers' rows summed.
+            rows = [
+                worker["usage"]["tenants"]["anonymous"]
+                for worker in stats["workers"].values()
+            ]
+            assert len(rows) == 2 and all(row["requests"] for row in rows)
+            for field, value in anonymous.items():
+                assert value == pytest.approx(sum(row[field] for row in rows), abs=1e-6)
+            with ExpansionClient.connect(servers[0].url) as client:
+                assert set(client.usage()) == {"tenants"}
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    def test_client_usage_is_empty_before_any_traffic(self, tiny_dataset):
+        servers = [make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
+        try:
+            with ExpansionClient.connect(gateway.url) as client:
+                assert client.usage() == {"tenants": {}}
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    def test_fit_jobs_bill_the_requesting_tenant(self, tiny_dataset):
+        servers = [make_worker(tiny_dataset)]
+        gateway = make_gateway(tiny_dataset, servers)
+        try:
+            status, envelope, _ = http_post(
+                gateway.url + "/v1/fits", {"method": STUB_METHODS[0]}
+            )
+            assert status == 200
+            # charged before the reply left the worker: no polling needed.
+            usage = servers[0].service.stats()["usage"]["tenants"]["anonymous"]
+            assert usage["fits"] == 1
+            assert usage["fit_seconds"] == pytest.approx(envelope["data"]["seconds"], abs=1e-6)
+            assert usage["compute_seconds"] >= usage["fit_seconds"]
+        finally:
+            gateway.shutdown()
+            for server in servers:
+                server.shutdown()

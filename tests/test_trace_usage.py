@@ -1,22 +1,15 @@
-"""Tests for distributed-trace identity, the searchable trace store, and
-per-tenant usage metering.
+"""Tests for a request's trace and per-tenant usage metering.
 
-Covers the W3C-style ``traceparent`` round trip, span-id disambiguation of
-duplicate sibling names (while the pinned ``debug.timings`` wire shape stays
-id-free), :class:`TraceCollector` semantics (head sampling determinism under
-a seeded RNG, always-keep for slow/errored requests, eviction, the query
-surface, and concurrent offer/query under fan-out), usage metering on the
-service's ``repro_tenant_*`` counters (cache-cost charging, fit attribution,
-``/v1/metrics`` and ``/v1/stats`` agreeing, the series cap), and the worker
-HTTP surface (``/v1/traces``, trace-id response headers, access-log
-correlation).
+Covers the pinned ``debug.timings`` wire shape, the trace-free hot path of
+a request that neither asks for timings nor crosses a slow-query threshold,
+and usage metering on the service's ``repro_tenant_*`` counters
+(cache-cost charging, fit attribution, ``/v1/metrics`` and ``/v1/stats``
+agreeing, the series cap).
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import random
 import sys
 import threading
 import urllib.error
@@ -26,18 +19,8 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.base import Expander
-from repro.exceptions import DatasetError, ServiceError
 from repro.gate import ANONYMOUS_TENANT, TENANT_HEADER
-from repro.obs import (
-    Trace,
-    TraceCollector,
-    TraceContext,
-    activate,
-    format_traceparent,
-    parse_traceparent,
-    span,
-    tenant_scope,
-)
+from repro.obs import current_trace, tenant_scope
 from repro.obs.metrics import MAX_SERIES_PER_FAMILY
 from repro.serve import (
     ExpandOptions,
@@ -55,10 +38,16 @@ from repro.types import ExpansionResult
 class TraceStubExpander(Expander):
     name = "stub"
 
+    def __init__(self):
+        super().__init__()
+        #: the trace active in each ``_expand`` call, in call order.
+        self.seen_traces: list = []
+
     def _fit(self, dataset) -> None:
         pass
 
     def _expand(self, query, top_k) -> ExpansionResult:
+        self.seen_traces.append(current_trace())
         scored = [(eid, 1.0 / (1.0 + eid)) for eid in self.dataset.entity_ids()]
         return ExpansionResult.from_scores(query.query_id, scored)
 
@@ -93,68 +82,14 @@ def http_post(url: str, payload: dict, headers: dict | None = None):
 
 
 # ---------------------------------------------------------------------------
-# traceparent + span identity
+# debug.timings
 # ---------------------------------------------------------------------------
 
 
-class TestTraceparent:
-    def test_round_trip(self):
-        trace = Trace()
-        trace.sampled = True
-        context = trace.context()
-        header = format_traceparent(context)
-        assert header == f"00-{trace.trace_id}-{trace.span_id}-01"
-        parsed = parse_traceparent(header)
-        assert parsed == TraceContext(trace.trace_id, trace.span_id, True)
-
-    def test_unsampled_flag_round_trips(self):
-        header = format_traceparent(
-            TraceContext("ab" * 16, "cd" * 8, sampled=False)
-        )
-        assert header.endswith("-00")
-        assert parse_traceparent(header).sampled is False
-
-    @pytest.mark.parametrize(
-        "header",
-        [
-            None,
-            "",
-            "garbage",
-            "00-short-abcdefabcdefabcd-01",
-            "00-" + "g" * 32 + "-abcdefabcdefabcd-01",  # non-hex trace id
-            "00-" + "0" * 32 + "-abcdefabcdefabcd-01",  # all-zero trace id
-            "00-" + "ab" * 16 + "-" + "0" * 16 + "-01",  # all-zero span id
-            "ff-" + "ab" * 16 + "-abcdefabcdefabcd-01",  # forbidden version
-            "00-" + "ab" * 16 + "-abcdefabcdefabcd",  # missing flags
-            "00-" + "ab" * 16 + "-abcdefabcdefabcd-zz",
-        ],
-    )
-    def test_malformed_headers_parse_to_none(self, header):
-        assert parse_traceparent(header) is None
-
-    def test_duplicate_sibling_names_stay_unambiguous(self):
-        """Two same-named siblings get distinct span_ids, both pointing at
-        the *specific* parent span instance via parent_id."""
-        trace = Trace()
-        with activate(trace):
-            with span("outer"):
-                with span("score_candidates"):
-                    pass
-                with span("score_candidates"):
-                    pass
-        full = {entry["span_id"]: entry for entry in trace.to_span_dicts()}
-        outer = next(e for e in full.values() if e["name"] == "outer")
-        siblings = [e for e in full.values() if e["name"] == "score_candidates"]
-        assert len(siblings) == 2
-        assert siblings[0]["span_id"] != siblings[1]["span_id"]
-        for entry in siblings:
-            assert entry["parent"] == "outer"
-            assert entry["parent_id"] == outer["span_id"]
-
+class TestDebugTimings:
     def test_debug_timings_wire_shape_is_pinned_id_free(self, tiny_dataset):
-        """``debug.timings`` predates span ids; the ids live only in the
-        trace-store serialization (``to_span_dicts``), never in the pinned
-        response-debug shape."""
+        """``debug.timings`` entries carry a span's name, offsets, parent
+        name and meta: the pinned shape has no span or trace ids."""
         service = make_service(tiny_dataset)
         with service:
             response = service.submit(
@@ -167,143 +102,6 @@ class TestTraceparent:
         for entry in response.to_v1_dict()["debug"]["timings"]:
             assert set(entry) <= {"name", "start_ms", "duration_ms", "parent", "meta"}
             assert "span_id" not in entry and "parent_id" not in entry
-
-    def test_graft_remote_rebases_and_skips_malformed(self):
-        trace = Trace()
-        trace.graft_remote(
-            [
-                {"name": "execute", "start_ms": 1.0, "duration_ms": 2.0,
-                 "span_id": "aa" * 8},
-                {"duration_ms": 1.0},  # no name: skipped
-                "not-a-dict",  # skipped
-            ],
-            base_ms=100.0,
-            parent="proxy",
-            parent_id="bb" * 8,
-        )
-        spans = trace.spans()
-        assert len(spans) == 1
-        assert spans[0].start_ms == pytest.approx(101.0)
-        assert spans[0].duration_ms == pytest.approx(2.0)
-        assert spans[0].parent == "proxy"
-        assert spans[0].parent_id == "bb" * 8
-
-
-# ---------------------------------------------------------------------------
-# TraceCollector
-# ---------------------------------------------------------------------------
-
-
-def finished_trace(**annotations) -> Trace:
-    trace = Trace(request_id="req-t")
-    with activate(trace):
-        with span("work"):
-            pass
-    if annotations:
-        trace.annotate(**annotations)
-    return trace
-
-
-class TestTraceCollector:
-    def test_sampling_is_deterministic_under_a_seed(self):
-        verdicts = [
-            [
-                TraceCollector(sample_rate=0.5, rng=random.Random(7)).sample()
-                for _ in range(1)
-            ]
-            for _ in range(2)
-        ]
-        a = TraceCollector(sample_rate=0.5, rng=random.Random(7))
-        b = TraceCollector(sample_rate=0.5, rng=random.Random(7))
-        assert [a.sample() for _ in range(64)] == [b.sample() for _ in range(64)]
-        assert verdicts[0] == verdicts[1]
-
-    def test_rate_zero_never_samples_and_rate_one_always_does(self):
-        off = TraceCollector(sample_rate=0.0)
-        assert not any(off.sample() for _ in range(32))
-        on = TraceCollector(sample_rate=1.0)
-        assert all(on.sample() for _ in range(32))
-
-    def test_always_keep_slow_and_errored_traces(self):
-        collector = TraceCollector(sample_rate=0.0, slow_ms=50.0)
-        assert not collector.offer(finished_trace(), duration_ms=10.0)
-        assert collector.offer(finished_trace(), duration_ms=60.0)
-        assert collector.offer(
-            finished_trace(), duration_ms=1.0, error="UnknownMethodError"
-        )
-        kinds = {record["kept"] for record in collector.query()}
-        assert kinds == {"slow", "error"}
-        assert collector.stats()["discarded"] == 1
-
-    def test_ring_evicts_oldest_and_reoffer_replaces_in_place(self):
-        collector = TraceCollector(capacity=2, sample_rate=1.0)
-        traces = [finished_trace() for _ in range(3)]
-        for trace in traces:
-            collector.offer(trace, duration_ms=1.0, sampled=True)
-        assert collector.get(traces[0].trace_id) is None  # evicted
-        assert collector.stats()["evicted"] == 1
-        # a re-offered id replaces its record instead of double-counting.
-        collector.offer(traces[2], duration_ms=9.0, sampled=True)
-        assert collector.stats()["stored"] == 2
-        assert collector.get(traces[2].trace_id)["duration_ms"] == 9.0
-
-    def test_query_filters_and_limit(self):
-        collector = TraceCollector(sample_rate=1.0)
-        for index in range(6):
-            collector.offer(
-                finished_trace(),
-                duration_ms=float(index),
-                method="stub" if index % 2 == 0 else "other",
-                tenant="acme" if index < 3 else "generic",
-                error="Boom" if index == 5 else None,
-                sampled=True,
-            )
-        assert len(collector.query()) == 6
-        assert len(collector.query(method="stub")) == 3
-        assert len(collector.query(tenant="acme")) == 3
-        assert len(collector.query(min_duration_ms=4.0)) == 2
-        assert len(collector.query(error=True)) == 1
-        assert len(collector.query(error=False)) == 5
-        assert len(collector.query(limit=2)) == 2
-        newest = collector.query(limit=1)[0]
-        assert newest["duration_ms"] == 5.0  # newest first
-        assert "spans" not in newest and newest["span_count"] == 1
-
-    def test_concurrent_offer_and_query_under_fan_out(self):
-        collector = TraceCollector(capacity=64, sample_rate=1.0)
-        errors: list[BaseException] = []
-
-        def offerer(worker: int):
-            try:
-                for index in range(50):
-                    collector.offer(
-                        finished_trace(),
-                        duration_ms=float(index),
-                        method=f"m{worker}",
-                        sampled=True,
-                    )
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        def reader():
-            try:
-                for _ in range(100):
-                    collector.query(limit=10)
-                    collector.stats()
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=offerer, args=(i,)) for i in range(4)]
-        threads += [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        stats = collector.stats()
-        assert stats["kept"] == 200
-        assert stats["stored"] == 64
-        assert stats["evicted"] == 200 - 64
 
 
 # ---------------------------------------------------------------------------
@@ -472,49 +270,56 @@ class TestUsageMeter:
 
 
 class TestServiceIntegration:
-    def test_sampled_request_lands_in_the_trace_store(self, tiny_dataset):
-        service = make_service(
-            tiny_dataset, trace_sample_rate=1.0, trace_sample_seed=7
-        )
-        query_id = tiny_dataset.queries[0].query_id
-        with service:
-            with tenant_scope("acme"):
-                service.submit(ExpandRequest(method="stub", query_id=query_id))
-            records = service.traces.query()
-            assert len(records) == 1
-            record = records[0]
-            assert record["method"] == "stub"
-            assert record["tenant"] == "acme"
-            assert record["kept"] == "sampled"
-            full = service.traces.get(record["trace_id"])
-            names = {entry["name"] for entry in full["spans"]}
-            assert {"cache_lookup", "admission", "execute"} <= names
-            stats = service.stats()
-            assert stats["traces"]["kept"] == 1
-
     def test_rate_zero_keeps_the_hot_path_trace_free(self, tiny_dataset):
-        service = make_service(tiny_dataset, trace_sample_rate=0.0)
+        """No sampler picks requests to trace (in effect a zero sample
+        rate): a trace is built only for a reader.  An expand that neither
+        asks for ``include_timings`` nor runs under a slow-query threshold
+        runs with no active trace, also when its HTTP request carries a
+        sampled ``traceparent``; either reader gives ``_expand`` a trace."""
         query_id = tiny_dataset.queries[0].query_id
-        with service:
-            service.submit(ExpandRequest(method="stub", query_id=query_id))
-            assert service.traces.stats()["stored"] == 0
-            assert service.stats()["traces"]["sample_rate"] == 0.0
-
-    def test_errored_requests_are_always_kept(self, tiny_dataset):
-        service = make_service(tiny_dataset, trace_sample_rate=0.0, slow_query_ms=1e9)
-        with service:
-            with pytest.raises(Exception):
-                service.submit(ExpandRequest(method="nope", query_id="missing"))
-            kept = service.traces.query(error=True)
-            assert len(kept) == 1
-            assert kept[0]["kept"] == "error"
-
-    def test_stats_omit_traces_when_disabled(self, tiny_dataset):
+        untimed = ExpandRequest(
+            method="stub", query_id=query_id, options=ExpandOptions(use_cache=False)
+        )
+        timed = ExpandRequest(
+            method="stub",
+            query_id=query_id,
+            options=ExpandOptions(use_cache=False, include_timings=True),
+        )
         service = make_service(tiny_dataset)
         with service:
+            service.submit(untimed)
+            service.submit(timed)
+            seen = service.registry.get("stub").seen_traces
+        assert seen[0] is None
+        assert seen[1] is not None
+        slow_logging = make_service(tiny_dataset, slow_query_ms=1e9)
+        with slow_logging:
+            slow_logging.submit(untimed)
+            assert slow_logging.registry.get("stub").seen_traces[0] is not None
+        server = ExpansionHTTPServer(make_service(tiny_dataset), port=0).start()
+        try:
+            status, _envelope, _headers = http_post(
+                server.url + "/v1/expand",
+                {"method": "stub", "query_id": query_id},
+                headers={"traceparent": "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"},
+            )
+            assert status == 200
+            assert server.service.registry.get("stub").seen_traces == [None]
+        finally:
+            server.shutdown()
+
+    def test_stats_omit_traces_when_disabled(self, tiny_dataset):
+        """No process keeps a trace ring, so ``/v1/stats`` has no ``traces``
+        section, also on a service that traces every request for its
+        slow-query log."""
+        service = make_service(tiny_dataset, slow_query_ms=0.0)
+        with service:
+            service.submit(
+                ExpandRequest(method="stub", query_id=tiny_dataset.queries[0].query_id)
+            )
             stats = service.stats()
         assert "traces" not in stats
-        assert stats["usage"] == {"tenants": {}}
+        assert stats["usage"]["tenants"][ANONYMOUS_TENANT]["requests"] == 1
 
     def test_usage_meters_expands_cache_hits_and_fits(self, tiny_dataset):
         service = make_service(tiny_dataset)
@@ -535,169 +340,18 @@ class TestServiceIntegration:
 
 
 # ---------------------------------------------------------------------------
-# worker HTTP surface
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerTraceSurface:
-    @pytest.fixture()
-    def server(self, tiny_dataset):
-        service = make_service(
-            tiny_dataset, trace_sample_rate=1.0, access_log=True
-        )
-        server = ExpansionHTTPServer(service, port=0).start()
-        yield server
-        server.shutdown()
-
-    def test_traced_request_surfaces_id_and_is_fetchable(
-        self, server, tiny_dataset, caplog
-    ):
-        query_id = tiny_dataset.queries[0].query_id
-        with caplog.at_level(logging.INFO, logger="repro.serve.access"):
-            status, _envelope, headers = http_post(
-                server.url + "/v1/expand", {"method": "stub", "query_id": query_id}
-            )
-            assert status == 200
-            trace_id = headers["X-Repro-Trace-Id"]
-            # the access-log line is written before the reply goes out.
-            logged = [
-                json.loads(record.message)
-                for record in caplog.records
-                if record.name == "repro.serve.access"
-            ]
-        assert len(trace_id) == 32
-        assert any(line.get("trace_id") == trace_id for line in logged)
-
-        status, body, _ = http_get(server.url + f"/v1/traces/{trace_id}")
-        assert status == 200
-        trace = json.loads(body)["data"]["trace"]
-        assert trace["trace_id"] == trace_id
-        names = {entry["name"] for entry in trace["spans"]}
-        assert "execute" in names
-
-        status, body, _ = http_get(server.url + "/v1/traces?method=stub&limit=5")
-        assert status == 200
-        rows = json.loads(body)["data"]["traces"]
-        assert any(row["trace_id"] == trace_id for row in rows)
-
-    def test_remote_context_is_continued_and_spans_returned(
-        self, server, tiny_dataset
-    ):
-        query_id = tiny_dataset.queries[0].query_id
-        upstream = Trace()
-        upstream.sampled = True
-        header = format_traceparent(upstream.context())
-        status, _envelope, headers = http_post(
-            server.url + "/v1/expand",
-            {"method": "stub", "query_id": query_id},
-            headers={"traceparent": header},
-        )
-        assert status == 200
-        assert headers["X-Repro-Trace-Id"] == upstream.trace_id
-        fragment = json.loads(headers["X-Repro-Trace"])
-        assert fragment["trace_id"] == upstream.trace_id
-        assert any(entry["name"] == "execute" for entry in fragment["spans"])
-
-    @pytest.mark.parametrize("rate", [0.25, 0.5])
-    def test_one_sampling_flip_per_expand_over_http(self, tiny_dataset, rate):
-        """An expand over HTTP flips the head-sampling coin once, as in
-        process: the same seed and request count keep the same traces, and
-        each kept trace's id is on its reply."""
-        query_id = tiny_dataset.queries[0].query_id
-        requests = 200
-        config = dict(
-            trace_sample_rate=rate,
-            trace_sample_seed=7,
-            trace_buffer_size=requests,
-            cache_capacity=0,
-        )
-        in_process = make_service(tiny_dataset, **config)
-        with in_process:
-            for _ in range(requests):
-                in_process.submit(ExpandRequest(method="stub", query_id=query_id))
-            expected = in_process.traces.stats()
-        server = ExpansionHTTPServer(make_service(tiny_dataset, **config), port=0).start()
-        try:
-            replied = set()
-            for _ in range(requests):
-                status, _envelope, headers = http_post(
-                    server.url + "/v1/expand", {"method": "stub", "query_id": query_id}
-                )
-                assert status == 200
-                if "X-Repro-Trace-Id" in headers:
-                    replied.add(headers["X-Repro-Trace-Id"])
-            collector = server.service.traces
-            stats = collector.stats()
-            kept = {row["trace_id"] for row in collector.query(limit=requests)}
-        finally:
-            server.shutdown()
-        assert 0 < expected["kept"] < requests
-        assert (stats["sampled"], stats["kept"]) == (expected["sampled"], expected["kept"])
-        assert kept == replied and len(kept) == stats["kept"]
-
-    def test_probes_and_stats_reads_flip_no_coin(self, server):
-        """Only an expand is traced: health probes and stats reads leave
-        the sampler untouched, even at rate 1.0."""
-        for path, times in (("/v1/healthz", 10), ("/v1/stats", 5)):
-            for _ in range(times):
-                status, _body, headers = http_get(server.url + path)
-                assert status == 200
-                assert "X-Repro-Trace-Id" not in headers
-        traces = server.service.traces.stats()
-        assert (traces["sampled"], traces["kept"]) == (0, 0)
-
-    def test_unknown_trace_id_is_404_and_disabled_tracing_is_400(
-        self, server, tiny_dataset
-    ):
-        status, body, _ = http_get(server.url + "/v1/traces/" + "ab" * 16)
-        assert status == 404
-        assert json.loads(body)["error"]["code"] == "not_found"
-
-        service = make_service(tiny_dataset)
-        bare = ExpansionHTTPServer(service, port=0).start()
-        try:
-            status, body, _ = http_get(bare.url + "/v1/traces")
-            assert status == 400
-            assert json.loads(body)["error"]["code"] == "invalid_request"
-        finally:
-            bare.shutdown()
-
-    def test_malformed_trace_filters_are_400(self, server):
-        for query in ("min_duration_ms=abc", "error=maybe", "limit=x"):
-            status, body, _ = http_get(server.url + "/v1/traces?" + query)
-            assert status == 400, query
-            assert json.loads(body)["error"]["code"] == "invalid_request"
-
-
-# ---------------------------------------------------------------------------
 # client SDK accessors
 # ---------------------------------------------------------------------------
 
 
 class TestClientAccessors:
-    def test_traces_and_usage_through_the_in_process_client(self, tiny_dataset):
-        from repro.client import ExpansionClient
-
-        service = make_service(tiny_dataset, trace_sample_rate=1.0)
-        with service:
-            client = ExpansionClient.in_process(service)
-            client.expand("stub", query_id=tiny_dataset.queries[0].query_id)
-            rows = client.traces(method="stub", limit=5)
-            assert rows and rows[0]["method"] == "stub"
-            tree = client.trace(rows[0]["trace_id"])
-            assert tree["trace_id"] == rows[0]["trace_id"]
-            assert tree["spans"]
-            assert client.usage() == service.stats()["usage"]
-            assert client.usage()["tenants"][ANONYMOUS_TENANT]["requests"] == 1
-            with pytest.raises(DatasetError):
-                client.trace("ab" * 16)
-
-    def test_traces_raise_when_tracing_is_off(self, tiny_dataset):
+    def test_usage_through_the_in_process_client(self, tiny_dataset):
         from repro.client import ExpansionClient
 
         service = make_service(tiny_dataset)
         with service:
             client = ExpansionClient.in_process(service)
             assert client.usage() == {"tenants": {}}
-            with pytest.raises(ServiceError):
-                client.traces()
+            client.expand("stub", query_id=tiny_dataset.queries[0].query_id)
+            assert client.usage() == service.stats()["usage"]
+            assert client.usage()["tenants"][ANONYMOUS_TENANT]["requests"] == 1

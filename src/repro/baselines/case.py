@@ -9,10 +9,11 @@ SetExpan it only consumes positive seeds.
 
 Hot path: the sliced entity embeddings are a
 :class:`~repro.core.dense.DenseRanker` vector space, stacked once at
-fit/load time; from 4,096 entities the distributed scan covers a probed ANN
-shortlist, always re-scored exactly.  Fit and restore also keep a per-entity
-term-frequency matrix, so the lexical score of the whole shortlist is one
-gather and a few array operations per seed.
+fit/load time; one product gives the distributed score of every row, or
+from 4,096 entities of a probed ANN shortlist, always re-scored exactly,
+and a partition picks the lexical shortlist.  Fit and restore also keep a
+per-entity term-frequency matrix, so the lexical score of the whole
+shortlist is one gather and a few array operations per seed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
+from repro.retexpan.expansion import matrix_similarity_scores, select_top_k
 from repro.substrate import COOCCURRENCE_EMBEDDINGS
 from repro.text.bm25 import BM25Index
 from repro.text.tokenizer import WordTokenizer
@@ -194,38 +196,33 @@ class CaSE(DenseRanker):
         return per_seed.mean(axis=1)
 
     def _distributed_scores(
-        self, candidate_ids: list[int], seed_ids: tuple[int, ...]
-    ) -> dict[int, float]:
-        matrix = self._matrix
-        seeds = [s for s in seed_ids if s in matrix]
-        if not seeds:
-            return {eid: 0.0 for eid in candidate_ids}
-        seed_matrix = matrix.rows(seeds)
-        scores: dict[int, float] = {}
-        usable = [eid for eid in candidate_ids if eid in matrix]
-        if usable:
-            sims = (matrix.rows(usable) @ seed_matrix.T).mean(axis=1)
-            scores.update({eid: float(s) for eid, s in zip(usable, sims)})
-        for eid in candidate_ids:
-            scores.setdefault(eid, 0.0)
-        return scores
+        self, candidates: list[int] | None, query: Query
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean cosine similarity of each candidate to the positive seeds, as
+        ``(ids, scores)``; ``candidates=None`` is every entity but the seeds
+        (the co-occurrence embeddings give every dataset entity a row).  All
+        score 0.0 when no positive seed has a row (an ad-hoc seed outside
+        the dataset)."""
+        if not any(s in self._matrix for s in query.positive_seed_ids):
+            if candidates is None:
+                candidates = self.candidate_ids(query)
+            return np.array(candidates, dtype=np.int64), np.zeros(len(candidates))
+        return matrix_similarity_scores(self._matrix, candidates, query)
 
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
         required = max(3 * top_k, 150)
-        candidates = self._candidates(query, required)
-        distributed = self._distributed_scores(candidates, query.positive_seed_ids)
+        ids, distributed = self._distributed_scores(
+            self._candidates(query, required), query
+        )
         # Lexical scoring is restricted to the best distributed candidates for
         # tractability (CaSE itself prunes with an inverted index).
-        shortlist = sorted(distributed.items(), key=lambda item: (-item[1], item[0]))
-        shortlist_ids = [eid for eid, _ in shortlist[:required]]
-        lexical_values = self._lexical_scores(shortlist_ids, query.positive_seed_ids).tolist()
-        max_lex = max(lexical_values) if lexical_values else 0.0
-        scored = []
-        for eid, lexical_value in zip(shortlist_ids, lexical_values):
-            lexical = lexical_value / max_lex if max_lex > 0 else 0.0
-            combined = (
-                self.lexical_weight * lexical
-                + (1.0 - self.lexical_weight) * distributed[eid]
-            )
-            scored.append((eid, combined))
-        return ExpansionResult.from_scores(query.query_id, scored)
+        shortlist = select_top_k(ids, distributed, required)
+        shortlist_ids = [eid for eid, _ in shortlist]
+        lexical = self._lexical_scores(shortlist_ids, query.positive_seed_ids)
+        max_lex = lexical.max(initial=0.0)
+        lexical = lexical / max_lex if max_lex > 0 else np.zeros(lexical.size)
+        distributed = np.array([score for _, score in shortlist])
+        combined = self.lexical_weight * lexical + (1.0 - self.lexical_weight) * distributed
+        return ExpansionResult.from_scores(
+            query.query_id, list(zip(shortlist_ids, combined.tolist()))
+        )

@@ -14,8 +14,10 @@ name and each candidate's context sentences.
 
 Hot path: the sliced entity embeddings are a
 :class:`~repro.core.dense.DenseRanker` vector space, stacked once at
-fit/load time; from 4,096 entities the candidates come from a probed ANN
-shortlist, always re-scored exactly.
+fit/load time; one product scores every row, or from 4,096 entities a
+probed ANN shortlist, always re-scored exactly.  The concept scores of all
+candidates come from one token index (``ConceptMatcher.score_batch``), and
+seed and concept scores combine as arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.genexpan.cot import ConceptMatcher
+from repro.retexpan.expansion import matrix_similarity_scores, select_top_k
 from repro.substrate import COOCCURRENCE_EMBEDDINGS
 from repro.types import ExpansionResult, Query
 
@@ -105,26 +108,19 @@ class CGExpan(DenseRanker):
         return name.split(" with ")[0]
 
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
-        matrix = self._matrix
-        seed_ids = [s for s in query.positive_seed_ids if s in matrix]
-        if not seed_ids:
+        if not any(s in self._matrix for s in query.positive_seed_ids):
             return ExpansionResult(query_id=query.query_id, ranking=())
-        seed_matrix = matrix.rows(seed_ids)
         required = max(top_k, 200)
-        shortlist = [eid for eid in self._candidates(query, required) if eid in matrix]
-        if not shortlist:
+        ids, seed_similarity = matrix_similarity_scores(
+            self._matrix, self._candidates(query, required), query
+        )
+        if not ids.size:
             return ExpansionResult(query_id=query.query_id, ranking=())
-        candidate_matrix = matrix.rows(shortlist)
-        seed_similarity = (candidate_matrix @ seed_matrix.T).mean(axis=1)
-
-        class_name = self._probe_class_name(query)
-        concepts = self._concept_matcher.score_batch(shortlist, class_name)
-        scored = []
-        for index, entity_id in enumerate(shortlist):
-            combined = (
-                (1.0 - self.class_name_weight) * float(seed_similarity[index])
-                + self.class_name_weight * concepts[index]
-            )
-            scored.append((entity_id, combined))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return ExpansionResult.from_scores(query.query_id, scored[:required])
+        concepts = self._concept_matcher.score_batch(ids, self._probe_class_name(query))
+        combined = (
+            (1.0 - self.class_name_weight) * seed_similarity
+            + self.class_name_weight * concepts
+        )
+        return ExpansionResult.from_scores(
+            query.query_id, select_top_k(ids, combined, required)
+        )

@@ -22,7 +22,7 @@ from repro.core.dense import DenseRanker, VectorSpace
 from repro.core.resources import SharedResources
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError
-from repro.retexpan.expansion import matrix_similarity_scores, top_k_expansion
+from repro.retexpan.expansion import matrix_similarity_scores, select_top_k
 from repro.substrate import ENTITY_REPRESENTATIONS
 from repro.types import ExpansionResult, Query
 
@@ -93,10 +93,8 @@ class ProbExpan(DenseRanker):
     def _expand(self, query: Query, top_k: int) -> ExpansionResult:
         expansion_size = max(self.expansion_size, top_k)
         candidates = self._candidates(query, expansion_size)
-        scores = matrix_similarity_scores(
-            self._matrix, candidates, query.positive_seed_ids
-        )
-        initial = top_k_expansion(scores, k=expansion_size)
+        ids, scores = matrix_similarity_scores(self._matrix, candidates, query)
+        initial = select_top_k(ids, scores, k=expansion_size)
         result = ExpansionResult.from_scores(query.query_id, initial)
         if self.use_negative_rerank:
             # The paper bolts RetExpan's re-ranking module onto ProbExpan.

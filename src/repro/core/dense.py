@@ -11,10 +11,14 @@ and the base does the rest:
   has at least :data:`~repro.retrieval.ANN_AUTO_THRESHOLD` rows, and lists
   it in :meth:`substrate_dependencies` only then;
 * :meth:`_candidates` returns the probed shortlist when an index is
-  attached and every candidate otherwise, so vocabulary size alone picks
-  the path;
+  attached and ``None`` otherwise, so vocabulary size alone picks the path;
+  ``None`` means every row but the query's seeds, which
+  :func:`~repro.retexpan.expansion.matrix_similarity_scores` scores with
+  one product over the whole matrix, gathering no candidate row;
 * :meth:`_negative_rerank` is RetExpan's segmented negative-seed
-  re-ranking, which ProbExpan's "+ Neg Rerank" variant reuses.
+  re-ranking, which ProbExpan's "+ Neg Rerank" variant reuses: it gathers
+  the listed rows once and scores them against each seed side with one
+  stacked product (:meth:`_similarity_table`).
 """
 
 from __future__ import annotations
@@ -92,18 +96,21 @@ class DenseRanker(Expander):
             dependencies.append((ANN_INDEX, self._index_params(space)))
         return dependencies
 
-    def _candidates(self, query: Query, required: int) -> list[int]:
+    def _candidates(self, query: Query, required: int) -> list[int] | None:
         """The candidates to score exactly for ``query``.
 
         With an index, the probed shortlist around the mean positive-seed
         vector (ranking by mean cosine to the seeds equals ranking by dot
         product with it), holding at least ``required`` ids when the
-        vocabulary can; otherwise every candidate but the seeds.
+        vocabulary can.  ``None`` otherwise (or when no positive seed has a
+        row): every row but the query's seeds.
         """
         matrix = self._matrix
+        if matrix.index is None:
+            return None
         seeds = [s for s in query.positive_seed_ids if s in matrix]
-        if matrix.index is None or not seeds:
-            return self.candidate_ids(query)
+        if not seeds:
+            return None
         provider = self._substrate_provider()
         return matrix.shortlist(
             matrix.rows(seeds).mean(axis=0),
@@ -113,24 +120,22 @@ class DenseRanker(Expander):
         )
 
     def _similarity_table(
-        self, entity_ids: list[int], seed_ids: tuple[int, ...]
-    ) -> dict[int, float]:
-        """Mean cosine similarity of each entity to ``seed_ids``.
+        self, rows: np.ndarray, seed_ids: tuple[int, ...]
+    ) -> np.ndarray:
+        """Mean cosine similarity of each of ``rows`` to ``seed_ids`` (all
+        0.0 when no seed has a row).
 
-        The seed matrix is gathered once from the candidate matrix; each
-        entity keeps its own matrix-vector product so values stay bitwise
-        identical to per-entity scoring.
+        One stacked product: numpy runs the BLAS matrix-vector product that
+        ``seed_matrix @ row`` runs once per row, so every value is bitwise
+        the per-entity ``np.mean(seed_matrix @ row)``.  A single
+        ``rows @ seed_matrix.T`` would block the sums differently.
         """
         matrix = self._matrix
-        table = {entity_id: 0.0 for entity_id in entity_ids}
         seeds = [s for s in seed_ids if s in matrix]
         if not seeds:
-            return table
+            return np.zeros(len(rows))
         seed_matrix = matrix.rows(seeds)
-        for entity_id in entity_ids:
-            if entity_id in matrix:
-                table[entity_id] = float(np.mean(seed_matrix @ matrix.row(entity_id)))
-        return table
+        return np.matmul(seed_matrix, rows[:, :, None])[:, :, 0].mean(axis=1)
 
     def _negative_rerank(
         self, query: Query, result: ExpansionResult, segment_length: int
@@ -140,17 +145,23 @@ class DenseRanker(Expander):
         The negative score contrasts similarity to the negative seeds against
         similarity to the positive seeds: the fine-grained-class commonality
         cancels, leaving the attribute-level signal that identifies entities
-        sharing the negative attribute value.
+        sharing the negative attribute value.  An entity without a row
+        scores 0.0.
         """
         if not query.negative_seed_ids:
             return result
-        list_ids = [item.entity_id for item in result.ranking]
-        negative_table = self._similarity_table(list_ids, query.negative_seed_ids)
-        positive_table = self._similarity_table(list_ids, query.positive_seed_ids)
-
-        def negative_score(entity_id: int) -> float:
-            return negative_table[entity_id] - positive_table[entity_id]
-
+        matrix = self._matrix
+        listed = [item.entity_id for item in result.ranking if item.entity_id in matrix]
+        rows = matrix.rows(listed)
+        contrast = self._similarity_table(
+            rows, query.negative_seed_ids
+        ) - self._similarity_table(rows, query.positive_seed_ids)
+        negative_score = dict.fromkeys(
+            (item.entity_id for item in result.ranking), 0.0
+        )
+        negative_score.update(zip(listed, contrast.tolist()))
         return segmented_rerank(
-            result, negative_score=negative_score, segment_length=segment_length
+            result,
+            negative_score=negative_score.__getitem__,
+            segment_length=segment_length,
         )

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dataset.ultrawiki import UltraWikiDataset
 from repro.exceptions import ExpansionError
 from repro.kb.schema import ClassSchema, schema_by_name
@@ -33,6 +35,11 @@ _STOPWORDS = frozenset(
     "the a an is are was were of in on at to by with and or for its it this "
     "that as from not no".split()
 )
+
+#: whether the builtin ``sum`` compensates the rounding of a float sum
+#: (Neumaier's algorithm, CPython 3.12 and later); the plain left-to-right
+#: sum of earlier versions gives 0.0 here.
+_SUM_COMPENSATES = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
 
 
 @dataclass
@@ -58,19 +65,27 @@ class ConceptMatcher:
     def __init__(self, dataset: UltraWikiDataset):
         self._tokenizer = WordTokenizer()
         self._entity_tokens: dict[int, set[str]] = {}
-        document_frequency: dict[str, int] = {}
+        #: token -> rows (in ascending entity-id order) of the entities whose
+        #: contexts hold it; a token's document frequency is its row count.
+        token_rows: dict[str, list[int]] = {}
         corpus = dataset.corpus
-        for entity in dataset.entities():
+        for row, entity in enumerate(dataset.entities()):
             tokens: set[str] = set()
             for sentence in corpus.sentences_of(entity.entity_id):
                 tokens.update(t for t in corpus.tokens(sentence) if t not in _STOPWORDS)
             self._entity_tokens[entity.entity_id] = tokens
             for token in tokens:
-                document_frequency[token] = document_frequency.get(token, 0) + 1
+                token_rows.setdefault(token, []).append(row)
+        self._entity_ids = np.fromiter(
+            self._entity_tokens, dtype=np.int64, count=len(self._entity_tokens)
+        )
+        self._token_rows = {
+            token: np.array(rows, dtype=np.intp) for token, rows in token_rows.items()
+        }
         num_entities = max(len(self._entity_tokens), 1)
         self._idf = {
-            token: math.log((1.0 + num_entities) / (1.0 + df))
-            for token, df in document_frequency.items()
+            token: math.log((1.0 + num_entities) / (1.0 + len(rows)))
+            for token, rows in token_rows.items()
         }
         self._default_idf = math.log(1.0 + num_entities)
 
@@ -90,24 +105,49 @@ class ConceptMatcher:
         matched = sum(weight for token, weight in weights.items() if token in entity_tokens)
         return matched / sum(weights.values())
 
-    def score_batch(self, entity_ids: list[int], phrase: str) -> list[float]:
-        """:meth:`score` for one phrase across many entities.
+    def score_batch(self, entity_ids: np.ndarray, phrase: str) -> np.ndarray:
+        """:meth:`score` for one phrase across many entities, as an array.
 
-        The phrase is tokenized and IDF-weighted once instead of per
-        candidate; per-entity values are identical to sequential ``score``
-        calls (same weight dict, same summation order).
+        The phrase is tokenized and IDF-weighted once.  Each token's weight
+        is added, in phrase order, into the rows of the entities holding it,
+        and the sums are divided by the total weight: per entity the same
+        float operations, in the same order, as sequential ``score`` calls.
+        From Python 3.12 the builtin ``sum`` in ``score`` compensates its
+        rounding (:data:`_SUM_COMPENSATES`), and this repeats that
+        compensation step for step.
         """
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
         weights = self._phrase_weights(phrase)
         if not weights:
-            return [0.0 for _ in entity_ids]
-        total = sum(weights.values())
-        items = list(weights.items())
-        scores = []
-        for entity_id in entity_ids:
-            entity_tokens = self._entity_tokens.get(entity_id, set())
-            matched = sum(weight for token, weight in items if token in entity_tokens)
-            scores.append(matched / total)
-        return scores
+            return np.zeros(len(entity_ids))
+        known = self._entity_ids
+        # one extra, never-matched row stands in for an entity without contexts.
+        matched = np.zeros(len(known) + 1)
+        compensation = np.zeros(len(known) + 1)
+        for token, weight in weights.items():
+            rows = self._token_rows.get(token)
+            if rows is None:
+                continue
+            if not _SUM_COMPENSATES:
+                matched[rows] += weight
+                continue
+            # the builtin sum's step: t = s + x, c += the rounding error of t
+            before = matched[rows]
+            after = before + weight
+            compensation[rows] += np.where(
+                np.abs(before) >= abs(weight),
+                (before - after) + weight,
+                (weight - after) + before,
+            )
+            matched[rows] = after
+        # sum adds a non-zero, finite compensation once, at the end.
+        add = (compensation != 0.0) & np.isfinite(compensation)
+        matched[add] += compensation[add]
+        rows = np.searchsorted(known, entity_ids)
+        found = rows < len(known)
+        found[found] = known[rows[found]] == entity_ids[found]
+        rows[~found] = len(known)
+        return matched[rows] / sum(weights.values())
 
     def mean_score(self, entity_id: int, phrases: list[str]) -> float:
         if not phrases:

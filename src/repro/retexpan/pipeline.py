@@ -34,7 +34,7 @@ from repro.substrate import ENTITY_REPRESENTATIONS
 from repro.retexpan.expansion import (
     matrix_similarity_scores,
     positive_similarity_scores,
-    top_k_expansion,
+    select_top_k,
 )
 from repro.types import ExpansionResult, Query
 
@@ -180,10 +180,8 @@ class RetExpan(DenseRanker):
             candidates = self._candidates(query, expansion_size)
 
         with span("score"):
-            scores = matrix_similarity_scores(
-                self._matrix, candidates, query.positive_seed_ids
-            )
-        initial = top_k_expansion(scores, k=expansion_size)
+            ids, scores = matrix_similarity_scores(self._matrix, candidates, query)
+        initial = select_top_k(ids, scores, k=expansion_size)
         if self._contrastive is not None:
             initial = self._contrastive_rescore(query, initial)
         result = ExpansionResult.from_scores(query.query_id, initial)

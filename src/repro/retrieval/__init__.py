@@ -1,7 +1,9 @@
-"""Approximate candidate retrieval for the expand hot path.
+"""Candidate matrices and approximate candidate retrieval for the expand
+hot path.
 
-The rankers in this codebase score candidates by dense similarity against
-the full vocabulary — an O(vocab) scan per query.  :mod:`repro.retrieval`
+The dense rankers score candidates by dense similarity against the full
+vocabulary: one product of the stacked :class:`CandidateMatrix` with the
+seed rows per query, no candidate row gathered.  :mod:`repro.retrieval`
 turns that into a sub-linear probe once a vocabulary reaches
 :data:`ANN_AUTO_THRESHOLD` entities: a pure-numpy partitioned (IVF-style)
 index built once at fit time, persisted as a content-addressed substrate

@@ -5,9 +5,9 @@ Two pieces replace the per-query O(vocab) scans in the dense rankers:
 * :class:`CandidateMatrix` — the expander's entity vectors stacked **once**
   at fit/load time into a C-contiguous, optionally row-normalized matrix
   with a stable (sorted) id order, replacing the per-query ``np.stack``
-  rebuild.  Gathering rows from it is bitwise-identical to stacking the
-  same per-entity vectors, so the exact scan preserves ranking parity with
-  the historical code.
+  rebuild.  The exact scan multiplies the whole matrix by the seed rows
+  and gathers only seeds, a probed shortlist or a re-rank list; a gathered
+  row is bitwise the stacked per-entity vector.
 
 * :class:`PartitionedIndex` — a coarse k-means partition of those rows.
   Queries rank candidates by dot product with the mean seed vector, which
@@ -224,10 +224,13 @@ class CandidateMatrix:
     for a given vector map regardless of dict iteration order — gathering a
     subset of rows yields exactly the values the historical per-query
     ``np.stack`` produced for those entities (``l2_normalize`` is purely
-    row-wise), which is what keeps exact-scan rankings bitwise identical.
+    row-wise).  The exact scan gathers no candidate row: it multiplies
+    :attr:`matrix` as a whole, which may round a score differently from a
+    product over the gathered rows (see README, "ANN candidate retrieval",
+    for the bound).
     """
 
-    __slots__ = ("ids", "matrix", "row_of", "index", "_ids_array", "_ids_sorted")
+    __slots__ = ("ids", "matrix", "row_of", "index", "id_array", "_ids_sorted")
 
     def __init__(
         self,
@@ -241,9 +244,10 @@ class CandidateMatrix:
             entity_id: row for row, entity_id in enumerate(self.ids)
         }
         self.index = index
-        self._ids_array = np.asarray(self.ids, dtype=np.int64)
+        #: ``ids`` as an int64 array (the entity id of each row).
+        self.id_array = np.asarray(self.ids, dtype=np.int64)
         self._ids_sorted = bool(
-            self._ids_array.size == 0 or np.all(np.diff(self._ids_array) > 0)
+            self.id_array.size == 0 or np.all(np.diff(self.id_array) > 0)
         )
 
     @classmethod
@@ -289,12 +293,12 @@ class CandidateMatrix:
         search, so gathering a probed shortlist costs no per-id Python work;
         the gathered rows are bitwise identical either way (same locations).
         """
-        if self._ids_sorted and self._ids_array.size:
+        if self._ids_sorted and self.id_array.size:
             wanted = np.asarray(entity_ids, dtype=np.int64)
             locations = np.minimum(
-                np.searchsorted(self._ids_array, wanted), self._ids_array.size - 1
+                np.searchsorted(self.id_array, wanted), self.id_array.size - 1
             )
-            found = self._ids_array[locations]
+            found = self.id_array[locations]
             if not np.array_equal(found, wanted):
                 raise KeyError(int(wanted[found != wanted][0]))
             return locations
@@ -310,7 +314,7 @@ class CandidateMatrix:
         rows of a different matrix."""
         if index is not None and (
             len(index) != len(self.ids)
-            or not np.array_equal(index.ids, np.asarray(self.ids, dtype=np.int64))
+            or not np.array_equal(index.ids, self.id_array)
         ):
             index = None
         self.index = index
